@@ -65,8 +65,7 @@ def score_feature(feature_class, clips, names, n_train, args):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--features", nargs="+", default=["mbe", "bin-mbe"],
-        choices=["mbe", "bin-mbe", "bin-mul-mbe", "bin-fft"],
+        "--features", nargs="+", default=["mbe", "bin-mbe"], choices=feats.FEATURE_CLASSES,
     )
     parser.add_argument("--clips", type=int, default=6)
     parser.add_argument("--duration", type=float, default=6.0)

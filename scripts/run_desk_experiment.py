@@ -23,6 +23,7 @@ from sedpipe.config import (
     TrainSection,
 )
 from sedpipe.experiment import cross_validate
+from sedpipe.features import FEATURE_CLASSES
 
 
 def build_config(args, data_root: Path) -> ExperimentConfig:
@@ -63,8 +64,7 @@ def build_config(args, data_root: Path) -> ExperimentConfig:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--feature", default="mbe",
-                        choices=["mbe", "bin-mbe", "bin-mul-mbe", "bin-fft"])
+    parser.add_argument("--feature", default="mbe", choices=FEATURE_CLASSES)
     parser.add_argument("--clips", type=int, default=8)
     parser.add_argument("--duration", type=float, default=4.0)
     parser.add_argument("--classes", type=int, default=3)

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .features import feature_spec
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
@@ -45,31 +46,8 @@ class FeatureConfig:
     archive_dir: str = ""
 
     def extractor_kwargs(self) -> dict:
-        if self.feature_class in ("mbe", "bin-mbe"):
-            return {
-                "n_mels": self.n_mels,
-                "f_min": self.f_min,
-                "f_max": self.f_max,
-                "window_ms": self.window_ms,
-                "hop_ms": self.hop_ms,
-                "fft_size": self.fft_size,
-            }
-        if self.feature_class == "bin-mul-mbe":
-            return {
-                "n_mels": self.n_mels,
-                "f_min": self.f_min,
-                "f_max": self.f_max,
-                "hop_ms": self.hop_ms,
-                "windows": self.multires_windows,
-            }
-        if self.feature_class == "bin-fft":
-            return {
-                "window_ms": self.window_ms,
-                "hop_ms": self.hop_ms,
-                "fft_size": self.fft_size,
-                "log_magnitude": self.fft_log_magnitude,
-            }
-        raise ConfigError(f"unknown feature class {self.feature_class!r}")
+        fields_read = feature_spec(self.feature_class).config_fields
+        return {name: getattr(self, name) for name in fields_read}
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
-"""Shared DSP kernels: window functions, radix-2 FFT, STFT and mel filterbanks.
+"""Shared DSP kernels: window functions, FFT, STFT and mel filterbanks.
 
-Everything runs in double precision on plain numpy arrays. The FFT is an
-iterative radix-2 transform restricted to power-of-two sizes, which is all
-the feature extractors need.
+Everything runs in double precision on plain numpy arrays. Transforms are
+``numpy.fft`` restricted to power-of-two sizes, which is all the feature
+extractors need.
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ from .errors import RangeError, ShapeError, SizeError
 # floor applied inside the log of log-mel energies; well below any energy
 # the synthetic material produces, so only true silence hits it
 LOG_FLOOR = 1e-10
-
-# frames per FFT batch; bounds peak memory for the 16384-point transforms
-_FFT_BLOCK = 128
 
 
 def hamming_window(n: int) -> np.ndarray:
@@ -38,43 +35,17 @@ def is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
 def fft(x, inverse: bool = False) -> np.ndarray:
-    """Radix-2 FFT over the last axis.
+    """FFT over the last axis, restricted to power-of-two lengths.
 
     Forward: ``X[k] = sum_n x[n] * exp(-2j*pi*n*k/N)``. The inverse applies
-    the conjugate kernel and scales by ``1/N``. The transform length must be
-    a power of two; anything else raises :class:`SizeError`.
+    the conjugate kernel and scales by ``1/N``. Any other length raises
+    :class:`SizeError`.
     """
     a = np.asarray(x, dtype=np.complex128)
-    n = a.shape[-1]
-    if not is_power_of_two(n):
-        raise SizeError(f"FFT length must be a power of two, got {n}")
-    if n == 1:
-        return a.copy()
-    a = a[..., _bit_reverse_indices(n)]
-    sign = 1.0 if inverse else -1.0
-    m = 2
-    while m <= n:
-        half = m // 2
-        tw = np.exp(sign * 2j * np.pi * np.arange(half) / m)
-        blocks = a.reshape(a.shape[:-1] + (n // m, m))
-        even = blocks[..., :half]
-        odd = blocks[..., half:] * tw
-        a = np.concatenate((even + odd, even - odd), axis=-1).reshape(a.shape)
-        m *= 2
-    if inverse:
-        a = a / n
-    return a
+    if not is_power_of_two(a.shape[-1]):
+        raise SizeError(f"FFT length must be a power of two, got {a.shape[-1]}")
+    return np.fft.ifft(a) if inverse else np.fft.fft(a)
 
 
 def ifft(x) -> np.ndarray:
@@ -116,17 +87,7 @@ def stft(samples, window_len: int, fft_size: int, hop: int) -> np.ndarray:
     padded = np.concatenate((np.zeros(left), x, np.zeros(right)))
 
     frames = np.lib.stride_tricks.sliding_window_view(padded, window_len)[::hop][:n_frames]
-    windowed = frames * hamming_window(window_len)
-
-    out = np.empty((n_frames, n_bins), dtype=np.complex128)
-    buf = np.zeros((min(_FFT_BLOCK, n_frames), fft_size))
-    for start in range(0, n_frames, _FFT_BLOCK):
-        chunk = windowed[start : start + _FFT_BLOCK]
-        block = buf[: chunk.shape[0]]
-        block[:] = 0.0
-        block[:, :window_len] = chunk
-        out[start : start + chunk.shape[0]] = fft(block)[:, :n_bins]
-    return out
+    return np.fft.rfft(frames * hamming_window(window_len), n=fft_size, axis=1)
 
 
 def power_spectrum(spectra) -> np.ndarray:

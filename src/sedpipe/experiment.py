@@ -1,5 +1,5 @@
-"""Experiment orchestration: per-fold train/test runs, multi-run averaging,
-the dense baseline, and random hyper-parameter search."""
+"""Experiment orchestration: per-fold train/test runs, multi-run averaging
+and random hyper-parameter search."""
 
 from __future__ import annotations
 
@@ -241,11 +241,13 @@ def cross_validate(
             rows.append((run, fold, result.report.error_rate, result.report.f_score))
             run_reports.append(result.report)
         if pooled:
-            totals = {k: sum(r.totals[k] for r in run_reports) for k in ("tp", "fp", "fn", "n", "s", "d", "i")}
-            er = (totals["s"] + totals["d"] + totals["i"]) / totals["n"]
-            f = 2.0 * totals["tp"] / (2 * totals["tp"] + totals["fp"] + totals["fn"])
-            per_point_er.append(er)
-            per_point_f.append(f)
+            # one row of totals per fold: ER and F depend only on the sums
+            counts = metrics.SegmentCounts(
+                **{k: np.array([r.totals[k] for r in run_reports]) for k in run_reports[0].totals}
+            )
+            report = metrics.report_from_counts(counts)
+            per_point_er.append(report.error_rate)
+            per_point_f.append(report.f_score)
         else:
             per_point_er.extend(r.error_rate for r in run_reports)
             per_point_f.extend(r.f_score for r in run_reports)
@@ -316,7 +318,7 @@ def random_search(
     if n_trials < 1:
         raise ConfigError(f"need at least one trial, got {n_trials}")
     rng = np.random.default_rng(cfg.train.seed if seed is None else seed)
-    n_bins = _feature_bins(cfg)
+    n_bins = feats.feature_spec(cfg.features.feature_class).bins(cfg.features)
 
     cache: dict = {}
     trials = []
@@ -350,28 +352,3 @@ def random_search(
     ranked = sorted(trials, key=lambda t: (t.mean_er, t.index))
     assert ranked[0].mean_er == min(t.mean_er for t in trials)
     return ranked
-
-
-def _feature_bins(cfg: ExperimentConfig) -> int:
-    fc = cfg.features.feature_class
-    if fc in ("mbe", "bin-mbe", "bin-mul-mbe"):
-        return cfg.features.n_mels
-    return cfg.features.fft_size // 2
-
-
-def baseline_mlp(n_classes: int, seed: int = 0, context: int = 5, n_mels: int = 40):
-    """The reference dense baseline plus its feature adapter.
-
-    Returns ``(model, adapter)``: the model is the 50-50-dropout(0.2)-sigmoid
-    stack over ``n_mels * context`` inputs; the adapter turns an mbe tensor
-    into the stacked context windows the model consumes.
-    """
-    from .nn import build_baseline_mlp, mbe_context_windows
-
-    rng = np.random.default_rng(seed)
-    model = build_baseline_mlp(n_classes, n_mels=n_mels, context=context, rng=rng)
-
-    def adapter(tensor):
-        return mbe_context_windows(tensor, context=context)
-
-    return model, adapter

@@ -15,8 +15,9 @@ import logging
 import struct
 import warnings
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,23 +27,11 @@ from .errors import ChannelError, ConfigError, RangeError, ShapeError, StateErro
 
 log = logging.getLogger(__name__)
 
-FEATURE_CLASSES = ("mbe", "bin-mbe", "bin-mul-mbe", "bin-fft")
-
-# (bins, channels) contract per feature class
-FEATURE_SHAPES = {
-    "mbe": (40, 1),
-    "bin-mbe": (40, 2),
-    "bin-mul-mbe": (40, 6),
-    "bin-fft": (1024, 4),
-}
-
 MULTIRES_WINDOWS = (1024, 4096, 16384)
 
 _STD_FLOOR = 1e-8
 _ARCHIVE_MAGIC = b"SEDF"
 _ARCHIVE_VERSION = 1
-_CLASS_IDS = {name: i + 1 for i, name in enumerate(FEATURE_CLASSES)}
-_CLASS_FROM_ID = {i: name for name, i in _CLASS_IDS.items()}
 
 
 @dataclass(frozen=True)
@@ -54,22 +43,18 @@ class FeatureTensor:
     hop_seconds: float
 
     def __post_init__(self):
-        if self.feature_class not in FEATURE_SHAPES:
-            raise ConfigError(f"unknown feature class {self.feature_class!r}")
+        spec = feature_spec(self.feature_class)
         d = self.data
         if d.ndim != 3:
             raise ShapeError(f"feature data must be 3-D (F, B, Ch), got shape {d.shape}")
         if d.size and not np.all(np.isfinite(d)):
             raise ShapeError("feature data contains non-finite values")
-        ch = d.shape[2]
-        expected_ch = FEATURE_SHAPES[self.feature_class][1]
         # bin counts follow the config (n_mels, fft size); channel counts are
         # fixed per class except bin-mul-mbe, which scales with the window set
-        if self.feature_class == "bin-mul-mbe":
-            if ch < 2 or ch % 2:
-                raise ShapeError(f"bin-mul-mbe needs an even channel count >= 2, got {ch}")
-        elif ch != expected_ch:
-            raise ShapeError(f"{self.feature_class} expects {expected_ch} channel(s), got {ch}")
+        ch = d.shape[2]
+        step = spec.channel_step
+        if ch != spec.channels and not (step and ch > 0 and ch % step == 0):
+            raise ShapeError(f"{self.feature_class} cannot have {ch} channel(s)")
 
     @property
     def n_frames(self) -> int:
@@ -84,12 +69,11 @@ class FeatureTensor:
         return self.data.shape[2]
 
 
-def _frame_params(sample_rate: int, window_ms: float, hop_ms: float) -> tuple[int, int]:
-    window_len = int(round(window_ms * sample_rate / 1000.0))
-    hop = int(round(hop_ms * sample_rate / 1000.0))
-    if window_len < 1 or hop < 1:
-        raise RangeError(f"window {window_ms} ms / hop {hop_ms} ms too short at {sample_rate} Hz")
-    return window_len, hop
+def _samples(ms: float, sample_rate: int) -> int:
+    n = int(round(ms * sample_rate / 1000.0))
+    if n < 1:
+        raise RangeError(f"{ms} ms is shorter than one sample at {sample_rate} Hz")
+    return n
 
 
 def effective_f_max(f_max: float, sample_rate: int) -> float:
@@ -106,139 +90,129 @@ def effective_f_max(f_max: float, sample_rate: int) -> float:
     return f_max
 
 
-def _mel_channel(
-    samples: np.ndarray,
-    sample_rate: int,
-    window_len: int,
-    fft_size: int,
+def _log_mel(
+    clip: AudioClip,
     hop: int,
-    bank: dsp.MelFilterbank,
+    resolutions: Sequence[tuple[int, int]],
+    n_mels: int = 40,
+    f_min: float = 0.0,
+    f_max: float = 22500.0,
 ) -> np.ndarray:
-    spectra = dsp.stft(samples, window_len, fft_size, hop)
-    return dsp.log_mel_energies(dsp.power_spectrum(spectra), bank)
+    """Per-channel log mel energies at each (window length, FFT size)
+    resolution, (F, n_mels, n_channels * len(resolutions)).
 
-
-def extract_mbe(
-    clip: AudioClip,
-    n_mels: int = 40,
-    f_min: float = 0.0,
-    f_max: float = 22500.0,
-    window_ms: float = 40.0,
-    hop_ms: float = 20.0,
-    fft_size: int = 2048,
-) -> FeatureTensor:
-    """Single-channel log mel energies, (F, n_mels, 1)."""
-    if clip.n_channels != 1:
-        raise ChannelError(f"mbe needs mono input, got {clip.n_channels} channels")
-    window_len, hop = _frame_params(clip.sample_rate, window_ms, hop_ms)
-    bank = dsp.mel_filterbank(
-        n_mels, fft_size, clip.sample_rate, f_min, effective_f_max(f_max, clip.sample_rate)
-    )
-    mel = _mel_channel(clip.samples[0], clip.sample_rate, window_len, fft_size, hop, bank)
-    return FeatureTensor(data=mel[:, :, None], feature_class="mbe", hop_seconds=hop_ms / 1000.0)
-
-
-def extract_bin_mbe(
-    clip: AudioClip,
-    n_mels: int = 40,
-    f_min: float = 0.0,
-    f_max: float = 22500.0,
-    window_ms: float = 40.0,
-    hop_ms: float = 20.0,
-    fft_size: int = 2048,
-) -> FeatureTensor:
-    """Per-channel log mel energies, (F, n_mels, 2), channel order (L, R)."""
-    if clip.n_channels != 2:
-        raise ChannelError(f"bin-mbe needs stereo input, got {clip.n_channels} channel(s)")
-    window_len, hop = _frame_params(clip.sample_rate, window_ms, hop_ms)
-    bank = dsp.mel_filterbank(
-        n_mels, fft_size, clip.sample_rate, f_min, effective_f_max(f_max, clip.sample_rate)
-    )
-    channels = [
-        _mel_channel(clip.samples[ch], clip.sample_rate, window_len, fft_size, hop, bank)
-        for ch in range(2)
-    ]
-    return FeatureTensor(
-        data=np.stack(channels, axis=2), feature_class="bin-mbe", hop_seconds=hop_ms / 1000.0
-    )
-
-
-def extract_bin_mul_mbe(
-    clip: AudioClip,
-    n_mels: int = 40,
-    f_min: float = 0.0,
-    f_max: float = 22500.0,
-    hop_ms: float = 20.0,
-    windows: Sequence[int] = MULTIRES_WINDOWS,
-) -> FeatureTensor:
-    """Multi-resolution per-channel log mel energies, (F, n_mels, 2*len(windows)).
-
-    Each resolution analyzes ``w`` samples with an FFT of the same size; the
-    channel axis interleaves resolution-major: (w0 L, w0 R, w1 L, w1 R, ...).
+    The channel axis is resolution-major: (r0 ch0, r0 ch1, r1 ch0, ...).
     """
-    if clip.n_channels != 2:
-        raise ChannelError(f"bin-mul-mbe needs stereo input, got {clip.n_channels} channel(s)")
-    _, hop = _frame_params(clip.sample_rate, 40.0, hop_ms)
     f_top = effective_f_max(f_max, clip.sample_rate)
-    channels = []
-    for w in windows:
-        bank = dsp.mel_filterbank(n_mels, w, clip.sample_rate, f_min, f_top)
-        for ch in range(2):
-            channels.append(_mel_channel(clip.samples[ch], clip.sample_rate, w, w, hop, bank))
-    return FeatureTensor(
-        data=np.stack(channels, axis=2), feature_class="bin-mul-mbe", hop_seconds=hop_ms / 1000.0
-    )
+    planes = []
+    for window_len, fft_size in resolutions:
+        bank = dsp.mel_filterbank(n_mels, fft_size, clip.sample_rate, f_min, f_top)
+        for samples in clip.samples:
+            spectra = dsp.stft(samples, window_len, fft_size, hop)
+            planes.append(dsp.log_mel_energies(dsp.power_spectrum(spectra), bank))
+    return np.stack(planes, axis=2)
 
 
-def extract_bin_fft(
+def _mel(
+    clip: AudioClip, hop: int, window_ms: float = 40.0, fft_size: int = 2048, **mel_kwargs
+) -> np.ndarray:
+    window_len = _samples(window_ms, clip.sample_rate)
+    return _log_mel(clip, hop, ((window_len, fft_size),), **mel_kwargs)
+
+
+def _multires_mel(
+    clip: AudioClip, hop: int, multires_windows: Sequence[int] = MULTIRES_WINDOWS, **mel_kwargs
+) -> np.ndarray:
+    # each window is analyzed with an FFT of its own size
+    return _log_mel(clip, hop, tuple((w, w) for w in multires_windows), **mel_kwargs)
+
+
+def _magnitude_phase(
     clip: AudioClip,
+    hop: int,
     window_ms: float = 40.0,
-    hop_ms: float = 20.0,
     fft_size: int = 2048,
-    log_magnitude: bool = False,
-) -> FeatureTensor:
+    fft_log_magnitude: bool = False,
+) -> np.ndarray:
     """Per-channel STFT magnitude and phase, (F, fft_size//2, 4).
 
     The DC bin is dropped so a 2048-point transform yields exactly 1024 bins;
     channel order is (mag L, mag R, phase L, phase R), phase in (-pi, pi].
-    ``log_magnitude`` switches the magnitude planes to log scale.
+    ``fft_log_magnitude`` switches the magnitude planes to log scale.
     """
-    if clip.n_channels != 2:
-        raise ChannelError(f"bin-fft needs stereo input, got {clip.n_channels} channel(s)")
-    window_len, hop = _frame_params(clip.sample_rate, window_ms, hop_ms)
+    window_len = _samples(window_ms, clip.sample_rate)
     mags, phases = [], []
-    for ch in range(2):
-        spectra = dsp.stft(clip.samples[ch], window_len, fft_size, hop)[:, 1:]
+    for samples in clip.samples:
+        spectra = dsp.stft(samples, window_len, fft_size, hop)[:, 1:]
         mag = np.abs(spectra)
-        if log_magnitude:
+        if fft_log_magnitude:
             mag = np.log(np.maximum(mag, dsp.LOG_FLOOR))
         phase = np.angle(spectra)
-        phase = np.where(phase <= -np.pi, np.pi, phase)
         mags.append(mag)
-        phases.append(phase)
-    return FeatureTensor(
-        data=np.stack(mags + phases, axis=2),
-        feature_class="bin-fft",
-        hop_seconds=hop_ms / 1000.0,
-    )
+        phases.append(np.where(phase <= -np.pi, np.pi, phase))
+    return np.stack(mags + phases, axis=2)
+
+
+class FeatureClass(NamedTuple):
+    """Everything the program knows about one feature class."""
+
+    input_channels: int  # audio channels analyzed; a mono class downmixes stereo
+    channels: int  # output channels at the FeatureConfig defaults
+    extractor: Callable[..., np.ndarray]  # (clip, hop in samples, **kwargs) -> (F, B, Ch)
+    config_fields: tuple[str, ...]  # FeatureConfig fields, passed by name to extract
+    bins: Callable[[Any], int]  # bin count for a FeatureConfig
+    channel_step: int = 0  # nonzero: any positive multiple is a valid channel count
+
+
+_MEL_FIELDS = ("hop_ms", "n_mels", "f_min", "f_max")
+
+# Archive class ids are positions in this table counted from 1: append only.
+FEATURE_TABLE = {
+    "mbe": FeatureClass(
+        1, 1, _mel, _MEL_FIELDS + ("window_ms", "fft_size"), attrgetter("n_mels")
+    ),
+    "bin-mbe": FeatureClass(
+        2, 2, _mel, _MEL_FIELDS + ("window_ms", "fft_size"), attrgetter("n_mels")
+    ),
+    "bin-mul-mbe": FeatureClass(
+        2, 2 * len(MULTIRES_WINDOWS), _multires_mel, _MEL_FIELDS + ("multires_windows",),
+        attrgetter("n_mels"), channel_step=2,
+    ),
+    "bin-fft": FeatureClass(
+        2, 4, _magnitude_phase, ("hop_ms", "window_ms", "fft_size", "fft_log_magnitude"),
+        lambda cfg: cfg.fft_size // 2,
+    ),
+}
+FEATURE_CLASSES = tuple(FEATURE_TABLE)
+_CLASS_IDS = {name: i + 1 for i, name in enumerate(FEATURE_CLASSES)}
+_CLASS_FROM_ID = {i: name for name, i in _CLASS_IDS.items()}
+
+
+def feature_spec(feature_class: str) -> FeatureClass:
+    """The table entry of ``feature_class``; unknown names are a ConfigError."""
+    if feature_class not in FEATURE_TABLE:
+        raise ConfigError(f"unknown feature class {feature_class!r}")
+    return FEATURE_TABLE[feature_class]
 
 
 def extract(clip: AudioClip, feature_class: str, **kwargs) -> FeatureTensor:
-    """Dispatch on feature class. Stereo input to ``mbe`` is downmixed with
-    a log line rather than rejected, matching how mono experiments run on a
-    binaural corpus."""
-    if feature_class == "mbe":
-        if clip.n_channels == 2:
-            log.info("mbe on stereo input: averaging channels to mono")
-            clip = to_mono(clip)
-        return extract_mbe(clip, **kwargs)
-    if feature_class == "bin-mbe":
-        return extract_bin_mbe(clip, **kwargs)
-    if feature_class == "bin-mul-mbe":
-        return extract_bin_mul_mbe(clip, **kwargs)
-    if feature_class == "bin-fft":
-        return extract_bin_fft(clip, **kwargs)
-    raise ConfigError(f"unknown feature class {feature_class!r}")
+    """Extract one feature class; ``kwargs`` are the class's config fields.
+
+    Stereo input to a mono class (``mbe``) is downmixed with a log line
+    rather than rejected, matching how mono experiments run on a binaural
+    corpus.
+    """
+    spec = feature_spec(feature_class)
+    if clip.n_channels != spec.input_channels:
+        if spec.input_channels != 1:
+            raise ChannelError(
+                f"{feature_class} needs stereo input, got {clip.n_channels} channel(s)"
+            )
+        log.info("%s on stereo input: averaging channels to mono", feature_class)
+        clip = to_mono(clip)
+    hop_ms = kwargs.pop("hop_ms", 20.0)
+    data = spec.extractor(clip, _samples(hop_ms, clip.sample_rate), **kwargs)
+    return FeatureTensor(data=data, feature_class=feature_class, hop_seconds=hop_ms / 1000.0)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ micro-averaged 2*TP / (2*TP + FP + FN).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,16 +22,6 @@ from .errors import (
     ShapeError,
     UndefinedMetricError,
 )
-
-
-class SegmentEntry(NamedTuple):
-    tp: int
-    fp: int
-    fn: int
-    n: int
-    s: int
-    d: int
-    i: int
 
 
 @dataclass(frozen=True)
@@ -110,31 +100,14 @@ def roll_to_segments(roll: EventRoll, segment_seconds: float = 1.0) -> np.ndarra
             f"hop {roll.hop_seconds}s does not tile a {segment_seconds}s segment"
         )
     a = roll.activity
-    if a.shape[0] == 0:
-        return np.zeros((0, a.shape[1]), dtype=np.uint8)
     n_segments = -(-a.shape[0] // frames_per_segment)
-    out = np.zeros((n_segments, a.shape[1]), dtype=np.uint8)
-    for k in range(n_segments):
-        out[k] = a[k * frames_per_segment : (k + 1) * frames_per_segment].max(axis=0)
-    return out
-
-
-def count_segment(ref_row, pred_row) -> SegmentEntry:
-    """TP/FP/FN/N and the S/D/I decomposition for one segment."""
-    r = np.asarray(ref_row).astype(bool)
-    p = np.asarray(pred_row).astype(bool)
-    if r.shape != p.shape:
-        raise ShapeError(f"segment rows differ in length: {r.shape} vs {p.shape}")
-    tp = int(np.sum(r & p))
-    fp = int(np.sum(~r & p))
-    fn = int(np.sum(r & ~p))
-    n = int(np.sum(r))
-    s = min(fn, fp)
-    return SegmentEntry(tp=tp, fp=fp, fn=fn, n=n, s=s, d=fn - s, i=fp - s)
+    padded = np.zeros((n_segments * frames_per_segment, a.shape[1]), dtype=np.uint8)
+    padded[: a.shape[0]] = a
+    return padded.reshape(n_segments, frames_per_segment, a.shape[1]).max(axis=1)
 
 
 def count_segments(ref_segments, pred_segments) -> SegmentCounts:
-    """Vectorized :func:`count_segment` over all segments at once."""
+    """TP/FP/FN/N and the S/D/I decomposition of every segment (row)."""
     r = np.asarray(ref_segments).astype(bool)
     p = np.asarray(pred_segments).astype(bool)
     if r.shape != p.shape:

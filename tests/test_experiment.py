@@ -17,7 +17,7 @@ from sedpipe.config import (
     SearchSection,
     TrainSection,
 )
-from sedpipe.errors import ConfigError, ManifestError
+from sedpipe.errors import ConfigError, ManifestError, UndefinedMetricError
 from sedpipe.experiment import (
     cross_validate,
     random_search,
@@ -314,18 +314,16 @@ class TestPooledAggregation:
         assert summary.mean_f == pytest.approx(2 * 6 / (12 + 1 + 4))
         assert summary.std_er == 0.0
 
-
-class TestBaselineAdapter:
-    def test_baseline_mlp_returns_model_and_adapter(self, rng):
-        from sedpipe.experiment import baseline_mlp
-        from sedpipe.features import FeatureTensor
-
-        model, adapter = baseline_mlp(3, seed=1)
-        tensor = FeatureTensor(
-            data=rng.normal(size=(10, 40, 1)), feature_class="mbe", hop_seconds=0.02
+    def test_pooled_run_without_reference_activity_is_undefined(self, tmp_path, monkeypatch):
+        # run_fold is faked, so no dataset is read
+        cfg = desk_config(tmp_path / "manifest.tsv", epochs=2)
+        cfg = dataclasses.replace(
+            cfg, train=dataclasses.replace(cfg.train, folds=(1, 2), n_runs=1)
         )
-        windows = adapter(tensor)
-        assert windows.shape == (10, 200, 1)
-        out = model.forward(windows[None, :, :, :], training=True, rng=rng)
-        assert out.shape == (1, 10, 3)
-        assert np.all((out > 0) & (out < 1))
+        zeros = {k: 0 for k in ("tp", "fp", "fn", "n", "s", "d", "i")}
+        report = type("R", (), {"error_rate": 0.0, "f_score": 1.0, "totals": zeros})()
+        monkeypatch.setattr(
+            experiment, "run_fold", lambda *a, **k: type("F", (), {"report": report})()
+        )
+        with pytest.raises(UndefinedMetricError):
+            cross_validate(cfg, pooled=True)

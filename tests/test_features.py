@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
-from oracles import direct_dft
+from oracles import direct_dft, mel_frame_by_hand
 from sedpipe import dsp, features
 from sedpipe.audio_io import AudioClip, EventRoll, to_mono
+from sedpipe.config import FeatureConfig
 from sedpipe.errors import ChannelError, ShapeError, StateError
 
 F_MAX = 22050.0  # explicit Nyquist keeps tests free of the clamp warning
@@ -16,21 +19,22 @@ class TestExtractMbe:
         # stereo fixture tiled to 10 s, downmixed
         samples = np.tile(stereo_clip.samples, (1, 10))
         clip = to_mono(AudioClip(samples=samples, sample_rate=44100))
-        tensor = features.extract_mbe(clip, f_max=F_MAX)
+        tensor = features.extract(clip, "mbe", f_max=F_MAX)
         assert tensor.data.shape == (500, 40, 1)
         assert tensor.hop_seconds == 0.02
 
     def test_silence_hits_log_floor(self):
         clip = AudioClip(samples=np.zeros((1, 44100)), sample_rate=44100)
-        tensor = features.extract_mbe(clip, f_max=F_MAX)
+        tensor = features.extract(clip, "mbe", f_max=F_MAX)
         assert np.allclose(tensor.data, np.log(1e-10), atol=0)
 
     def test_one_frame_matches_hand_pipeline(self, rng):
         sr, window_len, fft_size, hop = 8000, 320, 512, 160
         x = rng.normal(size=sr) * 0.2
         clip = AudioClip(samples=np.clip(x, -1, 1)[None, :], sample_rate=sr)
-        tensor = features.extract_mbe(
-            clip, n_mels=12, f_min=0.0, f_max=sr / 2, window_ms=40.0, hop_ms=20.0, fft_size=fft_size
+        tensor = features.extract(
+            clip, "mbe", n_mels=12, f_min=0.0, f_max=sr / 2, window_ms=40.0, hop_ms=20.0,
+            fft_size=fft_size,
         )
         bank = dsp.mel_filterbank(12, fft_size, sr, 0.0, sr / 2)
         f = 9
@@ -42,73 +46,89 @@ class TestExtractMbe:
         expected = np.log(np.maximum(power @ bank.weights.T, 1e-10))
         assert np.max(np.abs(tensor.data[f, :, 0] - expected)) < 1e-9
 
-    def test_rejects_stereo(self, stereo_clip):
-        with pytest.raises(ChannelError):
-            features.extract_mbe(stereo_clip)
-
     def test_f_max_above_nyquist_warns_and_clamps(self):
         clip = AudioClip(samples=np.zeros((1, 44100)), sample_rate=44100)
         with pytest.warns(UserWarning, match="Nyquist"):
-            features.extract_mbe(clip, f_max=22500.0)
+            features.extract(clip, "mbe", f_max=22500.0)
 
 
 class TestExtractBinMbe:
     def test_shape_and_channel_order(self, stereo_clip):
-        tensor = features.extract_bin_mbe(stereo_clip, f_max=F_MAX)
+        tensor = features.extract(stereo_clip, "bin-mbe", f_max=F_MAX)
         assert tensor.data.shape == (50, 40, 2)
-        left = features.extract_mbe(
-            AudioClip(samples=stereo_clip.samples[:1], sample_rate=44100), f_max=F_MAX
+        left = features.extract(
+            AudioClip(samples=stereo_clip.samples[:1], sample_rate=44100), "mbe", f_max=F_MAX
         )
         assert np.array_equal(tensor.data[:, :, 0], left.data[:, :, 0])
 
     def test_identical_channels_give_identical_slices(self, rng):
         mono = rng.uniform(-0.5, 0.5, size=44100)
         clip = AudioClip(samples=np.stack([mono, mono]), sample_rate=44100)
-        tensor = features.extract_bin_mbe(clip, f_max=F_MAX)
+        tensor = features.extract(clip, "bin-mbe", f_max=F_MAX)
         assert np.array_equal(tensor.data[:, :, 0], tensor.data[:, :, 1])
 
     def test_identical_channels_match_mono_extract(self, rng):
         mono = rng.uniform(-0.5, 0.5, size=44100)
         clip = AudioClip(samples=np.stack([mono, mono]), sample_rate=44100)
-        stereo_slice = features.extract_bin_mbe(clip, f_max=F_MAX).data[:, :, 0]
-        mono_tensor = features.extract_mbe(to_mono(clip), f_max=F_MAX)
+        stereo_slice = features.extract(clip, "bin-mbe", f_max=F_MAX).data[:, :, 0]
+        mono_tensor = features.extract(to_mono(clip), "mbe", f_max=F_MAX)
         assert np.max(np.abs(stereo_slice - mono_tensor.data[:, :, 0])) < 1e-12
 
     def test_rejects_mono(self):
         clip = AudioClip(samples=np.zeros((1, 8000)), sample_rate=8000)
         with pytest.raises(ChannelError):
-            features.extract_bin_mbe(clip)
+            features.extract(clip, "bin-mbe")
 
 
 class TestExtractBinMulMbe:
     def test_shape_and_shared_frames(self, stereo_clip):
-        tensor = features.extract_bin_mul_mbe(stereo_clip, f_max=F_MAX)
+        tensor = features.extract(stereo_clip, "bin-mul-mbe", f_max=F_MAX)
         assert tensor.data.shape == (50, 40, 6)
 
     def test_resolution_pair_matches_single_resolution(self, stereo_clip):
-        tensor = features.extract_bin_mul_mbe(stereo_clip, f_max=F_MAX)
+        tensor = features.extract(stereo_clip, "bin-mul-mbe", f_max=F_MAX)
         bank = dsp.mel_filterbank(40, 4096, 44100, 0.0, F_MAX)
         for ch in range(2):
             spectra = dsp.stft(stereo_clip.samples[ch], 4096, 4096, 882)
             single = dsp.log_mel_energies(dsp.power_spectrum(spectra), bank)
             assert np.array_equal(tensor.data[:, :, 2 + ch], single)
 
+    def test_1024_resolution_frame_matches_hand_oracle(self, stereo_clip):
+        # window length equals the FFT size: the frame is not zero padded
+        tensor = features.extract(stereo_clip, "bin-mul-mbe", f_max=F_MAX)
+        bank = dsp.mel_filterbank(40, 1024, 44100, 0.0, F_MAX)
+        f, ch = 20, 1
+        start = f * 882 - 1024 // 2
+        frame = stereo_clip.samples[ch, start : start + 1024]
+        expected = mel_frame_by_hand(frame, dsp.hamming_window(1024), 1024, bank.weights)
+        assert np.max(np.abs(tensor.data[f, :, ch] - expected)) < 1e-9
+
+    def test_window_set_sets_channel_count(self, stereo_clip):
+        tensor = features.extract(
+            stereo_clip, "bin-mul-mbe", f_max=F_MAX, multires_windows=(1024, 2048)
+        )
+        assert tensor.data.shape == (50, 40, 4)
+        with pytest.raises(ShapeError):
+            features.FeatureTensor(
+                data=np.zeros((5, 40, 3)), feature_class="bin-mul-mbe", hop_seconds=0.02
+            )
+
     def test_identical_channels_pair_up(self, rng):
         mono = rng.uniform(-0.5, 0.5, size=44100)
         clip = AudioClip(samples=np.stack([mono, mono]), sample_rate=44100)
-        tensor = features.extract_bin_mul_mbe(clip, f_max=F_MAX)
+        tensor = features.extract(clip, "bin-mul-mbe", f_max=F_MAX)
         for k in range(3):
             assert np.array_equal(tensor.data[:, :, 2 * k], tensor.data[:, :, 2 * k + 1])
 
     def test_rejects_mono(self):
         clip = AudioClip(samples=np.zeros((1, 8000)), sample_rate=8000)
         with pytest.raises(ChannelError):
-            features.extract_bin_mul_mbe(clip)
+            features.extract(clip, "bin-mul-mbe")
 
 
 class TestExtractBinFft:
     def test_shape_magnitudes_and_phase_range(self, stereo_clip):
-        tensor = features.extract_bin_fft(stereo_clip)
+        tensor = features.extract(stereo_clip, "bin-fft")
         assert tensor.data.shape == (50, 1024, 4)
         mags = tensor.data[:, :, :2]
         phases = tensor.data[:, :, 2:]
@@ -122,7 +142,7 @@ class TestExtractBinFft:
         clip = AudioClip(samples=np.clip(x, -1, 1), sample_rate=sr)
         fft_size = 512
         window_len, hop = 320, 160
-        tensor = features.extract_bin_fft(clip, fft_size=fft_size)
+        tensor = features.extract(clip, "bin-fft", fft_size=fft_size)
         f, ch = 7, 1
         start = f * hop - window_len // 2
         frame = clip.samples[ch, start : start + window_len] * dsp.hamming_window(window_len)
@@ -138,11 +158,11 @@ class TestExtractBinFft:
     def test_rejects_mono(self):
         clip = AudioClip(samples=np.zeros((1, 8000)), sample_rate=8000)
         with pytest.raises(ChannelError):
-            features.extract_bin_fft(clip)
+            features.extract(clip, "bin-fft")
 
     def test_log_magnitude_flag_compresses(self, stereo_clip):
-        raw = features.extract_bin_fft(stereo_clip)
-        logged = features.extract_bin_fft(stereo_clip, log_magnitude=True)
+        raw = features.extract(stereo_clip, "bin-fft")
+        logged = features.extract(stereo_clip, "bin-fft", fft_log_magnitude=True)
         expected = np.log(np.maximum(raw.data[:, :, :2], 1e-10))
         assert np.array_equal(logged.data[:, :, :2], expected)
         assert np.array_equal(logged.data[:, :, 2:], raw.data[:, :, 2:])
@@ -165,6 +185,16 @@ class TestDispatcher:
             tensor = features.extract(stereo_clip, "mbe", f_max=F_MAX)
         assert tensor.data.shape[2] == 1
         assert any("mono" in rec.message for rec in caplog.records)
+
+    @pytest.mark.filterwarnings("ignore:f_max")
+    @pytest.mark.parametrize("fc", features.FEATURE_CLASSES)
+    def test_config_kwargs_give_table_shape(self, stereo_clip, fc):
+        cfg = FeatureConfig(feature_class=fc)
+        tensor = features.extract(stereo_clip, fc, **cfg.extractor_kwargs())
+        spec = features.FEATURE_TABLE[fc]
+        # random_search plans pool factors for spec.bins(cfg)
+        assert tensor.n_bins == spec.bins(cfg)
+        assert tensor.n_channels == spec.channels
 
     def test_determinism(self, stereo_clip):
         a = features.extract(stereo_clip, "bin-mbe", f_max=F_MAX)
@@ -279,6 +309,17 @@ class TestArchive:
         assert back.hop_seconds == 0.02
         assert back.data.shape == (37, 40, 2)
         assert np.array_equal(back.data, tensor.data.astype(np.float32).astype(np.float64))
+
+    def test_hand_written_v1_header_loads(self, tmp_path):
+        # v1 layout; class ids 1..4 are mbe, bin-mbe, bin-mul-mbe, bin-fft
+        payload = np.arange(2 * 3 * 6, dtype="<f4")
+        path = tmp_path / "clip.bin-mul-mbe.sedf"
+        header = struct.pack("<4sHHIIId", b"SEDF", 1, 3, 2, 3, 6, 0.02)
+        path.write_bytes(header + payload.tobytes())
+        back = features.load_feature_archive(path)
+        assert back.feature_class == "bin-mul-mbe"
+        assert back.hop_seconds == 0.02
+        assert np.array_equal(back.data.ravel(), payload)
 
     def test_magic_enforced(self, tmp_path):
         path = tmp_path / "bogus.sedf"

@@ -66,26 +66,30 @@ class TestRollToSegments:
 
 
 class TestCountSegment:
+    @staticmethod
+    def _one(ref_row, pred_row):
+        return metrics.count_segments([ref_row], [pred_row]).totals()
+
     def test_substitution_free_miss(self):
-        entry = metrics.count_segment([1, 1], [1, 0])
-        assert entry == (1, 0, 1, 2, 0, 1, 0)
+        entry = self._one([1, 1], [1, 0])
+        assert entry == dict(tp=1, fp=0, fn=1, n=2, s=0, d=1, i=0)
 
     def test_pure_insertion(self):
-        entry = metrics.count_segment([0, 0], [1, 0])
-        assert entry == (0, 1, 0, 0, 0, 0, 1)
+        entry = self._one([0, 0], [1, 0])
+        assert entry == dict(tp=0, fp=1, fn=0, n=0, s=0, d=0, i=1)
 
     def test_perfect_segment(self):
-        entry = metrics.count_segment([1, 0, 1], [1, 0, 1])
-        assert entry.s == entry.d == entry.i == 0
-        assert entry.tp == entry.n == 2
+        entry = self._one([1, 0, 1], [1, 0, 1])
+        assert entry["s"] == entry["d"] == entry["i"] == 0
+        assert entry["tp"] == entry["n"] == 2
 
     def test_substitution_pairs_fn_with_fp(self):
-        entry = metrics.count_segment([1, 0], [0, 1])
-        assert (entry.s, entry.d, entry.i) == (1, 0, 0)
+        entry = self._one([1, 0], [0, 1])
+        assert (entry["s"], entry["d"], entry["i"]) == (1, 0, 0)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ShapeError):
-            metrics.count_segment([1, 0], [1])
+            self._one([1, 0], [1])
 
 
 class TestScores:
