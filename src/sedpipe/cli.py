@@ -35,7 +35,6 @@ from .experiment import (
     cross_validate,
     dataset_class_names,
     random_search,
-    run_seed_for,
 )
 from .nn import save_checkpoint
 
@@ -124,17 +123,8 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _check_jobs(args) -> None:
-    jobs = getattr(args, "jobs", 1)
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
-    if jobs > 1:
-        log.info("parallel execution is not implemented; running %d jobs sequentially", jobs)
-
-
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    _check_jobs(args)
     out = Path(args.out or "runs/default")
     out.mkdir(parents=True, exist_ok=True)
     base = Path(args.data_dir or ".")
@@ -225,7 +215,6 @@ def cmd_eval(args) -> int:
 
 def cmd_search(args) -> int:
     cfg = _load_cfg(args)
-    _check_jobs(args)
     out = Path(args.out or "runs/search")
     out.mkdir(parents=True, exist_ok=True)
     base = Path(args.data_dir or ".")
@@ -303,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train and evaluate over folds and runs")
     common(p)
     p.add_argument("--data-dir", help="directory the manifest paths are relative to")
-    p.add_argument("--jobs", type=int, default=1, help="worker count; 1 is the deterministic path")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a prediction TSV against a reference TSV")
@@ -322,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--data-dir", help="directory the manifest paths are relative to")
     p.add_argument("--trials", type=int, help="number of sampled configurations")
-    p.add_argument("--jobs", type=int, default=1, help="worker count; 1 is the deterministic path")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("report", help="summarize a results directory")

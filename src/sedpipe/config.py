@@ -37,7 +37,7 @@ class FeatureConfig:
     feature_class: str = "mbe"
     n_mels: int = 40
     f_min: float = 0.0
-    f_max: float = 22500.0
+    f_max: float = 22050.0
     window_ms: float = 40.0
     hop_ms: float = 20.0
     fft_size: int = 2048

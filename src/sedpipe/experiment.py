@@ -16,16 +16,7 @@ from .audio_io import EventRoll, ManifestRow, events_to_roll, read_annotations, 
 from .config import ExperimentConfig, ModelConfig, SearchSection
 from .errors import ConfigError, ManifestError
 from .features import FeatureTensor, SequenceBatch, apply_normalizer, chunk_sequences, fit_normalizer
-from .nn import (
-    CrnnArch,
-    ModelGraph,
-    TrainConfig,
-    build_crnn,
-    predict_rolls,
-    train,
-    validate_pools,
-)
-from .nn.model import pool_plan
+from .nn import CrnnArch, ModelGraph, TrainConfig, build_crnn, predict_rolls, train
 
 log = logging.getLogger(__name__)
 
@@ -163,14 +154,7 @@ def run_fold(
         n_bins=sample.n_bins,
         n_channels=sample.n_channels,
         n_classes=len(class_names),
-        conv_layers=cfg.model.conv_layers,
-        filters=cfg.model.filters,
-        pool_factors=cfg.model.pool_factors,
-        gru_layers=cfg.model.gru_layers,
-        gru_units=cfg.model.gru_units,
-        dense_layers=cfg.model.dense_layers,
-        dense_units=cfg.model.dense_units,
-        dropout=cfg.model.dropout,
+        **dataclasses.asdict(cfg.model),
     )
     init_rng = np.random.default_rng(np.random.SeedSequence(run_seed).spawn(1)[0])
     model = build_crnn(arch, init_rng)
@@ -271,8 +255,8 @@ class TrialResult:
 
 
 def sample_model_config(space: SearchSection, rng: np.random.Generator, n_bins: int) -> ModelConfig:
-    """Uniform draw from the space; configurations that fail validation are
-    rejected and redrawn, so every returned config builds."""
+    """Uniform draw from the space; configurations that :class:`CrnnArch`
+    rejects are redrawn, so every returned config builds."""
     for _ in range(200):
         candidate = ModelConfig(
             conv_layers=int(rng.choice(space.conv_layers)),
@@ -284,24 +268,12 @@ def sample_model_config(space: SearchSection, rng: np.random.Generator, n_bins: 
             dense_units=int(rng.choice(space.dense_units)),
             dropout=float(rng.choice(space.dropout)),
         )
-        if _model_config_valid(candidate, n_bins):
-            return candidate
+        try:
+            CrnnArch(n_bins=n_bins, n_channels=1, n_classes=1, **dataclasses.asdict(candidate))
+        except ConfigError:
+            continue
+        return candidate
     raise ConfigError("search space contains no valid configuration")
-
-
-def _model_config_valid(mc: ModelConfig, n_bins: int) -> bool:
-    if min(mc.conv_layers, mc.filters, mc.gru_layers, mc.gru_units) < 1:
-        return False
-    if mc.dense_layers < 0 or (mc.dense_layers > 0 and mc.dense_units < 1):
-        return False
-    if not 0.0 <= mc.dropout < 1.0:
-        return False
-    try:
-        pools = mc.pool_factors or pool_plan(n_bins, mc.conv_layers)
-        validate_pools(n_bins, pools)
-    except ConfigError:
-        return False
-    return True
 
 
 def random_search(

@@ -78,7 +78,7 @@ def _samples(ms: float, sample_rate: int) -> int:
 
 def effective_f_max(f_max: float, sample_rate: int) -> float:
     """Clamp the filterbank ceiling to Nyquist, warning rather than failing
-    so a nominal 22500 Hz config still runs on 44.1 kHz audio."""
+    so a config written for a higher sample rate still runs."""
     nyquist = sample_rate / 2.0
     if f_max > nyquist:
         warnings.warn(
@@ -96,7 +96,7 @@ def _log_mel(
     resolutions: Sequence[tuple[int, int]],
     n_mels: int = 40,
     f_min: float = 0.0,
-    f_max: float = 22500.0,
+    f_max: float = 22050.0,
 ) -> np.ndarray:
     """Per-channel log mel energies at each (window length, FFT size)
     resolution, (F, n_mels, n_channels * len(resolutions)).

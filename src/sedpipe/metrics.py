@@ -138,8 +138,8 @@ def error_rate(counts: SegmentCounts) -> float:
     return float(counts.s.sum() + counts.d.sum() + counts.i.sum()) / n
 
 
-def evaluate(ref: EventRoll, pred: EventRoll, segment_seconds: float = 1.0) -> MetricReport:
-    """Score a prediction roll against a reference roll."""
+def _pair_counts(ref: EventRoll, pred: EventRoll, segment_seconds: float) -> SegmentCounts:
+    """Check that a (ref, pred) roll pair is comparable and count its segments."""
     if ref.class_names != pred.class_names:
         raise ClassVocabularyError(
             f"class vocabularies differ: {ref.class_names} vs {pred.class_names}"
@@ -148,10 +148,14 @@ def evaluate(ref: EventRoll, pred: EventRoll, segment_seconds: float = 1.0) -> M
         raise ShapeError(f"frame counts differ: {ref.n_frames} vs {pred.n_frames}")
     if abs(ref.hop_seconds - pred.hop_seconds) > 1e-12:
         raise ShapeError(f"hops differ: {ref.hop_seconds} vs {pred.hop_seconds}")
-    counts = count_segments(
+    return count_segments(
         roll_to_segments(ref, segment_seconds), roll_to_segments(pred, segment_seconds)
     )
-    return report_from_counts(counts)
+
+
+def evaluate(ref: EventRoll, pred: EventRoll, segment_seconds: float = 1.0) -> MetricReport:
+    """Score a prediction roll against a reference roll."""
+    return report_from_counts(_pair_counts(ref, pred, segment_seconds))
 
 
 def report_from_counts(counts: SegmentCounts) -> MetricReport:
@@ -171,16 +175,6 @@ def evaluate_pooled(
 ) -> MetricReport:
     """Score many (ref, pred) roll pairs by pooling their segments, e.g. all
     clips of a test split. Each roll is segmented independently."""
-    parts = []
-    for ref, pred in pairs:
-        if ref.class_names != pred.class_names:
-            raise ClassVocabularyError("class vocabularies differ across a pooled pair")
-        if ref.n_frames != pred.n_frames:
-            raise ShapeError("frame counts differ within a pooled pair")
-        parts.append(
-            count_segments(
-                roll_to_segments(ref, segment_seconds),
-                roll_to_segments(pred, segment_seconds),
-            )
-        )
-    return report_from_counts(SegmentCounts.concat(parts))
+    return report_from_counts(
+        SegmentCounts.concat([_pair_counts(ref, pred, segment_seconds) for ref, pred in pairs])
+    )

@@ -257,21 +257,27 @@ class FlattenFreq(Layer):
         return {"type": "flatten_freq"}
 
 
+def _gate_columns(w):
+    """(3, rows, U) gate stack -> (rows, 3U) with gate-major column blocks."""
+    return w.transpose(1, 0, 2).reshape(w.shape[1], -1)
+
+
 class BiGRU(Layer):
     """Bi-directional GRU, (S, T, D) -> (S, T, 2U).
 
-    Cell (per direction, independent parameters):
-        z = sig(x Wz + h Uz + bz)
-        r = sig(x Wr + h Ur + br)
-        c = tanh(x Wc + (r*h) Uc + bc)
+    Each direction holds gate-stacked parameters ``W`` (3, D, U), ``U``
+    (3, U, U) and ``b`` (3, U) in (z, r, c) order:
+        z = sig(x W[0] + h U[0] + b[0])
+        r = sig(x W[1] + h U[1] + b[1])
+        c = tanh(x W[2] + (r*h) U[2] + b[2])
         h' = (1 - z)*h + z*c
     The backward direction runs over reversed time; outputs are concatenated
-    on the feature axis. Backward computes full BPTT gradients.
+    on the feature axis. Backward computes full BPTT gradients: only the
+    recurrent ``dh`` products run per step, and the input and weight
+    gradients are whole-sequence GEMMs over the stored gate derivatives.
     """
 
-    param_order = tuple(
-        f"{d}_{n}" for d in ("fwd", "bwd") for n in ("Wz", "Wr", "Wc", "Uz", "Ur", "Uc", "bz", "br", "bc")
-    )
+    param_order = tuple(f"{d}_{n}" for d in ("fwd", "bwd") for n in ("W", "U", "b"))
 
     def __init__(self, in_dim: int, units: int, rng: np.random.Generator | None = None):
         super().__init__()
@@ -279,100 +285,102 @@ class BiGRU(Layer):
             raise RangeError(f"GRU units must be >= 1, got {units}")
         self.in_dim = in_dim
         self.units = units
+
+        def init(rows):
+            shape = (3, rows, units)
+            return uniform_init(rng, shape, rows, units) if rng is not None else np.zeros(shape)
+
         self.params = {}
         for d in ("fwd", "bwd"):
-            for n in ("Wz", "Wr", "Wc"):
-                self.params[f"{d}_{n}"] = (
-                    uniform_init(rng, (in_dim, units), in_dim, units)
-                    if rng is not None
-                    else np.zeros((in_dim, units))
-                )
-            for n in ("Uz", "Ur", "Uc"):
-                self.params[f"{d}_{n}"] = (
-                    uniform_init(rng, (units, units), units, units)
-                    if rng is not None
-                    else np.zeros((units, units))
-                )
-            for n in ("bz", "br", "bc"):
-                self.params[f"{d}_{n}"] = np.zeros(units)
+            self.params[f"{d}_W"] = init(in_dim)
+            self.params[f"{d}_U"] = init(units)
+            self.params[f"{d}_b"] = np.zeros((3, units))
         self._cache = None
 
     def _direction(self, x, d):
-        p = self.params
+        w, u_rec, b = (self.params[f"{d}_{n}"] for n in ("W", "U", "b"))
         s, t, _ = x.shape
         u = self.units
-        az_x = x @ p[f"{d}_Wz"] + p[f"{d}_bz"]
-        ar_x = x @ p[f"{d}_Wr"] + p[f"{d}_br"]
-        ac_x = x @ p[f"{d}_Wc"] + p[f"{d}_bc"]
-        h = np.zeros((s, u))
-        hs = np.zeros((s, t, u))
-        steps = []
+        ax = x @ _gate_columns(w) + b.reshape(-1)
+        u_zr = _gate_columns(u_rec[:2])
+        hs = np.zeros((s, t + 1, u))  # hs[:, i] is the state entering step i
+        gates = np.empty((s, t, 3, u))  # z, r, c
+        rh = np.empty((s, t, u))
         for i in range(t):
-            z = sigmoid(az_x[:, i] + h @ p[f"{d}_Uz"])
-            r = sigmoid(ar_x[:, i] + h @ p[f"{d}_Ur"])
-            rh = r * h
-            c = np.tanh(ac_x[:, i] + rh @ p[f"{d}_Uc"])
-            steps.append((h, z, r, c, rh))
-            h = (1.0 - z) * h + z * c
-            hs[:, i] = h
-        return hs, steps
+            h = hs[:, i]
+            zr = sigmoid(ax[:, i, : 2 * u] + h @ u_zr)
+            z, r = zr[:, :u], zr[:, u:]
+            rh[:, i] = r * h
+            c = np.tanh(ax[:, i, 2 * u :] + rh[:, i] @ u_rec[2])
+            gates[:, i, 0] = z
+            gates[:, i, 1] = r
+            gates[:, i, 2] = c
+            hs[:, i + 1] = (1.0 - z) * h + z * c
+        return hs, gates, rh
 
-    def _direction_backward(self, x, dhs, steps, d):
-        p = self.params
+    def _direction_backward(self, x, dhs, cache, d):
+        w, u_rec = self.params[f"{d}_W"], self.params[f"{d}_U"]
+        hs, gates, rh = cache
         s, t, _ = x.shape
-        g = {n: np.zeros_like(p[f"{d}_{n}"]) for n in ("Wz", "Wr", "Wc", "Uz", "Ur", "Uc", "bz", "br", "bc")}
-        dx = np.zeros_like(x)
-        dh = np.zeros((s, self.units))
+        u = self.units
+        u_zr_t = _gate_columns(u_rec[:2]).T
+        uc_t = u_rec[2].T
+        da = np.empty((s, t, 3 * u))  # pre-activation gradients, z | r | c
+        dh = np.zeros((s, u))
         for i in reversed(range(t)):
-            h_prev, z, r, c, rh = steps[i]
+            h_prev = hs[:, i]
+            z, r, c = gates[:, i, 0], gates[:, i, 1], gates[:, i, 2]
             dh_total = dhs[:, i] + dh
-            dz = dh_total * (c - h_prev)
-            dc = dh_total * z
-            dh = dh_total * (1.0 - z)
-            dac = dc * (1.0 - c * c)
-            drh = dac @ p[f"{d}_Uc"].T
-            dh += drh * r
-            dar = (drh * h_prev) * r * (1.0 - r)
-            daz = dz * z * (1.0 - z)
-            dh += daz @ p[f"{d}_Uz"].T + dar @ p[f"{d}_Ur"].T
-            dx[:, i] = daz @ p[f"{d}_Wz"].T + dar @ p[f"{d}_Wr"].T + dac @ p[f"{d}_Wc"].T
-            xt = x[:, i]
-            g["Wz"] += xt.T @ daz
-            g["Wr"] += xt.T @ dar
-            g["Wc"] += xt.T @ dac
-            g["Uz"] += h_prev.T @ daz
-            g["Ur"] += h_prev.T @ dar
-            g["Uc"] += rh.T @ dac
-            g["bz"] += daz.sum(axis=0)
-            g["br"] += dar.sum(axis=0)
-            g["bc"] += dac.sum(axis=0)
-        for n, v in g.items():
-            self.grads[f"{d}_{n}"] = v
-        return dx
+            dac = dh_total * z * (1.0 - c * c)
+            drh = dac @ uc_t
+            da[:, i, :u] = dh_total * (c - h_prev) * z * (1.0 - z)
+            da[:, i, u : 2 * u] = (drh * h_prev) * r * (1.0 - r)
+            da[:, i, 2 * u :] = dac
+            dh = dh_total * (1.0 - z) + drh * r + da[:, i, : 2 * u] @ u_zr_t
+        st = ((0, 1), (0, 1))  # contract over batch and time
+        grad_u = np.empty_like(u_rec)
+        grad_u[:2] = np.tensordot(hs[:, :-1], da[:, :, : 2 * u], st).reshape(u, 2, u).transpose(1, 0, 2)
+        grad_u[2] = np.tensordot(rh, da[:, :, 2 * u :], st)
+        self.grads[f"{d}_W"] = np.tensordot(x, da, st).reshape(-1, 3, u).transpose(1, 0, 2)
+        self.grads[f"{d}_U"] = grad_u
+        self.grads[f"{d}_b"] = da.sum(axis=(0, 1)).reshape(3, u)
+        return da @ _gate_columns(w).T
 
     def forward(self, x, training=False, rng=None):
         if x.ndim != 3 or x.shape[2] != self.in_dim:
             raise ShapeError(f"bigru expects (S, T, {self.in_dim}), got shape {x.shape}")
         x_rev = x[:, ::-1]
-        hs_f, steps_f = self._direction(x, "fwd")
-        hs_b, steps_b = self._direction(x_rev, "bwd")
-        self._cache = (x, x_rev, steps_f, steps_b)
-        return np.concatenate((hs_f, hs_b[:, ::-1]), axis=2)
+        cache_f = self._direction(x, "fwd")
+        cache_b = self._direction(x_rev, "bwd")
+        self._cache = (x, x_rev, cache_f, cache_b)
+        return np.concatenate((cache_f[0][:, 1:], cache_b[0][:, :0:-1]), axis=2)
 
     def backward(self, dout):
         if self._cache is None:
             raise StateError("bigru backward before forward")
-        x, x_rev, steps_f, steps_b = self._cache
+        x, x_rev, cache_f, cache_b = self._cache
         u = self.units
-        dx_f = self._direction_backward(x, dout[:, :, :u], steps_f, "fwd")
-        dx_b = self._direction_backward(x_rev, dout[:, ::-1, u:], steps_b, "bwd")
+        dx_f = self._direction_backward(x, dout[:, :, :u], cache_f, "fwd")
+        dx_b = self._direction_backward(x_rev, dout[:, ::-1, u:], cache_b, "bwd")
         return dx_f + dx_b[:, ::-1]
 
     def descriptor(self):
         return {"type": "bigru", "in_dim": self.in_dim, "units": self.units}
 
 
-ACTIVATIONS = ("linear", "relu", "tanh", "sigmoid")
+# name -> (activation of the pre-activation z, dL/dz from dL/dout and the
+# output); every derivative is a function of the output alone
+_ACTIVATION_TABLE = {
+    "linear": (lambda z: z, lambda g, y: g),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda g, y: g * (y > 0)),
+    "tanh": (np.tanh, lambda g, y: g * (1.0 - y * y)),
+    # clamped so downstream cross-entropy stays finite
+    "sigmoid": (
+        lambda z: np.clip(sigmoid(z), SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP),
+        lambda g, y: g * y * (1.0 - y),
+    ),
+}
+ACTIVATIONS = tuple(_ACTIVATION_TABLE)
 
 
 class TimeDense(Layer):
@@ -399,36 +407,16 @@ class TimeDense(Layer):
     def forward(self, x, training=False, rng=None):
         if x.ndim != 3 or x.shape[2] != self.in_dim:
             raise ShapeError(f"time dense expects (S, T, {self.in_dim}), got shape {x.shape}")
-        z = x @ self.params["W"] + self.params["b"]
-        if self.activation == "linear":
-            out = z
-            act_cache = None
-        elif self.activation == "relu":
-            out = np.maximum(z, 0.0)
-            act_cache = z > 0
-        elif self.activation == "tanh":
-            out = np.tanh(z)
-            act_cache = out
-        else:  # sigmoid, clamped so downstream cross-entropy stays finite
-            out = np.clip(sigmoid(z), SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
-            act_cache = out
-        self._cache = (x, act_cache)
+        out = _ACTIVATION_TABLE[self.activation][0](x @ self.params["W"] + self.params["b"])
+        self._cache = (x, out)
         return out
 
     def backward(self, dout):
         if self._cache is None:
             raise StateError("time dense backward before forward")
-        x, act_cache = self._cache
-        if self.activation == "linear":
-            dz = dout
-        elif self.activation == "relu":
-            dz = dout * act_cache
-        elif self.activation == "tanh":
-            dz = dout * (1.0 - act_cache * act_cache)
-        else:
-            dz = dout * act_cache * (1.0 - act_cache)
-        d = self.in_dim
-        x2 = x.reshape(-1, d)
+        x, out = self._cache
+        dz = _ACTIVATION_TABLE[self.activation][1](dout, out)
+        x2 = x.reshape(-1, self.in_dim)
         dz2 = dz.reshape(-1, self.units)
         self.grads["W"] = x2.T @ dz2
         self.grads["b"] = dz2.sum(axis=0)

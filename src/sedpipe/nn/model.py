@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,7 +85,8 @@ class ModelGraph:
 
 @dataclass(frozen=True)
 class CrnnArch:
-    """Architecture knobs for :func:`build_crnn`.
+    """Architecture knobs for :func:`build_crnn`; construction raises
+    :class:`ConfigError` for any architecture that cannot be built.
 
     ``pool_factors`` must multiply to ``n_bins // 2`` so the conv block ends
     at (T, 2, filters); leave it empty to derive a plan automatically.
@@ -102,6 +103,26 @@ class CrnnArch:
     dense_layers: int = 1
     dense_units: int = 64
     dropout: float = 0.5
+
+    def __post_init__(self):
+        pools = self.pools
+        if len(pools) != self.conv_layers:
+            raise ConfigError(
+                f"{self.conv_layers} conv layers need {self.conv_layers} pool factors, got {pools}"
+            )
+        validate_pools(self.n_bins, pools)
+        if self.dense_layers < 0:
+            raise ConfigError(f"dense_layers must be >= 0, got {self.dense_layers}")
+        if self.filters < 1 or self.gru_units < 1 or (self.dense_layers and self.dense_units < 1):
+            raise ConfigError("layer widths must be >= 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.gru_layers < 1:
+            raise ConfigError("the architecture requires at least one recurrent layer")
+
+    @property
+    def pools(self) -> tuple[int, ...]:
+        return self.pool_factors or pool_plan(self.n_bins, self.conv_layers)
 
 
 def pool_plan(n_bins: int, conv_layers: int) -> tuple[int, ...]:
@@ -148,22 +169,9 @@ def validate_pools(n_bins: int, pool_factors: tuple[int, ...]) -> None:
 def build_crnn(arch: CrnnArch, rng: np.random.Generator) -> ModelGraph:
     """conv(+bn+pool+dropout) stack -> flatten -> bigru stack -> dense stack
     -> sigmoid head of ``n_classes`` units."""
-    pools = arch.pool_factors or pool_plan(arch.n_bins, arch.conv_layers)
-    if len(pools) != arch.conv_layers:
-        raise ConfigError(
-            f"{arch.conv_layers} conv layers need {arch.conv_layers} pool factors, got {pools}"
-        )
-    validate_pools(arch.n_bins, pools)
-    if arch.filters < 1 or arch.gru_units < 1 or (arch.dense_layers and arch.dense_units < 1):
-        raise ConfigError("layer widths must be >= 1")
-    if not 0.0 <= arch.dropout < 1.0:
-        raise ConfigError(f"dropout must be in [0, 1), got {arch.dropout}")
-    if arch.gru_layers < 1:
-        raise ConfigError("the architecture requires at least one recurrent layer")
-
     layers: list[Layer] = []
     in_ch = arch.n_channels
-    for pool in pools:
+    for pool in arch.pools:
         layers.append(Conv2D(in_ch, arch.filters, rng=rng))
         layers.append(BatchNorm(arch.filters))
         layers.append(MaxPoolFreq(pool))

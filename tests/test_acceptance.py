@@ -7,12 +7,9 @@ Run with:  pytest tests/test_acceptance.py -v -s
 from __future__ import annotations
 
 import time
-from pathlib import Path
 
 import numpy as np
-import pytest
 
-from conftest import write_dataset
 from oracles import brute_force_score, direct_dft, mel_frame_by_hand, segments_by_or
 from sedpipe import dsp, features, metrics, synth
 from sedpipe.audio_io import EventRoll, events_to_roll, to_mono

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sedpipe import audio_io
 from sedpipe.audio_io import (
     AudioClip,
     Event,

@@ -13,7 +13,7 @@ def test_defaults_mirror_the_reference_recipe():
     assert cfg.data.folds == 4
     assert cfg.data.sample_rate == 44100
     assert cfg.features.n_mels == 40
-    assert cfg.features.f_max == 22500.0
+    assert cfg.features.f_max == 22050.0
     assert cfg.features.fft_size == 2048
     assert cfg.features.multires_windows == (1024, 4096, 16384)
     assert cfg.train.learning_rate == 1e-4

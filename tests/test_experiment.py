@@ -234,12 +234,12 @@ class TestRandomSearch:
             dropout=(0.05, 0.25, 0.5, 0.75),
         )
         rng = np.random.default_rng(0)
-        from sedpipe.experiment import _model_config_valid
+        from sedpipe.nn import CrnnArch
 
         for _ in range(100):
             mc = sample_model_config(space, rng, n_bins=40)
             assert mc.gru_units >= 1
-            assert _model_config_valid(mc, 40)
+            CrnnArch(n_bins=40, n_channels=1, n_classes=1, **dataclasses.asdict(mc))
 
     def test_empty_space_raises(self):
         space = SearchSection(gru_units=(0,))

@@ -186,7 +186,12 @@ class TestDispatcher:
         assert tensor.data.shape[2] == 1
         assert any("mono" in rec.message for rec in caplog.records)
 
-    @pytest.mark.filterwarnings("ignore:f_max")
+    @pytest.mark.filterwarnings("error")
+    def test_config_defaults_extract_without_warning(self, stereo_clip):
+        # the default f_max is the 44.1 kHz Nyquist, so nothing is clamped
+        cfg = FeatureConfig()
+        features.extract(stereo_clip, cfg.feature_class, **cfg.extractor_kwargs())
+
     @pytest.mark.parametrize("fc", features.FEATURE_CLASSES)
     def test_config_kwargs_give_table_shape(self, stereo_clip, fc):
         cfg = FeatureConfig(feature_class=fc)

@@ -266,3 +266,15 @@ def test_pooled_evaluation_concatenates_counts(rng):
     assert pooled.error_rate == metrics.error_rate(counts)
     assert pooled.f_score == metrics.f_score(counts)
     assert pooled.n_segments == counts.n_segments
+
+
+def test_pooled_evaluation_rejects_mismatched_hops():
+    # 40 frames form one segment at either hop, so only the hop check can
+    # tell the rolls apart
+    activity = np.zeros((40, 2))
+    activity[:, 0] = 1
+    ref, pred = _roll(activity, hop=0.02), _roll(activity, hop=0.025)
+    with pytest.raises(ShapeError):
+        metrics.evaluate(ref, pred)
+    with pytest.raises(ShapeError):
+        metrics.evaluate_pooled([(ref, pred)])

@@ -145,10 +145,26 @@ class TestBiGru:
 
     def test_single_step_directions_agree_with_tied_weights(self, rng):
         gru = L.BiGRU(3, 4, rng=rng)
-        for n in ("Wz", "Wr", "Wc", "Uz", "Ur", "Uc", "bz", "br", "bc"):
+        for n in ("W", "U", "b"):
             gru.params[f"bwd_{n}"] = gru.params[f"fwd_{n}"].copy()
         out = gru.forward(rng.normal(size=(2, 1, 3)))
         assert np.array_equal(out[:, :, :4], out[:, :, 4:])
+
+    def test_init_and_payload_order_match_per_gate_draws(self):
+        # the gate stacks must hold the nine per-gate draws (Wz, Wr, Wc,
+        # Uz, Ur, Uc, bz, br, bc; fwd then bwd) in the checkpoint byte order
+        d, u = 5, 3
+        gru = L.BiGRU(d, u, rng=np.random.default_rng(11))
+        ref = np.random.default_rng(11)
+        w_lim, u_lim = np.sqrt(6.0 / (d + u)), np.sqrt(6.0 / (2 * u))
+        expected = []
+        for _ in ("fwd", "bwd"):
+            expected += [ref.uniform(-w_lim, w_lim, (d, u)) for _ in range(3)]
+            expected += [ref.uniform(-u_lim, u_lim, (u, u)) for _ in range(3)]
+            expected += [np.zeros(u)] * 3
+        assert len(gru.param_order) == 6
+        payload = np.concatenate([gru.params[k].ravel() for k in gru.param_order])
+        assert np.array_equal(payload, np.concatenate([a.ravel() for a in expected]))
 
     def test_gradients_match_finite_differences(self, rng):
         gru = L.BiGRU(3, 4, rng=rng)

@@ -107,6 +107,11 @@ class TestBuildCrnn:
         with pytest.raises(ConfigError):
             build_crnn(tiny_arch(pool_factors=(10,)), np.random.default_rng(0))
 
+    def test_negative_dense_layers_rejected(self):
+        # the search sampler rejects this config, so the builder must too
+        with pytest.raises(ConfigError):
+            build_crnn(tiny_arch(dense_layers=-1), np.random.default_rng(0))
+
     def test_end_to_end_gradients(self, rng):
         model = build_crnn(tiny_arch(), rng)
         x = rng.normal(size=(1, 8, 40, 1))
