@@ -57,11 +57,21 @@ class Layer:
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
 
 
+def _im2col(xp):
+    """(T+2, B+2, C) padded sample -> (T*B, 9*C) rows of 3x3 patches in
+    (i, j, c) order, matching ``kernels.reshape(filters, -1)``."""
+    t, b, c = xp.shape[0] - 2, xp.shape[1] - 2, xp.shape[2]
+    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(0, 1))
+    return win.transpose(0, 1, 3, 4, 2).reshape(t * b, 9 * c)
+
+
 class Conv2D(Layer):
     """3x3 same-padding cross-correlation over (time, frequency).
 
     (S, T, B, Cin) -> (S, T, B, filters). Bias-free: every architecture here
-    follows a conv with batch norm, whose beta supplies the shift.
+    follows a conv with batch norm, whose beta supplies the shift. Both passes
+    run one sample at a time, so no temporary exceeds the (T*B, 9*Cin) patch
+    matrix of a single sample.
     """
 
     param_order = ("kernels",)
@@ -77,29 +87,42 @@ class Conv2D(Layer):
         else:
             kernels = uniform_init(rng, (filters, 3, 3, in_channels), fan_in, fan_out)
         self.params = {"kernels": kernels}
-        self._windows = None
+        self._cache = None
 
     def forward(self, x, training=False, rng=None):
         if x.ndim != 4 or x.shape[3] != self.in_channels:
             raise ShapeError(
                 f"conv2d expects (S, T, B, {self.in_channels}), got shape {x.shape}"
             )
+        s, t, b, _ = x.shape
         xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-        win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
-        self._windows = win
-        return np.einsum("stbcij,nijc->stbn", win, self.params["kernels"], optimize=True)
+        kmat = self.params["kernels"].reshape(self.filters, -1).T
+        out = np.empty((s, t * b, self.filters))
+        for q in range(s):
+            np.matmul(_im2col(xp[q]), kmat, out=out[q])
+        self._cache = xp
+        return out.reshape(s, t, b, self.filters)
 
     def backward(self, dout):
-        if self._windows is None:
+        if self._cache is None:
             raise StateError("conv2d backward before forward")
+        xp = self._cache
+        s, t, b, n = dout.shape
         k = self.params["kernels"]
-        self.grads["kernels"] = np.einsum(
-            "stbcij,stbn->nijc", self._windows, dout, optimize=True
-        )
-        dp = np.pad(dout, ((0, 0), (1, 1), (1, 1), (0, 0)))
-        dwin = np.lib.stride_tricks.sliding_window_view(dp, (3, 3), axis=(1, 2))
-        k_flipped = k[:, ::-1, ::-1, :]
-        return np.einsum("stbnij,nijc->stbc", dwin, k_flipped, optimize=True)
+        kmat = k.reshape(n, -1)
+        dk = np.zeros_like(kmat)
+        dxp = np.zeros_like(xp)
+        for q in range(s):
+            d = dout[q].reshape(t * b, n)
+            dk += d.T @ _im2col(xp[q])
+            # col2im: each of the nine kernel taps adds its column gradient
+            # back at its shifted position in the padded input
+            dcols = (d @ kmat).reshape(t, b, 3, 3, self.in_channels)
+            for i in range(3):
+                for j in range(3):
+                    dxp[q, i : i + t, j : j + b] += dcols[:, :, i, j]
+        self.grads["kernels"] = dk.reshape(k.shape)
+        return dxp[:, 1:-1, 1:-1]
 
     def descriptor(self):
         return {"type": "conv2d", "in_channels": self.in_channels, "filters": self.filters}
@@ -132,35 +155,46 @@ class BatchNorm(Layer):
     def forward(self, x, training=False, rng=None):
         if x.shape[-1] != self.n_features:
             raise ShapeError(f"batch norm expects {self.n_features} feature maps, got {x.shape[-1]}")
-        axes = tuple(range(x.ndim - 1))
+        x2 = x.reshape(-1, self.n_features)
+        gamma, beta = self.params["gamma"], self.params["beta"]
         if training:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            # einsum reductions over axis 0 run several times faster than
+            # .mean(axis=0) when F is small, with the same summation order
+            mean = np.einsum("ij->j", x2) / x2.shape[0]
+            x_hat = x2 - mean
+            var = np.einsum("ij,ij->j", x_hat, x_hat) / x2.shape[0]
             m = self.momentum
             self.buffers["running_mean"] = m * self.buffers["running_mean"] + (1 - m) * mean
             self.buffers["running_var"] = m * self.buffers["running_var"] + (1 - m) * var
             self.buffers["updates"] = self.buffers["updates"] + 1
+            inv_std = 1.0 / np.sqrt(var + self.eps)
+            x_hat *= inv_std
+            self._cache = (x_hat, inv_std)
+            out = x_hat * gamma
+            out += beta
         else:
             if self.buffers["updates"][0] == 0:
                 raise StateError("batch norm inference before any training update")
-            mean = self.buffers["running_mean"]
-            var = self.buffers["running_var"]
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean) * inv_std
-        if training:
-            self._cache = (x_hat, inv_std, axes)
-        return self.params["gamma"] * x_hat + self.params["beta"]
+            scale = gamma / np.sqrt(self.buffers["running_var"] + self.eps)
+            out = x2 * scale
+            out += beta - self.buffers["running_mean"] * scale
+        return out.reshape(x.shape)
 
     def backward(self, dout):
         if self._cache is None:
             raise StateError("batch norm backward requires a training-mode forward")
-        x_hat, inv_std, axes = self._cache
-        self.grads["gamma"] = np.sum(dout * x_hat, axis=axes)
-        self.grads["beta"] = np.sum(dout, axis=axes)
-        dxhat = dout * self.params["gamma"]
-        return inv_std * (
-            dxhat - dxhat.mean(axis=axes) - x_hat * (dxhat * x_hat).mean(axis=axes)
-        )
+        x_hat, inv_std = self._cache
+        d = dout.reshape(x_hat.shape)
+        m = d.shape[0]
+        dbeta = np.einsum("ij->j", d)
+        dgamma = np.einsum("ij,ij->j", d, x_hat)
+        self.grads["gamma"] = dgamma
+        self.grads["beta"] = dbeta
+        dx = d * m
+        dx -= dbeta
+        dx -= x_hat * dgamma
+        dx *= self.params["gamma"] * inv_std / m
+        return dx.reshape(dout.shape)
 
     def descriptor(self):
         return {

@@ -3,6 +3,7 @@
 After every epoch the monitored split is scored at threshold 0.5 with the
 segment metrics; the parameter snapshot with the lowest monitored error rate
 is kept and restored when no improvement arrives for ``patience`` epochs.
+A non-finite batch loss or gradient stops training with ``StateError``.
 """
 
 from __future__ import annotations
@@ -102,6 +103,17 @@ def monitor_scores(
     return report.error_rate, report.f_score
 
 
+def _check_finite(model: ModelGraph, loss: float, epoch: int) -> None:
+    """Raise before the optimizer step if the batch loss or any parameter
+    gradient is not finite, naming the first such parameter."""
+    bad = next((key for key, _ in model.parameters() if not np.isfinite(model.gradient(key)).all()), None)
+    if bad is not None or not np.isfinite(loss):
+        raise StateError(
+            f"non-finite training step at epoch {epoch}: loss {loss}, "
+            f"first non-finite gradient {bad or 'none'}"
+        )
+
+
 def train(
     model: ModelGraph,
     train_batch: SequenceBatch,
@@ -133,6 +145,7 @@ def train(
             out = model.forward(train_batch.inputs[idx], training=True, rng=dropout_rng)
             loss, dpred = bce_loss(out, train_batch.targets[idx], train_batch.mask[idx])
             model.backward(dpred)
+            _check_finite(model, loss, epoch)
             optimizer.step()
             losses.append(loss)
 

@@ -97,6 +97,36 @@ def brute_force_score(ref_segments, pred_segments):
     return per_segment, er, f
 
 
+def conv2d_by_hand(x, kernels, dout):
+    """3x3 same-padded cross-correlation over (time, frequency) from its
+    definition, with its input and kernel gradients for upstream ``dout``.
+
+    out[s, t, b, n] = sum_{i, j, c} k[n, i, j, c] * x[s, t + i - 1, b + j - 1, c],
+    where x reads zero outside its bounds. Returns (out, d_kernels, d_x).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    kernels = np.asarray(kernels, dtype=np.float64)
+    n_s, n_t, n_b, n_c = x.shape
+    n_f = kernels.shape[0]
+    out = np.zeros((n_s, n_t, n_b, n_f))
+    dk = np.zeros_like(kernels)
+    dx = np.zeros_like(x)
+    for s in range(n_s):
+        for t in range(n_t):
+            for b in range(n_b):
+                for n in range(n_f):
+                    for i in range(3):
+                        for j in range(3):
+                            tt, bb = t + i - 1, b + j - 1
+                            if not (0 <= tt < n_t and 0 <= bb < n_b):
+                                continue
+                            for c in range(n_c):
+                                out[s, t, b, n] += kernels[n, i, j, c] * x[s, tt, bb, c]
+                                dk[n, i, j, c] += dout[s, t, b, n] * x[s, tt, bb, c]
+                                dx[s, tt, bb, c] += dout[s, t, b, n] * kernels[n, i, j, c]
+    return out, dk, dx
+
+
 def finite_difference_gradients(loss_fn, arrays, step=1e-5):
     """Central finite differences of a scalar loss w.r.t. each array in
     ``arrays`` (modified in place and restored)."""

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import finite_difference_gradients, max_relative_error
+from oracles import conv2d_by_hand, finite_difference_gradients, max_relative_error
 from sedpipe.errors import RangeError, ShapeError, StateError
 from sedpipe.nn import layers as L
 from sedpipe.nn.loss import bce_loss
@@ -59,6 +61,32 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             conv.forward(rng.normal(size=(1, 4, 4, 3)))
 
+    def test_matches_brute_force_oracle(self, rng):
+        conv = L.Conv2D(3, 4, rng=rng)
+        x = rng.normal(size=(2, 5, 7, 3))
+        out = conv.forward(x, training=True)
+        dout = rng.normal(size=out.shape)
+        dx = conv.backward(dout)
+        want_out, want_dk, want_dx = conv2d_by_hand(x, conv.params["kernels"], dout)
+        assert max_relative_error(out, want_out) < 1e-12
+        assert max_relative_error(conv.grads["kernels"], want_dk) < 1e-12
+        assert max_relative_error(dx, want_dx) < 1e-12
+
+    def test_backward_peak_memory_below_one_output(self, rng):
+        # the bin-fft-small conv1 shape; a whole-batch window tensor here
+        # would be 9x the output
+        conv = L.Conv2D(4, 64, rng=rng)
+        out = conv.forward(rng.normal(size=(2, 64, 1024, 4)), training=True)
+        dout = rng.normal(size=out.shape)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            conv.backward(dout)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes
+
 
 class TestBatchNorm:
     def test_standardized_batch_passes_through(self, rng):
@@ -98,6 +126,29 @@ class TestBatchNorm:
         x = rng.normal(size=(2, 4, 5, 3))
         errors = layer_gradient_errors(bn, x)
         assert max(errors.values()) < 1e-6
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize(
+    "make_layer",
+    [lambda rng: L.Conv2D(2, 3, rng=rng), lambda rng: L.BatchNorm(2)],
+    ids=["conv2d", "batch_norm"],
+)
+def test_forward_and_backward_leave_arguments_unchanged(rng, make_layer, training):
+    # the finite-difference harness reuses x and the projection after these
+    # calls, so a layer that wrote into them would corrupt every check
+    layer = make_layer(rng)
+    x = rng.normal(size=(2, 4, 5, 2))
+    layer.forward(rng.normal(size=x.shape), training=True)
+    x_before = x.copy()
+    out = layer.forward(x, training=training)
+    assert np.array_equal(x, x_before)
+    if training:
+        dout = rng.normal(size=out.shape)
+        dout_before = dout.copy()
+        layer.backward(dout)
+        assert np.array_equal(dout, dout_before)
+        assert np.array_equal(x, x_before)
 
 
 class TestMaxPoolFreq:

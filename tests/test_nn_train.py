@@ -6,6 +6,7 @@ import pytest
 from sedpipe.errors import RangeError, StateError
 from sedpipe.features import SequenceBatch
 from sedpipe.nn import CrnnArch, TrainConfig, build_crnn, monitor_scores, train
+from sedpipe.nn.loss import bce_loss
 
 
 def toy_batch(rng, n_seq=6, t=16, n_bins=8, classes=2):
@@ -70,6 +71,36 @@ class TestTrainLoop:
         )
         assert history.n_epochs == 2
         assert history.best_epoch == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_input_raises_at_first_epoch(self, rng):
+        batch = toy_batch(rng)
+        batch.inputs[2, 5, 3, 0] = np.nan
+        cfg = TrainConfig(max_epochs=5, patience=1, batch_size=3, segment_seconds=0.02)
+        with pytest.raises(StateError, match=r"epoch 1: loss nan, first non-finite gradient 0\.kernels"):
+            train(toy_model(), batch, batch, cfg, 0.02, ("a", "b"))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_inf_gradient_names_epoch_and_parameter(self, rng, monkeypatch):
+        import sedpipe.nn.training as train_mod
+
+        calls = iter(range(100))
+
+        def poisoned_loss(out, targets, mask):
+            loss, dpred = bce_loss(out, targets, mask)
+            if next(calls) == 2:
+                dpred[0, 0, 0] = np.inf
+            return loss, dpred
+
+        monkeypatch.setattr(train_mod, "bce_loss", poisoned_loss)
+        batch = toy_batch(rng)
+        model = toy_model()
+        cfg = TrainConfig(max_epochs=5, patience=4, batch_size=3, segment_seconds=0.02)
+        # two batches per epoch, so the third batch is the first of epoch 2
+        with pytest.raises(StateError, match=r"epoch 2: loss 0\.\d+, first non-finite gradient 0\.kernels"):
+            train_mod.train(model, batch, batch, cfg, 0.02, ("a", "b"))
+        # the check runs before the optimizer step, so no weight took the inf
+        assert all(np.isfinite(p).all() for _, p in model.parameters())
 
     def test_fixed_seed_reproduces_history_bitwise(self, rng):
         batch = toy_batch(rng)
