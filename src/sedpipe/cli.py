@@ -23,7 +23,7 @@ from .audio_io import (
     events_to_roll,
     read_annotations,
     read_manifest,
-    read_wav,
+    read_wav,  # noqa: F401  perfbench/tracer.py wraps cli.read_wav
     write_annotations,
     write_manifest,
     write_wav,
@@ -32,6 +32,7 @@ from .config import ExperimentConfig, dump_config, load_config
 from .errors import ConfigError, SedError
 from .experiment import (
     archive_name,
+    clip_features,
     cross_validate,
     dataset_class_names,
     random_search,
@@ -99,26 +100,18 @@ def cmd_synth(args) -> int:
 def cmd_extract(args) -> int:
     cfg = _load_cfg(args)
     fc = args.feature or cfg.features.feature_class
-    if fc not in feats.FEATURE_CLASSES:
-        raise ConfigError(f"unknown feature class {fc!r}; choose from {feats.FEATURE_CLASSES}")
-    cfg = dataclasses.replace(cfg, features=dataclasses.replace(cfg.features, feature_class=fc))
+    features_cfg = dataclasses.replace(cfg.features, feature_class=fc)
     manifest = Path(args.data_dir) / "manifest.tsv" if args.data_dir else cfg.data.manifest_path()
     rows = read_manifest(manifest)
     base = manifest.parent
     out = Path(args.out or cfg.features.archive_dir or (base / "features"))
-    out.mkdir(parents=True, exist_ok=True)
 
-    unique = sorted({r.audio_path for r in rows})
     print("feature\tclip\tframes\tbins\tchannels")
-    for audio in unique:
+    for audio in sorted({r.audio_path for r in rows}):
         target = out / archive_name(audio, fc)
-        if target.exists() and not args.force:
-            log.info("skipping %s (archive exists; use --force to rebuild)", target)
-            tensor = feats.load_feature_archive(target)
-        else:
-            clip = read_wav(base / audio)
-            tensor = feats.extract(clip, fc, **cfg.features.extractor_kwargs())
-            feats.save_feature_archive(tensor, target)
+        if args.force:
+            target.unlink(missing_ok=True)
+        tensor = clip_features(base / audio, features_cfg, target)
         print(f"{fc}\t{audio}\t{tensor.n_frames}\t{tensor.n_bins}\t{tensor.n_channels}")
     return 0
 
@@ -286,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--feature", choices=feats.FEATURE_CLASSES, help="feature class")
     p.add_argument("--data-dir", help="dataset directory (overrides config)")
-    p.add_argument("--force", action="store_true", help="rebuild existing archives")
+    p.add_argument("--force", action="store_true", help="delete existing archives and extract again")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="train and evaluate over folds and runs")

@@ -4,12 +4,12 @@ file reader. Unknown sections or keys are hard errors, never warnings."""
 from __future__ import annotations
 
 import configparser
-import dataclasses
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, RangeError
 from .features import feature_spec
+from .nn.training import TrainConfig
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
@@ -43,7 +43,10 @@ class FeatureConfig:
     fft_size: int = 2048
     multires_windows: tuple[int, ...] = (1024, 4096, 16384)
     fft_log_magnitude: bool = False
-    archive_dir: str = ""
+    archive_dir: str = ""  # feature cache: read when an archive exists, written on a miss
+
+    def __post_init__(self):
+        feature_spec(self.feature_class)
 
     def extractor_kwargs(self) -> dict:
         fields_read = feature_spec(self.feature_class).config_fields
@@ -74,6 +77,31 @@ class TrainSection:
     seed: int = 1
     n_runs: int = 5
     folds: tuple[int, ...] = (1, 2, 3, 4)
+
+    def __post_init__(self):
+        """Reject bad values here, so a config fails as it loads rather than
+        after the data has been read."""
+        for key in ("sequence_length", "n_runs"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"[train] {key} must be >= 1, got {getattr(self, key)}")
+        if not self.folds:
+            raise ConfigError("[train] folds must name at least one fold")
+        self.train_config(self.seed)
+
+    def train_config(self, seed: int) -> TrainConfig:
+        """The training-loop settings of this section for one run seed."""
+        try:
+            return TrainConfig(
+                learning_rate=self.learning_rate,
+                max_epochs=self.max_epochs,
+                patience=self.patience,
+                batch_size=self.batch_size,
+                seed=seed,
+                threshold=self.threshold,
+                monitor=self.monitor,
+            )
+        except RangeError as exc:
+            raise ConfigError(f"[train] {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -165,20 +193,11 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(**sections)
 
 
-def replace_section(cfg: ExperimentConfig, **sections) -> ExperimentConfig:
-    return dataclasses.replace(cfg, **sections)
-
-
 def dump_config(cfg: ExperimentConfig) -> str:
     """Render a config back to the file format (used for trial records)."""
     lines = []
-    for section, value in (
-        ("data", cfg.data),
-        ("features", cfg.features),
-        ("model", cfg.model),
-        ("train", cfg.train),
-        ("search", cfg.search),
-    ):
+    for section in _SECTIONS:
+        value = getattr(cfg, section)
         lines.append(f"[{section}]")
         for f in fields(value):
             v = getattr(value, f.name)

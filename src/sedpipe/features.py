@@ -12,6 +12,7 @@ the same frame count F whatever the analysis window:
 from __future__ import annotations
 
 import logging
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -316,23 +317,23 @@ def chunk_sequences(tensor, roll: EventRoll, seq_len: int) -> SequenceBatch:
             f"features have {data.shape[0]} frames but the roll has {roll.n_frames}"
         )
     f, b, ch = data.shape
-    c = roll.n_classes
     n_seq = -(-f // seq_len)
-    inputs = np.zeros((n_seq, seq_len, b, ch))
-    targets = np.zeros((n_seq, seq_len, c))
-    mask = np.zeros((n_seq, seq_len), dtype=bool)
-    for s in range(n_seq):
-        lo = s * seq_len
-        hi = min(f, lo + seq_len)
-        inputs[s, : hi - lo] = data[lo:hi]
-        targets[s, : hi - lo] = roll.activity[lo:hi]
-        mask[s, : hi - lo] = True
-    return SequenceBatch(inputs=inputs, targets=targets, mask=mask)
+    inputs = np.zeros((n_seq * seq_len, b, ch))
+    inputs[:f] = data
+    targets = np.zeros((n_seq * seq_len, roll.n_classes))
+    targets[:f] = roll.activity
+    return SequenceBatch(
+        inputs=inputs.reshape(n_seq, seq_len, b, ch),
+        targets=targets.reshape(n_seq, seq_len, roll.n_classes),
+        mask=(np.arange(n_seq * seq_len) < f).reshape(n_seq, seq_len),
+    )
 
 
 def save_feature_archive(tensor: FeatureTensor, path) -> None:
     """Write the versioned binary archive: magic, header, float32 payload in
-    frame-major order."""
+    frame-major order. The bytes go to ``<path>.tmp`` first and replace
+    ``path`` only once complete, so a failed save leaves any old archive
+    intact."""
     f, b, ch = tensor.data.shape
     header = struct.pack(
         "<4sHHIIId",
@@ -344,9 +345,14 @@ def save_feature_archive(tensor: FeatureTensor, path) -> None:
         ch,
         tensor.hop_seconds,
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            fh.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_feature_archive(path) -> FeatureTensor:

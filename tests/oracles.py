@@ -59,6 +59,22 @@ def segments_by_or(activity, frames_per_segment) -> np.ndarray:
     return out
 
 
+def chunks_by_hand(data, activity, seq_len):
+    """(inputs, targets, mask) of non-overlapping zero-padded sequences,
+    filled one frame at a time."""
+    n_frames = data.shape[0]
+    n_seq = -(-n_frames // seq_len)
+    inputs = np.zeros((n_seq, seq_len) + data.shape[1:])
+    targets = np.zeros((n_seq, seq_len, activity.shape[1]))
+    mask = np.zeros((n_seq, seq_len), dtype=bool)
+    for f in range(n_frames):
+        s, t = divmod(f, seq_len)
+        inputs[s, t] = data[f]
+        targets[s, t] = activity[f]
+        mask[s, t] = True
+    return inputs, targets, mask
+
+
 def brute_force_score(ref_segments, pred_segments):
     """Per-segment TP/FP/FN/N and S/D/I from their definitions, then the
     pooled error rate and F-score.

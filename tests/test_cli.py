@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -149,6 +150,20 @@ class TestExtract:
             main(["extract", "--config", str(cfg), "--data-dir", str(data), "--feature", "mfcc"])
         assert exc.value.code == 2
 
+    def test_unknown_feature_class_in_config_is_config_error(self, dataset, capsys, tmp_path):
+        cfg, data = dataset
+        cfg.write_text(
+            cfg.read_text(encoding="utf-8").replace("feature_class = mbe", "feature_class = mfcc"),
+            encoding="utf-8",
+        )
+        code, _, stderr = run_cli(
+            capsys, "extract", "--config", str(cfg), "--data-dir", str(data),
+            "--out", str(tmp_path / "features"),
+        )
+        assert code == 2
+        assert "mfcc" in stderr
+        assert not (tmp_path / "features").exists()
+
 
 class TestEval:
     def test_identical_files_score_perfectly(self, tmp_path, capsys):
@@ -218,6 +233,26 @@ class TestTrainCommand:
         assert code == 0
         assert "mean" in report_out
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("monitor", "bogus"), ("monitor", "train"), ("sequence_length", "0"), ("folds", "")],
+    )
+    def test_bad_train_value_exits_two_before_any_work(self, tmp_path, capsys, key, value):
+        cfg = small_synth_config(tmp_path)
+        data_part, train_part = cfg.read_text(encoding="utf-8").split("[train]")
+        train_part = "\n".join(
+            f"{key} = {value}" if line.startswith(f"{key} =") else line
+            for line in train_part.splitlines()
+        )
+        # a data root that does not exist: the config must fail before it is read
+        data_part = data_part.replace("[data]", f"[data]\nroot = {tmp_path / 'absent'}")
+        cfg.write_text(f"{data_part}[train]{train_part}\n", encoding="utf-8")
+        out = tmp_path / "runs" / "bad"
+        code, _, stderr = run_cli(capsys, "train", "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert key in stderr
+        assert not out.exists()
+
 
 class TestLogging:
     def test_log_env_var_controls_stderr(self, tmp_path):
@@ -279,3 +314,38 @@ class TestSearchCommand:
         assert len(ranking) == 4
         ers = [float(line.split("\t")[2]) for line in ranking[1:]]
         assert ers == sorted(ers)
+
+
+TRACED_PIPELINE = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+from tracer import Tracer, install_pipeline
+tracer = Tracer("protocol")
+install_pipeline(tracer)
+from sedpipe.cli import main
+for argv in (["synth", "--out", "data"], ["extract"], ["train", "--out", "runs"]):
+    assert main(argv + ["--config", "exp.cfg"]) == 0, argv
+print(json.dumps(tracer.counts))
+"""
+
+
+def test_perfbench_tracer_sees_every_pipeline_boundary(tmp_path):
+    """perfbench/tracer.py wraps module attributes by name; a rename in cli
+    or experiment, or a call that bypasses the module attribute, shows here."""
+    cfg = small_synth_config(tmp_path)
+    cfg.write_text(
+        cfg.read_text(encoding="utf-8").replace("[features]", "[features]\narchive_dir = data/features"),
+        encoding="utf-8",
+    )
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_PIPELINE, str(root / "perfbench"), str(root / "src")],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.splitlines()[-1])
+    # four clips: extract reads and extracts each once, train only loads
+    assert counts["audio_io.read_wav.calls"] == 4
+    assert counts["features.extract.calls"] == 4
+    assert counts["features.load_feature_archive.calls"] == 4
+    assert counts["experiment.run_fold.calls"] == 1

@@ -123,7 +123,7 @@ class TestRunFold:
         result = run_fold(cfg, 1)
         assert result.report.error_rate < 0.2
 
-    def test_archives_are_used_when_present(self, tmp_path):
+    def test_archives_are_used_when_present(self, tmp_path, monkeypatch):
         from sedpipe import features as feats
         from sedpipe.audio_io import read_wav
         from sedpipe.experiment import archive_name
@@ -140,8 +140,38 @@ class TestRunFold:
         cfg_arch = dataclasses.replace(
             cfg, features=dataclasses.replace(cfg.features, archive_dir=str(archive_dir))
         )
+        _forbid_audio_reads(monkeypatch)
         result = run_fold(cfg_arch, 1)
         assert result.report.n_segments > 0
+
+    def test_missing_archives_are_written_then_loaded(self, tmp_path, monkeypatch):
+        manifest = write_dataset(tmp_path / "data")
+        archive_dir = tmp_path / "features"  # not created yet
+        cfg = desk_config(manifest, epochs=3)
+        cfg = dataclasses.replace(
+            cfg, features=dataclasses.replace(cfg.features, archive_dir=str(archive_dir))
+        )
+        cold = run_fold(cfg, 1)
+        clips = {r.audio_path for r in read_manifest(manifest)}
+        assert sorted(p.name for p in archive_dir.iterdir()) == sorted(
+            experiment.archive_name(a, "mbe") for a in clips
+        )
+        _forbid_audio_reads(monkeypatch)
+        warm = run_fold(cfg, 1)
+        # the cold run trained on the archived float32 values, not on the
+        # float64 extraction, so the two runs match exactly
+        assert warm.history.train_loss == cold.history.train_loss
+        assert warm.report.totals == cold.report.totals
+
+
+def _forbid_audio_reads(monkeypatch):
+    from sedpipe import features as feats
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("features must come from the archive")
+
+    monkeypatch.setattr(experiment, "read_wav", refuse)
+    monkeypatch.setattr(feats, "extract", refuse)
 
 
 class TestCrossValidate:

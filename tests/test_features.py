@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from oracles import direct_dft, mel_frame_by_hand
+from oracles import chunks_by_hand, direct_dft, mel_frame_by_hand
 from sedpipe import dsp, features
 from sedpipe.audio_io import AudioClip, EventRoll, to_mono
 from sedpipe.config import FeatureConfig
@@ -293,6 +293,17 @@ class TestChunkSequences:
         batch = features.chunk_sequences(tensor, roll, 16)
         assert batch.n_sequences == 0
 
+    @pytest.mark.parametrize("n_frames", [0, 1, 63, 64, 65, 250])
+    def test_matches_frame_by_frame_oracle(self, rng, n_frames):
+        tensor, roll = self._tensor_roll(rng, n_frames)
+        batch = features.chunk_sequences(tensor, roll, 64)
+        for got, want in zip(
+            (batch.inputs, batch.targets, batch.mask),
+            chunks_by_hand(tensor.data, roll.activity, 64),
+        ):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
     def test_frame_mismatch_rejected(self, rng):
         tensor, roll = self._tensor_roll(rng, 100)
         short = EventRoll(
@@ -341,3 +352,42 @@ class TestArchive:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(StateError):
             features.load_feature_archive(path)
+
+    def test_failed_save_keeps_old_archive_and_no_temp_file(self, tmp_path, rng, monkeypatch):
+        path = tmp_path / "clip.mbe.sedf"
+        old = features.FeatureTensor(
+            data=rng.normal(size=(8, 4, 1)), feature_class="mbe", hop_seconds=0.02
+        )
+        features.save_feature_archive(old, path)
+        before = path.read_bytes()
+
+        class FailingPayload:
+            """Writes the header, then half the payload, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 2:
+                    self.fh.write(data[: len(data) // 2])
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(
+            features, "open", lambda p, mode: FailingPayload(open(p, mode)), raising=False
+        )
+        new = features.FeatureTensor(
+            data=rng.normal(size=(50, 4, 1)), feature_class="mbe", hop_seconds=0.02
+        )
+        with pytest.raises(OSError, match="disk full"):
+            features.save_feature_archive(new, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
