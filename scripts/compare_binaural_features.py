@@ -86,7 +86,7 @@ def main() -> int:
         event_duration=(0.4, 1.2),
         template_mode="shared" if args.shared_templates else "distinct",
     )
-    clips = synth.synth_dataset(spec)
+    clips = list(synth.synth_dataset(spec))
     names = synth.class_names(spec)
     n_train = max(1, (2 * len(clips)) // 3)
 

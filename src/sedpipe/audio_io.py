@@ -163,14 +163,17 @@ def write_wav(path, clip: AudioClip, bit_depth: int = 16) -> None:
     if bit_depth not in (16, 24):
         raise UnsupportedWavError(f"only 16 or 24 bit supported, got {bit_depth}")
     full = 1 << (bit_depth - 1)
-    ints = np.ascontiguousarray(
-        np.clip(np.rint(clip.samples.T * full), -full, full - 1), dtype=np.int32
-    )
+    # scaled and rounded in place, so at most one float copy of the clip
+    # lives beside the integer one
+    ints = clip.samples.T * full
+    np.rint(ints, out=ints)
+    np.clip(ints, -full, full - 1, out=ints)
+    ints = np.ascontiguousarray(ints, dtype=np.int32)
 
     if bit_depth == 16:
         payload = ints.astype("<i2").tobytes()
     else:
-        payload = ints.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+        payload = ints.astype("<i4", copy=False).view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
 
     n_channels = clip.n_channels
     block_align = n_channels * bit_depth // 8

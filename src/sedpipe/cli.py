@@ -70,17 +70,20 @@ def cmd_synth(args) -> int:
         sample_rate=cfg.data.sample_rate,
         template_mode=cfg.data.template_mode,
     )
-    clips = synth.synth_dataset(spec)
-
     rows = []
     n_folds = cfg.data.folds
     # round-robin clip groups; each fold tests one group, holds out the next
     # for validation (when there are enough groups) and trains on the rest
     with_validation = n_folds >= 3
-    for i, (clip, events) in enumerate(clips):
+    # each clip is written and dropped before the next is rendered, so one
+    # clip is held at a time (enumerate's result tuple would keep the last)
+    clips = synth.synth_dataset(spec)
+    for i in range(spec.n_clips):
+        clip, events = next(clips)
         stem = f"clip{i:03d}"
         write_wav(out / f"{stem}.wav", clip, bit_depth=cfg.data.bit_depth)
         write_annotations(events, out / f"{stem}.tsv")
+        del clip
         for fold in range(1, n_folds + 1):
             group = i % n_folds
             if group == fold - 1:
@@ -92,7 +95,7 @@ def cmd_synth(args) -> int:
             rows.append(ManifestRow(f"{stem}.wav", f"{stem}.tsv", fold, role))
     manifest = out / "manifest.tsv"
     write_manifest(rows, manifest)
-    log.info("wrote %d clips and %d manifest rows", len(clips), len(rows))
+    log.info("wrote %d clips and %d manifest rows", spec.n_clips, len(rows))
     print(manifest)
     return 0
 
@@ -208,6 +211,8 @@ def cmd_eval(args) -> int:
 
 def cmd_search(args) -> int:
     cfg = _load_cfg(args)
+    if args.trials is not None:
+        cfg = dataclasses.replace(cfg, search=dataclasses.replace(cfg.search, trials=args.trials))
     out = Path(args.out or "runs/search")
     out.mkdir(parents=True, exist_ok=True)
     base = Path(args.data_dir or ".")
@@ -223,7 +228,7 @@ def cmd_search(args) -> int:
             fh.write(f"mean_f\t{_fmt(trial.mean_f)}\n")
             fh.write(f"std_f\t{_fmt(trial.std_f)}\n")
 
-    ranked = random_search(cfg, n_trials=args.trials, base_dir=base, on_trial=on_trial)
+    ranked = random_search(cfg, base_dir=base, on_trial=on_trial)
     with open(out / "ranking.tsv", "w", encoding="utf-8") as fh:
         fh.write("rank\ttrial\tmean_er\tmean_f\n")
         for rank, trial in enumerate(ranked, start=1):

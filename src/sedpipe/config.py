@@ -117,6 +117,16 @@ class SearchSection:
     dense_units: tuple[int, ...] = (16, 32, 64)
     dropout: tuple[float, ...] = (0.05, 0.25, 0.5, 0.75)
 
+    def __post_init__(self):
+        """Reject bad values as the config loads, before ``search`` makes
+        its output directory."""
+        for key in ("trials", "n_runs"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"[search] {key} must be >= 1, got {getattr(self, key)}")
+        for f in fields(self):
+            if getattr(self, f.name) == ():
+                raise ConfigError(f"[search] {f.name} must name at least one candidate")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:

@@ -260,17 +260,14 @@ def sample_model_config(space: SearchSection, rng: np.random.Generator, n_bins: 
 
 def random_search(
     cfg: ExperimentConfig,
-    n_trials: int | None = None,
     seed: int | None = None,
     base_dir: str | Path = ".",
     on_trial=None,
 ) -> list[TrialResult]:
-    """Evaluate ``n_trials`` sampled architectures with a truncated epoch
-    budget and rank them by mean ER, best first."""
+    """Evaluate ``cfg.search.trials`` sampled architectures with a truncated
+    epoch budget and rank them by mean ER, best first."""
     space = cfg.search
-    n_trials = space.trials if n_trials is None else n_trials
-    if n_trials < 1:
-        raise ConfigError(f"need at least one trial, got {n_trials}")
+    n_trials = space.trials
     rng = np.random.default_rng(cfg.train.seed if seed is None else seed)
     n_bins = feats.feature_spec(cfg.features.feature_class).bins(cfg.features)
 

@@ -14,11 +14,12 @@ from ..errors import RangeError, ShapeError, StateError
 
 
 def sigmoid(x):
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Logistic function as 0.5 * (1 + tanh(x / 2)), computed in place on one
+    fresh array; finite for every finite input, with no branch on the sign."""
+    out = np.multiply(x, 0.5, dtype=np.float64)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -47,7 +48,9 @@ class Layer:
     def forward(self, x, training=False, rng=None):
         raise NotImplementedError
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
+        """Fill ``grads`` and return the input gradient; a layer may skip
+        that gradient and return None when ``input_grad`` is False."""
         raise NotImplementedError
 
     def descriptor(self) -> dict:
@@ -103,7 +106,7 @@ class Conv2D(Layer):
         self._cache = xp
         return out.reshape(s, t, b, self.filters)
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         if self._cache is None:
             raise StateError("conv2d backward before forward")
         xp = self._cache
@@ -111,10 +114,12 @@ class Conv2D(Layer):
         k = self.params["kernels"]
         kmat = k.reshape(n, -1)
         dk = np.zeros_like(kmat)
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros_like(xp) if input_grad else None
         for q in range(s):
             d = dout[q].reshape(t * b, n)
             dk += d.T @ _im2col(xp[q])
+            if not input_grad:
+                continue
             # col2im: each of the nine kernel taps adds its column gradient
             # back at its shifted position in the padded input
             dcols = (d @ kmat).reshape(t, b, 3, 3, self.in_channels)
@@ -122,7 +127,7 @@ class Conv2D(Layer):
                 for j in range(3):
                     dxp[q, i : i + t, j : j + b] += dcols[:, :, i, j]
         self.grads["kernels"] = dk.reshape(k.shape)
-        return dxp[:, 1:-1, 1:-1]
+        return dxp[:, 1:-1, 1:-1] if input_grad else None
 
     def descriptor(self):
         return {"type": "conv2d", "in_channels": self.in_channels, "filters": self.filters}
@@ -180,7 +185,7 @@ class BatchNorm(Layer):
             out += beta - self.buffers["running_mean"] * scale
         return out.reshape(x.shape)
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         if self._cache is None:
             raise StateError("batch norm backward requires a training-mode forward")
         x_hat, inv_std = self._cache
@@ -224,13 +229,26 @@ class MaxPoolFreq(Layer):
         if b % self.factor:
             raise ShapeError(f"pool factor {self.factor} does not divide {b} bins")
         m = x.reshape(s, t, b // self.factor, self.factor, f)
-        arg = m.argmax(axis=3)
-        self._cache = (arg, x.shape)
-        return np.take_along_axis(m, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+        # one elementwise maximum per tap reads x in place: a reduction over
+        # the inner tap axis is slower, and argmax copies x to a contiguous
+        # layout first
+        out = m[:, :, :, 0].copy()
+        for k in range(1, self.factor):
+            np.maximum(out, m[:, :, :, k], out=out)
+        self._cache = None
+        if training:
+            # first argmax: the taps run last to first, so a tie keeps the
+            # lowest index. A NaN max equals no tap and leaves the zero
+            # start, which is still a valid index.
+            arg = np.zeros(out.shape, dtype=np.min_scalar_type(self.factor - 1))
+            for k in reversed(range(self.factor)):
+                arg[m[:, :, :, k] == out] = k
+            self._cache = (arg, x.shape)
+        return out
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         if self._cache is None:
-            raise StateError("max pool backward before forward")
+            raise StateError("max pool backward requires a training-mode forward")
         arg, shape = self._cache
         s, t, b, f = shape
         dm = np.zeros((s, t, b // self.factor, self.factor, f))
@@ -261,7 +279,7 @@ class Dropout(Layer):
         self._mask = (rng.random(x.shape) >= self.rate) / keep
         return x * self._mask
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         if self._mask is None:
             return dout
         return dout * self._mask
@@ -284,16 +302,14 @@ class FlattenFreq(Layer):
         s, t, b, f = x.shape
         return x.reshape(s, t, b * f)
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         return dout.reshape(self._shape)
 
     def descriptor(self):
         return {"type": "flatten_freq"}
 
 
-def _gate_columns(w):
-    """(3, rows, U) gate stack -> (rows, 3U) with gate-major column blocks."""
-    return w.transpose(1, 0, 2).reshape(w.shape[1], -1)
+_DIRECTIONS = ("fwd", "bwd")
 
 
 class BiGRU(Layer):
@@ -306,12 +322,14 @@ class BiGRU(Layer):
         c = tanh(x W[2] + (r*h) U[2] + b[2])
         h' = (1 - z)*h + z*c
     The backward direction runs over reversed time; outputs are concatenated
-    on the feature axis. Backward computes full BPTT gradients: only the
+    on the feature axis. Both directions share one time loop over a leading
+    direction axis of size 2, so each step is one batched (2, S, U) product
+    per gate group. Backward computes full BPTT gradients: only the
     recurrent ``dh`` products run per step, and the input and weight
     gradients are whole-sequence GEMMs over the stored gate derivatives.
     """
 
-    param_order = tuple(f"{d}_{n}" for d in ("fwd", "bwd") for n in ("W", "U", "b"))
+    param_order = tuple(f"{d}_{n}" for d in _DIRECTIONS for n in ("W", "U", "b"))
 
     def __init__(self, in_dim: int, units: int, rng: np.random.Generator | None = None):
         super().__init__()
@@ -325,78 +343,90 @@ class BiGRU(Layer):
             return uniform_init(rng, shape, rows, units) if rng is not None else np.zeros(shape)
 
         self.params = {}
-        for d in ("fwd", "bwd"):
+        for d in _DIRECTIONS:
             self.params[f"{d}_W"] = init(in_dim)
             self.params[f"{d}_U"] = init(units)
             self.params[f"{d}_b"] = np.zeros((3, units))
         self._cache = None
 
-    def _direction(self, x, d):
-        w, u_rec, b = (self.params[f"{d}_{n}"] for n in ("W", "U", "b"))
-        s, t, _ = x.shape
-        u = self.units
-        ax = x @ _gate_columns(w) + b.reshape(-1)
-        u_zr = _gate_columns(u_rec[:2])
-        hs = np.zeros((s, t + 1, u))  # hs[:, i] is the state entering step i
-        gates = np.empty((s, t, 3, u))  # z, r, c
-        rh = np.empty((s, t, u))
-        for i in range(t):
-            h = hs[:, i]
-            zr = sigmoid(ax[:, i, : 2 * u] + h @ u_zr)
-            z, r = zr[:, :u], zr[:, u:]
-            rh[:, i] = r * h
-            c = np.tanh(ax[:, i, 2 * u :] + rh[:, i] @ u_rec[2])
-            gates[:, i, 0] = z
-            gates[:, i, 1] = r
-            gates[:, i, 2] = c
-            hs[:, i + 1] = (1.0 - z) * h + z * c
-        return hs, gates, rh
-
-    def _direction_backward(self, x, dhs, cache, d):
-        w, u_rec = self.params[f"{d}_W"], self.params[f"{d}_U"]
-        hs, gates, rh = cache
-        s, t, _ = x.shape
-        u = self.units
-        u_zr_t = _gate_columns(u_rec[:2]).T
-        uc_t = u_rec[2].T
-        da = np.empty((s, t, 3 * u))  # pre-activation gradients, z | r | c
-        dh = np.zeros((s, u))
-        for i in reversed(range(t)):
-            h_prev = hs[:, i]
-            z, r, c = gates[:, i, 0], gates[:, i, 1], gates[:, i, 2]
-            dh_total = dhs[:, i] + dh
-            dac = dh_total * z * (1.0 - c * c)
-            drh = dac @ uc_t
-            da[:, i, :u] = dh_total * (c - h_prev) * z * (1.0 - z)
-            da[:, i, u : 2 * u] = (drh * h_prev) * r * (1.0 - r)
-            da[:, i, 2 * u :] = dac
-            dh = dh_total * (1.0 - z) + drh * r + da[:, i, : 2 * u] @ u_zr_t
-        st = ((0, 1), (0, 1))  # contract over batch and time
-        grad_u = np.empty_like(u_rec)
-        grad_u[:2] = np.tensordot(hs[:, :-1], da[:, :, : 2 * u], st).reshape(u, 2, u).transpose(1, 0, 2)
-        grad_u[2] = np.tensordot(rh, da[:, :, 2 * u :], st)
-        self.grads[f"{d}_W"] = np.tensordot(x, da, st).reshape(-1, 3, u).transpose(1, 0, 2)
-        self.grads[f"{d}_U"] = grad_u
-        self.grads[f"{d}_b"] = da.sum(axis=(0, 1)).reshape(3, u)
-        return da @ _gate_columns(w).T
+    def _stacked(self, name):
+        """Both directions' (3, rows, U) gate stacks as (2, rows, 3U) with
+        gate-major column blocks."""
+        w = np.stack([self.params[f"{d}_{name}"] for d in _DIRECTIONS])
+        return w.transpose(0, 2, 1, 3).reshape(2, w.shape[2], -1)
 
     def forward(self, x, training=False, rng=None):
         if x.ndim != 3 or x.shape[2] != self.in_dim:
             raise ShapeError(f"bigru expects (S, T, {self.in_dim}), got shape {x.shape}")
-        x_rev = x[:, ::-1]
-        cache_f = self._direction(x, "fwd")
-        cache_b = self._direction(x_rev, "bwd")
-        self._cache = (x, x_rev, cache_f, cache_b)
-        return np.concatenate((cache_f[0][:, 1:], cache_b[0][:, :0:-1]), axis=2)
+        s, t, dim = x.shape
+        u = self.units
+        w, u_rec = self._stacked("W"), self._stacked("U")
+        b = np.stack([self.params[f"{d}_b"].reshape(-1) for d in _DIRECTIONS])
+        # the input pre-activations, which each step overwrites with its
+        # gates z | r | c; in step order, step i is time i forward and time
+        # T-1-i backward
+        gates = (x.reshape(s * t, dim) @ w + b[:, None]).reshape(2, s, t, 3 * u)
+        gates[1] = gates[1, :, ::-1]
+        u_zr, u_c = u_rec[:, :, : 2 * u], u_rec[:, :, 2 * u :]
+        hs = np.zeros((2, s, t + 1, u))  # hs[:, :, i] is the state entering step i
+        rh = np.empty((2, s, t, u))
+        for i in range(t):
+            h, g = hs[:, :, i], gates[:, :, i]
+            zr = sigmoid(g[:, :, : 2 * u] + h @ u_zr)
+            np.multiply(zr[:, :, u:], h, out=rh[:, :, i])
+            c = np.tanh(g[:, :, 2 * u :] + rh[:, :, i] @ u_c, out=g[:, :, 2 * u :])
+            g[:, :, : 2 * u] = zr
+            z = zr[:, :, :u]
+            hs[:, :, i + 1] = (1.0 - z) * h + z * c
+        self._cache = (x, w, u_rec, hs, gates, rh)
+        return np.concatenate((hs[0, :, 1:], hs[1, :, :0:-1]), axis=2)
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         if self._cache is None:
             raise StateError("bigru backward before forward")
-        x, x_rev, cache_f, cache_b = self._cache
-        u = self.units
-        dx_f = self._direction_backward(x, dout[:, :, :u], cache_f, "fwd")
-        dx_b = self._direction_backward(x_rev, dout[:, ::-1, u:], cache_b, "bwd")
-        return dx_f + dx_b[:, ::-1]
+        x, w, u_rec, hs, gates, rh = self._cache
+        _, s, t, u = rh.shape
+        h_prev = hs[:, :, :-1]
+        z, r, c = gates[..., :u], gates[..., u : 2 * u], gates[..., 2 * u :]
+        # da, the pre-activation gradients z | r | c, starts as the factors
+        # that turn dh_total (z and c) and drh (r) into them, for the whole
+        # sequence at once; the loop scales one step at a time
+        da = np.empty_like(gates)
+        da_z, da_r, da_c = da[..., :u], da[..., u : 2 * u], da[..., 2 * u :]
+        np.multiply((c - h_prev) * z, 1.0 - z, out=da_z)
+        np.multiply(h_prev * r, 1.0 - r, out=da_r)
+        np.multiply(z, 1.0 - c * c, out=da_c)
+        keep = 1.0 - z
+        dhs = np.stack((dout[:, :, :u], dout[:, ::-1, u:]))
+        u_zr_t = u_rec[:, :, : 2 * u].transpose(0, 2, 1)
+        u_c_t = u_rec[:, :, 2 * u :].transpose(0, 2, 1)
+        dh = np.zeros((2, s, u))
+        for i in reversed(range(t)):
+            dh_total = dhs[:, :, i] + dh
+            np.multiply(da_z[:, :, i], dh_total, out=da_z[:, :, i])
+            dac = np.multiply(da_c[:, :, i], dh_total, out=da_c[:, :, i])
+            drh = dac @ u_c_t
+            np.multiply(da_r[:, :, i], drh, out=da_r[:, :, i])
+            dh = dh_total * keep[:, :, i] + drh * r[:, :, i] + da[:, :, i, : 2 * u] @ u_zr_t
+        del keep, dhs  # free them before the whole-sequence GEMMs allocate
+        flat = da.reshape(2, s * t, 3 * u)
+        grad_u = np.concatenate(
+            (
+                h_prev.reshape(2, s * t, u).transpose(0, 2, 1) @ flat[:, :, : 2 * u],
+                rh.reshape(2, s * t, u).transpose(0, 2, 1) @ flat[:, :, 2 * u :],
+            ),
+            axis=2,
+        )
+        grad_b = flat.sum(axis=1)
+        da[1] = da[1, :, ::-1]  # the backward direction in time order, like x
+        grad_w = x.reshape(s * t, -1).T @ flat
+        for k, d in enumerate(_DIRECTIONS):
+            self.grads[f"{d}_W"] = grad_w[k].reshape(-1, 3, u).transpose(1, 0, 2)
+            self.grads[f"{d}_U"] = grad_u[k].reshape(u, 3, u).transpose(1, 0, 2)
+            self.grads[f"{d}_b"] = grad_b[k].reshape(3, u)
+        dx = flat[0] @ w[0].T
+        dx += flat[1] @ w[1].T
+        return dx.reshape(x.shape)
 
     def descriptor(self):
         return {"type": "bigru", "in_dim": self.in_dim, "units": self.units}
@@ -445,7 +475,7 @@ class TimeDense(Layer):
         self._cache = (x, out)
         return out
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         if self._cache is None:
             raise StateError("time dense backward before forward")
         x, out = self._cache

@@ -43,10 +43,11 @@ class ModelGraph:
             x = layer.forward(x, training=training, rng=rng)
         return x
 
-    def backward(self, dout):
-        for layer in reversed(self.layers):
-            dout = layer.backward(dout)
-        return dout
+    def backward(self, dout) -> None:
+        """Fill every layer's ``grads``. The first layer computes no input
+        gradient: nothing reads the gradient of the model's input."""
+        for i in reversed(range(len(self.layers))):
+            dout = self.layers[i].backward(dout, input_grad=i > 0)
 
     def parameters(self):
         for i, layer in enumerate(self.layers):

@@ -10,6 +10,7 @@ output.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,9 +94,13 @@ def _render_event(rng: np.random.Generator, fundamental: float, n: int, sr: int)
     hi = min(fundamental * 1.8, cap)
     freqs = rng.uniform(lo, hi, _NOISE_PARTIALS)
     phases = rng.uniform(0.0, 2.0 * np.pi, _NOISE_PARTIALS)
-    sig += (_NOISE_LEVEL / np.sqrt(_NOISE_PARTIALS)) * np.sin(
-        2.0 * np.pi * freqs[:, None] * t + phases[:, None]
-    ).sum(axis=0)
+    # one partial at a time, in the order a sum over a (partials, n) matrix
+    # adds them: that matrix would be 12x the event, the largest array here
+    omegas = 2.0 * np.pi * freqs
+    noise = np.sin(omegas[0] * t + phases[0])
+    for omega, phase in zip(omegas[1:], phases[1:]):
+        noise += np.sin(omega * t + phase)
+    sig += (_NOISE_LEVEL / np.sqrt(_NOISE_PARTIALS)) * noise
 
     ramp = min(int(_RAMP_S * sr), max(n // 4, 1))
     env = np.ones(n)
@@ -133,34 +138,38 @@ def _place_events(rng: np.random.Generator, spec: SynthSpec) -> list[Event]:
     return events
 
 
-def synth_dataset(spec: SynthSpec) -> list[tuple[AudioClip, list[Event]]]:
-    """Generate ``n_clips`` stereo clips with their event lists."""
-    names = class_names(spec)
+def _render_clip(rng: np.random.Generator, spec: SynthSpec) -> tuple[AudioClip, list[Event]]:
+    """One stereo clip and its event list, all drawn from ``rng``."""
     fundamentals = class_fundamentals(spec)
     if spec.template_mode == "shared":
         fundamentals = np.full(spec.class_count, fundamentals[0])
     gains = class_gains(spec)
-    label_index = {name: i for i, name in enumerate(names)}
+    label_index = {name: i for i, name in enumerate(class_names(spec))}
+    events = _place_events(rng, spec)
+    n = int(round(spec.duration_s * spec.sample_rate))
+    stereo = np.zeros((2, n))
+    for ev in events:
+        c = label_index[ev.label]
+        i0 = int(round(ev.onset * spec.sample_rate))
+        i1 = min(n, int(round(ev.offset * spec.sample_rate)))
+        if i1 <= i0:
+            continue
+        amp = rng.uniform(0.12, 0.28) * min(1.0, 3.0 / spec.polyphony_max)
+        sig = amp * _render_event(rng, fundamentals[c], i1 - i0, spec.sample_rate)
+        stereo[0, i0:i1] += gains[c, 0] * sig
+        stereo[1, i0:i1] += gains[c, 1] * sig
+    peak = max(stereo.max(), -stereo.min()) if n else 0.0
+    if peak > 1.0:
+        stereo /= peak * 1.01
+    return AudioClip(samples=stereo, sample_rate=spec.sample_rate), events
 
-    children = np.random.SeedSequence(spec.seed).spawn(spec.n_clips)
-    out = []
-    for child in children:
-        rng = np.random.default_rng(child)
-        events = _place_events(rng, spec)
-        n = int(round(spec.duration_s * spec.sample_rate))
-        stereo = np.zeros((2, n))
-        for ev in events:
-            c = label_index[ev.label]
-            i0 = int(round(ev.onset * spec.sample_rate))
-            i1 = min(n, int(round(ev.offset * spec.sample_rate)))
-            if i1 <= i0:
-                continue
-            amp = rng.uniform(0.12, 0.28) * min(1.0, 3.0 / spec.polyphony_max)
-            sig = amp * _render_event(rng, fundamentals[c], i1 - i0, spec.sample_rate)
-            stereo[0, i0:i1] += gains[c, 0] * sig
-            stereo[1, i0:i1] += gains[c, 1] * sig
-        peak = np.max(np.abs(stereo)) if n else 0.0
-        if peak > 1.0:
-            stereo /= peak * 1.01
-        out.append((AudioClip(samples=stereo, sample_rate=spec.sample_rate), events))
-    return out
+
+def synth_dataset(spec: SynthSpec) -> Iterator[tuple[AudioClip, list[Event]]]:
+    """Yield ``n_clips`` stereo clips with their event lists, one at a time.
+
+    The generator keeps no reference to a clip it has yielded, so a caller
+    that writes and drops each clip before taking the next holds one clip,
+    not the whole dataset.
+    """
+    for child in np.random.SeedSequence(spec.seed).spawn(spec.n_clips):
+        yield _render_clip(np.random.default_rng(child), spec)

@@ -37,7 +37,7 @@ def tiny_dataset():
         events_per_clip=(3, 6),
         event_duration=(0.3, 1.2),
     )
-    return synth.synth_dataset(spec), synth.class_names(spec)
+    return list(synth.synth_dataset(spec)), synth.class_names(spec)
 
 
 def write_dataset(

@@ -143,6 +143,41 @@ def conv2d_by_hand(x, kernels, dout):
     return out, dk, dx
 
 
+def bigru_by_hand(x, params):
+    """Bi-directional GRU forward from its equations, one sample and one
+    step at a time for each direction, with sig(a) = 1 / (1 + exp(-a)):
+
+        z = sig(x W[0] + h U[0] + b[0])
+        r = sig(x W[1] + h U[1] + b[1])
+        c = tanh(x W[2] + (r*h) U[2] + b[2])
+        h' = (1 - z)*h + z*c
+
+    ``params`` maps ``fwd_``/``bwd_`` + ``W`` (3, D, U), ``U`` (3, U, U) and
+    ``b`` (3, U). The backward direction starts from the last frame. Returns
+    (S, T, 2U): each frame's forward state, then its backward state.
+    """
+
+    def sig(a):
+        return 1.0 / (1.0 + np.exp(-a))
+
+    n_s, n_t, _ = x.shape
+    n_u = params["fwd_b"].shape[1]
+    out = np.zeros((n_s, n_t, 2 * n_u))
+    for k, direction in enumerate(("fwd", "bwd")):
+        w, u, b = (params[f"{direction}_{name}"] for name in ("W", "U", "b"))
+        steps = list(range(n_t)) if direction == "fwd" else list(range(n_t - 1, -1, -1))
+        for s in range(n_s):
+            h = np.zeros(n_u)
+            for t in steps:
+                xt = x[s, t]
+                z = sig(xt @ w[0] + h @ u[0] + b[0])
+                r = sig(xt @ w[1] + h @ u[1] + b[1])
+                c = np.tanh(xt @ w[2] + (r * h) @ u[2] + b[2])
+                h = (1.0 - z) * h + z * c
+                out[s, t, k * n_u : (k + 1) * n_u] = h
+    return out
+
+
 def finite_difference_gradients(loss_fn, arrays, step=1e-5):
     """Central finite differences of a scalar loss w.r.t. each array in
     ``arrays`` (modified in place and restored)."""

@@ -137,7 +137,7 @@ class TestFeatureCriteria:
     def test_shape_contract_on_ten_second_stereo_clip(self):
         start = time.time()
         spec = synth.SynthSpec(n_clips=1, duration_s=10.0, class_count=3, polyphony_max=2, seed=3)
-        clip, _ = synth.synth_dataset(spec)[0]
+        clip, _ = list(synth.synth_dataset(spec))[0]
         expected = {
             "mbe": (500, 40, 1),
             "bin-mbe": (500, 40, 2),
@@ -302,7 +302,7 @@ class TestTrainingCriteria:
                 seed=100 + seed, events_per_clip=(3, 6), event_duration=(0.4, 1.2),
                 template_mode="shared",
             )
-            clips = synth.synth_dataset(spec)
+            clips = list(synth.synth_dataset(spec))
             names = synth.class_names(spec)
             for fc in ("mbe", "bin-mbe"):
                 train_batch, test_batch, n_ch = _prepare_batches(

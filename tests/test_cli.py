@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -96,6 +97,24 @@ class TestSynth:
         assert run_cli(capsys, "synth", "--config", str(cfg), "--out", str(out_b))[0] == 0
         for wav in sorted(out_a.glob("*.wav")):
             assert wav.read_bytes() == (out_b / wav.name).read_bytes()
+
+    def test_holds_one_clip_at_a_time(self, tmp_path, capsys):
+        # a list of every clip outlives synth on the heap that training keeps
+        # resident, so a second pass in one process would peak higher
+        n_clips, seconds = 8, 5.0
+        clip_bytes = 2 * int(seconds * 44100) * 8  # stereo float64 samples
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"[data]\nn_clips = {n_clips}\nduration_s = {seconds}\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            code = run_cli(capsys, "synth", "--config", str(cfg), "--out", str(tmp_path / "d"))[0]
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(list((tmp_path / "d").glob("*.wav"))) == n_clips
+        assert peak < 3 * clip_bytes
 
     def test_unknown_config_key_exits_two_naming_it(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -314,6 +333,24 @@ class TestSearchCommand:
         assert len(ranking) == 4
         ers = [float(line.split("\t")[2]) for line in ranking[1:]]
         assert ers == sorted(ers)
+
+    @pytest.mark.parametrize(
+        "line, flags, key",
+        [
+            ("n_runs = 0", [], "n_runs"),
+            ("trials = 0", [], "trials"),
+            ("filters =", [], "filters"),
+            ("dropout =", [], "dropout"),
+            ("", ["--trials", "0"], "trials"),
+        ],
+    )
+    def test_bad_search_value_exits_two_before_any_work(self, tmp_path, capsys, line, flags, key):
+        cfg = small_synth_config(tmp_path, extra_lines=["", "[search]", line])
+        out = tmp_path / "runs" / "search"
+        code, _, stderr = run_cli(capsys, "search", "--config", str(cfg), "--out", str(out), *flags)
+        assert code == 2
+        assert f"[search] {key}" in stderr
+        assert not out.exists()
 
 
 TRACED_PIPELINE = """

@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import conv2d_by_hand, finite_difference_gradients, max_relative_error
+from oracles import bigru_by_hand, conv2d_by_hand, finite_difference_gradients, max_relative_error
 from sedpipe.errors import RangeError, ShapeError, StateError
+from sedpipe.nn import CrnnArch, build_crnn
 from sedpipe.nn import layers as L
 from sedpipe.nn.loss import bce_loss
 
@@ -86,6 +87,23 @@ class TestConv2d:
         finally:
             tracemalloc.stop()
         assert peak < out.nbytes
+
+
+    def test_backward_without_input_gradient_skips_col2im(self, rng):
+        # the first layer's input gradient is never read; without it the
+        # backward holds one sample's patch matrix and the kernel gradient
+        conv = L.Conv2D(4, 64, rng=rng)
+        out = conv.forward(rng.normal(size=(2, 64, 1024, 4)), training=True)
+        dout = rng.normal(size=out.shape)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            dx = conv.backward(dout, input_grad=False)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert dx is None
+        assert peak < out.nbytes / 2
 
 
 class TestBatchNorm:
@@ -182,6 +200,27 @@ class TestMaxPoolFreq:
         errors = layer_gradient_errors(pool, x)
         assert errors["input"] < 1e-6
 
+    def test_inference_matches_training_and_keeps_no_cache(self, rng):
+        pool = L.MaxPoolFreq(5)
+        x = np.round(rng.normal(size=(2, 3, 20, 4)))  # rounding makes ties
+        trained = pool.forward(x, training=True)
+        assert np.array_equal(pool.forward(x), trained)
+        with pytest.raises(StateError):
+            pool.backward(np.ones_like(trained))
+
+    def test_nan_input_routes_each_gradient_inside_its_window(self, rng):
+        pool = L.MaxPoolFreq(4)
+        x = rng.normal(size=(2, 3, 8, 2))
+        x[0, 1, 5, 1] = np.nan
+        x[1, 2, :4, 0] = np.nan
+        out = pool.forward(x, training=True)
+        assert np.isnan(out[0, 1, 1, 1]) and np.isnan(out[1, 2, 0, 0])
+        dout = rng.normal(size=out.shape)
+        dx = pool.backward(dout).reshape(2, 3, 2, 4, 2)
+        # each window passes its gradient to exactly one of its own taps
+        assert np.array_equal(dx.sum(axis=3), dout)
+        assert np.array_equal(np.count_nonzero(dx, axis=3), np.ones(out.shape, dtype=np.intp))
+
     def test_non_divisible_factor_rejected(self, rng):
         pool = L.MaxPoolFreq(3)
         with pytest.raises(ShapeError):
@@ -222,6 +261,15 @@ class TestBiGru:
         x = rng.normal(size=(2, 5, 3))
         errors = layer_gradient_errors(gru, x)
         assert max(errors.values()) < GRAD_TOL
+
+    def test_matches_step_by_step_oracle(self, rng):
+        gru = L.BiGRU(3, 4, rng=rng)
+        for d in ("fwd", "bwd"):
+            gru.params[f"{d}_b"] = rng.normal(size=(3, 4))
+        assert not np.array_equal(gru.params["fwd_W"], gru.params["bwd_W"])
+        x = rng.normal(size=(2, 5, 3))
+        got = gru.forward(x)
+        assert max_relative_error(got, bigru_by_hand(x, gru.params)) < 1e-12
 
     def test_output_shape(self, rng):
         gru = L.BiGRU(5, 7, rng=rng)
@@ -334,3 +382,19 @@ class TestBceLoss:
         loss, dp = bce_loss(p, np.zeros((1, 2, 2)), np.zeros((1, 2), dtype=bool))
         assert loss == 0.0
         assert np.all(dp == 0.0)
+
+
+def test_model_backward_skips_only_the_first_input_gradient(rng):
+    model = build_crnn(
+        CrnnArch(n_bins=40, n_channels=2, n_classes=3, conv_layers=2, filters=4,
+                 gru_layers=1, gru_units=5, dense_units=6, dropout=0.25),
+        np.random.default_rng(3),
+    )
+    out = model.forward(rng.normal(size=(2, 16, 40, 2)), training=True, rng=np.random.default_rng(4))
+    dout = rng.normal(size=out.shape)
+    assert model.backward(dout) is None
+    graph_grads = {key: model.gradient(key).copy() for key, _ in model.parameters()}
+    for layer in reversed(model.layers):
+        dout = layer.backward(dout, input_grad=True)
+    for key, _ in model.parameters():
+        assert np.array_equal(model.gradient(key), graph_grads[key]), key

@@ -29,8 +29,8 @@ def test_same_seed_is_bit_identical():
 
 
 def test_different_seeds_differ():
-    a = synth.synth_dataset(_spec(seed=1))
-    b = synth.synth_dataset(_spec(seed=2))
+    a = list(synth.synth_dataset(_spec(seed=1)))
+    b = list(synth.synth_dataset(_spec(seed=2)))
     assert not np.array_equal(a[0][0].samples, b[0][0].samples)
 
 
