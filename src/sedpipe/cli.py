@@ -37,6 +37,7 @@ from .experiment import (
     dataset_class_names,
     random_search,
 )
+from .features import atomic_write
 from .nn import save_checkpoint
 
 log = logging.getLogger("sedpipe")
@@ -57,19 +58,17 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _write_lines(path, lines) -> None:
+    """Write newline-terminated UTF-8 lines through :func:`atomic_write`."""
+    with atomic_write(path) as fh:
+        fh.write("".join(f"{line}\n" for line in lines).encode("utf-8"))
+
+
 def cmd_synth(args) -> int:
     cfg = _load_cfg(args)
     out = Path(args.out or cfg.data.root)
     out.mkdir(parents=True, exist_ok=True)
-    spec = synth.SynthSpec(
-        n_clips=cfg.data.n_clips,
-        duration_s=cfg.data.duration_s,
-        class_count=cfg.data.class_count,
-        polyphony_max=cfg.data.polyphony_max,
-        seed=cfg.data.seed,
-        sample_rate=cfg.data.sample_rate,
-        template_mode=cfg.data.template_mode,
-    )
+    spec = cfg.data.synth_spec()
     rows = []
     n_folds = cfg.data.folds
     # round-robin clip groups; each fold tests one group, holds out the next
@@ -130,11 +129,13 @@ def cmd_train(args) -> int:
         run_dir.mkdir(parents=True, exist_ok=True)
         save_checkpoint(result.model, run_dir / "checkpoint.sedm", result.normalizer)
         h = result.history
-        with open(run_dir / "history.tsv", "w", encoding="utf-8") as fh:
-            fh.write("epoch\ttrain_loss\tmonitor_er\tmonitor_f\n")
-            for e in range(h.n_epochs):
-                fh.write(f"{e + 1}\t{_fmt(h.train_loss[e])}\t{_fmt(h.monitor_er[e])}\t{_fmt(h.monitor_f[e])}\n")
-            fh.write(f"# best_epoch\t{h.best_epoch}\n")
+        lines = ["epoch\ttrain_loss\tmonitor_er\tmonitor_f"]
+        lines += [
+            f"{e + 1}\t{_fmt(h.train_loss[e])}\t{_fmt(h.monitor_er[e])}\t{_fmt(h.monitor_f[e])}"
+            for e in range(h.n_epochs)
+        ]
+        lines.append(f"# best_epoch\t{h.best_epoch}")
+        _write_lines(run_dir / "history.tsv", lines)
         _write_metric_tsv(result.report, run_dir / "metrics.tsv")
 
     summary = cross_validate(cfg, base_dir=base, on_fold=on_fold)
@@ -145,13 +146,14 @@ def cmd_train(args) -> int:
 
 
 def _write_metric_tsv(report: metrics.MetricReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"er\t{_fmt(report.error_rate)}\n")
-        fh.write(f"f\t{_fmt(report.f_score)}\n")
-        fh.write(f"segments\t{report.n_segments}\n")
-        for key in ("tp", "fp", "fn", "n", "s", "d", "i"):
-            fh.write(f"{key}\t{report.totals[key]}\n")
-        fh.write(f"degenerate_f\t{int(report.degenerate_f)}\n")
+    lines = [
+        f"er\t{_fmt(report.error_rate)}",
+        f"f\t{_fmt(report.f_score)}",
+        f"segments\t{report.n_segments}",
+    ]
+    lines += [f"{key}\t{report.totals[key]}" for key in ("tp", "fp", "fn", "n", "s", "d", "i")]
+    lines.append(f"degenerate_f\t{int(report.degenerate_f)}")
+    _write_lines(path, lines)
 
 
 def cmd_eval(args) -> int:
@@ -220,19 +222,20 @@ def cmd_search(args) -> int:
     def on_trial(trial) -> None:
         trial_dir = out / f"trial{trial.index}"
         trial_dir.mkdir(parents=True, exist_ok=True)
-        with open(trial_dir / "config.txt", "w", encoding="utf-8") as fh:
-            fh.write(dump_config(dataclasses.replace(cfg, model=trial.model)))
-        with open(trial_dir / "metrics.tsv", "w", encoding="utf-8") as fh:
-            fh.write(f"mean_er\t{_fmt(trial.mean_er)}\n")
-            fh.write(f"std_er\t{_fmt(trial.std_er)}\n")
-            fh.write(f"mean_f\t{_fmt(trial.mean_f)}\n")
-            fh.write(f"std_f\t{_fmt(trial.std_f)}\n")
+        trial_cfg = dataclasses.replace(cfg, model=trial.model)
+        _write_lines(trial_dir / "config.txt", dump_config(trial_cfg).splitlines())
+        _write_lines(
+            trial_dir / "metrics.tsv",
+            (f"{key}\t{_fmt(getattr(trial, key))}" for key in ("mean_er", "std_er", "mean_f", "std_f")),
+        )
 
     ranked = random_search(cfg, base_dir=base, on_trial=on_trial)
-    with open(out / "ranking.tsv", "w", encoding="utf-8") as fh:
-        fh.write("rank\ttrial\tmean_er\tmean_f\n")
-        for rank, trial in enumerate(ranked, start=1):
-            fh.write(f"{rank}\t{trial.index}\t{_fmt(trial.mean_er)}\t{_fmt(trial.mean_f)}\n")
+    lines = ["rank\ttrial\tmean_er\tmean_f"]
+    lines += [
+        f"{rank}\t{trial.index}\t{_fmt(trial.mean_er)}\t{_fmt(trial.mean_f)}"
+        for rank, trial in enumerate(ranked, start=1)
+    ]
+    _write_lines(out / "ranking.tsv", lines)
     best = ranked[0]
     print(f"best trial {best.index}: ER {best.mean_er:.2f}, F {100 * best.mean_f:.1f}")
     print(out)
@@ -249,7 +252,13 @@ def cmd_report(args) -> int:
         for line in metric_file.read_text(encoding="utf-8").splitlines():
             key, _, value = line.partition("\t")
             values[key] = value
-        rows.append((metric_file.parent, float(values["er"]), float(values["f"])))
+        scores = []
+        for key in ("er", "f"):
+            try:
+                scores.append(float(values[key]))
+            except (KeyError, ValueError):
+                raise SedError(f"{metric_file}: {key!r} is missing or not a number") from None
+        rows.append((metric_file.parent, *scores))
     if not rows:
         raise SedError(f"no fold*/run*/metrics.tsv under {root}")
     print("run\tER\tF")

@@ -10,6 +10,7 @@ from pathlib import Path
 from .errors import ConfigError, RangeError
 from .features import feature_spec
 from .nn.training import TrainConfig
+from .synth import SynthSpec
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
@@ -28,8 +29,32 @@ class DataConfig:
     bit_depth: int = 24
     template_mode: str = "distinct"
 
+    def __post_init__(self):
+        """Reject bad values as the config loads, before ``synth`` makes its
+        output directory."""
+        if self.folds < 1:
+            raise ConfigError(f"[data] folds must be >= 1, got {self.folds}")
+        if self.bit_depth not in (16, 24):
+            raise ConfigError(f"[data] bit_depth must be 16 or 24, got {self.bit_depth}")
+        self.synth_spec()
+
     def manifest_path(self) -> Path:
         return Path(self.manifest) if self.manifest else Path(self.root) / "manifest.tsv"
+
+    def synth_spec(self) -> SynthSpec:
+        """The generator settings of this section."""
+        try:
+            return SynthSpec(
+                n_clips=self.n_clips,
+                duration_s=self.duration_s,
+                class_count=self.class_count,
+                polyphony_max=self.polyphony_max,
+                seed=self.seed,
+                sample_rate=self.sample_rate,
+                template_mode=self.template_mode,
+            )
+        except RangeError as exc:
+            raise ConfigError(f"[data] {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,17 @@ class FoldResult:
 
 @dataclass
 class CvSummary:
+    """ER/F over runs x folds, aggregated two ways. ``mean_*``/``std_*`` are
+    the mean and population std of the per-(run, fold) scores. ``pooled_*``
+    sum each run's segment counts over its folds, as DCASE 2017 task 3
+    scores, and average the resulting per-run score over runs."""
+
     mean_er: float
     std_er: float
     mean_f: float
     std_f: float
+    pooled_er: float
+    pooled_f: float
     rows: list[tuple[int, int, float, float]] = field(default_factory=list)  # (run, fold, er, f)
 
 
@@ -181,20 +188,13 @@ def run_seed_for(master_seed: int, run: int, fold: int) -> int:
 def cross_validate(
     cfg: ExperimentConfig,
     base_dir: str | Path = ".",
-    pooled: bool = False,
     feature_cache: dict | None = None,
     on_fold=None,
 ) -> CvSummary:
-    """Mean and population std of ER/F over runs x folds.
-
-    Default aggregation averages the final per-(run, fold) scalars; with
-    ``pooled`` the segment counts of each run's folds are pooled into one
-    score per run before averaging.
-    """
+    """Train and score every (run, fold) of the config; see :class:`CvSummary`."""
     cache = feature_cache if feature_cache is not None else {}
     rows: list[tuple[int, int, float, float]] = []
-    per_point_er: list[float] = []
-    per_point_f: list[float] = []
+    pooled: list[metrics.MetricReport] = []
     for run in range(1, cfg.train.n_runs + 1):
         run_reports = []
         for fold in cfg.train.folds:
@@ -206,22 +206,19 @@ def cross_validate(
                 on_fold(run, fold, result)
             rows.append((run, fold, result.report.error_rate, result.report.f_score))
             run_reports.append(result.report)
-        if pooled:
-            # one row of totals per fold: ER and F depend only on the sums
-            counts = metrics.SegmentCounts(
-                **{k: np.array([r.totals[k] for r in run_reports]) for k in run_reports[0].totals}
-            )
-            report = metrics.report_from_counts(counts)
-            per_point_er.append(report.error_rate)
-            per_point_f.append(report.f_score)
-        else:
-            per_point_er.extend(r.error_rate for r in run_reports)
-            per_point_f.extend(r.f_score for r in run_reports)
+        # one row of totals per fold: ER and F depend only on the sums
+        counts = metrics.SegmentCounts(
+            **{k: np.array([r.totals[k] for r in run_reports]) for k in run_reports[0].totals}
+        )
+        pooled.append(metrics.report_from_counts(counts))
+    _, _, ers, fs = zip(*rows)
     return CvSummary(
-        mean_er=float(np.mean(per_point_er)),
-        std_er=float(np.std(per_point_er)),
-        mean_f=float(np.mean(per_point_f)),
-        std_f=float(np.std(per_point_f)),
+        mean_er=float(np.mean(ers)),
+        std_er=float(np.std(ers)),
+        mean_f=float(np.mean(fs)),
+        std_f=float(np.std(fs)),
+        pooled_er=float(np.mean([r.error_rate for r in pooled])),
+        pooled_f=float(np.mean([r.f_score for r in pooled])),
         rows=rows,
     )
 

@@ -15,10 +15,12 @@ import logging
 import os
 import struct
 import warnings
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, BinaryIO, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -329,11 +331,24 @@ def chunk_sequences(tensor, roll: EventRoll, seq_len: int) -> SequenceBatch:
     )
 
 
+@contextmanager
+def atomic_write(path) -> Iterator[BinaryIO]:
+    """Open ``<path>.tmp`` for binary writing and move it over ``path`` once
+    the block completes. An exception inside the block removes the
+    temporary file, so an interrupted write leaves any old ``path`` intact
+    and never a truncated one."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_feature_archive(tensor: FeatureTensor, path) -> None:
     """Write the versioned binary archive: magic, header, float32 payload in
-    frame-major order. The bytes go to ``<path>.tmp`` first and replace
-    ``path`` only once complete, so a failed save leaves any old archive
-    intact."""
+    frame-major order, through :func:`atomic_write`."""
     f, b, ch = tensor.data.shape
     header = struct.pack(
         "<4sHHIIId",
@@ -345,14 +360,9 @@ def save_feature_archive(tensor: FeatureTensor, path) -> None:
         ch,
         tensor.hop_seconds,
     )
-    tmp = Path(f"{path}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(header)
-            fh.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with atomic_write(path) as fh:
+        fh.write(header)
+        fh.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
 
 
 def load_feature_archive(path) -> FeatureTensor:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CheckpointError, ConfigError, ShapeError
-from ..features import Normalizer
+from ..features import Normalizer, atomic_write
 from .layers import (
     BatchNorm,
     BiGRU,
@@ -242,9 +242,9 @@ def mbe_context_windows(tensor, context: int = 5) -> np.ndarray:
 def save_checkpoint(model: ModelGraph, path, normalizer: Normalizer | None = None) -> None:
     """Checkpoint layout: magic, version, JSON architecture descriptor, raw
     float64 parameter/buffer payload in declaration order, then optional
-    normalizer statistics."""
+    normalizer statistics. The file is written through :func:`atomic_write`."""
     desc = json.dumps(model.descriptor(), sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_CHECKPOINT_MAGIC)
         fh.write(struct.pack("<HI", _CHECKPOINT_VERSION, len(desc)))
         fh.write(desc)

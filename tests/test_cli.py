@@ -123,6 +123,25 @@ class TestSynth:
         assert code == 2
         assert "n_clps" in stderr
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("folds = 0", "folds"),
+            ("bit_depth = 8", "bit_depth"),
+            ("template_mode = Shared", "template_mode"),
+            ("n_clips = 0", "n_clips"),
+            ("duration_s = 0", "duration_s"),
+        ],
+    )
+    def test_bad_data_value_exits_two_before_any_work(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"[data]\n{line}\n", encoding="utf-8")
+        out = tmp_path / "d"
+        code, _, stderr = run_cli(capsys, "synth", "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert f"[data] {key}" in stderr
+        assert not out.exists()
+
 
 class TestExtract:
     @pytest.fixture
@@ -251,6 +270,18 @@ class TestTrainCommand:
         code, report_out, _ = run_cli(capsys, "report", "--runs", str(out))
         assert code == 0
         assert "mean" in report_out
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [("er\t0.5\nsegments\t4\n", "'f'"), ("er\tnan-ish\nf\t0.5\n", "'er'")],
+    )
+    def test_report_on_damaged_metrics_file_is_runtime_error(self, tmp_path, capsys, text, key):
+        metric_file = tmp_path / "runs" / "fold1" / "run1" / "metrics.tsv"
+        metric_file.parent.mkdir(parents=True)
+        metric_file.write_text(text, encoding="utf-8")
+        code, _, stderr = run_cli(capsys, "report", "--runs", str(tmp_path / "runs"))
+        assert code == 1
+        assert str(metric_file) in stderr and key in stderr
 
     @pytest.mark.parametrize(
         "key, value",

@@ -196,7 +196,7 @@ class TestCrossValidate:
             def __init__(self, er, f):
                 self.error_rate = er
                 self.f_score = f
-                self.totals = {k: 1 for k in ("tp", "fp", "fn", "n", "s", "d", "i")}
+                self.totals = {"tp": 1, "fp": 0, "fn": 0, "n": 1, "s": 0, "d": 0, "i": 0}
                 self.n_segments = 1
 
         class FakeResult:
@@ -232,7 +232,7 @@ class TestCrossValidate:
                 self.report = type(
                     "R", (), {
                         "error_rate": er, "f_score": f, "n_segments": 1,
-                        "totals": {k: 1 for k in ("tp", "fp", "fn", "n", "s", "d", "i")},
+                        "totals": {"tp": 1, "fp": 0, "fn": 0, "n": 1, "s": 0, "d": 0, "i": 0},
                     },
                 )()
 
@@ -304,7 +304,9 @@ class TestRandomSearch:
 
         def fake_cv(*args, **kwargs):
             er = next(fake)
-            return experiment.CvSummary(mean_er=er, std_er=0.0, mean_f=1 - er, std_f=0.0)
+            return experiment.CvSummary(
+                mean_er=er, std_er=0.0, mean_f=1 - er, std_f=0.0, pooled_er=er, pooled_f=1 - er
+            )
 
         monkeypatch.setattr(experiment, "cross_validate", fake_cv)
         trials = random_search(cfg, seed=5)
@@ -322,7 +324,7 @@ class TestPooledAggregation:
         fold_totals = iter(
             [
                 {"tp": 4, "fp": 1, "fn": 1, "n": 5, "s": 1, "d": 0, "i": 0},
-                {"tp": 2, "fp": 0, "fn": 3, "n": 5, "s": 0, "d": 3, "i": 0},
+                {"tp": 7, "fp": 0, "fn": 3, "n": 10, "s": 0, "d": 3, "i": 0},
             ]
         )
 
@@ -337,12 +339,15 @@ class TestPooledAggregation:
         monkeypatch.setattr(
             experiment, "run_fold", lambda *a, **k: FakeResult(next(fold_totals))
         )
-        summary = cross_validate(cfg, pooled=True)
-        # pooled: (1+0+0 + 0+3+0) / (5+5) = 0.4 rather than mean(0.2, 0.6) = 0.4
-        # with different N the two aggregations diverge; verify the count path
-        assert summary.mean_er == pytest.approx(4 / 10)
-        assert summary.mean_f == pytest.approx(2 * 6 / (12 + 1 + 4))
-        assert summary.std_er == 0.0
+        summary = cross_validate(cfg)
+        # fold ER 1/5 and 3/10, F 8/10 and 14/17: with different N the
+        # fold mean and the pooled score differ
+        assert summary.mean_er == pytest.approx((1 / 5 + 3 / 10) / 2)
+        assert summary.std_er == pytest.approx(0.05)
+        assert summary.mean_f == pytest.approx((8 / 10 + 14 / 17) / 2)
+        # pooled: (1+0+0 + 0+3+0) / (5+10) and 2*11 / (2*11 + 1 + 4)
+        assert summary.pooled_er == pytest.approx(4 / 15)
+        assert summary.pooled_f == pytest.approx(22 / 27)
 
     def test_pooled_run_without_reference_activity_is_undefined(self, tmp_path, monkeypatch):
         # run_fold is faked, so no dataset is read
@@ -356,4 +361,4 @@ class TestPooledAggregation:
             experiment, "run_fold", lambda *a, **k: type("F", (), {"report": report})()
         )
         with pytest.raises(UndefinedMetricError):
-            cross_validate(cfg, pooled=True)
+            cross_validate(cfg)

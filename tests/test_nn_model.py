@@ -193,6 +193,24 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_failed_save_keeps_old_checkpoint_and_no_temp_file(self, rng, tmp_path, monkeypatch):
+        model = build_crnn(tiny_arch(), rng)
+        path = tmp_path / "model.sedm"
+        save_checkpoint(model, path)
+        before = path.read_bytes()
+
+        arrays = list(model.state_arrays())
+
+        def state_then_fail():
+            yield from arrays[:2]
+            raise OSError("disk full")
+
+        monkeypatch.setattr(model, "state_arrays", state_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(model, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.sedm"
         path.write_bytes(b"JUNKnotacheckpoint")
