@@ -28,15 +28,9 @@ from .audio_io import (
     write_manifest,
     write_wav,
 )
-from .config import ExperimentConfig, dump_config, load_config
+from .config import ExperimentConfig, dump_config, load_config, with_section
 from .errors import ConfigError, SedError
-from .experiment import (
-    archive_name,
-    clip_features,
-    cross_validate,
-    dataset_class_names,
-    random_search,
-)
+from .experiment import archive_name, clip_features, cross_validate, random_search
 from .features import atomic_write
 from .nn import save_checkpoint
 
@@ -46,11 +40,7 @@ log = logging.getLogger("sedpipe")
 def _load_cfg(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(
-            cfg,
-            data=dataclasses.replace(cfg.data, seed=args.seed),
-            train=dataclasses.replace(cfg.train, seed=args.seed),
-        )
+        cfg = with_section(with_section(cfg, "data", seed=args.seed), "train", seed=args.seed)
     return cfg
 
 
@@ -68,7 +58,7 @@ def cmd_synth(args) -> int:
     cfg = _load_cfg(args)
     out = Path(args.out or cfg.data.root)
     out.mkdir(parents=True, exist_ok=True)
-    spec = cfg.data.synth_spec()
+    spec = synth.SynthSpec(**dataclasses.asdict(cfg.data))
     rows = []
     n_folds = cfg.data.folds
     # round-robin clip groups; each fold tests one group, holds out the next
@@ -161,7 +151,7 @@ def cmd_eval(args) -> int:
     if args.classes:
         class_names = tuple(args.classes.split(","))
     elif cfg is not None:
-        class_names = dataset_class_names(cfg)
+        class_names = synth.class_names(cfg.data)
     else:
         ref_text = Path(args.ref).read_text(encoding="utf-8")
         pred_text = Path(args.pred).read_text(encoding="utf-8")
@@ -214,7 +204,7 @@ def cmd_eval(args) -> int:
 def cmd_search(args) -> int:
     cfg = _load_cfg(args)
     if args.trials is not None:
-        cfg = dataclasses.replace(cfg, search=dataclasses.replace(cfg.search, trials=args.trials))
+        cfg = with_section(cfg, "search", trials=args.trials)
     out = Path(args.out or "runs/search")
     out.mkdir(parents=True, exist_ok=True)
     base = Path(args.data_dir or ".")

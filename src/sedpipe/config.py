@@ -1,16 +1,22 @@
-"""Experiment configuration: dataclass defaults plus a strict ``key = value``
-file reader. Unknown sections or keys are hard errors, never warnings."""
+"""Experiment configuration: one dataclass per file section, declaring each
+setting's default and its checks once, plus a strict ``key = value`` file
+reader. Unknown sections or keys are hard errors, never warnings.
+
+The runtime specs subclass their section and add only what the file does
+not set: :class:`sedpipe.synth.SynthSpec` extends :class:`DataConfig`,
+:class:`sedpipe.nn.TrainConfig` extends :class:`TrainSection` and
+:class:`sedpipe.nn.CrnnArch` extends :class:`ModelConfig`.
+"""
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, RangeError
 from .features import feature_spec
-from .nn.training import TrainConfig
-from .synth import SynthSpec
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
@@ -27,34 +33,25 @@ class DataConfig:
     folds: int = 4
     seed: int = 1234
     bit_depth: int = 24
+    # "distinct": per-class spectra (the default); "shared": all classes use
+    # one template and differ only by their stereo gain pair
     template_mode: str = "distinct"
 
     def __post_init__(self):
-        """Reject bad values as the config loads, before ``synth`` makes its
-        output directory."""
-        if self.folds < 1:
-            raise ConfigError(f"[data] folds must be >= 1, got {self.folds}")
+        """Raise RangeError for a bad value. The fold plan is checked by
+        :class:`ExperimentConfig`, as a SynthSpec needs no folds."""
+        for key in ("class_count", "polyphony_max", "n_clips"):
+            if getattr(self, key) < 1:
+                raise RangeError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.duration_s <= 0:
+            raise RangeError(f"duration_s must be positive, got {self.duration_s}")
+        if self.template_mode not in ("distinct", "shared"):
+            raise RangeError(f"template_mode must be 'distinct' or 'shared', got {self.template_mode!r}")
         if self.bit_depth not in (16, 24):
-            raise ConfigError(f"[data] bit_depth must be 16 or 24, got {self.bit_depth}")
-        self.synth_spec()
+            raise RangeError(f"bit_depth must be 16 or 24, got {self.bit_depth}")
 
     def manifest_path(self) -> Path:
         return Path(self.manifest) if self.manifest else Path(self.root) / "manifest.tsv"
-
-    def synth_spec(self) -> SynthSpec:
-        """The generator settings of this section."""
-        try:
-            return SynthSpec(
-                n_clips=self.n_clips,
-                duration_s=self.duration_s,
-                class_count=self.class_count,
-                polyphony_max=self.polyphony_max,
-                seed=self.seed,
-                sample_rate=self.sample_rate,
-                template_mode=self.template_mode,
-            )
-        except RangeError as exc:
-            raise ConfigError(f"[data] {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -72,6 +69,8 @@ class FeatureConfig:
 
     def __post_init__(self):
         feature_spec(self.feature_class)
+        if not self.multires_windows:
+            raise ConfigError("multires_windows must name at least one window")
 
     def extractor_kwargs(self) -> dict:
         fields_read = feature_spec(self.feature_class).config_fields
@@ -89,6 +88,24 @@ class ModelConfig:
     dense_units: int = 64
     dropout: float = 0.5
 
+    def __post_init__(self):
+        """Raise ConfigError for a value no bin count can make buildable;
+        :class:`sedpipe.nn.CrnnArch` adds the check that needs the bins."""
+        for key in ("conv_layers", "filters", "gru_layers", "gru_units"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.dense_layers < 0:
+            raise ConfigError(f"dense_layers must be >= 0, got {self.dense_layers}")
+        if self.dense_layers and self.dense_units < 1:
+            raise ConfigError(f"dense_units must be >= 1 with dense layers, got {self.dense_units}")
+        if self.pool_factors and len(self.pool_factors) != self.conv_layers:
+            raise ConfigError(
+                f"pool_factors {self.pool_factors} must hold one factor per conv layer "
+                f"({self.conv_layers})"
+            )
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+
 
 @dataclass(frozen=True)
 class TrainSection:
@@ -104,29 +121,21 @@ class TrainSection:
     folds: tuple[int, ...] = (1, 2, 3, 4)
 
     def __post_init__(self):
-        """Reject bad values here, so a config fails as it loads rather than
-        after the data has been read."""
-        for key in ("sequence_length", "n_runs"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"[train] {key} must be >= 1, got {getattr(self, key)}")
-        if not self.folds:
-            raise ConfigError("[train] folds must name at least one fold")
-        self.train_config(self.seed)
-
-    def train_config(self, seed: int) -> TrainConfig:
-        """The training-loop settings of this section for one run seed."""
-        try:
-            return TrainConfig(
-                learning_rate=self.learning_rate,
-                max_epochs=self.max_epochs,
-                patience=self.patience,
-                batch_size=self.batch_size,
-                seed=seed,
-                threshold=self.threshold,
-                monitor=self.monitor,
+        """Raise RangeError for a bad value."""
+        if self.learning_rate <= 0:
+            raise RangeError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 1 <= self.patience < self.max_epochs:
+            raise RangeError(
+                f"need 1 <= patience < max_epochs, got patience={self.patience}, "
+                f"max_epochs={self.max_epochs}"
             )
-        except RangeError as exc:
-            raise ConfigError(f"[train] {exc}") from None
+        for key in ("batch_size", "sequence_length", "n_runs"):
+            if getattr(self, key) < 1:
+                raise RangeError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.monitor not in ("validation", "test"):
+            raise RangeError(f"monitor must be 'validation' or 'test', got {self.monitor!r}")
+        if not self.folds:
+            raise RangeError("folds must name at least one fold")
 
 
 @dataclass(frozen=True)
@@ -143,14 +152,12 @@ class SearchSection:
     dropout: tuple[float, ...] = (0.05, 0.25, 0.5, 0.75)
 
     def __post_init__(self):
-        """Reject bad values as the config loads, before ``search`` makes
-        its output directory."""
         for key in ("trials", "n_runs"):
             if getattr(self, key) < 1:
-                raise ConfigError(f"[search] {key} must be >= 1, got {getattr(self, key)}")
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         for f in fields(self):
             if getattr(self, f.name) == ():
-                raise ConfigError(f"[search] {f.name} must name at least one candidate")
+                raise ConfigError(f"{f.name} must name at least one candidate")
 
 
 @dataclass(frozen=True)
@@ -160,6 +167,13 @@ class ExperimentConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainSection = field(default_factory=TrainSection)
     search: SearchSection = field(default_factory=SearchSection)
+
+    def __post_init__(self):
+        """Reject a fold plan that cannot train: round-robin folds need a
+        train group besides the test group, and a clip per group."""
+        folds, n_clips = self.data.folds, self.data.n_clips
+        if not 2 <= folds <= n_clips:
+            raise ConfigError(f"[data] folds must be between 2 and n_clips ({n_clips}), got {folds}")
 
 
 _SECTIONS = {
@@ -207,12 +221,11 @@ def load_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
-    sections = {}
+    cfg = ExperimentConfig()
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        cls = _SECTIONS[section]
-        known = {f.name: f for f in fields(cls)}
+        known = {f.name: f for f in fields(_SECTIONS[section])}
         values = {}
         for key, raw in parser.items(section):
             if key not in known:
@@ -224,8 +237,19 @@ def load_config(path) -> ExperimentConfig:
             else:
                 kind = {"int": int, "float": float, "bool": bool, "str": str}[f.type]
                 values[key] = _parse_value(raw, kind, key)
-        sections[section] = cls(**values)
-    return ExperimentConfig(**sections)
+        cfg = with_section(cfg, section, **values)
+    return cfg
+
+
+def with_section(cfg: ExperimentConfig, name: str, **values) -> ExperimentConfig:
+    """``cfg`` with ``values`` set in section ``name``, for the file reader
+    and for command-line overrides. This is the one place where a section's
+    RangeError or ConfigError becomes a ConfigError naming the section."""
+    try:
+        section = dataclasses.replace(getattr(cfg, name), **values)
+    except (RangeError, ConfigError) as exc:
+        raise ConfigError(f"[{name}] {exc}") from None
+    return dataclasses.replace(cfg, **{name: section})
 
 
 def dump_config(cfg: ExperimentConfig) -> str:

@@ -11,12 +11,12 @@ from pathlib import Path
 import numpy as np
 
 from . import features as feats
-from . import metrics
+from . import metrics, synth
 from .audio_io import EventRoll, ManifestRow, events_to_roll, read_annotations, read_manifest, read_wav
 from .config import ExperimentConfig, FeatureConfig, ModelConfig, SearchSection
 from .errors import ConfigError, ManifestError
 from .features import FeatureTensor, SequenceBatch, apply_normalizer, chunk_sequences, fit_normalizer
-from .nn import CrnnArch, ModelGraph, build_crnn, predict_rolls, train
+from .nn import CrnnArch, ModelGraph, TrainConfig, build_crnn, predict_rolls, train
 
 log = logging.getLogger(__name__)
 
@@ -45,10 +45,6 @@ class CvSummary:
     pooled_er: float
     pooled_f: float
     rows: list[tuple[int, int, float, float]] = field(default_factory=list)  # (run, fold, er, f)
-
-
-def dataset_class_names(cfg: ExperimentConfig) -> tuple[str, ...]:
-    return tuple(f"class{i}" for i in range(cfg.data.class_count))
 
 
 def archive_name(audio_path: str, feature_class: str) -> str:
@@ -93,13 +89,21 @@ def _load_split(
     return [cache[row.audio_path] for row in rows]
 
 
-def split_rows(rows: list[ManifestRow], fold: int) -> dict[str, list[ManifestRow]]:
+def split_rows(rows: list[ManifestRow], fold: int, monitor: str) -> dict[str, list[ManifestRow]]:
+    """The fold's rows by role; a fold that lacks a train, test or
+    ``monitor`` split is a ManifestError."""
     in_fold = [r for r in rows if r.fold == fold]
     if not in_fold:
         raise ManifestError(f"manifest has no rows for fold {fold}")
     by_role: dict[str, list[ManifestRow]] = {"train": [], "validation": [], "test": []}
     for r in in_fold:
         by_role[r.role].append(r)
+    if not by_role["train"]:
+        raise ManifestError(f"fold {fold} has no train split")
+    if not by_role["test"]:
+        raise ManifestError(f"fold {fold} has no test split")
+    if not by_role[monitor]:
+        raise ManifestError(f"fold {fold} has no {monitor} split to monitor")
     return by_role
 
 
@@ -127,20 +131,12 @@ def run_fold(
     rows = read_manifest(manifest_file)
     # manifest rows hold paths relative to the manifest's own directory
     base_dir = manifest_file.parent
-    class_names = dataset_class_names(cfg)
-    roles = split_rows(rows, fold)
-
-    if not roles["train"]:
-        raise ManifestError(f"fold {fold} has no train split")
-    if not roles["test"]:
-        raise ManifestError(f"fold {fold} has no test split")
-    monitor_role = cfg.train.monitor
-    if not roles[monitor_role]:
-        raise ManifestError(f"fold {fold} has no {monitor_role} split to monitor")
+    class_names = synth.class_names(cfg.data)
+    roles = split_rows(rows, fold, cfg.train.monitor)
 
     cache = feature_cache if feature_cache is not None else {}
     train_clips = _load_split(roles["train"], cfg, class_names, base_dir, cache)
-    monitor_clips = _load_split(roles[monitor_role], cfg, class_names, base_dir, cache)
+    monitor_clips = _load_split(roles[cfg.train.monitor], cfg, class_names, base_dir, cache)
     test_clips = _load_split(roles["test"], cfg, class_names, base_dir, cache)
 
     normalizer = fit_normalizer([tensor for tensor, _ in train_clips])
@@ -160,7 +156,7 @@ def run_fold(
     model = build_crnn(arch, init_rng)
 
     hop = sample.hop_seconds
-    tc = cfg.train.train_config(run_seed)
+    tc = TrainConfig(**{**dataclasses.asdict(cfg.train), "seed": run_seed})
     model, history = train(model, train_batch, monitor_batch, tc, hop, class_names)
 
     pairs = [
@@ -192,6 +188,9 @@ def cross_validate(
     on_fold=None,
 ) -> CvSummary:
     """Train and score every (run, fold) of the config; see :class:`CvSummary`."""
+    manifest_rows = read_manifest(Path(base_dir) / cfg.data.manifest_path())
+    for fold in cfg.train.folds:  # every fold, before the first one trains
+        split_rows(manifest_rows, fold, cfg.train.monitor)
     cache = feature_cache if feature_cache is not None else {}
     rows: list[tuple[int, int, float, float]] = []
     pooled: list[metrics.MetricReport] = []
@@ -237,17 +236,17 @@ def sample_model_config(space: SearchSection, rng: np.random.Generator, n_bins: 
     """Uniform draw from the space; configurations that :class:`CrnnArch`
     rejects are redrawn, so every returned config builds."""
     for _ in range(200):
-        candidate = ModelConfig(
-            conv_layers=int(rng.choice(space.conv_layers)),
-            filters=int(rng.choice(space.filters)),
-            pool_factors=(),
-            gru_layers=int(rng.choice(space.gru_layers)),
-            gru_units=int(rng.choice(space.gru_units)),
-            dense_layers=int(rng.choice(space.dense_layers)),
-            dense_units=int(rng.choice(space.dense_units)),
-            dropout=float(rng.choice(space.dropout)),
-        )
         try:
+            candidate = ModelConfig(
+                conv_layers=int(rng.choice(space.conv_layers)),
+                filters=int(rng.choice(space.filters)),
+                pool_factors=(),
+                gru_layers=int(rng.choice(space.gru_layers)),
+                gru_units=int(rng.choice(space.gru_units)),
+                dense_layers=int(rng.choice(space.dense_layers)),
+                dense_units=int(rng.choice(space.dense_units)),
+                dropout=float(rng.choice(space.dropout)),
+            )
             CrnnArch(n_bins=n_bins, n_channels=1, n_classes=1, **dataclasses.asdict(candidate))
         except ConfigError:
             continue

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import ModelConfig
 from ..errors import CheckpointError, ConfigError, ShapeError
 from ..features import Normalizer, atomic_write
 from .layers import (
@@ -84,10 +85,11 @@ class ModelGraph:
         return sum(p.size for _, p in self.parameters())
 
 
-@dataclass(frozen=True)
-class CrnnArch:
-    """Architecture knobs for :func:`build_crnn`; construction raises
-    :class:`ConfigError` for any architecture that cannot be built.
+@dataclass(frozen=True, kw_only=True)
+class CrnnArch(ModelConfig):
+    """The ``[model]`` section sized to the data, for :func:`build_crnn`;
+    construction raises :class:`ConfigError` for any architecture that
+    cannot be built.
 
     ``pool_factors`` must multiply to ``n_bins // 2`` so the conv block ends
     at (T, 2, filters); leave it empty to derive a plan automatically.
@@ -96,30 +98,10 @@ class CrnnArch:
     n_bins: int
     n_channels: int
     n_classes: int
-    conv_layers: int = 3
-    filters: int = 64
-    pool_factors: tuple[int, ...] = ()
-    gru_layers: int = 2
-    gru_units: int = 64
-    dense_layers: int = 1
-    dense_units: int = 64
-    dropout: float = 0.5
 
     def __post_init__(self):
-        pools = self.pools
-        if len(pools) != self.conv_layers:
-            raise ConfigError(
-                f"{self.conv_layers} conv layers need {self.conv_layers} pool factors, got {pools}"
-            )
-        validate_pools(self.n_bins, pools)
-        if self.dense_layers < 0:
-            raise ConfigError(f"dense_layers must be >= 0, got {self.dense_layers}")
-        if self.filters < 1 or self.gru_units < 1 or (self.dense_layers and self.dense_units < 1):
-            raise ConfigError("layer widths must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.gru_layers < 1:
-            raise ConfigError("the architecture requires at least one recurrent layer")
+        super().__post_init__()
+        validate_pools(self.n_bins, self.pools)
 
     @property
     def pools(self) -> tuple[int, ...]:

@@ -15,7 +15,8 @@ import numpy as np
 
 from .. import metrics
 from ..audio_io import EventRoll
-from ..errors import RangeError, StateError
+from ..config import TrainSection
+from ..errors import StateError
 from ..features import SequenceBatch
 from .loss import bce_loss
 from .model import ModelGraph
@@ -25,28 +26,11 @@ log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 1e-4
-    max_epochs: int = 500
-    patience: int = 100
-    batch_size: int = 8
-    seed: int = 1
-    threshold: float = 0.5
-    monitor: str = "validation"
-    segment_seconds: float = 1.0
+class TrainConfig(TrainSection):
+    """The ``[train]`` section plus the scoring segment the file does not
+    set; its checks are the section's, so a bad value raises RangeError."""
 
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise RangeError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not 1 <= self.patience < self.max_epochs:
-            raise RangeError(
-                f"need 1 <= patience < max_epochs, got patience={self.patience}, "
-                f"max_epochs={self.max_epochs}"
-            )
-        if self.batch_size < 1:
-            raise RangeError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.monitor not in ("validation", "test"):
-            raise RangeError(f"monitor must be 'validation' or 'test', got {self.monitor!r}")
+    segment_seconds: float = 1.0
 
 
 @dataclass

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioClip, Event, event_frame_span
-from .errors import RangeError
+from .config import DataConfig
 
 _HARMONIC_AMPS = (1.0, 0.5, 0.25)
 _NOISE_PARTIALS = 12
@@ -26,34 +26,16 @@ _FRAME_S = 0.02  # grid used for the polyphony cap, matching the feature hop
 
 
 @dataclass(frozen=True)
-class SynthSpec:
-    n_clips: int = 24
-    duration_s: float = 10.0
-    class_count: int = 6
-    polyphony_max: int = 3
-    seed: int = 1234
-    sample_rate: int = 44100
+class SynthSpec(DataConfig):
+    """The ``[data]`` section plus the event statistics the file does not
+    set; its checks are the section's, so a bad value raises RangeError."""
+
     events_per_clip: tuple[int, int] = (4, 10)
     event_duration: tuple[float, float] = (0.4, 1.8)
-    # "distinct": per-class spectra (the default); "shared": all classes use
-    # one template and differ only by their stereo gain pair
-    template_mode: str = "distinct"
-
-    def __post_init__(self):
-        if self.class_count < 1:
-            raise RangeError(f"class_count must be >= 1, got {self.class_count}")
-        if self.polyphony_max < 1:
-            raise RangeError(f"polyphony_max must be >= 1, got {self.polyphony_max}")
-        if self.n_clips < 1:
-            raise RangeError(f"n_clips must be >= 1, got {self.n_clips}")
-        if self.duration_s <= 0:
-            raise RangeError(f"duration_s must be positive, got {self.duration_s}")
-        if self.template_mode not in ("distinct", "shared"):
-            raise RangeError(f"template_mode must be 'distinct' or 'shared', got {self.template_mode!r}")
 
 
-def class_names(spec: SynthSpec) -> tuple[str, ...]:
-    return tuple(f"class{i}" for i in range(spec.class_count))
+def class_names(data: DataConfig) -> tuple[str, ...]:
+    return tuple(f"class{i}" for i in range(data.class_count))
 
 
 def class_fundamentals(spec: SynthSpec) -> np.ndarray:

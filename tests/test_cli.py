@@ -131,6 +131,8 @@ class TestSynth:
             ("template_mode = Shared", "template_mode"),
             ("n_clips = 0", "n_clips"),
             ("duration_s = 0", "duration_s"),
+            ("folds = 1", "folds"),  # every clip would test, none train
+            ("n_clips = 3\nfolds = 4", "folds"),  # fold 4 would get no test clip
         ],
     )
     def test_bad_data_value_exits_two_before_any_work(self, tmp_path, capsys, line, key):
@@ -200,6 +202,22 @@ class TestExtract:
         )
         assert code == 2
         assert "mfcc" in stderr
+        assert not (tmp_path / "features").exists()
+
+    def test_empty_multires_windows_exits_two_naming_it(self, dataset, capsys, tmp_path):
+        cfg, data = dataset
+        cfg.write_text(
+            cfg.read_text(encoding="utf-8").replace(
+                "feature_class = mbe", "feature_class = bin-mul-mbe\nmultires_windows ="
+            ),
+            encoding="utf-8",
+        )
+        code, _, stderr = run_cli(
+            capsys, "extract", "--config", str(cfg), "--data-dir", str(data),
+            "--out", str(tmp_path / "features"),
+        )
+        assert code == 2
+        assert "[features] multires_windows" in stderr
         assert not (tmp_path / "features").exists()
 
 
@@ -302,6 +320,34 @@ class TestTrainCommand:
         assert code == 2
         assert key in stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value", [("dropout", "1.5"), ("dense_layers", "-1"), ("gru_layers", "0"), ("filters", "0")]
+    )
+    def test_bad_model_value_exits_two_before_any_work(self, tmp_path, capsys, key, value):
+        cfg = small_synth_config(tmp_path)
+        lines = cfg.read_text(encoding="utf-8").splitlines()
+        cfg.write_text(
+            "\n".join(f"{key} = {value}" if line.startswith(f"{key} =") else line for line in lines) + "\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "runs" / "bad"
+        code, _, stderr = run_cli(capsys, "train", "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert f"[model] {key}" in stderr
+        assert not out.exists()
+
+    def test_missing_fold_exits_one_before_any_fold_trains(self, tmp_path, capsys):
+        cfg = small_synth_config(tmp_path)
+        data = tmp_path / "data"
+        run_cli(capsys, "synth", "--config", str(cfg), "--out", str(data))
+        text = cfg.read_text(encoding="utf-8").replace("[data]", f"[data]\nroot = {data}")
+        cfg.write_text(text.replace("\nfolds = 1\n", "\nfolds = 1,5\n"), encoding="utf-8")
+        out = tmp_path / "runs" / "demo"
+        code, _, stderr = run_cli(capsys, "train", "--config", str(cfg), "--out", str(out))
+        assert code == 1
+        assert "fold 5" in stderr
+        assert not (out / "fold1").exists()
 
 
 class TestLogging:

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import inspect
+from dataclasses import fields
+
 import pytest
 
-from sedpipe.config import ExperimentConfig, dump_config, load_config
+from sedpipe.config import DataConfig, ExperimentConfig, ModelConfig, TrainSection, dump_config, load_config
 from sedpipe.errors import ConfigError
+from sedpipe.nn import CrnnArch, TrainConfig
+from sedpipe.synth import SynthSpec
 
 
 def test_defaults_mirror_the_reference_recipe():
@@ -86,3 +91,19 @@ def test_dump_round_trips(tmp_path):
     path = tmp_path / "dumped.cfg"
     path.write_text(dump_config(cfg), encoding="utf-8")
     assert load_config(path) == cfg
+
+
+@pytest.mark.parametrize(
+    "spec, section, added",
+    [
+        (SynthSpec, DataConfig, {"events_per_clip", "event_duration"}),
+        (TrainConfig, TrainSection, {"segment_seconds"}),
+        (CrnnArch, ModelConfig, {"n_bins", "n_channels", "n_classes"}),
+    ],
+)
+def test_runtime_spec_extends_its_section_with_only_what_the_file_does_not_set(spec, section, added):
+    assert issubclass(spec, section)
+    # the spec declares no setting of its section again, so each default
+    # and each check lives in config.py alone
+    assert set(inspect.get_annotations(spec)) == added
+    assert {f.name for f in fields(spec)} == {f.name for f in fields(section)} | added

@@ -56,7 +56,7 @@ class TestSplitRows:
     def test_roles_partition_fold(self, tmp_path):
         manifest = write_dataset(tmp_path / "data", n_clips=4, folds=4)
         rows = read_manifest(manifest)
-        roles = split_rows(rows, 1)
+        roles = split_rows(rows, 1, "validation")
         assert {r.role for r in rows if r.fold == 1} == {"train", "validation", "test"}
         all_clips = {r.audio_path for r in rows if r.fold == 1}
         covered = {r.audio_path for v in roles.values() for r in v}
@@ -73,7 +73,7 @@ class TestSplitRows:
     def test_missing_fold_rejected(self, tmp_path):
         manifest = write_dataset(tmp_path / "data", n_clips=2, folds=2)
         with pytest.raises(ManifestError):
-            split_rows(read_manifest(manifest), 7)
+            split_rows(read_manifest(manifest), 7, "test")
 
 
 class TestRunFold:
@@ -271,6 +271,11 @@ class TestRandomSearch:
             assert mc.gru_units >= 1
             CrnnArch(n_bins=40, n_channels=1, n_classes=1, **dataclasses.asdict(mc))
 
+    def test_sampler_redraws_zero_width_gru_units(self):
+        space = SearchSection(gru_units=(0, 8))
+        rng = np.random.default_rng(1)
+        assert {sample_model_config(space, rng, n_bins=40).gru_units for _ in range(20)} == {8}
+
     def test_empty_space_raises(self):
         space = SearchSection(gru_units=(0,))
         with pytest.raises(ConfigError):
@@ -350,8 +355,9 @@ class TestPooledAggregation:
         assert summary.pooled_f == pytest.approx(22 / 27)
 
     def test_pooled_run_without_reference_activity_is_undefined(self, tmp_path, monkeypatch):
-        # run_fold is faked, so no dataset is read
-        cfg = desk_config(tmp_path / "manifest.tsv", epochs=2)
+        # run_fold is faked; cross_validate reads only the manifest, to check
+        # every fold before the first trains
+        cfg = desk_config(write_dataset(tmp_path / "data"), epochs=2)
         cfg = dataclasses.replace(
             cfg, train=dataclasses.replace(cfg.train, folds=(1, 2), n_runs=1)
         )

@@ -1,0 +1,42 @@
+"""Every import in ``src/`` and ``scripts/`` is used.
+
+A name counts as used when the module reads it anywhere, in code or in an
+annotation; no annotation here is a string, so each one is a Name node.
+``__future__`` imports, lines marked ``# noqa`` and package ``__init__``
+modules, whose imports are re-exports, are skipped.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(
+    p for d in ("src", "scripts") for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py"
+)
+
+
+def unused_imports(path: Path) -> list[str]:
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in read and "# noqa" not in lines[alias.lineno - 1]:
+                unused.append(f"{path.relative_to(ROOT)}:{alias.lineno}: {bound}")
+    return unused
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
