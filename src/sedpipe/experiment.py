@@ -121,14 +121,16 @@ def run_fold(
     seed: int | None = None,
     base_dir: str | Path = ".",
     feature_cache: dict | None = None,
+    manifest_rows: list[ManifestRow] | None = None,
 ) -> FoldResult:
     """Train on the fold's train split and score its test split.
 
     The monitored split follows ``cfg.train.monitor`` (validation unless the
-    config explicitly asks for the test split).
+    config explicitly asks for the test split). ``manifest_rows`` are the
+    config's manifest, already read; without them the manifest is read here.
     """
     manifest_file = Path(base_dir) / cfg.data.manifest_path()
-    rows = read_manifest(manifest_file)
+    rows = read_manifest(manifest_file) if manifest_rows is None else manifest_rows
     # manifest rows hold paths relative to the manifest's own directory
     base_dir = manifest_file.parent
     class_names = synth.class_names(cfg.data)
@@ -199,7 +201,7 @@ def cross_validate(
         for fold in cfg.train.folds:
             result = run_fold(
                 cfg, fold, seed=run_seed_for(cfg.train.seed, run, fold),
-                base_dir=base_dir, feature_cache=cache,
+                base_dir=base_dir, feature_cache=cache, manifest_rows=manifest_rows,
             )
             if on_fold is not None:
                 on_fold(run, fold, result)

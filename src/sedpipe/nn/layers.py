@@ -3,7 +3,9 @@
 Array conventions: the convolutional block works on (S, T, B, F) volumes
 (batch, time, frequency bins, feature maps); the recurrent and dense block
 works on (S, T, D). Every layer caches what its backward pass needs during
-forward, so forward/backward pairs must not interleave across calls.
+forward, so forward/backward pairs must not interleave across calls; batch
+norm's backward consumes its cache. A layer may overwrite its argument only
+when called with ``owned=True`` (see :meth:`sedpipe.nn.ModelGraph.forward`).
 """
 
 from __future__ import annotations
@@ -35,20 +37,28 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> 
 
 class Layer:
     """Base: subclasses fill ``params``/``grads`` dicts and declare
-    ``param_order`` (and ``buffer_order`` for non-trained state)."""
+    ``param_order`` (and ``buffer_order`` for non-trained state).
+
+    ``keeps_output`` marks a layer that caches its forward output for
+    backward, so the next layer must not overwrite it; ``passes_through``
+    one whose forward or backward may return its argument or a view of it,
+    which is then owned only if the argument was.
+    """
 
     param_order: tuple[str, ...] = ()
     buffer_order: tuple[str, ...] = ()
+    keeps_output = False
+    passes_through = False
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self.buffers: dict[str, np.ndarray] = {}
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, training=False, rng=None, owned=False):
         raise NotImplementedError
 
-    def backward(self, dout, input_grad=True):
+    def backward(self, dout, input_grad=True, owned=False):
         """Fill ``grads`` and return the input gradient; a layer may skip
         that gradient and return None when ``input_grad`` is False."""
         raise NotImplementedError
@@ -92,7 +102,7 @@ class Conv2D(Layer):
         self.params = {"kernels": kernels}
         self._cache = None
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, training=False, rng=None, owned=False):
         if x.ndim != 4 or x.shape[3] != self.in_channels:
             raise ShapeError(
                 f"conv2d expects (S, T, B, {self.in_channels}), got shape {x.shape}"
@@ -106,7 +116,7 @@ class Conv2D(Layer):
         self._cache = xp
         return out.reshape(s, t, b, self.filters)
 
-    def backward(self, dout, input_grad=True):
+    def backward(self, dout, input_grad=True, owned=False):
         if self._cache is None:
             raise StateError("conv2d backward before forward")
         xp = self._cache
@@ -133,12 +143,21 @@ class Conv2D(Layer):
         return {"type": "conv2d", "in_channels": self.in_channels, "filters": self.filters}
 
 
+def _writable(a, owned):
+    """``a`` if the caller owns it and it is float64, else a new float64
+    array of its shape: the ``out=`` of a step that may overwrite ``a``."""
+    return a if owned and a.dtype == np.float64 else np.empty(a.shape)
+
+
 class BatchNorm(Layer):
     """Per-feature-map normalization over all leading axes.
 
     Training mode normalizes with batch statistics and folds them into the
     running estimates (momentum 0.9); inference normalizes with the running
-    estimates and fails if none exist yet.
+    estimates and fails if none exist yet. An owned input becomes x̂ in
+    training and the output in inference, and an owned ``dout`` becomes the
+    input gradient: only the training output is a new activation-sized
+    array.
     """
 
     param_order = ("gamma", "beta")
@@ -157,7 +176,7 @@ class BatchNorm(Layer):
         }
         self._cache = None
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, training=False, rng=None, owned=False):
         if x.shape[-1] != self.n_features:
             raise ShapeError(f"batch norm expects {self.n_features} feature maps, got {x.shape[-1]}")
         x2 = x.reshape(-1, self.n_features)
@@ -166,7 +185,7 @@ class BatchNorm(Layer):
             # einsum reductions over axis 0 run several times faster than
             # .mean(axis=0) when F is small, with the same summation order
             mean = np.einsum("ij->j", x2) / x2.shape[0]
-            x_hat = x2 - mean
+            x_hat = np.subtract(x2, mean, out=_writable(x2, owned))
             var = np.einsum("ij,ij->j", x_hat, x_hat) / x2.shape[0]
             m = self.momentum
             self.buffers["running_mean"] = m * self.buffers["running_mean"] + (1 - m) * mean
@@ -181,23 +200,25 @@ class BatchNorm(Layer):
             if self.buffers["updates"][0] == 0:
                 raise StateError("batch norm inference before any training update")
             scale = gamma / np.sqrt(self.buffers["running_var"] + self.eps)
-            out = x2 * scale
+            out = np.multiply(x2, scale, out=_writable(x2, owned))
             out += beta - self.buffers["running_mean"] * scale
         return out.reshape(x.shape)
 
-    def backward(self, dout, input_grad=True):
+    def backward(self, dout, input_grad=True, owned=False):
         if self._cache is None:
-            raise StateError("batch norm backward requires a training-mode forward")
+            raise StateError("batch norm backward needs a training-mode forward since its last backward")
         x_hat, inv_std = self._cache
+        self._cache = None  # x_hat is overwritten below
         d = dout.reshape(x_hat.shape)
         m = d.shape[0]
         dbeta = np.einsum("ij->j", d)
         dgamma = np.einsum("ij,ij->j", d, x_hat)
         self.grads["gamma"] = dgamma
         self.grads["beta"] = dbeta
-        dx = d * m
+        dx = np.multiply(d, m, out=_writable(d, owned))
         dx -= dbeta
-        dx -= x_hat * dgamma
+        x_hat *= dgamma
+        dx -= x_hat
         dx *= self.params["gamma"] * inv_std / m
         return dx.reshape(dout.shape)
 
@@ -224,7 +245,7 @@ class MaxPoolFreq(Layer):
         self.factor = factor
         self._cache = None
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, training=False, rng=None, owned=False):
         s, t, b, f = x.shape
         if b % self.factor:
             raise ShapeError(f"pool factor {self.factor} does not divide {b} bins")
@@ -246,7 +267,7 @@ class MaxPoolFreq(Layer):
             self._cache = (arg, x.shape)
         return out
 
-    def backward(self, dout, input_grad=True):
+    def backward(self, dout, input_grad=True, owned=False):
         if self._cache is None:
             raise StateError("max pool backward requires a training-mode forward")
         arg, shape = self._cache
@@ -262,6 +283,8 @@ class MaxPoolFreq(Layer):
 class Dropout(Layer):
     """Inverted dropout: identity at inference, mask/keep scaling in training."""
 
+    passes_through = True
+
     def __init__(self, rate: float):
         super().__init__()
         if not 0.0 <= rate < 1.0:
@@ -269,7 +292,7 @@ class Dropout(Layer):
         self.rate = rate
         self._mask = None
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, training=False, rng=None, owned=False):
         if not training or self.rate == 0.0:
             self._mask = None
             return x
@@ -279,7 +302,7 @@ class Dropout(Layer):
         self._mask = (rng.random(x.shape) >= self.rate) / keep
         return x * self._mask
 
-    def backward(self, dout, input_grad=True):
+    def backward(self, dout, input_grad=True, owned=False):
         if self._mask is None:
             return dout
         return dout * self._mask
@@ -291,18 +314,20 @@ class Dropout(Layer):
 class FlattenFreq(Layer):
     """(S, T, B, F) -> (S, T, B*F): joins the conv block to the recurrent one."""
 
+    passes_through = True
+
     def __init__(self):
         super().__init__()
         self._shape = None
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, training=False, rng=None, owned=False):
         if x.ndim != 4:
             raise ShapeError(f"flatten expects a 4-D volume, got shape {x.shape}")
         self._shape = x.shape
         s, t, b, f = x.shape
         return x.reshape(s, t, b * f)
 
-    def backward(self, dout, input_grad=True):
+    def backward(self, dout, input_grad=True, owned=False):
         return dout.reshape(self._shape)
 
     def descriptor(self):
@@ -355,7 +380,7 @@ class BiGRU(Layer):
         w = np.stack([self.params[f"{d}_{name}"] for d in _DIRECTIONS])
         return w.transpose(0, 2, 1, 3).reshape(2, w.shape[2], -1)
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, training=False, rng=None, owned=False):
         if x.ndim != 3 or x.shape[2] != self.in_dim:
             raise ShapeError(f"bigru expects (S, T, {self.in_dim}), got shape {x.shape}")
         s, t, dim = x.shape
@@ -381,7 +406,7 @@ class BiGRU(Layer):
         self._cache = (x, w, u_rec, hs, gates, rh)
         return np.concatenate((hs[0, :, 1:], hs[1, :, :0:-1]), axis=2)
 
-    def backward(self, dout, input_grad=True):
+    def backward(self, dout, input_grad=True, owned=False):
         if self._cache is None:
             raise StateError("bigru backward before forward")
         x, w, u_rec, hs, gates, rh = self._cache
@@ -448,9 +473,11 @@ ACTIVATIONS = tuple(_ACTIVATION_TABLE)
 
 
 class TimeDense(Layer):
-    """Shared dense map applied to every frame: out[t] = act(in[t] @ W + b)."""
+    """Shared dense map applied to every frame: out[t] = act(in[t] @ W + b).
+    The output is cached, since the activation derivative reads it."""
 
     param_order = ("W", "b")
+    keeps_output = True
 
     def __init__(self, in_dim: int, units: int, activation: str = "linear",
                  rng: np.random.Generator | None = None):
@@ -468,14 +495,14 @@ class TimeDense(Layer):
         self.params = {"W": w, "b": np.zeros(units)}
         self._cache = None
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, training=False, rng=None, owned=False):
         if x.ndim != 3 or x.shape[2] != self.in_dim:
             raise ShapeError(f"time dense expects (S, T, {self.in_dim}), got shape {x.shape}")
         out = _ACTIVATION_TABLE[self.activation][0](x @ self.params["W"] + self.params["b"])
         self._cache = (x, out)
         return out
 
-    def backward(self, dout, input_grad=True):
+    def backward(self, dout, input_grad=True, owned=False):
         if self._cache is None:
             raise StateError("time dense backward before forward")
         x, out = self._cache

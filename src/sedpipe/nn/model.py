@@ -11,7 +11,7 @@ import numpy as np
 
 from ..config import ModelConfig
 from ..errors import CheckpointError, ConfigError, ShapeError
-from ..features import Normalizer, atomic_write
+from ..features import FeatureTensor, Normalizer, atomic_write
 from .layers import (
     BatchNorm,
     BiGRU,
@@ -40,15 +40,26 @@ class ModelGraph:
         self.layers = layers
 
     def forward(self, x, training=False, rng=None):
+        """Run the stack. Each layer is told whether its argument is owned:
+        made by the previous layer and referenced by nothing else, so it may
+        be overwritten. The caller's ``x`` is never owned, nor is anything
+        a pass-through layer returns of it or an output its layer keeps."""
+        owned = False
         for layer in self.layers:
-            x = layer.forward(x, training=training, rng=rng)
+            x = layer.forward(x, training=training, rng=rng, owned=owned)
+            owned = owned if layer.passes_through else not layer.keeps_output
         return x
 
     def backward(self, dout) -> None:
-        """Fill every layer's ``grads``. The first layer computes no input
-        gradient: nothing reads the gradient of the model's input."""
+        """Fill every layer's ``grads``, with ownership of each gradient as in
+        :meth:`forward`; ``dout`` itself is never written. The first layer
+        computes no input gradient: nothing reads the gradient of the
+        model's input."""
+        owned = False
         for i in reversed(range(len(self.layers))):
-            dout = self.layers[i].backward(dout, input_grad=i > 0)
+            layer = self.layers[i]
+            dout = layer.backward(dout, input_grad=i > 0, owned=owned)
+            owned = owned or not layer.passes_through
 
     def parameters(self):
         for i, layer in enumerate(self.layers):
@@ -205,8 +216,6 @@ def mbe_context_windows(tensor, context: int = 5) -> np.ndarray:
 
     (F, n_mels, 1) -> (F, n_mels*context, 1), centered windows.
     """
-    from ..features import FeatureTensor  # local to avoid import cycle at module load
-
     if isinstance(tensor, FeatureTensor):
         if tensor.feature_class != "mbe":
             raise ConfigError(f"the baseline takes mbe features, got {tensor.feature_class!r}")

@@ -184,6 +184,23 @@ class TestCrossValidate:
         assert summary.std_er == 0.0
         assert summary.mean_f == direct.report.f_score
 
+    def test_reads_the_manifest_once(self, tmp_path, monkeypatch):
+        manifest = write_dataset(tmp_path / "data")
+        cfg = desk_config(manifest, epochs=2)
+        cfg = dataclasses.replace(
+            cfg, train=dataclasses.replace(cfg.train, folds=(1, 2), n_runs=2)
+        )
+        reads = []
+
+        def counting_read(path):
+            reads.append(path)
+            return read_manifest(path)
+
+        monkeypatch.setattr(experiment, "read_manifest", counting_read)
+        summary = cross_validate(cfg)
+        assert len(summary.rows) == 4
+        assert len(reads) == 1
+
     def test_mean_std_match_hand_computation(self, tmp_path, monkeypatch):
         manifest = write_dataset(tmp_path / "data")
         cfg = desk_config(manifest, epochs=2)

@@ -137,6 +137,14 @@ class TestBatchNorm:
         b = bn.forward(x[:1], training=False)
         assert np.array_equal(a[:1], b)
 
+    def test_second_backward_is_state_error(self, rng):
+        # backward consumes x-hat, so a repeat must not return wrong numbers
+        bn = L.BatchNorm(2)
+        out = bn.forward(rng.normal(size=(2, 3, 4, 2)), training=True)
+        bn.backward(np.ones_like(out))
+        with pytest.raises(StateError):
+            bn.backward(np.ones_like(out))
+
     def test_gradients_match_finite_differences(self, rng):
         bn = L.BatchNorm(3)
         bn.params["gamma"] = rng.normal(size=3) + 1.5
@@ -390,10 +398,13 @@ def test_model_backward_skips_only_the_first_input_gradient(rng):
                  gru_layers=1, gru_units=5, dense_units=6, dropout=0.25),
         np.random.default_rng(3),
     )
-    out = model.forward(rng.normal(size=(2, 16, 40, 2)), training=True, rng=np.random.default_rng(4))
+    x = rng.normal(size=(2, 16, 40, 2))
+    out = model.forward(x, training=True, rng=np.random.default_rng(4))
     dout = rng.normal(size=out.shape)
     assert model.backward(dout) is None
     graph_grads = {key: model.gradient(key).copy() for key, _ in model.parameters()}
+    # batch norm's backward consumes its cache: redo the same forward first
+    model.forward(x, training=True, rng=np.random.default_rng(4))
     for layer in reversed(model.layers):
         dout = layer.backward(dout, input_grad=True)
     for key, _ in model.parameters():

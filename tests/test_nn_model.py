@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -294,3 +296,108 @@ def test_model_graph_from_descriptor_rebuilds_same_topology(rng):
     rebuilt = ModelGraph.from_descriptor(model.descriptor())
     assert rebuilt.descriptor() == model.descriptor()
     assert rebuilt.n_parameters() == model.n_parameters()
+
+
+# graphs in which batch norm's argument is, or is not, the graph's own; each
+# takes (2, 4, 5, 3) inputs
+OWNERSHIP_GRAPHS = {
+    "batch_norm_first": [
+        {"type": "batch_norm", "n_features": 3},
+        {"type": "conv2d", "in_channels": 3, "filters": 2},
+    ],
+    "after_dropout_zero": [
+        {"type": "dropout", "rate": 0.0},
+        {"type": "batch_norm", "n_features": 3},
+        {"type": "conv2d", "in_channels": 3, "filters": 2},
+    ],
+    "after_flatten": [
+        {"type": "flatten_freq"},
+        {"type": "batch_norm", "n_features": 15},
+        {"type": "time_dense", "in_dim": 15, "units": 2, "activation": "linear"},
+    ],
+    # tanh's derivative reads the output time dense keeps, so a batch norm
+    # that overwrote it would break the gradients
+    "after_kept_output": [
+        {"type": "flatten_freq"},
+        {"type": "time_dense", "in_dim": 15, "units": 4, "activation": "tanh"},
+        {"type": "batch_norm", "n_features": 4},
+        {"type": "time_dense", "in_dim": 4, "units": 2, "activation": "linear"},
+    ],
+    "owned_view_after_flatten": [
+        {"type": "conv2d", "in_channels": 3, "filters": 2},
+        {"type": "flatten_freq"},
+        {"type": "batch_norm", "n_features": 10},
+    ],
+}
+
+
+class TestOwnedActivations:
+    @pytest.mark.parametrize("name", list(OWNERSHIP_GRAPHS))
+    def test_graph_keeps_caller_arrays_and_exact_gradients(self, rng, name):
+        model = ModelGraph.from_descriptor(OWNERSHIP_GRAPHS[name])
+        for _, p in model.parameters():
+            p[...] = rng.normal(size=p.shape) + 0.5
+        x = rng.normal(size=(2, 4, 5, 3))
+        x_before = x.copy()
+        out = model.forward(x, training=True)
+        proj = rng.normal(size=out.shape)
+        proj_before = proj.copy()
+        model.backward(proj)
+        model.forward(x, training=False)
+        assert np.array_equal(x, x_before)
+        assert np.array_equal(proj, proj_before)
+
+        def loss():
+            return float((model.forward(x, training=True) * proj).sum())
+
+        for key, p in model.parameters():
+            (fd,) = finite_difference_gradients(loss, [p])
+            assert max_relative_error(model.gradient(key), fd) < 1e-5, key
+
+    def test_crnn_step_keeps_caller_arrays_and_equals_direct_layer_calls(self, rng):
+        # direct calls own nothing, so they take batch norm's copying path
+        arch = tiny_arch(n_channels=2, conv_layers=2, pool_factors=(5, 4), filters=3, dropout=0.25)
+        graph, direct = build_crnn(arch, np.random.default_rng(5)), build_crnn(arch, np.random.default_rng(5))
+        x = rng.normal(size=(2, 8, 40, 2))
+        x_before = x.copy()
+        out = graph.forward(x, training=True, rng=np.random.default_rng(6))
+        dout = rng.normal(size=out.shape)
+        dout_before = dout.copy()
+        graph.backward(dout)
+        assert np.array_equal(x, x_before)
+        assert np.array_equal(dout, dout_before)
+        h, drop = x, np.random.default_rng(6)
+        for layer in direct.layers:
+            h = layer.forward(h, training=True, rng=drop)
+        assert np.array_equal(h, out)
+        g = dout
+        for layer in reversed(direct.layers):
+            g = layer.backward(g)
+        for key, _ in graph.parameters():
+            assert np.array_equal(graph.gradient(key), direct.gradient(key)), key
+        h = x
+        for layer in direct.layers:
+            h = layer.forward(h, training=False)
+        assert np.array_equal(graph.forward(x, training=False), h)
+
+    def test_full_step_peak_below_four_conv1_outputs(self):
+        # a small bin-fft step; the bound scales with conv1's output, the
+        # largest activation of the step
+        s, t, b, c, filters = 2, 16, 1024, 4, 16
+        model = build_crnn(
+            CrnnArch(n_bins=b, n_channels=c, n_classes=3, filters=filters), np.random.default_rng(0)
+        )
+        data = np.random.default_rng(1)
+        x = data.normal(size=(s, t, b, c))
+        y = (data.random((s, t, 3)) < 0.3).astype(float)
+        mask = np.ones((s, t), dtype=bool)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            out = model.forward(x, training=True, rng=data)
+            _, dpred = bce_loss(out, y, mask)
+            model.backward(dpred)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * s * t * b * filters * 8
