@@ -2,6 +2,10 @@
 setting's default and its checks once, plus a strict ``key = value`` file
 reader. Unknown sections or keys are hard errors, never warnings.
 
+The ``[features]`` section is :class:`sedpipe.features.FeatureConfig`,
+declared beside the feature table it is checked against and read by the
+extractors themselves.
+
 The runtime specs subclass their section and add only what the file does
 not set: :class:`sedpipe.synth.SynthSpec` extends :class:`DataConfig`,
 :class:`sedpipe.nn.TrainConfig` extends :class:`TrainSection` and
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, RangeError
-from .features import feature_spec
+from .features import FeatureConfig
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
@@ -52,29 +56,6 @@ class DataConfig:
 
     def manifest_path(self) -> Path:
         return Path(self.manifest) if self.manifest else Path(self.root) / "manifest.tsv"
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    feature_class: str = "mbe"
-    n_mels: int = 40
-    f_min: float = 0.0
-    f_max: float = 22050.0
-    window_ms: float = 40.0
-    hop_ms: float = 20.0
-    fft_size: int = 2048
-    multires_windows: tuple[int, ...] = (1024, 4096, 16384)
-    fft_log_magnitude: bool = False
-    archive_dir: str = ""  # feature cache: read when an archive exists, written on a miss
-
-    def __post_init__(self):
-        feature_spec(self.feature_class)
-        if not self.multires_windows:
-            raise ConfigError("multires_windows must name at least one window")
-
-    def extractor_kwargs(self) -> dict:
-        fields_read = feature_spec(self.feature_class).config_fields
-        return {name: getattr(self, name) for name in fields_read}
 
 
 @dataclass(frozen=True)

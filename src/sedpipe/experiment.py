@@ -15,8 +15,8 @@ from . import metrics, synth
 from .audio_io import EventRoll, ManifestRow, events_to_roll, read_annotations, read_manifest, read_wav
 from .config import ExperimentConfig, FeatureConfig, ModelConfig, SearchSection
 from .errors import ConfigError, ManifestError
-from .features import FeatureTensor, SequenceBatch, apply_normalizer, chunk_sequences, fit_normalizer
-from .nn import CrnnArch, ModelGraph, TrainConfig, build_crnn, predict_rolls, train
+from .features import FeatureTensor, Normalizer, SequenceBatch, apply_normalizer, chunk_sequences, fit_normalizer
+from .nn import CrnnArch, ModelGraph, TrainConfig, TrainHistory, build_crnn, predict_rolls, train
 
 log = logging.getLogger(__name__)
 
@@ -25,9 +25,9 @@ log = logging.getLogger(__name__)
 class FoldResult:
     fold: int
     report: metrics.MetricReport
-    history: "object"
+    history: TrainHistory
     model: ModelGraph
-    normalizer: "object"
+    normalizer: Normalizer
     class_names: tuple[str, ...]
 
 
@@ -60,9 +60,7 @@ def clip_features(audio_file: Path, features_cfg: FeatureConfig, archive: Path |
     """
     if archive is not None and archive.exists():
         return feats.load_feature_archive(archive)
-    tensor = feats.extract(
-        read_wav(audio_file), features_cfg.feature_class, **features_cfg.extractor_kwargs()
-    )
+    tensor = feats.extract(read_wav(audio_file), **dataclasses.asdict(features_cfg))
     if archive is None:
         return tensor
     archive.parent.mkdir(parents=True, exist_ok=True)

@@ -1,7 +1,7 @@
 """The four feature classes and training-sequence assembly.
 
-All extractors share the 20 ms hop and centered framing, so one clip yields
-the same frame count F whatever the analysis window:
+All extractors share one hop and centered framing, so one clip yields the
+same frame count F whatever the analysis window; at the defaults:
 
   mbe          mono log mel energies                  (F, 40, 1)
   bin-mbe      per-channel log mel energies           (F, 40, 2)
@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, NamedTuple, Sequence
+from typing import BinaryIO, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,8 +29,6 @@ from .audio_io import AudioClip, EventRoll, to_mono
 from .errors import ChannelError, ConfigError, RangeError, ShapeError, StateError
 
 log = logging.getLogger(__name__)
-
-MULTIRES_WINDOWS = (1024, 4096, 16384)
 
 _STD_FLOOR = 1e-8
 _ARCHIVE_MAGIC = b"SEDF"
@@ -94,61 +92,46 @@ def effective_f_max(f_max: float, sample_rate: int) -> float:
 
 
 def _log_mel(
-    clip: AudioClip,
-    hop: int,
-    resolutions: Sequence[tuple[int, int]],
-    n_mels: int = 40,
-    f_min: float = 0.0,
-    f_max: float = 22050.0,
+    clip: AudioClip, hop: int, cfg: FeatureConfig, resolutions: Sequence[tuple[int, int]]
 ) -> np.ndarray:
     """Per-channel log mel energies at each (window length, FFT size)
     resolution, (F, n_mels, n_channels * len(resolutions)).
 
     The channel axis is resolution-major: (r0 ch0, r0 ch1, r1 ch0, ...).
     """
-    f_top = effective_f_max(f_max, clip.sample_rate)
+    f_top = effective_f_max(cfg.f_max, clip.sample_rate)
     planes = []
     for window_len, fft_size in resolutions:
-        bank = dsp.mel_filterbank(n_mels, fft_size, clip.sample_rate, f_min, f_top)
+        bank = dsp.mel_filterbank(cfg.n_mels, fft_size, clip.sample_rate, cfg.f_min, f_top)
         for samples in clip.samples:
             spectra = dsp.stft(samples, window_len, fft_size, hop)
             planes.append(dsp.log_mel_energies(dsp.power_spectrum(spectra), bank))
     return np.stack(planes, axis=2)
 
 
-def _mel(
-    clip: AudioClip, hop: int, window_ms: float = 40.0, fft_size: int = 2048, **mel_kwargs
-) -> np.ndarray:
-    window_len = _samples(window_ms, clip.sample_rate)
-    return _log_mel(clip, hop, ((window_len, fft_size),), **mel_kwargs)
+def _mel(clip: AudioClip, hop: int, cfg: FeatureConfig) -> np.ndarray:
+    window_len = _samples(cfg.window_ms, clip.sample_rate)
+    return _log_mel(clip, hop, cfg, ((window_len, cfg.fft_size),))
 
 
-def _multires_mel(
-    clip: AudioClip, hop: int, multires_windows: Sequence[int] = MULTIRES_WINDOWS, **mel_kwargs
-) -> np.ndarray:
+def _multires_mel(clip: AudioClip, hop: int, cfg: FeatureConfig) -> np.ndarray:
     # each window is analyzed with an FFT of its own size
-    return _log_mel(clip, hop, tuple((w, w) for w in multires_windows), **mel_kwargs)
+    return _log_mel(clip, hop, cfg, tuple((w, w) for w in cfg.multires_windows))
 
 
-def _magnitude_phase(
-    clip: AudioClip,
-    hop: int,
-    window_ms: float = 40.0,
-    fft_size: int = 2048,
-    fft_log_magnitude: bool = False,
-) -> np.ndarray:
+def _magnitude_phase(clip: AudioClip, hop: int, cfg: FeatureConfig) -> np.ndarray:
     """Per-channel STFT magnitude and phase, (F, fft_size//2, 4).
 
     The DC bin is dropped so a 2048-point transform yields exactly 1024 bins;
     channel order is (mag L, mag R, phase L, phase R), phase in (-pi, pi].
     ``fft_log_magnitude`` switches the magnitude planes to log scale.
     """
-    window_len = _samples(window_ms, clip.sample_rate)
+    window_len = _samples(cfg.window_ms, clip.sample_rate)
     mags, phases = [], []
     for samples in clip.samples:
-        spectra = dsp.stft(samples, window_len, fft_size, hop)[:, 1:]
+        spectra = dsp.stft(samples, window_len, cfg.fft_size, hop)[:, 1:]
         mag = np.abs(spectra)
-        if fft_log_magnitude:
+        if cfg.fft_log_magnitude:
             mag = np.log(np.maximum(mag, dsp.LOG_FLOOR))
         phase = np.angle(spectra)
         mags.append(mag)
@@ -161,30 +144,56 @@ class FeatureClass(NamedTuple):
 
     input_channels: int  # audio channels analyzed; a mono class downmixes stereo
     channels: int  # output channels at the FeatureConfig defaults
-    extractor: Callable[..., np.ndarray]  # (clip, hop in samples, **kwargs) -> (F, B, Ch)
-    config_fields: tuple[str, ...]  # FeatureConfig fields, passed by name to extract
-    bins: Callable[[Any], int]  # bin count for a FeatureConfig
+    extractor: Callable[[AudioClip, int, FeatureConfig], np.ndarray]  # hop in samples -> (F, B, Ch)
+    bins: Callable[[FeatureConfig], int]  # bin count for a FeatureConfig
     channel_step: int = 0  # nonzero: any positive multiple is a valid channel count
 
 
-_MEL_FIELDS = ("hop_ms", "n_mels", "f_min", "f_max")
+@dataclass(frozen=True)
+class FeatureConfig:
+    """The ``[features]`` section. Each extractor reads the fields it needs
+    from it; a field the class does not read is ignored."""
+
+    feature_class: str = "mbe"
+    n_mels: int = 40
+    f_min: float = 0.0
+    f_max: float = 22050.0
+    window_ms: float = 40.0
+    hop_ms: float = 20.0
+    fft_size: int = 2048
+    multires_windows: tuple[int, ...] = (1024, 4096, 16384)
+    fft_log_magnitude: bool = False
+    archive_dir: str = ""  # feature cache: read when an archive exists, written on a miss
+
+    def __post_init__(self):
+        """Raise ConfigError for an unknown class or no multires window,
+        RangeError for a bad value."""
+        feature_spec(self.feature_class)
+        if not self.multires_windows:
+            raise ConfigError("multires_windows must name at least one window")
+        if self.n_mels < 1:
+            raise RangeError(f"n_mels must be >= 1, got {self.n_mels}")
+        for key in ("hop_ms", "window_ms"):
+            if getattr(self, key) <= 0:
+                raise RangeError(f"{key} must be positive, got {getattr(self, key)}")
+        if not dsp.is_power_of_two(self.fft_size):
+            raise RangeError(f"fft_size must be a power of two, got {self.fft_size}")
+        if not all(dsp.is_power_of_two(w) for w in self.multires_windows):
+            raise RangeError(f"multires_windows must be powers of two, got {self.multires_windows}")
+        if self.f_min < 0:
+            raise RangeError(f"f_min must be >= 0, got {self.f_min}")
+        if self.f_max <= self.f_min:
+            raise RangeError(f"f_max must be above f_min ({self.f_min}), got {self.f_max}")
+
 
 # Archive class ids are positions in this table counted from 1: append only.
 FEATURE_TABLE = {
-    "mbe": FeatureClass(
-        1, 1, _mel, _MEL_FIELDS + ("window_ms", "fft_size"), attrgetter("n_mels")
-    ),
-    "bin-mbe": FeatureClass(
-        2, 2, _mel, _MEL_FIELDS + ("window_ms", "fft_size"), attrgetter("n_mels")
-    ),
+    "mbe": FeatureClass(1, 1, _mel, attrgetter("n_mels")),
+    "bin-mbe": FeatureClass(2, 2, _mel, attrgetter("n_mels")),
     "bin-mul-mbe": FeatureClass(
-        2, 2 * len(MULTIRES_WINDOWS), _multires_mel, _MEL_FIELDS + ("multires_windows",),
-        attrgetter("n_mels"), channel_step=2,
+        2, 2 * len(FeatureConfig.multires_windows), _multires_mel, attrgetter("n_mels"), channel_step=2
     ),
-    "bin-fft": FeatureClass(
-        2, 4, _magnitude_phase, ("hop_ms", "window_ms", "fft_size", "fft_log_magnitude"),
-        lambda cfg: cfg.fft_size // 2,
-    ),
+    "bin-fft": FeatureClass(2, 4, _magnitude_phase, lambda cfg: cfg.fft_size // 2),
 }
 FEATURE_CLASSES = tuple(FEATURE_TABLE)
 _CLASS_IDS = {name: i + 1 for i, name in enumerate(FEATURE_CLASSES)}
@@ -198,14 +207,16 @@ def feature_spec(feature_class: str) -> FeatureClass:
     return FEATURE_TABLE[feature_class]
 
 
-def extract(clip: AudioClip, feature_class: str, **kwargs) -> FeatureTensor:
-    """Extract one feature class; ``kwargs`` are the class's config fields.
+def extract(clip: AudioClip, feature_class: str, **settings) -> FeatureTensor:
+    """Extract one feature class; ``settings`` are FeatureConfig fields,
+    defaulted and checked there.
 
     Stereo input to a mono class (``mbe``) is downmixed with a log line
     rather than rejected, matching how mono experiments run on a binaural
     corpus.
     """
-    spec = feature_spec(feature_class)
+    cfg = FeatureConfig(feature_class=feature_class, **settings)
+    spec = FEATURE_TABLE[feature_class]
     if clip.n_channels != spec.input_channels:
         if spec.input_channels != 1:
             raise ChannelError(
@@ -213,9 +224,8 @@ def extract(clip: AudioClip, feature_class: str, **kwargs) -> FeatureTensor:
             )
         log.info("%s on stereo input: averaging channels to mono", feature_class)
         clip = to_mono(clip)
-    hop_ms = kwargs.pop("hop_ms", 20.0)
-    data = spec.extractor(clip, _samples(hop_ms, clip.sample_rate), **kwargs)
-    return FeatureTensor(data=data, feature_class=feature_class, hop_seconds=hop_ms / 1000.0)
+    data = spec.extractor(clip, _samples(cfg.hop_ms, clip.sample_rate), cfg)
+    return FeatureTensor(data=data, feature_class=feature_class, hop_seconds=cfg.hop_ms / 1000.0)
 
 
 @dataclass(frozen=True)

@@ -337,6 +337,28 @@ class TestTrainCommand:
         assert f"[model] {key}" in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_mels", "0"),
+            ("hop_ms", "0"),
+            ("window_ms", "-5"),
+            ("fft_size", "1000"),
+            ("multires_windows", "1024,3000"),
+            ("f_min", "-1"),
+            ("f_max", "0"),
+        ],
+    )
+    def test_bad_features_value_exits_two_before_any_work(self, tmp_path, capsys, key, value):
+        cfg = small_synth_config(tmp_path)
+        text = cfg.read_text(encoding="utf-8").replace("f_max = 22050\n", "")
+        cfg.write_text(text.replace("[features]", f"[features]\n{key} = {value}"), encoding="utf-8")
+        out = tmp_path / "runs" / "bad"
+        code, _, stderr = run_cli(capsys, "train", "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert f"[features] {key}" in stderr
+        assert not out.exists()
+
     def test_missing_fold_exits_one_before_any_fold_trains(self, tmp_path, capsys):
         cfg = small_synth_config(tmp_path)
         data = tmp_path / "data"

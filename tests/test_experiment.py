@@ -135,7 +135,7 @@ class TestRunFold:
         cfg = desk_config(manifest, epochs=3)
         for row in read_manifest(manifest):
             clip = read_wav(data / row.audio_path)
-            tensor = feats.extract(clip, "mbe", **cfg.features.extractor_kwargs())
+            tensor = feats.extract(clip, **dataclasses.asdict(cfg.features))
             feats.save_feature_archive(tensor, archive_dir / archive_name(row.audio_path, "mbe"))
         cfg_arch = dataclasses.replace(
             cfg, features=dataclasses.replace(cfg.features, archive_dir=str(archive_dir))

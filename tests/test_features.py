@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,6 +13,26 @@ from sedpipe.config import FeatureConfig
 from sedpipe.errors import ChannelError, ShapeError, StateError
 
 F_MAX = 22050.0  # explicit Nyquist keeps tests free of the clamp warning
+
+# one non-default value per FeatureConfig extraction field, and the fields
+# each class reads
+NON_DEFAULT = {
+    "hop_ms": 10.0,
+    "window_ms": 20.0,
+    "n_mels": 32,
+    "f_min": 100.0,
+    "f_max": 16000.0,
+    "fft_size": 4096,
+    "multires_windows": (1024, 4096),
+    "fft_log_magnitude": True,
+}
+_MEL_READS = ("hop_ms", "n_mels", "f_min", "f_max")
+FIELDS_READ = {
+    "mbe": _MEL_READS + ("window_ms", "fft_size"),
+    "bin-mbe": _MEL_READS + ("window_ms", "fft_size"),
+    "bin-mul-mbe": _MEL_READS + ("multires_windows",),
+    "bin-fft": ("hop_ms", "window_ms", "fft_size", "fft_log_magnitude"),
+}
 
 
 class TestExtractMbe:
@@ -190,16 +211,29 @@ class TestDispatcher:
     def test_config_defaults_extract_without_warning(self, stereo_clip):
         # the default f_max is the 44.1 kHz Nyquist, so nothing is clamped
         cfg = FeatureConfig()
-        features.extract(stereo_clip, cfg.feature_class, **cfg.extractor_kwargs())
+        features.extract(stereo_clip, **asdict(cfg))
 
     @pytest.mark.parametrize("fc", features.FEATURE_CLASSES)
     def test_config_kwargs_give_table_shape(self, stereo_clip, fc):
         cfg = FeatureConfig(feature_class=fc)
-        tensor = features.extract(stereo_clip, fc, **cfg.extractor_kwargs())
+        tensor = features.extract(stereo_clip, **asdict(cfg))
         spec = features.FEATURE_TABLE[fc]
         # random_search plans pool factors for spec.bins(cfg)
         assert tensor.n_bins == spec.bins(cfg)
         assert tensor.n_channels == spec.channels
+
+    @pytest.mark.parametrize("fc", features.FEATURE_CLASSES)
+    def test_no_settings_extract_at_the_config_defaults(self, stereo_clip, fc):
+        a = features.extract(stereo_clip, fc)
+        b = features.extract(stereo_clip, **asdict(FeatureConfig(feature_class=fc)))
+        assert a.data.tobytes() == b.data.tobytes()
+
+    @pytest.mark.parametrize("fc, key", [(fc, key) for fc in FIELDS_READ for key in NON_DEFAULT])
+    def test_a_setting_changes_only_the_classes_that_read_it(self, stereo_clip, fc, key):
+        a = features.extract(stereo_clip, fc)
+        b = features.extract(stereo_clip, fc, **{key: NON_DEFAULT[key]})
+        changed = a.data.shape != b.data.shape or a.data.tobytes() != b.data.tobytes()
+        assert changed == (key in FIELDS_READ[fc])
 
     def test_determinism(self, stereo_clip):
         a = features.extract(stereo_clip, "bin-mbe", f_max=F_MAX)
