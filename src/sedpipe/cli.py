@@ -44,6 +44,15 @@ def _load_cfg(args) -> ExperimentConfig:
     return cfg
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for a finite float above zero, so a bad value is a
+    usage error before the command runs."""
+    value = float(text)
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+    return value
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -296,9 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", required=True, help="reference annotation TSV")
     p.add_argument("--pred", required=True, help="prediction annotation TSV")
     p.add_argument("--classes", help="comma-separated class vocabulary")
-    p.add_argument("--duration", type=float, help="clip duration in seconds")
-    p.add_argument("--hop", type=float, default=0.02, help="frame hop in seconds")
-    p.add_argument("--segment-seconds", type=float, default=1.0)
+    p.add_argument("--duration", type=_positive_float, help="clip duration in seconds")
+    p.add_argument("--hop", type=_positive_float, default=0.02, help="frame hop in seconds")
+    p.add_argument("--segment-seconds", type=_positive_float, default=1.0)
     p.add_argument("--out", help="write metric TSV here")
     p.add_argument("--segments-out", help="write the per-segment count TSV here")
     p.set_defaults(func=cmd_eval)

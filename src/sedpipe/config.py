@@ -7,9 +7,9 @@ declared beside the feature table it is checked against and read by the
 extractors themselves.
 
 The runtime specs subclass their section and add only what the file does
-not set: :class:`sedpipe.synth.SynthSpec` extends :class:`DataConfig`,
-:class:`sedpipe.nn.TrainConfig` extends :class:`TrainSection` and
-:class:`sedpipe.nn.CrnnArch` extends :class:`ModelConfig`.
+not set: :class:`sedpipe.synth.SynthSpec` extends :class:`DataConfig` and
+:class:`sedpipe.nn.CrnnArch` extends :class:`ModelConfig`. Training takes
+:class:`TrainSection` itself.
 """
 
 from __future__ import annotations

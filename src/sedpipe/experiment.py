@@ -16,7 +16,7 @@ from .audio_io import EventRoll, ManifestRow, events_to_roll, read_annotations, 
 from .config import ExperimentConfig, FeatureConfig, ModelConfig, SearchSection
 from .errors import ConfigError, ManifestError
 from .features import FeatureTensor, Normalizer, SequenceBatch, apply_normalizer, chunk_sequences, fit_normalizer
-from .nn import CrnnArch, ModelGraph, TrainConfig, TrainHistory, build_crnn, predict_rolls, train
+from .nn import CrnnArch, ModelGraph, TrainHistory, build_crnn, train, training
 
 log = logging.getLogger(__name__)
 
@@ -105,12 +105,13 @@ def split_rows(rows: list[ManifestRow], fold: int, monitor: str) -> dict[str, li
     return by_role
 
 
-def _normalized_batch(
+def _split_sequences(
     clips: list[tuple[FeatureTensor, EventRoll]], normalizer, seq_len: int
-) -> SequenceBatch:
-    return SequenceBatch.concat(
-        [chunk_sequences(apply_normalizer(normalizer, tensor), roll, seq_len) for tensor, roll in clips]
-    )
+) -> tuple[SequenceBatch, list[int]]:
+    """A split's normalized sequences, clip after clip, and the number of
+    sequences of each clip."""
+    parts = [chunk_sequences(apply_normalizer(normalizer, tensor), roll, seq_len) for tensor, roll in clips]
+    return SequenceBatch.concat(parts), [part.n_sequences for part in parts]
 
 
 def run_fold(
@@ -124,7 +125,8 @@ def run_fold(
     """Train on the fold's train split and score its test split.
 
     The monitored split follows ``cfg.train.monitor`` (validation unless the
-    config explicitly asks for the test split). ``manifest_rows`` are the
+    config explicitly asks for the test split). Both are scored per clip by
+    :func:`sedpipe.nn.training.monitor_scores`. ``manifest_rows`` are the
     config's manifest, already read; without them the manifest is read here.
     """
     manifest_file = Path(base_dir) / cfg.data.manifest_path()
@@ -141,8 +143,8 @@ def run_fold(
 
     normalizer = fit_normalizer([tensor for tensor, _ in train_clips])
     seq_len = cfg.train.sequence_length
-    train_batch = _normalized_batch(train_clips, normalizer, seq_len)
-    monitor_batch = _normalized_batch(monitor_clips, normalizer, seq_len)
+    train_batch, _ = _split_sequences(train_clips, normalizer, seq_len)
+    monitor_batch, monitor_counts = _split_sequences(monitor_clips, normalizer, seq_len)
 
     run_seed = cfg.train.seed if seed is None else seed
     sample = train_clips[0][0]
@@ -156,14 +158,12 @@ def run_fold(
     model = build_crnn(arch, init_rng)
 
     hop = sample.hop_seconds
-    tc = TrainConfig(**{**dataclasses.asdict(cfg.train), "seed": run_seed})
-    model, history = train(model, train_batch, monitor_batch, tc, hop, class_names)
-
-    pairs = [
-        predict_rolls(model, _normalized_batch([clip], normalizer, seq_len), hop, class_names, tc.threshold)
-        for clip in test_clips
-    ]
-    report = metrics.evaluate_pooled(pairs)
+    model, history = train(
+        model, train_batch, monitor_batch, monitor_counts,
+        dataclasses.replace(cfg.train, seed=run_seed), hop, class_names,
+    )
+    test_batch, test_counts = _split_sequences(test_clips, normalizer, seq_len)
+    report = training.monitor_scores(model, test_batch, test_counts, hop, class_names, cfg.train.threshold)
     log.info("fold %d: test ER %.4f, F %.1f%%", fold, report.error_rate, 100 * report.f_score)
     return FoldResult(
         fold=fold,

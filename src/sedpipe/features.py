@@ -295,11 +295,6 @@ class SequenceBatch:
     def seq_len(self) -> int:
         return self.inputs.shape[1]
 
-    def valid_frames(self) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenated (features, targets) of real frames, chunk order."""
-        m = self.mask.astype(bool)
-        return self.inputs[m], self.targets[m]
-
     @staticmethod
     def concat(batches: Sequence["SequenceBatch"]) -> "SequenceBatch":
         batches = [b for b in batches if b.n_sequences]

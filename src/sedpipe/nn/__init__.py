@@ -26,7 +26,7 @@ from .model import (
     validate_pools,
 )
 from .optim import Adam, adam_step
-from .training import TrainConfig, TrainHistory, monitor_scores, predict_rolls, predict_sequences, train
+from .training import TrainHistory, monitor_scores, train
 
 __all__ = [
     "ACTIVATIONS",
@@ -41,7 +41,6 @@ __all__ = [
     "MaxPoolFreq",
     "ModelGraph",
     "TimeDense",
-    "TrainConfig",
     "TrainHistory",
     "adam_step",
     "bce_loss",
@@ -51,8 +50,6 @@ __all__ = [
     "mbe_context_windows",
     "monitor_scores",
     "pool_plan",
-    "predict_rolls",
-    "predict_sequences",
     "save_checkpoint",
     "sigmoid",
     "train",

@@ -1,7 +1,8 @@
 """Training loop: Adam on masked cross-entropy with segment-ER early stopping.
 
-After every epoch the monitored split is scored at threshold 0.5 with the
-segment metrics; the parameter snapshot with the lowest monitored error rate
+After every epoch the monitored split is scored per clip at the configured
+threshold with the segment metrics (:func:`monitor_scores`, which also scores
+the test split); the parameter snapshot with the lowest monitored error rate
 is kept and restored when no improvement arrives for ``patience`` epochs.
 A non-finite batch loss or gradient stops training with ``StateError``.
 """
@@ -10,27 +11,20 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .. import metrics
 from ..audio_io import EventRoll
 from ..config import TrainSection
-from ..errors import StateError
+from ..errors import ShapeError, StateError
 from ..features import SequenceBatch
 from .loss import bce_loss
 from .model import ModelGraph
 from .optim import Adam
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class TrainConfig(TrainSection):
-    """The ``[train]`` section plus the scoring segment the file does not
-    set; its checks are the section's, so a bad value raises RangeError."""
-
-    segment_seconds: float = 1.0
 
 
 @dataclass
@@ -48,43 +42,41 @@ class TrainHistory:
         return len(self.train_loss)
 
 
-def predict_sequences(model: ModelGraph, batch: SequenceBatch, batch_size: int = 32) -> np.ndarray:
-    """Inference-mode activations for every sequence, (n, T, C)."""
-    outs = []
-    for lo in range(0, batch.n_sequences, batch_size):
-        outs.append(model.forward(batch.inputs[lo : lo + batch_size], training=False))
-    return np.concatenate(outs, axis=0)
-
-
-def predict_rolls(
-    model: ModelGraph,
-    batch: SequenceBatch,
-    hop_seconds: float,
-    class_names: tuple[str, ...],
-    threshold: float = 0.5,
-) -> tuple[EventRoll, EventRoll]:
-    """(reference, prediction) rolls over the valid frames of a batch."""
-    probs = predict_sequences(model, batch)
-    valid = batch.mask.astype(bool)
-    pred = (probs[valid] >= threshold).astype(np.uint8)
-    ref = batch.targets[valid].astype(np.uint8)
-    return (
-        EventRoll(activity=ref, hop_seconds=hop_seconds, class_names=class_names),
-        EventRoll(activity=pred, hop_seconds=hop_seconds, class_names=class_names),
-    )
-
-
 def monitor_scores(
     model: ModelGraph,
     batch: SequenceBatch,
+    clip_sequences: Sequence[int],
     hop_seconds: float,
     class_names: tuple[str, ...],
     threshold: float,
-    segment_seconds: float,
-) -> tuple[float, float]:
-    ref, pred = predict_rolls(model, batch, hop_seconds, class_names, threshold)
-    report = metrics.evaluate(ref, pred, segment_seconds=segment_seconds)
-    return report.error_rate, report.f_score
+) -> metrics.MetricReport:
+    """Score any split: the monitored one after each epoch, the test one
+    after training.
+
+    ``batch`` holds the split's sequences clip after clip, and
+    ``clip_sequences`` the number of sequences of each clip. The model
+    predicts in inference mode, 32 sequences at a time; each clip's valid
+    frames become one (reference, prediction) roll pair, and the pairs are
+    pooled through :func:`metrics.evaluate_pooled`, so no segment spans two
+    clips.
+    """
+    bounds = np.cumsum([0, *clip_sequences])
+    if bounds[-1] != batch.n_sequences:
+        raise ShapeError(f"clips hold {bounds[-1]} sequences, the batch {batch.n_sequences}")
+    probs = np.concatenate(
+        [model.forward(batch.inputs[lo : lo + 32], training=False) for lo in range(0, batch.n_sequences, 32)]
+    )
+    ref = batch.targets.astype(np.uint8)
+    pred = (probs >= threshold).astype(np.uint8)
+    valid = batch.mask.astype(bool)
+
+    def roll(activity: np.ndarray, lo: int, hi: int) -> EventRoll:
+        frames = activity[lo:hi][valid[lo:hi]]
+        return EventRoll(activity=frames, hop_seconds=hop_seconds, class_names=class_names)
+
+    return metrics.evaluate_pooled(
+        [(roll(ref, lo, hi), roll(pred, lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    )
 
 
 def _check_finite(model: ModelGraph, loss: float, epoch: int) -> None:
@@ -102,11 +94,15 @@ def train(
     model: ModelGraph,
     train_batch: SequenceBatch,
     monitor_batch: SequenceBatch,
-    config: TrainConfig,
+    monitor_clips: Sequence[int],
+    config: TrainSection,
     hop_seconds: float,
     class_names: tuple[str, ...],
 ) -> tuple[ModelGraph, TrainHistory]:
-    """Train in place and return the model restored to its best snapshot."""
+    """Train in place and return the model restored to its best snapshot.
+
+    ``monitor_clips`` is the number of sequences of each monitored clip, as
+    :func:`monitor_scores` takes it."""
     if train_batch.n_sequences == 0:
         raise StateError("training stream is empty")
     if monitor_batch.n_sequences == 0:
@@ -133,10 +129,8 @@ def train(
             optimizer.step()
             losses.append(loss)
 
-        er, f = monitor_scores(
-            model, monitor_batch, hop_seconds, class_names,
-            config.threshold, config.segment_seconds,
-        )
+        report = monitor_scores(model, monitor_batch, monitor_clips, hop_seconds, class_names, config.threshold)
+        er, f = report.error_rate, report.f_score
         history.train_loss.append(float(np.mean(losses)))
         history.monitor_er.append(er)
         history.monitor_f.append(f)

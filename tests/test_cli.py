@@ -266,6 +266,27 @@ class TestEval:
         assert "reference" in stderr
 
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--hop", "0"),
+            ("--hop", "-0.02"),
+            ("--segment-seconds", "0"),
+            ("--duration", "0"),
+            ("--duration", "-1"),
+        ],
+    )
+    def test_non_positive_value_is_usage_error(self, tmp_path, capsys, option, value):
+        ref = tmp_path / "ref.tsv"
+        ref.write_text("0.0\t1.0\tcar\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--ref", str(ref), "--pred", str(ref), f"{option}={value}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be a positive number" in captured.err
+
+
 class TestTrainCommand:
     def test_writes_results_tree(self, tmp_path, capsys):
         cfg = small_synth_config(tmp_path)
@@ -485,3 +506,25 @@ def test_perfbench_tracer_sees_every_pipeline_boundary(tmp_path):
     assert counts["features.extract.calls"] == 4
     assert counts["features.load_feature_archive.calls"] == 4
     assert counts["experiment.run_fold.calls"] == 1
+
+
+INSTALL_EVERY_TRACER = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+from tracer import Tracer, install_features, install_pipeline, install_step
+install_features(Tracer("mbe"))
+install_step(Tracer("mbe"))
+install_pipeline(Tracer("protocol"))
+"""
+
+
+def test_perfbench_installers_find_every_name_they_wrap():
+    """Each installer looks up the names it wraps, so deleting one fails
+    here rather than in the first traced benchmark run. A subprocess keeps
+    the wrappers out of the other tests."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", INSTALL_EVERY_TRACER, str(root / "perfbench"), str(root / "src")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -5,9 +5,9 @@ from dataclasses import fields
 
 import pytest
 
-from sedpipe.config import DataConfig, ExperimentConfig, ModelConfig, TrainSection, dump_config, load_config
+from sedpipe.config import DataConfig, ExperimentConfig, ModelConfig, dump_config, load_config
 from sedpipe.errors import ConfigError
-from sedpipe.nn import CrnnArch, TrainConfig
+from sedpipe.nn import CrnnArch
 from sedpipe.synth import SynthSpec
 
 
@@ -97,7 +97,6 @@ def test_dump_round_trips(tmp_path):
     "spec, section, added",
     [
         (SynthSpec, DataConfig, {"events_per_clip", "event_duration"}),
-        (TrainConfig, TrainSection, {"segment_seconds"}),
         (CrnnArch, ModelConfig, {"n_bins", "n_channels", "n_classes"}),
     ],
 )

@@ -123,6 +123,15 @@ class TestRunFold:
         result = run_fold(cfg, 1)
         assert result.report.error_rate < 0.2
 
+    def test_test_score_is_the_best_monitor_score_when_monitoring_test(self, tmp_path):
+        # 4.5 s clips end mid-segment, so a score over the joined clips would
+        # differ from the per-clip test score
+        manifest = write_dataset(tmp_path / "data", n_clips=8, duration_s=4.5, folds=4)
+        cfg = desk_config(manifest, epochs=8, monitor="test")
+        for fold in (1, 2, 3, 4):
+            result = run_fold(cfg, fold)
+            assert result.report.error_rate == min(result.history.monitor_er), f"fold {fold}"
+
     def test_archives_are_used_when_present(self, tmp_path, monkeypatch):
         from sedpipe import features as feats
         from sedpipe.audio_io import read_wav

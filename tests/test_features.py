@@ -313,9 +313,8 @@ class TestChunkSequences:
     def test_reassembly_is_lossless(self, rng):
         tensor, roll = self._tensor_roll(rng, 333)
         batch = features.chunk_sequences(tensor, roll, 64)
-        feats, targets = batch.valid_frames()
-        assert np.array_equal(feats, tensor.data)
-        assert np.array_equal(targets, roll.activity.astype(float))
+        assert np.array_equal(batch.inputs[batch.mask], tensor.data)
+        assert np.array_equal(batch.targets[batch.mask], roll.activity.astype(float))
 
     def test_empty_tensor_gives_empty_batch(self, rng):
         tensor = features.FeatureTensor(

@@ -3,10 +3,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sedpipe.errors import RangeError, StateError
-from sedpipe.features import SequenceBatch
-from sedpipe.nn import CrnnArch, TrainConfig, build_crnn, monitor_scores, train
+from sedpipe import metrics
+from sedpipe.audio_io import EventRoll
+from sedpipe.config import TrainSection
+from sedpipe.errors import RangeError, ShapeError, StateError
+from sedpipe.features import FeatureTensor, SequenceBatch, chunk_sequences
+from sedpipe.nn import CrnnArch, build_crnn, monitor_scores, train
 from sedpipe.nn.loss import bce_loss
+
+# a one-second hop makes every frame its own one-second segment, so the
+# monitored score is a frame score
+HOP = 1.0
+NAMES = ("a", "b")
 
 
 def toy_batch(rng, n_seq=6, t=16, n_bins=8, classes=2):
@@ -30,18 +38,65 @@ def toy_model(seed=0, classes=2):
     return build_crnn(arch, np.random.default_rng(seed))
 
 
-class TestTrainConfig:
+def one_clip(batch):
+    return [batch.n_sequences]
+
+
+class TestTrainSection:
     def test_patience_zero_excluded(self):
         with pytest.raises(RangeError):
-            TrainConfig(patience=0)
+            TrainSection(patience=0)
 
     def test_patience_must_stay_below_epochs(self):
         with pytest.raises(RangeError):
-            TrainConfig(max_epochs=10, patience=10)
+            TrainSection(max_epochs=10, patience=10)
 
     def test_learning_rate_positive(self):
         with pytest.raises(RangeError):
-            TrainConfig(learning_rate=0.0)
+            TrainSection(learning_rate=0.0)
+
+
+class Echo:
+    """A stand-in model whose class probability is its input's one bin."""
+
+    def forward(self, x, training):
+        return x[..., 0]
+
+
+def echo_clip(pred, ref, seq_len=64):
+    """One clip's sequences: input ``pred`` (which :class:`Echo` predicts)
+    and target ``ref``, both (frames, classes)."""
+    tensor = FeatureTensor(data=pred[:, :, None].astype(float), feature_class="mbe", hop_seconds=0.02)
+    roll = EventRoll(activity=ref, hop_seconds=0.02, class_names=("a",))
+    return chunk_sequences(tensor, roll, seq_len)
+
+
+class TestMonitorScores:
+    def test_no_segment_spans_two_clips(self):
+        # two 75-frame (1.5 s) clips: the reference ends clip 1, the
+        # prediction starts clip 2
+        ref1, pred1, ref2, pred2 = (np.zeros((75, 1), dtype=np.uint8) for _ in range(4))
+        ref1[50:] = 1
+        pred2[:10] = 1
+        clips = [echo_clip(pred1, ref1), echo_clip(pred2, ref2)]
+        batch = SequenceBatch.concat(clips)
+        report = monitor_scores(Echo(), batch, [c.n_sequences for c in clips], 0.02, ("a",), 0.5)
+        # per clip: a deletion in clip 1's second segment, an insertion in
+        # clip 2's first
+        assert report.error_rate == 2.0
+        assert report.totals["d"] == 1 and report.totals["i"] == 1
+        assert report.n_segments == 4
+        # the joined roll puts both into one segment and scores it a hit
+        joined = [
+            EventRoll(activity=np.concatenate(pair), hop_seconds=0.02, class_names=("a",))
+            for pair in ((ref1, ref2), (pred1, pred2))
+        ]
+        assert metrics.evaluate(*joined).error_rate == 0.0
+
+    def test_counts_must_cover_the_batch(self, rng):
+        batch = toy_batch(rng)
+        with pytest.raises(ShapeError):
+            monitor_scores(toy_model(), batch, [2, 3], HOP, NAMES, 0.5)
 
 
 class TestTrainLoop:
@@ -53,21 +108,22 @@ class TestTrainLoop:
             mask=np.zeros((0, 16), dtype=bool),
         )
         with pytest.raises(StateError):
-            train(toy_model(), empty, batch, TrainConfig(max_epochs=5, patience=1), 0.02, ("a", "b"))
+            train(
+                toy_model(), empty, batch, one_clip(batch), TrainSection(max_epochs=5, patience=1), HOP, NAMES
+            )
 
     def test_patience_one_with_worsening_er_stops_after_two_epochs(self, rng, monkeypatch):
         batch = toy_batch(rng)
         ers = iter([0.5, 0.9, 0.9, 0.9, 0.9, 0.9])
 
         def fake_scores(*args, **kwargs):
-            return next(ers), 0.0
+            return metrics.MetricReport(error_rate=next(ers), f_score=0.0, totals={}, n_segments=0)
 
         import sedpipe.nn.training as train_mod
 
         monkeypatch.setattr(train_mod, "monitor_scores", fake_scores)
         _, history = train_mod.train(
-            toy_model(), batch, batch,
-            TrainConfig(max_epochs=10, patience=1, segment_seconds=0.02), 0.02, ("a", "b"),
+            toy_model(), batch, batch, one_clip(batch), TrainSection(max_epochs=10, patience=1), HOP, NAMES,
         )
         assert history.n_epochs == 2
         assert history.best_epoch == 1
@@ -76,9 +132,9 @@ class TestTrainLoop:
     def test_nan_input_raises_at_first_epoch(self, rng):
         batch = toy_batch(rng)
         batch.inputs[2, 5, 3, 0] = np.nan
-        cfg = TrainConfig(max_epochs=5, patience=1, batch_size=3, segment_seconds=0.02)
+        cfg = TrainSection(max_epochs=5, patience=1, batch_size=3)
         with pytest.raises(StateError, match=r"epoch 1: loss nan, first non-finite gradient 0\.kernels"):
-            train(toy_model(), batch, batch, cfg, 0.02, ("a", "b"))
+            train(toy_model(), batch, batch, one_clip(batch), cfg, HOP, NAMES)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_inf_gradient_names_epoch_and_parameter(self, rng, monkeypatch):
@@ -95,21 +151,18 @@ class TestTrainLoop:
         monkeypatch.setattr(train_mod, "bce_loss", poisoned_loss)
         batch = toy_batch(rng)
         model = toy_model()
-        cfg = TrainConfig(max_epochs=5, patience=4, batch_size=3, segment_seconds=0.02)
+        cfg = TrainSection(max_epochs=5, patience=4, batch_size=3)
         # two batches per epoch, so the third batch is the first of epoch 2
         with pytest.raises(StateError, match=r"epoch 2: loss 0\.\d+, first non-finite gradient 0\.kernels"):
-            train_mod.train(model, batch, batch, cfg, 0.02, ("a", "b"))
+            train_mod.train(model, batch, batch, one_clip(batch), cfg, HOP, NAMES)
         # the check runs before the optimizer step, so no weight took the inf
         assert all(np.isfinite(p).all() for _, p in model.parameters())
 
     def test_fixed_seed_reproduces_history_bitwise(self, rng):
         batch = toy_batch(rng)
-        cfg = TrainConfig(
-            learning_rate=3e-3, max_epochs=6, patience=5, batch_size=3, seed=42,
-            segment_seconds=0.02,
-        )
-        _, h1 = train(toy_model(seed=1), batch, batch, cfg, 0.02, ("a", "b"))
-        _, h2 = train(toy_model(seed=1), batch, batch, cfg, 0.02, ("a", "b"))
+        cfg = TrainSection(learning_rate=3e-3, max_epochs=6, patience=5, batch_size=3, seed=42)
+        _, h1 = train(toy_model(seed=1), batch, batch, one_clip(batch), cfg, HOP, NAMES)
+        _, h2 = train(toy_model(seed=1), batch, batch, one_clip(batch), cfg, HOP, NAMES)
         assert h1.train_loss == h2.train_loss
         assert h1.monitor_er == h2.monitor_er
         assert h1.monitor_f == h2.monitor_f
@@ -117,21 +170,15 @@ class TestTrainLoop:
 
     def test_loss_decreases_on_learnable_toy(self, rng):
         batch = toy_batch(rng)
-        cfg = TrainConfig(
-            learning_rate=3e-3, max_epochs=50, patience=49, batch_size=3, seed=7,
-            segment_seconds=0.02,
-        )
-        _, history = train(toy_model(seed=3), batch, batch, cfg, 0.02, ("a", "b"))
+        cfg = TrainSection(learning_rate=3e-3, max_epochs=50, patience=49, batch_size=3, seed=7)
+        _, history = train(toy_model(seed=3), batch, batch, one_clip(batch), cfg, HOP, NAMES)
         assert history.train_loss[-1] < 0.5 * history.train_loss[0]
 
     def test_returned_model_matches_best_epoch_score(self, rng):
         batch = toy_batch(rng)
-        cfg = TrainConfig(
-            learning_rate=3e-3, max_epochs=15, patience=14, batch_size=3, seed=7,
-            segment_seconds=0.02,
-        )
-        model, history = train(toy_model(seed=3), batch, batch, cfg, 0.02, ("a", "b"))
-        er, _ = monitor_scores(model, batch, 0.02, ("a", "b"), 0.5, 0.02)
+        cfg = TrainSection(learning_rate=3e-3, max_epochs=15, patience=14, batch_size=3, seed=7)
+        model, history = train(toy_model(seed=3), batch, batch, one_clip(batch), cfg, HOP, NAMES)
+        er = monitor_scores(model, batch, one_clip(batch), HOP, NAMES, 0.5).error_rate
         assert er == min(history.monitor_er)
         assert history.monitor_er[history.best_epoch - 1] == min(history.monitor_er)
 
@@ -144,11 +191,8 @@ class TestTrainLoop:
         poisoned_targets = base.targets.copy()
         poisoned_targets[:, -4:] = 1 - poisoned_targets[:, -4:]
         poisoned = SequenceBatch(inputs=poisoned_inputs, targets=poisoned_targets, mask=mask)
-        cfg = TrainConfig(
-            learning_rate=3e-3, max_epochs=3, patience=2, batch_size=2, seed=5,
-            segment_seconds=0.02,
-        )
-        _, h1 = train(toy_model(seed=2), masked, masked, cfg, 0.02, ("a", "b"))
-        _, h2 = train(toy_model(seed=2), poisoned, poisoned, cfg, 0.02, ("a", "b"))
+        cfg = TrainSection(learning_rate=3e-3, max_epochs=3, patience=2, batch_size=2, seed=5)
+        _, h1 = train(toy_model(seed=2), masked, masked, one_clip(masked), cfg, HOP, NAMES)
+        _, h2 = train(toy_model(seed=2), poisoned, poisoned, one_clip(poisoned), cfg, HOP, NAMES)
         # masked target cells may hold anything without touching the loss
         assert h1.train_loss == h2.train_loss
