@@ -52,16 +52,30 @@ def ifft(x) -> np.ndarray:
     return fft(x, inverse=True)
 
 
-def stft(samples, window_len: int, fft_size: int, hop: int) -> np.ndarray:
+def frame_count(n_samples: int, hop: int) -> int:
+    """Frames ``F = ceil(n_samples/hop)`` of a centered framing."""
+    return -(-n_samples // hop)
+
+
+def stft(
+    samples, window_len: int, fft_size: int, hop: int, start: int = 0, stop: int | None = None
+) -> np.ndarray:
     """Short-time Fourier transform with centered frames.
 
     Frame ``f`` covers ``window_len`` samples centered at ``f*hop`` (the
     signal is zero padded at both edges), so the frame count
-    ``ceil(len(samples)/hop)`` depends only on the signal length and the
+    ``F = ceil(len(samples)/hop)`` depends only on the signal length and the
     hop, never on the window or FFT size. Each frame is multiplied by a
     Hamming window, zero padded up to ``fft_size`` and transformed.
 
-    Returns the one-sided bins as an ``(F, fft_size//2 + 1)`` complex array.
+    Only frames ``[start, stop)`` of that framing are transformed, and only
+    their sample span is padded; ``stop`` defaults to and clamps at ``F``,
+    as a slice does. A range's rows equal the same rows of the whole
+    transform bitwise. A negative ``start`` or a ``stop`` below ``start``
+    raises :class:`RangeError`.
+
+    Returns the one-sided bins as a ``(min(stop, F) - start, fft_size//2 + 1)``
+    complex array, no rows when ``start >= F``.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1:
@@ -74,19 +88,21 @@ def stft(samples, window_len: int, fft_size: int, hop: int) -> np.ndarray:
         raise RangeError(f"window_len must be >= 1, got {window_len}")
     if hop < 1:
         raise RangeError(f"hop must be >= 1, got {hop}")
+    if start < 0 or (stop is not None and stop < start):
+        raise RangeError(f"frame range [{start}, {stop}) is not a range of frames")
 
     n = x.size
-    n_bins = fft_size // 2 + 1
-    if n == 0:
-        return np.zeros((0, n_bins), dtype=np.complex128)
+    n_frames = frame_count(n, hop)
+    stop = n_frames if stop is None else min(stop, n_frames)
+    if start >= stop:
+        return np.zeros((0, fft_size // 2 + 1), dtype=np.complex128)
 
-    n_frames = -(-n // hop)
-    left = window_len // 2
-    last_end = (n_frames - 1) * hop - left + window_len
-    right = max(0, last_end - n)
-    padded = np.concatenate((np.zeros(left), x, np.zeros(right)))
+    # samples [lo, hi) of the zero-extended signal hold frames [start, stop)
+    lo = start * hop - window_len // 2
+    hi = (stop - 1) * hop - window_len // 2 + window_len
+    padded = np.concatenate((np.zeros(max(0, -lo)), x[max(0, lo) : hi], np.zeros(max(0, hi - n))))
 
-    frames = np.lib.stride_tricks.sliding_window_view(padded, window_len)[::hop][:n_frames]
+    frames = np.lib.stride_tricks.sliding_window_view(padded, window_len)[::hop]
     return np.fft.rfft(frames * hamming_window(window_len), n=fft_size, axis=1)
 
 

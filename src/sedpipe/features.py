@@ -7,6 +7,10 @@ same frame count F whatever the analysis window; at the defaults:
   bin-mbe      per-channel log mel energies           (F, 40, 2)
   bin-mul-mbe  per-channel, windows 1024/4096/16384   (F, 40, 6)
   bin-fft      per-channel STFT magnitude and phase   (F, 1024, 4)
+
+Every extractor transforms a channel in blocks of ``_BLOCK_FRAMES`` frames
+through ``dsp.stft`` and reduces each block straight into its preallocated
+(F, B, Ch) output, so no array holds the spectra of a whole clip.
 """
 
 from __future__ import annotations
@@ -31,6 +35,12 @@ from .errors import ChannelError, ConfigError, RangeError, ShapeError, StateErro
 log = logging.getLogger(__name__)
 
 _STD_FLOOR = 1e-8
+# Frames per STFT block. At the 16384-point window a block's windowed frames
+# and its spectra take 8 MiB each, against 65 MiB each for a 10 s channel.
+# bin-mul-mbe extraction time is flat from 32 to 64 frames and rises on
+# either side; 64-row mel products also stay clear of the small-product
+# kernel OpenBLAS uses up to 30 rows at 40 mels, which rounds differently.
+_BLOCK_FRAMES = 64
 _ARCHIVE_MAGIC = b"SEDF"
 _ARCHIVE_VERSION = 1
 
@@ -91,6 +101,14 @@ def effective_f_max(f_max: float, sample_rate: int) -> float:
     return f_max
 
 
+def _stft_blocks(samples, window_len: int, fft_size: int, hop: int):
+    """``(rows, spectra)`` for consecutive blocks of ``_BLOCK_FRAMES``
+    frames of one channel's STFT; ``rows`` slices the frame axis."""
+    for start in range(0, dsp.frame_count(samples.size, hop), _BLOCK_FRAMES):
+        rows = slice(start, start + _BLOCK_FRAMES)
+        yield rows, dsp.stft(samples, window_len, fft_size, hop, rows.start, rows.stop)
+
+
 def _log_mel(
     clip: AudioClip, hop: int, cfg: FeatureConfig, resolutions: Sequence[tuple[int, int]]
 ) -> np.ndarray:
@@ -100,13 +118,20 @@ def _log_mel(
     The channel axis is resolution-major: (r0 ch0, r0 ch1, r1 ch0, ...).
     """
     f_top = effective_f_max(cfg.f_max, clip.sample_rate)
-    planes = []
-    for window_len, fft_size in resolutions:
+    n_ch = clip.n_channels
+    n_frames = dsp.frame_count(clip.n_samples, hop)
+    out = np.empty((n_frames, cfg.n_mels, n_ch * len(resolutions)))
+    for r, (window_len, fft_size) in enumerate(resolutions):
         bank = dsp.mel_filterbank(cfg.n_mels, fft_size, clip.sample_rate, cfg.f_min, f_top)
-        for samples in clip.samples:
-            spectra = dsp.stft(samples, window_len, fft_size, hop)
-            planes.append(dsp.log_mel_energies(dsp.power_spectrum(spectra), bank))
-    return np.stack(planes, axis=2)
+        # a short last block is projected at the full block height, so every
+        # frame's mel sums come from the same BLAS kernel as in a whole-clip
+        # product: OpenBLAS rounds small products differently
+        power = np.zeros((min(n_frames, _BLOCK_FRAMES), bank.n_bins))
+        for ch, samples in enumerate(clip.samples):
+            for rows, spectra in _stft_blocks(samples, window_len, fft_size, hop):
+                power[: len(spectra)] = dsp.power_spectrum(spectra)
+                out[rows, :, r * n_ch + ch] = dsp.log_mel_energies(power, bank)[: len(spectra)]
+    return out
 
 
 def _mel(clip: AudioClip, hop: int, cfg: FeatureConfig) -> np.ndarray:
@@ -127,16 +152,18 @@ def _magnitude_phase(clip: AudioClip, hop: int, cfg: FeatureConfig) -> np.ndarra
     ``fft_log_magnitude`` switches the magnitude planes to log scale.
     """
     window_len = _samples(cfg.window_ms, clip.sample_rate)
-    mags, phases = [], []
-    for samples in clip.samples:
-        spectra = dsp.stft(samples, window_len, cfg.fft_size, hop)[:, 1:]
-        mag = np.abs(spectra)
-        if cfg.fft_log_magnitude:
-            mag = np.log(np.maximum(mag, dsp.LOG_FLOOR))
-        phase = np.angle(spectra)
-        mags.append(mag)
-        phases.append(np.where(phase <= -np.pi, np.pi, phase))
-    return np.stack(mags + phases, axis=2)
+    out = np.empty((dsp.frame_count(clip.n_samples, hop), cfg.fft_size // 2, 4))
+    for ch, samples in enumerate(clip.samples):
+        for rows, spectra in _stft_blocks(samples, window_len, cfg.fft_size, hop):
+            spectra = spectra[:, 1:]
+            mag = out[rows, :, ch]
+            np.abs(spectra, out=mag)
+            if cfg.fft_log_magnitude:
+                np.log(np.maximum(mag, dsp.LOG_FLOOR, out=mag), out=mag)
+            phase = out[rows, :, 2 + ch]
+            np.arctan2(spectra.imag, spectra.real, out=phase)
+            phase[phase <= -np.pi] = np.pi
+    return out
 
 
 class FeatureClass(NamedTuple):

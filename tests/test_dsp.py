@@ -139,6 +139,27 @@ class TestStft:
         with pytest.raises(ShapeError):
             dsp.stft(np.zeros((3, 5)), 4, 8, 2)
 
+    # 4000 samples at hop 100 give F = 40; the 256-point window reaches past
+    # both signal edges for frames 0-1 and 39, so those rows see padding
+    @pytest.mark.parametrize(
+        "start, stop",
+        [(0, 1), (0, 5), (1, 3), (17, 30), (36, 40), (39, 40), (12, 12), (40, 40), (33, 99), (40, None), (55, 80)],
+    )
+    def test_frame_range_equals_rows_of_whole_transform(self, rng, start, stop):
+        x = rng.normal(size=4000)
+        whole = dsp.stft(x, 256, 512, 100)
+        part = dsp.stft(x, 256, 512, 100, start, stop)
+        assert np.array_equal(part, whole[start:stop])
+
+    def test_default_range_is_the_whole_transform(self, rng):
+        x = rng.normal(size=1001)
+        assert np.array_equal(dsp.stft(x, 200, 256, 80, 0, None), dsp.stft(x, 200, 256, 80))
+
+    @pytest.mark.parametrize("start, stop", [(-1, 3), (-1, None), (5, 4), (1, 0)])
+    def test_rejects_negative_or_inverted_range(self, start, stop):
+        with pytest.raises(RangeError):
+            dsp.stft(np.zeros(1000), 64, 64, 16, start, stop)
+
 
 class TestMelFilterbank:
     def test_mel_formula_values(self):

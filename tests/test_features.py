@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from oracles import chunks_by_hand, direct_dft, mel_frame_by_hand
-from sedpipe import dsp, features
+from sedpipe import dsp, features, synth
 from sedpipe.audio_io import AudioClip, EventRoll, to_mono
 from sedpipe.config import FeatureConfig
 from sedpipe.errors import ChannelError, ShapeError, StateError
@@ -33,6 +34,15 @@ FIELDS_READ = {
     "bin-mul-mbe": _MEL_READS + ("multires_windows",),
     "bin-fft": ("hop_ms", "window_ms", "fft_size", "fft_log_magnitude"),
 }
+
+
+# clip lengths in frames on both sides of the extractors' 64-frame block seams
+BLOCK_SEAM_FRAMES = [0, 1, 64, 65, 130]
+
+
+def noise_clip(rng, n_frames: int) -> AudioClip:
+    """Stereo 44.1 kHz noise of exactly ``n_frames`` frames at the 882-sample hop."""
+    return AudioClip(samples=rng.uniform(-0.5, 0.5, size=(2, n_frames * 882)), sample_rate=44100)
 
 
 class TestExtractMbe:
@@ -106,13 +116,17 @@ class TestExtractBinMulMbe:
         tensor = features.extract(stereo_clip, "bin-mul-mbe", f_max=F_MAX)
         assert tensor.data.shape == (50, 40, 6)
 
-    def test_resolution_pair_matches_single_resolution(self, stereo_clip):
-        tensor = features.extract(stereo_clip, "bin-mul-mbe", f_max=F_MAX)
-        bank = dsp.mel_filterbank(40, 4096, 44100, 0.0, F_MAX)
-        for ch in range(2):
-            spectra = dsp.stft(stereo_clip.samples[ch], 4096, 4096, 882)
-            single = dsp.log_mel_energies(dsp.power_spectrum(spectra), bank)
-            assert np.array_equal(tensor.data[:, :, 2 + ch], single)
+    @pytest.mark.parametrize("n_frames", BLOCK_SEAM_FRAMES)
+    def test_resolution_pair_matches_single_resolution(self, rng, n_frames):
+        clip = noise_clip(rng, n_frames)
+        tensor = features.extract(clip, "bin-mul-mbe", f_max=F_MAX)
+        assert tensor.n_frames == n_frames
+        for k, window in enumerate(FeatureConfig.multires_windows):
+            bank = dsp.mel_filterbank(40, window, 44100, 0.0, F_MAX)
+            for ch in range(2):
+                spectra = dsp.stft(clip.samples[ch], window, window, 882)
+                single = dsp.log_mel_energies(dsp.power_spectrum(spectra), bank)
+                assert np.array_equal(tensor.data[:, :, 2 * k + ch], single)
 
     def test_1024_resolution_frame_matches_hand_oracle(self, stereo_clip):
         # window length equals the FFT size: the frame is not zero padded
@@ -175,6 +189,17 @@ class TestExtractBinFft:
         # imaginary residue flips between pi and -pi
         delta = np.angle(np.exp(1j * (tensor.data[f, :, 2 + ch] - np.angle(spec))))
         assert np.max(np.abs(delta)) < 1e-9
+
+    @pytest.mark.parametrize("n_frames", BLOCK_SEAM_FRAMES)
+    def test_matches_whole_clip_stft(self, rng, n_frames):
+        clip = noise_clip(rng, n_frames)
+        tensor = features.extract(clip, "bin-fft")
+        assert tensor.n_frames == n_frames
+        for ch in range(2):
+            spectra = dsp.stft(clip.samples[ch], 1764, 2048, 882)[:, 1:]
+            phase = np.angle(spectra)
+            assert np.array_equal(tensor.data[:, :, ch], np.abs(spectra))
+            assert np.array_equal(tensor.data[:, :, 2 + ch], np.where(phase <= -np.pi, np.pi, phase))
 
     def test_rejects_mono(self):
         clip = AudioClip(samples=np.zeros((1, 8000)), sample_rate=8000)
@@ -239,6 +264,27 @@ class TestDispatcher:
         a = features.extract(stereo_clip, "bin-mbe", f_max=F_MAX)
         b = features.extract(stereo_clip, "bin-mbe", f_max=F_MAX)
         assert np.array_equal(a.data, b.data)
+
+
+class TestExtractMemory:
+    @pytest.fixture(scope="class")
+    def ten_second_clip(self) -> AudioClip:
+        spec = synth.SynthSpec(n_clips=1, duration_s=10.0, seed=5)
+        return next(iter(synth.synth_dataset(spec)))[0]
+
+    # whole-clip transforms peaked at 194 MiB (bin-mul-mbe) and 43 MiB (bin-fft)
+    # of traced numpy memory; 64-frame blocks need about 32 and 19 MiB
+    @pytest.mark.parametrize("fc, bound_mib", [("bin-mul-mbe", 64), ("bin-fft", 32)])
+    def test_peak_traced_memory_is_bounded(self, ten_second_clip, fc, bound_mib):
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tensor = features.extract(ten_second_clip, fc)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert tensor.n_frames == 500
+        assert peak < bound_mib * 2**20
 
 
 class TestNormalizer:
