@@ -186,7 +186,11 @@ def cmd_eval(args) -> int:
 
     ref = events_to_roll(ref_events, n_frames, hop, class_names)
     pred = events_to_roll(pred_events, n_frames, hop, class_names)
-    report = metrics.evaluate(ref, pred, segment_seconds=args.segment_seconds)
+    counts = metrics.count_segments(
+        metrics.roll_to_segments(ref, args.segment_seconds),
+        metrics.roll_to_segments(pred, args.segment_seconds),
+    )
+    report = metrics.report_from_counts(counts)
 
     print(f"segments: {report.n_segments}")
     t = report.totals
@@ -196,17 +200,13 @@ def cmd_eval(args) -> int:
     if args.out:
         _write_metric_tsv(report, args.out)
     if args.segments_out:
-        counts = metrics.count_segments(
-            metrics.roll_to_segments(ref, args.segment_seconds),
-            metrics.roll_to_segments(pred, args.segment_seconds),
-        )
-        with open(args.segments_out, "w", encoding="utf-8") as fh:
-            fh.write("k\tTP\tFP\tFN\tS\tD\tI\tN\n")
-            for k in range(counts.n_segments):
-                fh.write(
-                    f"{k}\t{counts.tp[k]}\t{counts.fp[k]}\t{counts.fn[k]}"
-                    f"\t{counts.s[k]}\t{counts.d[k]}\t{counts.i[k]}\t{counts.n[k]}\n"
-                )
+        lines = ["k\tTP\tFP\tFN\tS\tD\tI\tN"]
+        lines += [
+            f"{k}\t{counts.tp[k]}\t{counts.fp[k]}\t{counts.fn[k]}"
+            f"\t{counts.s[k]}\t{counts.d[k]}\t{counts.i[k]}\t{counts.n[k]}"
+            for k in range(counts.n_segments)
+        ]
+        _write_lines(args.segments_out, lines)
     return 0
 
 
@@ -340,15 +340,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (SedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

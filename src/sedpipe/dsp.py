@@ -8,6 +8,7 @@ extractors need.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,17 +19,19 @@ from .errors import RangeError, ShapeError, SizeError
 LOG_FLOOR = 1e-10
 
 
+@lru_cache(maxsize=None)
 def hamming_window(n: int) -> np.ndarray:
     """Symmetric Hamming window ``w[k] = 0.54 - 0.46*cos(2*pi*k/(n-1))``.
 
-    ``n == 1`` degenerates to the single constant term ``[0.54]``.
+    ``n == 1`` degenerates to the single constant term ``[0.54]``. Each
+    length is computed once and shared as a read-only array, since the STFT
+    asks for it once per block of frames.
     """
     if n < 1:
         raise RangeError(f"window length must be >= 1, got {n}")
-    if n == 1:
-        return np.array([0.54])
-    k = np.arange(n)
-    return 0.54 - 0.46 * np.cos(2.0 * np.pi * k / (n - 1))
+    w = np.array([0.54]) if n == 1 else 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
+    w.flags.writeable = False
+    return w
 
 
 def is_power_of_two(n: int) -> bool:

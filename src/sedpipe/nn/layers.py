@@ -4,8 +4,10 @@ Array conventions: the convolutional block works on (S, T, B, F) volumes
 (batch, time, frequency bins, feature maps); the recurrent and dense block
 works on (S, T, D). Every layer caches what its backward pass needs during
 forward, so forward/backward pairs must not interleave across calls; batch
-norm's backward consumes its cache. A layer may overwrite its argument only
-when called with ``owned=True`` (see :meth:`sedpipe.nn.ModelGraph.forward`).
+norm's backward consumes its cache. Only a batch norm with ``in_place`` set
+overwrites its argument; :class:`sedpipe.nn.ModelGraph` sets it inside the
+conv block (conv, batch norm, frequency max pool), where the conv's output
+and the pool's input gradient are fresh arrays that nothing else holds.
 """
 
 from __future__ import annotations
@@ -30,41 +32,38 @@ def sigmoid(x):
 SIGMOID_CLAMP = 1e-7
 
 
-def uniform_init(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
+def uniform_init(rng: np.random.Generator | None, shape, fan_in: int, fan_out: int) -> np.ndarray:
+    """Glorot-uniform weights of ``shape``, or zeros without a generator."""
+    if rng is None:
+        return np.zeros(shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, shape)
 
 
 class Layer:
-    """Base: subclasses fill ``params``/``grads`` dicts and declare
-    ``param_order`` (and ``buffer_order`` for non-trained state).
-
-    ``keeps_output`` marks a layer that caches its forward output for
-    backward, so the next layer must not overwrite it; ``passes_through``
-    one whose forward or backward may return its argument or a view of it,
-    which is then owned only if the argument was.
+    """Base: subclasses declare their descriptor ``kind`` and the
+    constructor ``settings`` that rebuild them, and fill ``params`` (trained)
+    and ``buffers`` (not trained) in serialization order.
     """
 
-    param_order: tuple[str, ...] = ()
-    buffer_order: tuple[str, ...] = ()
-    keeps_output = False
-    passes_through = False
+    kind = ""
+    settings: tuple[str, ...] = ()
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self.buffers: dict[str, np.ndarray] = {}
 
-    def forward(self, x, training=False, rng=None, owned=False):
+    def forward(self, x, training=False, rng=None):
         raise NotImplementedError
 
-    def backward(self, dout, input_grad=True, owned=False):
+    def backward(self, dout, input_grad=True):
         """Fill ``grads`` and return the input gradient; a layer may skip
         that gradient and return None when ``input_grad`` is False."""
         raise NotImplementedError
 
     def descriptor(self) -> dict:
-        raise NotImplementedError
+        return {"type": self.kind, **{name: getattr(self, name) for name in self.settings}}
 
     def zero_grads(self):
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
@@ -87,22 +86,18 @@ class Conv2D(Layer):
     matrix of a single sample.
     """
 
-    param_order = ("kernels",)
+    kind = "conv2d"
+    settings = ("in_channels", "filters")
 
     def __init__(self, in_channels: int, filters: int, rng: np.random.Generator | None = None):
         super().__init__()
         self.in_channels = in_channels
         self.filters = filters
-        fan_in = 9 * in_channels
-        fan_out = 9 * filters
-        if rng is None:
-            kernels = np.zeros((filters, 3, 3, in_channels))
-        else:
-            kernels = uniform_init(rng, (filters, 3, 3, in_channels), fan_in, fan_out)
-        self.params = {"kernels": kernels}
+        shape = (filters, 3, 3, in_channels)
+        self.params = {"kernels": uniform_init(rng, shape, 9 * in_channels, 9 * filters)}
         self._cache = None
 
-    def forward(self, x, training=False, rng=None, owned=False):
+    def forward(self, x, training=False, rng=None):
         if x.ndim != 4 or x.shape[3] != self.in_channels:
             raise ShapeError(
                 f"conv2d expects (S, T, B, {self.in_channels}), got shape {x.shape}"
@@ -116,7 +111,7 @@ class Conv2D(Layer):
         self._cache = xp
         return out.reshape(s, t, b, self.filters)
 
-    def backward(self, dout, input_grad=True, owned=False):
+    def backward(self, dout, input_grad=True):
         if self._cache is None:
             raise StateError("conv2d backward before forward")
         xp = self._cache
@@ -139,14 +134,11 @@ class Conv2D(Layer):
         self.grads["kernels"] = dk.reshape(k.shape)
         return dxp[:, 1:-1, 1:-1] if input_grad else None
 
-    def descriptor(self):
-        return {"type": "conv2d", "in_channels": self.in_channels, "filters": self.filters}
 
-
-def _writable(a, owned):
-    """``a`` if the caller owns it and it is float64, else a new float64
+def _writable(a, in_place):
+    """``a`` if it may be overwritten and is float64, else a new float64
     array of its shape: the ``out=`` of a step that may overwrite ``a``."""
-    return a if owned and a.dtype == np.float64 else np.empty(a.shape)
+    return a if in_place and a.dtype == np.float64 else np.empty(a.shape)
 
 
 class BatchNorm(Layer):
@@ -154,14 +146,15 @@ class BatchNorm(Layer):
 
     Training mode normalizes with batch statistics and folds them into the
     running estimates (momentum 0.9); inference normalizes with the running
-    estimates and fails if none exist yet. An owned input becomes x̂ in
-    training and the output in inference, and an owned ``dout`` becomes the
-    input gradient: only the training output is a new activation-sized
+    estimates and fails if none exist yet. With ``in_place`` set, the input
+    becomes x̂ in training and the output in inference, and ``dout`` becomes
+    the input gradient: only the training output is a new activation-sized
     array.
     """
 
-    param_order = ("gamma", "beta")
-    buffer_order = ("running_mean", "running_var", "updates")
+    kind = "batch_norm"
+    settings = ("n_features", "eps", "momentum")
+    in_place = False
 
     def __init__(self, n_features: int, eps: float = 1e-5, momentum: float = 0.9):
         super().__init__()
@@ -176,7 +169,7 @@ class BatchNorm(Layer):
         }
         self._cache = None
 
-    def forward(self, x, training=False, rng=None, owned=False):
+    def forward(self, x, training=False, rng=None):
         if x.shape[-1] != self.n_features:
             raise ShapeError(f"batch norm expects {self.n_features} feature maps, got {x.shape[-1]}")
         x2 = x.reshape(-1, self.n_features)
@@ -185,7 +178,7 @@ class BatchNorm(Layer):
             # einsum reductions over axis 0 run several times faster than
             # .mean(axis=0) when F is small, with the same summation order
             mean = np.einsum("ij->j", x2) / x2.shape[0]
-            x_hat = np.subtract(x2, mean, out=_writable(x2, owned))
+            x_hat = np.subtract(x2, mean, out=_writable(x2, self.in_place))
             var = np.einsum("ij,ij->j", x_hat, x_hat) / x2.shape[0]
             m = self.momentum
             self.buffers["running_mean"] = m * self.buffers["running_mean"] + (1 - m) * mean
@@ -200,11 +193,11 @@ class BatchNorm(Layer):
             if self.buffers["updates"][0] == 0:
                 raise StateError("batch norm inference before any training update")
             scale = gamma / np.sqrt(self.buffers["running_var"] + self.eps)
-            out = np.multiply(x2, scale, out=_writable(x2, owned))
+            out = np.multiply(x2, scale, out=_writable(x2, self.in_place))
             out += beta - self.buffers["running_mean"] * scale
         return out.reshape(x.shape)
 
-    def backward(self, dout, input_grad=True, owned=False):
+    def backward(self, dout, input_grad=True):
         if self._cache is None:
             raise StateError("batch norm backward needs a training-mode forward since its last backward")
         x_hat, inv_std = self._cache
@@ -215,20 +208,12 @@ class BatchNorm(Layer):
         dgamma = np.einsum("ij,ij->j", d, x_hat)
         self.grads["gamma"] = dgamma
         self.grads["beta"] = dbeta
-        dx = np.multiply(d, m, out=_writable(d, owned))
+        dx = np.multiply(d, m, out=_writable(d, self.in_place))
         dx -= dbeta
         x_hat *= dgamma
         dx -= x_hat
         dx *= self.params["gamma"] * inv_std / m
         return dx.reshape(dout.shape)
-
-    def descriptor(self):
-        return {
-            "type": "batch_norm",
-            "n_features": self.n_features,
-            "eps": self.eps,
-            "momentum": self.momentum,
-        }
 
 
 class MaxPoolFreq(Layer):
@@ -238,6 +223,9 @@ class MaxPoolFreq(Layer):
     the backward pass routes each gradient to its argmax.
     """
 
+    kind = "max_pool_freq"
+    settings = ("factor",)
+
     def __init__(self, factor: int):
         super().__init__()
         if factor < 1:
@@ -245,7 +233,7 @@ class MaxPoolFreq(Layer):
         self.factor = factor
         self._cache = None
 
-    def forward(self, x, training=False, rng=None, owned=False):
+    def forward(self, x, training=False, rng=None):
         s, t, b, f = x.shape
         if b % self.factor:
             raise ShapeError(f"pool factor {self.factor} does not divide {b} bins")
@@ -267,7 +255,7 @@ class MaxPoolFreq(Layer):
             self._cache = (arg, x.shape)
         return out
 
-    def backward(self, dout, input_grad=True, owned=False):
+    def backward(self, dout, input_grad=True):
         if self._cache is None:
             raise StateError("max pool backward requires a training-mode forward")
         arg, shape = self._cache
@@ -276,14 +264,12 @@ class MaxPoolFreq(Layer):
         np.put_along_axis(dm, arg[:, :, :, None, :], dout[:, :, :, None, :], axis=3)
         return dm.reshape(shape)
 
-    def descriptor(self):
-        return {"type": "max_pool_freq", "factor": self.factor}
-
 
 class Dropout(Layer):
     """Inverted dropout: identity at inference, mask/keep scaling in training."""
 
-    passes_through = True
+    kind = "dropout"
+    settings = ("rate",)
 
     def __init__(self, rate: float):
         super().__init__()
@@ -292,7 +278,7 @@ class Dropout(Layer):
         self.rate = rate
         self._mask = None
 
-    def forward(self, x, training=False, rng=None, owned=False):
+    def forward(self, x, training=False, rng=None):
         if not training or self.rate == 0.0:
             self._mask = None
             return x
@@ -302,36 +288,30 @@ class Dropout(Layer):
         self._mask = (rng.random(x.shape) >= self.rate) / keep
         return x * self._mask
 
-    def backward(self, dout, input_grad=True, owned=False):
+    def backward(self, dout, input_grad=True):
         if self._mask is None:
             return dout
         return dout * self._mask
-
-    def descriptor(self):
-        return {"type": "dropout", "rate": self.rate}
 
 
 class FlattenFreq(Layer):
     """(S, T, B, F) -> (S, T, B*F): joins the conv block to the recurrent one."""
 
-    passes_through = True
+    kind = "flatten_freq"
 
     def __init__(self):
         super().__init__()
         self._shape = None
 
-    def forward(self, x, training=False, rng=None, owned=False):
+    def forward(self, x, training=False, rng=None):
         if x.ndim != 4:
             raise ShapeError(f"flatten expects a 4-D volume, got shape {x.shape}")
         self._shape = x.shape
         s, t, b, f = x.shape
         return x.reshape(s, t, b * f)
 
-    def backward(self, dout, input_grad=True, owned=False):
+    def backward(self, dout, input_grad=True):
         return dout.reshape(self._shape)
-
-    def descriptor(self):
-        return {"type": "flatten_freq"}
 
 
 _DIRECTIONS = ("fwd", "bwd")
@@ -354,7 +334,8 @@ class BiGRU(Layer):
     gradients are whole-sequence GEMMs over the stored gate derivatives.
     """
 
-    param_order = tuple(f"{d}_{n}" for d in _DIRECTIONS for n in ("W", "U", "b"))
+    kind = "bigru"
+    settings = ("in_dim", "units")
 
     def __init__(self, in_dim: int, units: int, rng: np.random.Generator | None = None):
         super().__init__()
@@ -362,15 +343,10 @@ class BiGRU(Layer):
             raise RangeError(f"GRU units must be >= 1, got {units}")
         self.in_dim = in_dim
         self.units = units
-
-        def init(rows):
-            shape = (3, rows, units)
-            return uniform_init(rng, shape, rows, units) if rng is not None else np.zeros(shape)
-
         self.params = {}
         for d in _DIRECTIONS:
-            self.params[f"{d}_W"] = init(in_dim)
-            self.params[f"{d}_U"] = init(units)
+            self.params[f"{d}_W"] = uniform_init(rng, (3, in_dim, units), in_dim, units)
+            self.params[f"{d}_U"] = uniform_init(rng, (3, units, units), units, units)
             self.params[f"{d}_b"] = np.zeros((3, units))
         self._cache = None
 
@@ -380,7 +356,7 @@ class BiGRU(Layer):
         w = np.stack([self.params[f"{d}_{name}"] for d in _DIRECTIONS])
         return w.transpose(0, 2, 1, 3).reshape(2, w.shape[2], -1)
 
-    def forward(self, x, training=False, rng=None, owned=False):
+    def forward(self, x, training=False, rng=None):
         if x.ndim != 3 or x.shape[2] != self.in_dim:
             raise ShapeError(f"bigru expects (S, T, {self.in_dim}), got shape {x.shape}")
         s, t, dim = x.shape
@@ -406,7 +382,7 @@ class BiGRU(Layer):
         self._cache = (x, w, u_rec, hs, gates, rh)
         return np.concatenate((hs[0, :, 1:], hs[1, :, :0:-1]), axis=2)
 
-    def backward(self, dout, input_grad=True, owned=False):
+    def backward(self, dout, input_grad=True):
         if self._cache is None:
             raise StateError("bigru backward before forward")
         x, w, u_rec, hs, gates, rh = self._cache
@@ -453,9 +429,6 @@ class BiGRU(Layer):
         dx += flat[1] @ w[1].T
         return dx.reshape(x.shape)
 
-    def descriptor(self):
-        return {"type": "bigru", "in_dim": self.in_dim, "units": self.units}
-
 
 # name -> (activation of the pre-activation z, dL/dz from dL/dout and the
 # output); every derivative is a function of the output alone
@@ -476,8 +449,8 @@ class TimeDense(Layer):
     """Shared dense map applied to every frame: out[t] = act(in[t] @ W + b).
     The output is cached, since the activation derivative reads it."""
 
-    param_order = ("W", "b")
-    keeps_output = True
+    kind = "time_dense"
+    settings = ("in_dim", "units", "activation")
 
     def __init__(self, in_dim: int, units: int, activation: str = "linear",
                  rng: np.random.Generator | None = None):
@@ -487,22 +460,17 @@ class TimeDense(Layer):
         self.in_dim = in_dim
         self.units = units
         self.activation = activation
-        w = (
-            uniform_init(rng, (in_dim, units), in_dim, units)
-            if rng is not None
-            else np.zeros((in_dim, units))
-        )
-        self.params = {"W": w, "b": np.zeros(units)}
+        self.params = {"W": uniform_init(rng, (in_dim, units), in_dim, units), "b": np.zeros(units)}
         self._cache = None
 
-    def forward(self, x, training=False, rng=None, owned=False):
+    def forward(self, x, training=False, rng=None):
         if x.ndim != 3 or x.shape[2] != self.in_dim:
             raise ShapeError(f"time dense expects (S, T, {self.in_dim}), got shape {x.shape}")
         out = _ACTIVATION_TABLE[self.activation][0](x @ self.params["W"] + self.params["b"])
         self._cache = (x, out)
         return out
 
-    def backward(self, dout, input_grad=True, owned=False):
+    def backward(self, dout, input_grad=True):
         if self._cache is None:
             raise StateError("time dense backward before forward")
         x, out = self._cache
@@ -513,24 +481,8 @@ class TimeDense(Layer):
         self.grads["b"] = dz2.sum(axis=0)
         return dz @ self.params["W"].T
 
-    def descriptor(self):
-        return {
-            "type": "time_dense",
-            "in_dim": self.in_dim,
-            "units": self.units,
-            "activation": self.activation,
-        }
 
-
-LAYER_TYPES = {
-    "conv2d": Conv2D,
-    "batch_norm": BatchNorm,
-    "max_pool_freq": MaxPoolFreq,
-    "dropout": Dropout,
-    "flatten_freq": FlattenFreq,
-    "bigru": BiGRU,
-    "time_dense": TimeDense,
-}
+LAYER_TYPES = {cls.kind: cls for cls in Layer.__subclasses__()}
 
 
 def layer_from_descriptor(desc: dict) -> Layer:

@@ -34,49 +34,47 @@ class ModelGraph:
     Parameters are addressed as ``"<layer index>.<name>"``; buffers (batch
     norm running statistics) ride along in snapshots and checkpoints so a
     restored model reproduces inference bit for bit.
+
+    A batch norm between a conv and a frequency max pool works in place:
+    the conv's output and the pool's input gradient are fresh arrays that
+    nothing else holds. No other layer writes its argument, so the caller's
+    input and output gradient are never written.
     """
 
     def __init__(self, layers: list[Layer]):
         self.layers = layers
+        for prev, layer, nxt in zip(layers, layers[1:], layers[2:]):
+            if isinstance(prev, Conv2D) and isinstance(layer, BatchNorm) and isinstance(nxt, MaxPoolFreq):
+                layer.in_place = True
 
     def forward(self, x, training=False, rng=None):
-        """Run the stack. Each layer is told whether its argument is owned:
-        made by the previous layer and referenced by nothing else, so it may
-        be overwritten. The caller's ``x`` is never owned, nor is anything
-        a pass-through layer returns of it or an output its layer keeps."""
-        owned = False
         for layer in self.layers:
-            x = layer.forward(x, training=training, rng=rng, owned=owned)
-            owned = owned if layer.passes_through else not layer.keeps_output
+            x = layer.forward(x, training=training, rng=rng)
         return x
 
     def backward(self, dout) -> None:
-        """Fill every layer's ``grads``, with ownership of each gradient as in
-        :meth:`forward`; ``dout`` itself is never written. The first layer
-        computes no input gradient: nothing reads the gradient of the
-        model's input."""
-        owned = False
+        """Fill every layer's ``grads``. The first layer computes no input
+        gradient: nothing reads the gradient of the model's input."""
         for i in reversed(range(len(self.layers))):
-            layer = self.layers[i]
-            dout = layer.backward(dout, input_grad=i > 0, owned=owned)
-            owned = owned or not layer.passes_through
+            dout = self.layers[i].backward(dout, input_grad=i > 0)
 
     def parameters(self):
         for i, layer in enumerate(self.layers):
-            for name in layer.param_order:
-                yield f"{i}.{name}", layer.params[name]
+            for name, p in layer.params.items():
+                yield f"{i}.{name}", p
 
     def gradient(self, key: str) -> np.ndarray:
         idx, name = key.split(".", 1)
         return self.layers[int(idx)].grads[name]
 
     def state_arrays(self):
-        """Parameters then buffers, in declaration order, for serialization."""
+        """Each layer's parameters then its buffers, in declaration order,
+        for serialization."""
         for i, layer in enumerate(self.layers):
-            for name in layer.param_order:
-                yield f"{i}.{name}", layer.params[name]
-            for name in layer.buffer_order:
-                yield f"{i}.buffer.{name}", layer.buffers[name]
+            for name, arr in layer.params.items():
+                yield f"{i}.{name}", arr
+            for name, arr in layer.buffers.items():
+                yield f"{i}.buffer.{name}", arr
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {key: arr.copy() for key, arr in self.state_arrays()}

@@ -34,6 +34,12 @@ class TestHammingWindow:
         with pytest.raises(RangeError):
             dsp.hamming_window(0)
 
+    def test_repeat_call_returns_the_same_read_only_array(self):
+        w = dsp.hamming_window(64)
+        assert dsp.hamming_window(64) is w
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
 
 class TestFft:
     def test_impulse(self):

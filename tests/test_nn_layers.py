@@ -260,8 +260,8 @@ class TestBiGru:
             expected += [ref.uniform(-w_lim, w_lim, (d, u)) for _ in range(3)]
             expected += [ref.uniform(-u_lim, u_lim, (u, u)) for _ in range(3)]
             expected += [np.zeros(u)] * 3
-        assert len(gru.param_order) == 6
-        payload = np.concatenate([gru.params[k].ravel() for k in gru.param_order])
+        assert len(gru.params) == 6
+        payload = np.concatenate([a.ravel() for a in gru.params.values()])
         assert np.array_equal(payload, np.concatenate([a.ravel() for a in expected]))
 
     def test_gradients_match_finite_differences(self, rng):

@@ -9,6 +9,7 @@ from oracles import finite_difference_gradients, max_relative_error
 from sedpipe.errors import CheckpointError, ConfigError, RangeError
 from sedpipe.features import Normalizer
 from sedpipe.nn import (
+    BatchNorm,
     CrnnArch,
     ModelGraph,
     adam_step,
@@ -177,6 +178,18 @@ class TestCheckpoint:
                 model.forward(x, training=False), loaded.forward(x, training=False)
             )
 
+    def test_state_key_order_is_the_checkpoint_payload_order(self, rng):
+        # checkpoint bytes follow this order, so it must not drift
+        keys = [key for key, _ in build_crnn(tiny_arch(), rng).state_arrays()]
+        assert keys == [
+            "0.kernels",
+            "1.gamma", "1.beta",
+            "1.buffer.running_mean", "1.buffer.running_var", "1.buffer.updates",
+            "5.fwd_W", "5.fwd_U", "5.fwd_b", "5.bwd_W", "5.bwd_U", "5.bwd_b",
+            "7.W", "7.b",
+            "9.W", "9.b",
+        ]
+
     def test_descriptor_mismatch_rejected(self, rng, tmp_path):
         model = build_crnn(tiny_arch(), rng)
         model.forward(rng.normal(size=(1, 4, 40, 1)), training=True)
@@ -292,15 +305,27 @@ class TestBaseline:
 
 
 def test_model_graph_from_descriptor_rebuilds_same_topology(rng):
-    model = build_crnn(tiny_arch(), rng)
-    rebuilt = ModelGraph.from_descriptor(model.descriptor())
-    assert rebuilt.descriptor() == model.descriptor()
-    assert rebuilt.n_parameters() == model.n_parameters()
+    for model in (build_crnn(tiny_arch(), rng), build_baseline_mlp(3, rng=rng)):
+        rebuilt = ModelGraph.from_descriptor(model.descriptor())
+        assert rebuilt.descriptor() == model.descriptor()
+        assert rebuilt.n_parameters() == model.n_parameters()
+        assert [k for k, _ in rebuilt.state_arrays()] == [k for k, _ in model.state_arrays()]
 
 
-# graphs in which batch norm's argument is, or is not, the graph's own; each
-# takes (2, 4, 5, 3) inputs
+# graphs in which batch norm may, or may not, work in place; only the conv
+# block does. Each takes (2, 4, 5, 3) inputs
 OWNERSHIP_GRAPHS = {
+    "conv_block": [
+        {"type": "conv2d", "in_channels": 3, "filters": 2},
+        {"type": "batch_norm", "n_features": 2},
+        {"type": "max_pool_freq", "factor": 5},
+    ],
+    # the caller's dout passes through dropout into batch norm's backward
+    "conv_bn_dropout_last": [
+        {"type": "conv2d", "in_channels": 3, "filters": 2},
+        {"type": "batch_norm", "n_features": 2},
+        {"type": "dropout", "rate": 0.0},
+    ],
     "batch_norm_first": [
         {"type": "batch_norm", "n_features": 3},
         {"type": "conv2d", "in_channels": 3, "filters": 2},
@@ -335,6 +360,8 @@ class TestOwnedActivations:
     @pytest.mark.parametrize("name", list(OWNERSHIP_GRAPHS))
     def test_graph_keeps_caller_arrays_and_exact_gradients(self, rng, name):
         model = ModelGraph.from_descriptor(OWNERSHIP_GRAPHS[name])
+        norms = [layer for layer in model.layers if isinstance(layer, BatchNorm)]
+        assert [bn.in_place for bn in norms] == [name == "conv_block"]
         for _, p in model.parameters():
             p[...] = rng.normal(size=p.shape) + 0.5
         x = rng.normal(size=(2, 4, 5, 3))
@@ -355,9 +382,13 @@ class TestOwnedActivations:
             assert max_relative_error(model.gradient(key), fd) < 1e-5, key
 
     def test_crnn_step_keeps_caller_arrays_and_equals_direct_layer_calls(self, rng):
-        # direct calls own nothing, so they take batch norm's copying path
+        # the direct calls take batch norm's copying path
         arch = tiny_arch(n_channels=2, conv_layers=2, pool_factors=(5, 4), filters=3, dropout=0.25)
         graph, direct = build_crnn(arch, np.random.default_rng(5)), build_crnn(arch, np.random.default_rng(5))
+        for layer in direct.layers:
+            if isinstance(layer, BatchNorm):
+                assert layer.in_place
+                layer.in_place = False
         x = rng.normal(size=(2, 8, 40, 2))
         x_before = x.copy()
         out = graph.forward(x, training=True, rng=np.random.default_rng(6))
