@@ -4,10 +4,10 @@ Array conventions: the convolutional block works on (S, T, B, F) volumes
 (batch, time, frequency bins, feature maps); the recurrent and dense block
 works on (S, T, D). Every layer caches what its backward pass needs during
 forward, so forward/backward pairs must not interleave across calls; batch
-norm's backward consumes its cache. Only a batch norm with ``in_place`` set
-overwrites its argument; :class:`sedpipe.nn.ModelGraph` sets it inside the
-conv block (conv, batch norm, frequency max pool), where the conv's output
-and the pool's input gradient are fresh arrays that nothing else holds.
+norm's backward consumes its cache. No layer writes its arguments.
+:class:`ConvBlock` runs a (conv, batch norm, frequency max pool) triple as
+one block that normalizes the conv's fresh output in place and applies
+batch norm's scale and shift after the pool.
 """
 
 from __future__ import annotations
@@ -135,26 +135,17 @@ class Conv2D(Layer):
         return dxp[:, 1:-1, 1:-1] if input_grad else None
 
 
-def _writable(a, in_place):
-    """``a`` if it may be overwritten and is float64, else a new float64
-    array of its shape: the ``out=`` of a step that may overwrite ``a``."""
-    return a if in_place and a.dtype == np.float64 else np.empty(a.shape)
-
-
 class BatchNorm(Layer):
     """Per-feature-map normalization over all leading axes.
 
     Training mode normalizes with batch statistics and folds them into the
     running estimates (momentum 0.9); inference normalizes with the running
-    estimates and fails if none exist yet. With ``in_place`` set, the input
-    becomes x̂ in training and the output in inference, and ``dout`` becomes
-    the input gradient: only the training output is a new activation-sized
-    array.
+    estimates and fails if none exist yet. Both passes return new arrays;
+    they are also the reference that :class:`ConvBlock` matches.
     """
 
     kind = "batch_norm"
     settings = ("n_features", "eps", "momentum")
-    in_place = False
 
     def __init__(self, n_features: int, eps: float = 1e-5, momentum: float = 0.9):
         super().__init__()
@@ -169,32 +160,47 @@ class BatchNorm(Layer):
         }
         self._cache = None
 
-    def forward(self, x, training=False, rng=None):
+    def _check(self, x):
         if x.shape[-1] != self.n_features:
             raise ShapeError(f"batch norm expects {self.n_features} feature maps, got {x.shape[-1]}")
+
+    def _standardize(self, x2, out):
+        """x̂ = (x2 - batch mean) * inv_std written into ``out`` (which may
+        be ``x2``), folding the batch statistics into the running
+        estimates; returns inv_std."""
+        # einsum reductions over axis 0 run several times faster than
+        # .mean(axis=0) when F is small, with the same summation order
+        mean = np.einsum("ij->j", x2) / x2.shape[0]
+        x_hat = np.subtract(x2, mean, out=out)
+        var = np.einsum("ij,ij->j", x_hat, x_hat) / x2.shape[0]
+        m = self.momentum
+        self.buffers["running_mean"] = m * self.buffers["running_mean"] + (1 - m) * mean
+        self.buffers["running_var"] = m * self.buffers["running_var"] + (1 - m) * var
+        self.buffers["updates"] = self.buffers["updates"] + 1
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        x_hat *= inv_std
+        return inv_std
+
+    def _inference_affine(self):
+        """(scale, shift) of the inference map x * scale + shift."""
+        if self.buffers["updates"][0] == 0:
+            raise StateError("batch norm inference before any training update")
+        scale = self.params["gamma"] / np.sqrt(self.buffers["running_var"] + self.eps)
+        return scale, self.params["beta"] - self.buffers["running_mean"] * scale
+
+    def forward(self, x, training=False, rng=None):
+        self._check(x)
         x2 = x.reshape(-1, self.n_features)
-        gamma, beta = self.params["gamma"], self.params["beta"]
         if training:
-            # einsum reductions over axis 0 run several times faster than
-            # .mean(axis=0) when F is small, with the same summation order
-            mean = np.einsum("ij->j", x2) / x2.shape[0]
-            x_hat = np.subtract(x2, mean, out=_writable(x2, self.in_place))
-            var = np.einsum("ij,ij->j", x_hat, x_hat) / x2.shape[0]
-            m = self.momentum
-            self.buffers["running_mean"] = m * self.buffers["running_mean"] + (1 - m) * mean
-            self.buffers["running_var"] = m * self.buffers["running_var"] + (1 - m) * var
-            self.buffers["updates"] = self.buffers["updates"] + 1
-            inv_std = 1.0 / np.sqrt(var + self.eps)
-            x_hat *= inv_std
+            x_hat = np.empty(x2.shape)
+            inv_std = self._standardize(x2, x_hat)
             self._cache = (x_hat, inv_std)
-            out = x_hat * gamma
-            out += beta
+            out = x_hat * self.params["gamma"]
+            out += self.params["beta"]
         else:
-            if self.buffers["updates"][0] == 0:
-                raise StateError("batch norm inference before any training update")
-            scale = gamma / np.sqrt(self.buffers["running_var"] + self.eps)
-            out = np.multiply(x2, scale, out=_writable(x2, self.in_place))
-            out += beta - self.buffers["running_mean"] * scale
+            scale, shift = self._inference_affine()
+            out = x2 * scale
+            out += shift
         return out.reshape(x.shape)
 
     def backward(self, dout, input_grad=True):
@@ -208,12 +214,62 @@ class BatchNorm(Layer):
         dgamma = np.einsum("ij,ij->j", d, x_hat)
         self.grads["gamma"] = dgamma
         self.grads["beta"] = dbeta
-        dx = np.multiply(d, m, out=_writable(d, self.in_place))
+        dx = d * m
         dx -= dbeta
         x_hat *= dgamma
         dx -= x_hat
         dx *= self.params["gamma"] * inv_std / m
         return dx.reshape(dout.shape)
+
+
+def _pool_taps(m, op):
+    """Reduce the (S, T, B/f, f, F) window view ``m`` over its tap axis by
+    the elementwise ``op`` (np.maximum or np.minimum). One pass per tap
+    reads m in place: a reduction over the inner tap axis is slower."""
+    out = m[:, :, :, 0].copy()
+    for k in range(1, m.shape[3]):
+        op(out, m[:, :, :, k], out=out)
+    return out
+
+
+def _first_tap(m, sel):
+    """Index of each window's first tap equal to ``sel``, as the smallest
+    unsigned type that holds it: the count of the leading taps that differ.
+    A NaN window equals no tap and gets its last one."""
+    f = m.shape[3]
+    arg = np.zeros(sel.shape, dtype=np.min_scalar_type(f - 1))
+    notyet = np.ones(sel.shape, dtype=bool)
+    for k in range(f - 1):
+        notyet &= m[:, :, :, k] != sel
+        arg += notyet
+    return arg
+
+
+def _add_at_taps(m, arg, g):
+    """Add each window's pooled gradient ``g`` to tap ``arg`` of the
+    (S, T, B/f, f, F) view ``m``. At the paper's conv1 shape a masked
+    product per tap is about 3x faster than a ``where=`` add and 2x faster
+    than a fancy-index scatter."""
+    for k in range(m.shape[3]):
+        m[:, :, :, k] += (arg == k) * g
+
+
+def _windows(x, factor):
+    """(S, T, B, F) -> the (S, T, B/factor, factor, F) window view."""
+    s, t, b, f = x.shape
+    if b % factor:
+        raise ShapeError(f"pool factor {factor} does not divide {b} bins")
+    return x.reshape(s, t, b // factor, factor, f)
+
+
+def _select(m, flip):
+    """Each window's max, or its min in the feature maps where ``flip`` is
+    set: where batch norm's gain is negative, the window min becomes the
+    max of its output."""
+    out = _pool_taps(m, np.maximum)
+    if flip.any():
+        np.copyto(out, _pool_taps(m, np.minimum), where=flip)
+    return out
 
 
 class MaxPoolFreq(Layer):
@@ -234,35 +290,80 @@ class MaxPoolFreq(Layer):
         self._cache = None
 
     def forward(self, x, training=False, rng=None):
-        s, t, b, f = x.shape
-        if b % self.factor:
-            raise ShapeError(f"pool factor {self.factor} does not divide {b} bins")
-        m = x.reshape(s, t, b // self.factor, self.factor, f)
-        # one elementwise maximum per tap reads x in place: a reduction over
-        # the inner tap axis is slower, and argmax copies x to a contiguous
-        # layout first
-        out = m[:, :, :, 0].copy()
-        for k in range(1, self.factor):
-            np.maximum(out, m[:, :, :, k], out=out)
-        self._cache = None
-        if training:
-            # first argmax: the taps run last to first, so a tie keeps the
-            # lowest index. A NaN max equals no tap and leaves the zero
-            # start, which is still a valid index.
-            arg = np.zeros(out.shape, dtype=np.min_scalar_type(self.factor - 1))
-            for k in reversed(range(self.factor)):
-                arg[m[:, :, :, k] == out] = k
-            self._cache = (arg, x.shape)
+        m = _windows(x, self.factor)
+        out = _pool_taps(m, np.maximum)
+        self._cache = (_first_tap(m, out), x.shape) if training else None
         return out
 
     def backward(self, dout, input_grad=True):
         if self._cache is None:
             raise StateError("max pool backward requires a training-mode forward")
         arg, shape = self._cache
-        s, t, b, f = shape
-        dm = np.zeros((s, t, b // self.factor, self.factor, f))
-        np.put_along_axis(dm, arg[:, :, :, None, :], dout[:, :, :, None, :], axis=3)
-        return dm.reshape(shape)
+        dx = np.zeros(shape)
+        _add_at_taps(_windows(dx, self.factor), arg, dout)
+        return dx
+
+
+class ConvBlock:
+    """A Conv2D, BatchNorm and MaxPoolFreq run as one block over the three
+    layer objects, which keep their parameters, buffers and grads.
+
+    Each step of batch norm is monotone in its input, so pooling commutes
+    with it: the block pools x̂ (the window min where gamma < 0), or the
+    conv's output in inference, and applies batch norm's scale and shift to
+    the pooled array only; outputs equal the three layers' bit for bit. The
+    conv's output is the one full-size array: it becomes x̂ in place and, in
+    backward, the conv's output gradient. Gradients differ from the layers'
+    own in summation order, and a tie goes to the first max of x̂.
+    """
+
+    def __init__(self, conv: Conv2D, bn: BatchNorm, pool: MaxPoolFreq):
+        self.conv, self.bn, self.pool = conv, bn, pool
+        self._cache = None
+
+    def forward(self, x, training=False, rng=None):
+        y = self.conv.forward(x, training=training, rng=rng)
+        self.bn._check(y)
+        m = _windows(y, self.pool.factor)
+        self._cache = None
+        if training:
+            gamma = self.bn.params["gamma"]
+            y2 = y.reshape(-1, y.shape[3])
+            inv_std = self.bn._standardize(y2, y2)
+            flip = gamma < 0
+            out = _select(m, flip)
+            self._cache = (y, _first_tap(m, out), inv_std, flip)
+            out *= gamma
+            out += self.bn.params["beta"]
+        else:
+            scale, shift = self.bn._inference_affine()
+            out = _select(m, scale < 0)
+            out *= scale
+            out += shift
+        return out
+
+    def backward(self, dout, input_grad=True):
+        if self._cache is None:
+            raise StateError("conv block backward needs a training-mode forward since its last backward")
+        x_hat, arg, inv_std, flip = self._cache
+        self._cache = None  # x_hat becomes the conv's output gradient below
+        n = x_hat.shape[3]
+        count = x_hat.size // n
+        m = _windows(x_hat, self.pool.factor)
+        d2 = dout.reshape(-1, n)
+        # x̂ at each window's first max is the pooled x̂ again: pooling it
+        # anew is faster than a take_along_axis gather by the argmax
+        dbeta = np.einsum("ij->j", d2)
+        dgamma = np.einsum("ij,ij->j", d2, _select(m, flip).reshape(-1, n))
+        self.bn.grads["gamma"] = dgamma
+        self.bn.grads["beta"] = dbeta
+        # dx = c * (count * dy - dbeta - x_hat * dgamma), c = gamma * inv_std
+        # / count, where dy is dout routed to each window's first max
+        c = self.bn.params["gamma"] * inv_std / count
+        x_hat *= -c * dgamma
+        x_hat -= c * dbeta
+        _add_at_taps(m, arg, dout * (c * count))
+        return self.conv.backward(x_hat, input_grad=input_grad)
 
 
 class Dropout(Layer):

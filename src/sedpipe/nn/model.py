@@ -16,6 +16,7 @@ from .layers import (
     BatchNorm,
     BiGRU,
     Conv2D,
+    ConvBlock,
     Dropout,
     FlattenFreq,
     Layer,
@@ -35,28 +36,37 @@ class ModelGraph:
     norm running statistics) ride along in snapshots and checkpoints so a
     restored model reproduces inference bit for bit.
 
-    A batch norm between a conv and a frequency max pool works in place:
-    the conv's output and the pool's input gradient are fresh arrays that
-    nothing else holds. No other layer writes its argument, so the caller's
-    input and output gradient are never written.
+    Each (conv, batch norm, frequency max pool) triple runs as one
+    :class:`ConvBlock` over its three layers, which pools before batch
+    norm's scale and shift and overwrites only the conv's fresh output. No
+    step writes its argument, so the caller's input and output gradient
+    are never written.
     """
 
     def __init__(self, layers: list[Layer]):
         self.layers = layers
-        for prev, layer, nxt in zip(layers, layers[1:], layers[2:]):
-            if isinstance(prev, Conv2D) and isinstance(layer, BatchNorm) and isinstance(nxt, MaxPoolFreq):
-                layer.in_place = True
+        # (index of the step's first layer, the layer or the conv block)
+        self._steps: list[tuple[int, Layer | ConvBlock]] = []
+        i = 0
+        while i < len(layers):
+            trio = layers[i : i + 3]
+            if [type(layer) for layer in trio] == [Conv2D, BatchNorm, MaxPoolFreq]:
+                self._steps.append((i, ConvBlock(*trio)))
+                i += 3
+            else:
+                self._steps.append((i, layers[i]))
+                i += 1
 
     def forward(self, x, training=False, rng=None):
-        for layer in self.layers:
-            x = layer.forward(x, training=training, rng=rng)
+        for _, step in self._steps:
+            x = step.forward(x, training=training, rng=rng)
         return x
 
     def backward(self, dout) -> None:
         """Fill every layer's ``grads``. The first layer computes no input
         gradient: nothing reads the gradient of the model's input."""
-        for i in reversed(range(len(self.layers))):
-            dout = self.layers[i].backward(dout, input_grad=i > 0)
+        for i, step in reversed(self._steps):
+            dout = step.backward(dout, input_grad=i > 0)
 
     def parameters(self):
         for i, layer in enumerate(self.layers):

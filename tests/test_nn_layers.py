@@ -403,9 +403,12 @@ def test_model_backward_skips_only_the_first_input_gradient(rng):
     dout = rng.normal(size=out.shape)
     assert model.backward(dout) is None
     graph_grads = {key: model.gradient(key).copy() for key, _ in model.parameters()}
-    # batch norm's backward consumes its cache: redo the same forward first
-    model.forward(x, training=True, rng=np.random.default_rng(4))
+    # the same step through the separate layers, every input gradient on;
+    # the graph's conv blocks sum their gradients in another order
+    h, drop = x, np.random.default_rng(4)
+    for layer in model.layers:
+        h = layer.forward(h, training=True, rng=drop)
     for layer in reversed(model.layers):
         dout = layer.backward(dout, input_grad=True)
     for key, _ in model.parameters():
-        assert np.array_equal(model.gradient(key), graph_grads[key]), key
+        assert max_relative_error(model.gradient(key), graph_grads[key]) < 1e-12, key

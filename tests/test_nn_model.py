@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from oracles import finite_difference_gradients, max_relative_error
-from sedpipe.errors import CheckpointError, ConfigError, RangeError
+from sedpipe.errors import CheckpointError, ConfigError, RangeError, StateError
 from sedpipe.features import Normalizer
 from sedpipe.nn import (
     BatchNorm,
+    Conv2D,
     CrnnArch,
+    MaxPoolFreq,
     ModelGraph,
     adam_step,
     bce_loss,
@@ -21,6 +23,11 @@ from sedpipe.nn import (
     pool_plan,
     save_checkpoint,
 )
+from sedpipe.nn.layers import ConvBlock
+
+# a conv block sums its gradients in another order than the separate conv,
+# batch norm and pool layers do
+BLOCK_GRAD_TOL = 1e-12
 
 
 def tiny_arch(**kwargs):
@@ -360,8 +367,6 @@ class TestOwnedActivations:
     @pytest.mark.parametrize("name", list(OWNERSHIP_GRAPHS))
     def test_graph_keeps_caller_arrays_and_exact_gradients(self, rng, name):
         model = ModelGraph.from_descriptor(OWNERSHIP_GRAPHS[name])
-        norms = [layer for layer in model.layers if isinstance(layer, BatchNorm)]
-        assert [bn.in_place for bn in norms] == [name == "conv_block"]
         for _, p in model.parameters():
             p[...] = rng.normal(size=p.shape) + 0.5
         x = rng.normal(size=(2, 4, 5, 3))
@@ -382,13 +387,10 @@ class TestOwnedActivations:
             assert max_relative_error(model.gradient(key), fd) < 1e-5, key
 
     def test_crnn_step_keeps_caller_arrays_and_equals_direct_layer_calls(self, rng):
-        # the direct calls take batch norm's copying path
+        # the direct calls run batch norm and the pool as separate layers;
+        # the graph's conv blocks sum the gradients in another order
         arch = tiny_arch(n_channels=2, conv_layers=2, pool_factors=(5, 4), filters=3, dropout=0.25)
         graph, direct = build_crnn(arch, np.random.default_rng(5)), build_crnn(arch, np.random.default_rng(5))
-        for layer in direct.layers:
-            if isinstance(layer, BatchNorm):
-                assert layer.in_place
-                layer.in_place = False
         x = rng.normal(size=(2, 8, 40, 2))
         x_before = x.copy()
         out = graph.forward(x, training=True, rng=np.random.default_rng(6))
@@ -405,7 +407,7 @@ class TestOwnedActivations:
         for layer in reversed(direct.layers):
             g = layer.backward(g)
         for key, _ in graph.parameters():
-            assert np.array_equal(graph.gradient(key), direct.gradient(key)), key
+            assert max_relative_error(graph.gradient(key), direct.gradient(key)) < BLOCK_GRAD_TOL, key
         h = x
         for layer in direct.layers:
             h = layer.forward(h, training=False)
@@ -432,3 +434,127 @@ class TestOwnedActivations:
         finally:
             tracemalloc.stop()
         assert peak < 4 * s * t * b * filters * 8
+
+
+def block_pair(rng, cin=2, filters=3, factor=5, gamma=(1.3, -0.7, 0.4)):
+    """A conv block and an identical separate conv, batch norm and pool."""
+    pair = []
+    for _ in range(2):
+        conv, bn, pool = Conv2D(cin, filters), BatchNorm(filters), MaxPoolFreq(factor)
+        pair.append((conv, bn, pool))
+    kernels = rng.normal(size=pair[0][0].params["kernels"].shape)
+    beta = rng.normal(size=filters)
+    for conv, bn, _ in pair:
+        conv.params["kernels"][...] = kernels
+        bn.params["gamma"][...] = gamma
+        bn.params["beta"][...] = beta
+    return ConvBlock(*pair[0]), pair[1]
+
+
+def separate_step(layers, x, dout):
+    """Training forward and backward through the separate layers."""
+    conv, bn, pool = layers
+    out = pool.forward(bn.forward(conv.forward(x, training=True), training=True), training=True)
+    dx = conv.backward(bn.backward(pool.backward(dout)))
+    return out, dx
+
+
+class TestConvBlock:
+    def check_against_separate_layers(self, rng, x, kernels=None):
+        block, separate = block_pair(rng, cin=x.shape[3])
+        if kernels is not None:
+            for conv in (block.conv, separate[0]):
+                conv.params["kernels"][...] = kernels
+        out = block.forward(x, training=True)
+        dout = rng.normal(size=out.shape)
+        x_before, dout_before = x.copy(), dout.copy()
+        dx = block.backward(dout)
+        ref, ref_dx = separate_step(separate, x, dout)
+        assert np.array_equal(out, ref)
+        assert np.array_equal(x, x_before)
+        assert np.array_equal(dout, dout_before)
+        assert max_relative_error(dx, ref_dx) < BLOCK_GRAD_TOL
+        for a, b in zip((block.conv, block.bn), separate):
+            for name in a.params:
+                assert max_relative_error(a.grads[name], b.grads[name]) < BLOCK_GRAD_TOL, name
+        for name, buf in block.bn.buffers.items():
+            assert np.array_equal(buf, separate[1].buffers[name]), name
+        conv, bn, pool = separate
+        inference = pool.forward(bn.forward(conv.forward(x)))
+        assert np.array_equal(block.forward(x), inference)
+        assert np.array_equal(x, x_before)
+
+    def test_equals_separate_layers_with_a_negative_gamma(self, rng):
+        self.check_against_separate_layers(rng, rng.normal(size=(2, 6, 20, 2)))
+
+    def test_tied_windows_equal_separate_layers(self, rng):
+        # integer inputs and kernels give integer conv outputs, so many
+        # windows hold their max (kept where gamma > 0) or their min
+        # (kept where gamma < 0) at more than one tap
+        x = rng.integers(-1, 2, size=(2, 6, 20, 1)).astype(float)
+        kernels = rng.integers(-1, 2, size=(3, 3, 3, 1)).astype(float)
+        conv = Conv2D(1, 3)
+        conv.params["kernels"][...] = kernels
+        y = conv.forward(x).reshape(2, 6, 4, 5, 3)
+        assert np.any(np.sum(y == y.max(axis=3, keepdims=True), axis=3) > 1)
+        assert np.any(np.sum(y == y.min(axis=3, keepdims=True), axis=3) > 1)
+        self.check_against_separate_layers(rng, x, kernels)
+
+    def test_gradients_match_finite_differences(self, rng):
+        block, _ = block_pair(rng, cin=2)
+        x = rng.normal(size=(2, 4, 10, 2))
+        proj = rng.normal(size=block.forward(x, training=True).shape)
+
+        def loss():
+            return float((block.forward(x, training=True) * proj).sum())
+
+        block.forward(x, training=True)
+        dx = block.backward(proj)
+        (fd_x,) = finite_difference_gradients(loss, [x])
+        assert max_relative_error(dx, fd_x) < 1e-5
+        for layer in (block.conv, block.bn):
+            for name, p in layer.params.items():
+                (fd,) = finite_difference_gradients(loss, [p])
+                assert max_relative_error(layer.grads[name], fd) < 1e-5, name
+
+    def test_backward_needs_a_training_forward(self, rng):
+        block, _ = block_pair(rng)
+        x = rng.normal(size=(1, 2, 10, 2))
+        out = block.forward(x, training=True)
+        block.backward(np.ones_like(out))
+        with pytest.raises(StateError):
+            block.backward(np.ones_like(out))
+        block.forward(x)
+        with pytest.raises(StateError):
+            block.backward(np.ones_like(out))
+
+    def test_graph_runs_each_triple_as_a_block(self, rng):
+        model = build_crnn(tiny_arch(conv_layers=2, pool_factors=(5, 4)), rng)
+        blocks = [step for _, step in model._steps if isinstance(step, ConvBlock)]
+        assert [(b.conv, b.bn, b.pool) for b in blocks] == [tuple(model.layers[i : i + 3]) for i in (0, 4)]
+
+    def test_peak_memory_below_two_conv_outputs(self):
+        model = ModelGraph.from_descriptor(
+            [
+                {"type": "conv2d", "in_channels": 1, "filters": 16},
+                {"type": "batch_norm", "n_features": 16},
+                {"type": "max_pool_freq", "factor": 5},
+            ]
+        )
+        data = np.random.default_rng(2)
+        for _, p in model.parameters():
+            p[...] = data.normal(size=p.shape)
+        x = data.normal(size=(2, 64, 40, 1))
+        conv_out = x.size * 16 * 8
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            out = model.forward(x, training=True)
+            forward_peak = tracemalloc.get_traced_memory()[1] - held
+            tracemalloc.reset_peak()
+            model.backward(data.normal(size=out.shape))
+            step_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert forward_peak < 2 * conv_out
+        assert max(forward_peak, step_peak) < 2.5 * conv_out
