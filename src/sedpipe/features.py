@@ -8,9 +8,10 @@ same frame count F whatever the analysis window; at the defaults:
   bin-mul-mbe  per-channel, windows 1024/4096/16384   (F, 40, 6)
   bin-fft      per-channel STFT magnitude and phase   (F, 1024, 4)
 
-Every extractor transforms a channel in blocks of ``_BLOCK_FRAMES`` frames
-through ``dsp.stft`` and reduces each block straight into its preallocated
-(F, B, Ch) output, so no array holds the spectra of a whole clip.
+Every extractor transforms a channel in blocks of at most ``_BLOCK_FRAMES``
+frames and ``_BLOCK_BYTES`` of frame samples through ``dsp.stft``, and
+reduces each block straight into its preallocated (F, B, Ch) output, so no
+array holds the spectra of a whole clip.
 """
 
 from __future__ import annotations
@@ -35,12 +36,16 @@ from .errors import ChannelError, ConfigError, RangeError, ShapeError, StateErro
 log = logging.getLogger(__name__)
 
 _STD_FLOOR = 1e-8
-# Frames per STFT block. At the 16384-point window a block's windowed frames
-# and its spectra take 8 MiB each, against 65 MiB each for a 10 s channel.
-# bin-mul-mbe extraction time is flat from 32 to 64 frames and rises on
-# either side; 64-row mel products also stay clear of the small-product
-# kernel OpenBLAS uses up to 30 rows at 40 mels, which rounds differently.
+# Frames per STFT block, and per mel product. bin-mul-mbe extraction time is
+# flat from 32 to 64 frames and rises on either side; 64-row mel products
+# also stay clear of the small-product kernel OpenBLAS uses up to 30 rows at
+# 40 mels, which rounds differently.
 _BLOCK_FRAMES = 64
+# Bytes of float64 frame samples per STFT block: 64 frames up to 4096
+# points and 16 at 16384, so a block's windowed frames and its spectra take
+# at most 2 MiB each, which keeps extraction's heap small. The mel product
+# still runs over 64 rows.
+_BLOCK_BYTES = 2 * 2**20
 _ARCHIVE_MAGIC = b"SEDF"
 _ARCHIVE_VERSION = 1
 
@@ -101,11 +106,13 @@ def effective_f_max(f_max: float, sample_rate: int) -> float:
     return f_max
 
 
-def _stft_blocks(samples, window_len: int, fft_size: int, hop: int):
-    """``(rows, spectra)`` for consecutive blocks of ``_BLOCK_FRAMES``
-    frames of one channel's STFT; ``rows`` slices the frame axis."""
-    for start in range(0, dsp.frame_count(samples.size, hop), _BLOCK_FRAMES):
-        rows = slice(start, start + _BLOCK_FRAMES)
+def _stft_blocks(samples, window_len: int, fft_size: int, hop: int, start: int, stop: int):
+    """``(rows, spectra)`` for consecutive blocks of frames ``[start, stop)``
+    of one channel's STFT, each at most ``_BLOCK_FRAMES`` frames and
+    ``_BLOCK_BYTES`` of frame samples; ``rows`` slices the frame axis."""
+    step = max(1, min(_BLOCK_FRAMES, _BLOCK_BYTES // (8 * fft_size)))
+    for lo in range(start, stop, step):
+        rows = slice(lo, min(lo + step, stop))
         yield rows, dsp.stft(samples, window_len, fft_size, hop, rows.start, rows.stop)
 
 
@@ -128,9 +135,11 @@ def _log_mel(
         # product: OpenBLAS rounds small products differently
         power = np.zeros((min(n_frames, _BLOCK_FRAMES), bank.n_bins))
         for ch, samples in enumerate(clip.samples):
-            for rows, spectra in _stft_blocks(samples, window_len, fft_size, hop):
-                power[: len(spectra)] = dsp.power_spectrum(spectra)
-                out[rows, :, r * n_ch + ch] = dsp.log_mel_energies(power, bank)[: len(spectra)]
+            for start in range(0, n_frames, _BLOCK_FRAMES):
+                stop = min(start + _BLOCK_FRAMES, n_frames)
+                for rows, spectra in _stft_blocks(samples, window_len, fft_size, hop, start, stop):
+                    power[rows.start - start : rows.stop - start] = dsp.power_spectrum(spectra)
+                out[start:stop, :, r * n_ch + ch] = dsp.log_mel_energies(power, bank)[: stop - start]
     return out
 
 
@@ -152,9 +161,10 @@ def _magnitude_phase(clip: AudioClip, hop: int, cfg: FeatureConfig) -> np.ndarra
     ``fft_log_magnitude`` switches the magnitude planes to log scale.
     """
     window_len = _samples(cfg.window_ms, clip.sample_rate)
-    out = np.empty((dsp.frame_count(clip.n_samples, hop), cfg.fft_size // 2, 4))
+    n_frames = dsp.frame_count(clip.n_samples, hop)
+    out = np.empty((n_frames, cfg.fft_size // 2, 4))
     for ch, samples in enumerate(clip.samples):
-        for rows, spectra in _stft_blocks(samples, window_len, cfg.fft_size, hop):
+        for rows, spectra in _stft_blocks(samples, window_len, cfg.fft_size, hop, 0, n_frames):
             spectra = spectra[:, 1:]
             mag = out[rows, :, ch]
             np.abs(spectra, out=mag)

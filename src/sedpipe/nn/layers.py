@@ -3,8 +3,10 @@
 Array conventions: the convolutional block works on (S, T, B, F) volumes
 (batch, time, frequency bins, feature maps); the recurrent and dense block
 works on (S, T, D). Every layer caches what its backward pass needs during
-forward, so forward/backward pairs must not interleave across calls; batch
-norm's backward consumes its cache. No layer writes its arguments.
+forward, so forward/backward pairs must not interleave across calls. Each
+backward consumes that cache, so nothing a step no longer reads outlives its
+use, and a second backward raises :class:`StateError`; an identity dropout
+keeps nothing and stays the identity. No layer writes its arguments.
 :class:`ConvBlock` runs a (conv, batch norm, frequency max pool) triple as
 one block that normalizes the conv's fresh output in place and applies
 batch norm's scale and shift after the pool.
@@ -77,13 +79,34 @@ def _im2col(xp):
     return win.transpose(0, 1, 3, 4, 2).reshape(t * b, 9 * c)
 
 
+# Bytes of patch rows (and of their column gradient) that Conv2D holds at
+# once. At the paper-default bin-fft shape one sample's patch matrix of conv2
+# is 144 MiB; at the mbe and protocol shapes a sample fits in one block.
+_PATCH_BYTES = 4 * 2**20
+
+
+def _time_blocks(t: int, b: int, c: int) -> list[slice]:
+    """Whole time rows of a (T, B, C) sample in near-equal blocks whose
+    patch matrices hold at most ``_PATCH_BYTES`` (or one time row). Equal
+    sizes keep every block's GEMM as large as the budget allows: OpenBLAS
+    rounds small products in another kernel."""
+    per_block = max(1, _PATCH_BYTES // (b * 9 * c * 8))
+    n = -(-t // per_block)
+    bounds = [t * k // n for k in range(n + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 class Conv2D(Layer):
     """3x3 same-padding cross-correlation over (time, frequency).
 
     (S, T, B, Cin) -> (S, T, B, filters). Bias-free: every architecture here
     follows a conv with batch norm, whose beta supplies the shift. Both passes
-    run one sample at a time, so no temporary exceeds the (T*B, 9*Cin) patch
-    matrix of a single sample.
+    run one sample at a time, over blocks of whole time rows (see
+    :func:`_time_blocks`), so no temporary exceeds ``_PATCH_BYTES`` of patch
+    rows or of their column gradient. Each output row is one patch row's
+    product, so forward outputs equal a whole-sample GEMM's bit for bit;
+    the kernel gradient sums per block, and the input gradient adds a
+    block's taps before the next block's.
     """
 
     kind = "conv2d"
@@ -102,35 +125,40 @@ class Conv2D(Layer):
             raise ShapeError(
                 f"conv2d expects (S, T, B, {self.in_channels}), got shape {x.shape}"
             )
-        s, t, b, _ = x.shape
+        s, t, b, c = x.shape
         xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
         kmat = self.params["kernels"].reshape(self.filters, -1).T
-        out = np.empty((s, t * b, self.filters))
+        out = np.empty((s, t, b, self.filters))
         for q in range(s):
-            np.matmul(_im2col(xp[q]), kmat, out=out[q])
+            for rows in _time_blocks(t, b, c):
+                block = out[q, rows].reshape(-1, self.filters)
+                np.matmul(_im2col(xp[q, rows.start : rows.stop + 2]), kmat, out=block)
         self._cache = xp
-        return out.reshape(s, t, b, self.filters)
+        return out
 
     def backward(self, dout, input_grad=True):
         if self._cache is None:
-            raise StateError("conv2d backward before forward")
-        xp = self._cache
+            raise StateError("conv2d backward needs a forward since its last backward")
+        xp, self._cache = self._cache, None
         s, t, b, n = dout.shape
+        c = self.in_channels
         k = self.params["kernels"]
         kmat = k.reshape(n, -1)
         dk = np.zeros_like(kmat)
         dxp = np.zeros_like(xp) if input_grad else None
         for q in range(s):
-            d = dout[q].reshape(t * b, n)
-            dk += d.T @ _im2col(xp[q])
-            if not input_grad:
-                continue
-            # col2im: each of the nine kernel taps adds its column gradient
-            # back at its shifted position in the padded input
-            dcols = (d @ kmat).reshape(t, b, 3, 3, self.in_channels)
-            for i in range(3):
-                for j in range(3):
-                    dxp[q, i : i + t, j : j + b] += dcols[:, :, i, j]
+            for rows in _time_blocks(t, b, c):
+                lo, hi = rows.start, rows.stop
+                d = dout[q, rows].reshape(-1, n)
+                dk += d.T @ _im2col(xp[q, lo : hi + 2])
+                if not input_grad:
+                    continue
+                # col2im: each of the nine kernel taps adds its column
+                # gradient back at its shifted position in the padded input
+                dcols = (d @ kmat).reshape(hi - lo, b, 3, 3, c)
+                for i in range(3):
+                    for j in range(3):
+                        dxp[q, lo + i : hi + i, j : j + b] += dcols[:, :, i, j]
         self.grads["kernels"] = dk.reshape(k.shape)
         return dxp[:, 1:-1, 1:-1] if input_grad else None
 
@@ -297,8 +325,8 @@ class MaxPoolFreq(Layer):
 
     def backward(self, dout, input_grad=True):
         if self._cache is None:
-            raise StateError("max pool backward requires a training-mode forward")
-        arg, shape = self._cache
+            raise StateError("max pool backward needs a training-mode forward since its last backward")
+        (arg, shape), self._cache = self._cache, None
         dx = np.zeros(shape)
         _add_at_taps(_windows(dx, self.factor), arg, dout)
         return dx
@@ -367,7 +395,9 @@ class ConvBlock:
 
 
 class Dropout(Layer):
-    """Inverted dropout: identity at inference, mask/keep scaling in training."""
+    """Inverted dropout: identity at inference and at rate 0; in training,
+    x * mask, then * (1/keep), with a boolean mask. That equals x * (mask /
+    keep) bit for bit, signed zeros included, in an eighth of the memory."""
 
     kind = "dropout"
     settings = ("rate",)
@@ -377,7 +407,13 @@ class Dropout(Layer):
         if not 0.0 <= rate < 1.0:
             raise RangeError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
+        # None after an identity forward; False once backward used the mask
         self._mask = None
+
+    def _apply(self, x, mask):
+        out = x * mask
+        out *= 1.0 / (1.0 - self.rate)
+        return out
 
     def forward(self, x, training=False, rng=None):
         if not training or self.rate == 0.0:
@@ -385,14 +421,16 @@ class Dropout(Layer):
             return x
         if rng is None:
             raise StateError("dropout in training mode needs the run's generator")
-        keep = 1.0 - self.rate
-        self._mask = (rng.random(x.shape) >= self.rate) / keep
-        return x * self._mask
+        self._mask = rng.random(x.shape) >= self.rate
+        return self._apply(x, self._mask)
 
     def backward(self, dout, input_grad=True):
         if self._mask is None:
             return dout
-        return dout * self._mask
+        if self._mask is False:
+            raise StateError("dropout backward needs a forward since its last backward")
+        mask, self._mask = self._mask, False
+        return self._apply(dout, mask)
 
 
 class FlattenFreq(Layer):
@@ -485,8 +523,8 @@ class BiGRU(Layer):
 
     def backward(self, dout, input_grad=True):
         if self._cache is None:
-            raise StateError("bigru backward before forward")
-        x, w, u_rec, hs, gates, rh = self._cache
+            raise StateError("bigru backward needs a forward since its last backward")
+        (x, w, u_rec, hs, gates, rh), self._cache = self._cache, None
         _, s, t, u = rh.shape
         h_prev = hs[:, :, :-1]
         z, r, c = gates[..., :u], gates[..., u : 2 * u], gates[..., 2 * u :]
@@ -573,8 +611,8 @@ class TimeDense(Layer):
 
     def backward(self, dout, input_grad=True):
         if self._cache is None:
-            raise StateError("time dense backward before forward")
-        x, out = self._cache
+            raise StateError("time dense backward needs a forward since its last backward")
+        (x, out), self._cache = self._cache, None
         dz = _ACTIVATION_TABLE[self.activation][1](dout, out)
         x2 = x.reshape(-1, self.in_dim)
         dz2 = dz.reshape(-1, self.units)

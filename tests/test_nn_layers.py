@@ -91,7 +91,7 @@ class TestConv2d:
 
     def test_backward_without_input_gradient_skips_col2im(self, rng):
         # the first layer's input gradient is never read; without it the
-        # backward holds one sample's patch matrix and the kernel gradient
+        # backward holds one block of patch rows and the kernel gradient
         conv = L.Conv2D(4, 64, rng=rng)
         out = conv.forward(rng.normal(size=(2, 64, 1024, 4)), training=True)
         dout = rng.normal(size=out.shape)
@@ -104,6 +104,46 @@ class TestConv2d:
             tracemalloc.stop()
         assert dx is None
         assert peak < out.nbytes / 2
+
+    def test_uneven_time_blocks_equal_one_sample_gemm_and_bound_memory(self, rng):
+        # one sample's patch matrix is 101 * 256 * 72 * 8 B = 14.2 MiB, over
+        # 3x the block budget, so time splits into 25, 25, 25 and 26 rows
+        s, t, b, c, filters = 1, 101, 256, 8, 8
+        sizes = [r.stop - r.start for r in L._time_blocks(t, b, c)]
+        assert len(sizes) > 1 and len(set(sizes)) > 1
+        patch_bytes = t * b * 9 * c * 8
+        assert patch_bytes >= 3 * L._PATCH_BYTES
+        conv = L.Conv2D(c, filters, rng=rng)
+        x = rng.normal(size=(s, t, b, c))
+        dout = rng.normal(size=(s, t, b, filters))
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            out = conv.forward(x, training=True)
+            conv.backward(dout)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < patch_bytes
+        kmat = conv.params["kernels"].reshape(filters, -1).T
+        whole = L._im2col(np.pad(x[0], ((1, 1), (1, 1), (0, 0)))) @ kmat
+        assert np.array_equal(out.reshape(t * b, filters), whole)
+
+    def test_time_blocked_gradients_match_oracles(self, rng, monkeypatch):
+        # a budget of two time rows splits T=7 into blocks of 1, 2, 2 and 2
+        monkeypatch.setattr(L, "_PATCH_BYTES", 2 * 5 * 9 * 3 * 8)
+        assert [r.stop - r.start for r in L._time_blocks(7, 5, 3)] == [1, 2, 2, 2]
+        conv = L.Conv2D(3, 4, rng=rng)
+        x = rng.normal(size=(2, 7, 5, 3))
+        out = conv.forward(x, training=True)
+        dout = rng.normal(size=out.shape)
+        dx = conv.backward(dout)
+        want_out, want_dk, want_dx = conv2d_by_hand(x, conv.params["kernels"], dout)
+        assert max_relative_error(out, want_out) < 1e-12
+        assert max_relative_error(conv.grads["kernels"], want_dk) < 1e-12
+        assert max_relative_error(dx, want_dx) < 1e-12
+        errors = layer_gradient_errors(conv, x)
+        assert max(errors.values()) < 1e-6
 
 
 class TestBatchNorm:
@@ -344,6 +384,29 @@ class TestDropout:
         dx = drop.backward(np.ones_like(out))
         assert np.array_equal(dx != 0, out != 0)
 
+    @pytest.mark.parametrize("rate", [0.25, 0.5])
+    def test_boolean_mask_equals_the_float_mask_bitwise(self, rng, rate):
+        # x * mask * (1 / keep) against x * (mask / keep): the same bits,
+        # -0.0 where a negative input is dropped included
+        x = rng.normal(size=(4, 30, 8))
+        dout = rng.normal(size=x.shape)
+        drop = L.Dropout(rate)
+        out = drop.forward(x, training=True, rng=np.random.default_rng(9))
+        dx = drop.backward(dout)
+        float_mask = (np.random.default_rng(9).random(x.shape) >= rate) / (1.0 - rate)
+        assert np.any(np.signbit(out) & (out == 0))
+        assert out.tobytes() == (x * float_mask).tobytes()
+        assert dx.tobytes() == (dout * float_mask).tobytes()
+
+    @pytest.mark.parametrize("rate, training", [(0.5, False), (0.0, True)])
+    def test_identity_forward_stays_identity_in_backward(self, rng, rate, training):
+        drop = L.Dropout(rate)
+        x = rng.normal(size=(2, 3, 4))
+        drop.forward(x, training=training, rng=rng)
+        dout = rng.normal(size=x.shape)
+        assert drop.backward(dout) is dout
+        assert drop.backward(dout) is dout
+
     def test_invalid_rate_rejected(self):
         with pytest.raises(RangeError):
             L.Dropout(1.0)
@@ -390,6 +453,57 @@ class TestBceLoss:
         loss, dp = bce_loss(p, np.zeros((1, 2, 2)), np.zeros((1, 2), dtype=bool))
         assert loss == 0.0
         assert np.all(dp == 0.0)
+
+
+@pytest.mark.parametrize(
+    "make_layer, shape",
+    [
+        (lambda rng: L.Conv2D(2, 3, rng=rng), (2, 4, 5, 2)),
+        (lambda rng: L.MaxPoolFreq(2), (2, 4, 6, 2)),
+        (lambda rng: L.BiGRU(3, 4, rng=rng), (2, 5, 3)),
+        (lambda rng: L.TimeDense(3, 2, activation="tanh", rng=rng), (2, 5, 3)),
+        (lambda rng: L.Dropout(0.5), (2, 5, 3)),
+    ],
+    ids=["conv2d", "max_pool_freq", "bigru", "time_dense", "dropout"],
+)
+def test_second_backward_is_state_error(rng, make_layer, shape):
+    # backward consumes the forward's state, so a repeat must not return
+    # numbers from a stale cache
+    layer = make_layer(rng)
+    out = layer.forward(rng.normal(size=shape), training=True, rng=rng)
+    layer.backward(np.ones_like(out))
+    with pytest.raises(StateError):
+        layer.backward(np.ones_like(out))
+
+
+def test_model_backward_frees_every_activation():
+    # after a step only the new gradients (and a few small objects, such as
+    # batch norm's running statistics) stay allocated: no layer keeps an
+    # input, a padded input, a gate array or a dropout mask. Keeping them
+    # left 850 KiB here
+    model = build_crnn(
+        CrnnArch(n_bins=40, n_channels=2, n_classes=3, conv_layers=2, filters=8,
+                 gru_layers=1, gru_units=8, dense_units=8, dropout=0.25),
+        np.random.default_rng(3),
+    )
+    data = np.random.default_rng(4)
+    x = data.normal(size=(4, 64, 40, 2))
+    y = (data.random((4, 64, 3)) < 0.3).astype(float)
+    mask = np.ones((4, 64), dtype=bool)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        out = model.forward(x, training=True, rng=data)
+        _, dpred = bce_loss(out, y, mask)
+        del out
+        model.backward(dpred)
+        del dpred
+        left, peak = (m - held for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    grad_bytes = sum(model.gradient(key).nbytes for key, _ in model.parameters())
+    assert peak > 100 * grad_bytes
+    assert left < grad_bytes + 32 * 2**10
 
 
 def test_model_backward_skips_only_the_first_input_gradient(rng):
