@@ -1,8 +1,8 @@
-"""Shared DSP kernels: window functions, FFT, STFT and mel filterbanks.
+"""Shared DSP kernels: window functions, STFT and mel filterbanks.
 
-Everything runs in double precision on plain numpy arrays. Transforms are
-``numpy.fft`` restricted to power-of-two sizes, which is all the feature
-extractors need.
+Everything runs in double precision on plain numpy arrays. The STFT is
+``numpy.fft.rfft`` restricted to power-of-two sizes, which is all the
+feature extractors need.
 """
 
 from __future__ import annotations
@@ -36,23 +36,6 @@ def hamming_window(n: int) -> np.ndarray:
 
 def is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
-
-
-def fft(x, inverse: bool = False) -> np.ndarray:
-    """FFT over the last axis, restricted to power-of-two lengths.
-
-    Forward: ``X[k] = sum_n x[n] * exp(-2j*pi*n*k/N)``. The inverse applies
-    the conjugate kernel and scales by ``1/N``. Any other length raises
-    :class:`SizeError`.
-    """
-    a = np.asarray(x, dtype=np.complex128)
-    if not is_power_of_two(a.shape[-1]):
-        raise SizeError(f"FFT length must be a power of two, got {a.shape[-1]}")
-    return np.fft.ifft(a) if inverse else np.fft.fft(a)
-
-
-def ifft(x) -> np.ndarray:
-    return fft(x, inverse=True)
 
 
 def frame_count(n_samples: int, hop: int) -> int:

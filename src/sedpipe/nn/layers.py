@@ -3,13 +3,16 @@
 Array conventions: the convolutional block works on (S, T, B, F) volumes
 (batch, time, frequency bins, feature maps); the recurrent and dense block
 works on (S, T, D). Every layer caches what its backward pass needs during
-forward, so forward/backward pairs must not interleave across calls. Each
-backward consumes that cache, so nothing a step no longer reads outlives its
-use, and a second backward raises :class:`StateError`; an identity dropout
-keeps nothing and stays the identity. No layer writes its arguments.
-:class:`ConvBlock` runs a (conv, batch norm, frequency max pool) triple as
-one block that normalizes the conv's fresh output in place and applies
-batch norm's scale and shift after the pool.
+a training forward, so forward/backward pairs must not interleave across
+calls; an inference forward keeps nothing. Each backward consumes that
+cache, so nothing a step no longer reads outlives its use, and a backward
+without a training forward since the last one raises :class:`StateError`;
+an identity dropout keeps nothing and stays the identity. No layer writes
+its arguments. :class:`BatchNorm` and :class:`MaxPoolFreq` hold only their
+settings, parameters and buffers: they run only as part of a
+:class:`ConvBlock`, which runs a (conv, batch norm, frequency max pool)
+triple as one block that normalizes the conv's fresh output in place and
+applies batch norm's scale and shift after the pool.
 """
 
 from __future__ import annotations
@@ -66,9 +69,6 @@ class Layer:
 
     def descriptor(self) -> dict:
         return {"type": self.kind, **{name: getattr(self, name) for name in self.settings}}
-
-    def zero_grads(self):
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
 
 
 def _im2col(xp):
@@ -133,12 +133,12 @@ class Conv2D(Layer):
             for rows in _time_blocks(t, b, c):
                 block = out[q, rows].reshape(-1, self.filters)
                 np.matmul(_im2col(xp[q, rows.start : rows.stop + 2]), kmat, out=block)
-        self._cache = xp
+        self._cache = xp if training else None
         return out
 
     def backward(self, dout, input_grad=True):
         if self._cache is None:
-            raise StateError("conv2d backward needs a forward since its last backward")
+            raise StateError("conv2d backward needs a training-mode forward since its last backward")
         xp, self._cache = self._cache, None
         s, t, b, n = dout.shape
         c = self.in_channels
@@ -164,12 +164,12 @@ class Conv2D(Layer):
 
 
 class BatchNorm(Layer):
-    """Per-feature-map normalization over all leading axes.
+    """Per-feature-map normalization over all leading axes, run by
+    :class:`ConvBlock`.
 
     Training mode normalizes with batch statistics and folds them into the
     running estimates (momentum 0.9); inference normalizes with the running
-    estimates and fails if none exist yet. Both passes return new arrays;
-    they are also the reference that :class:`ConvBlock` matches.
+    estimates and fails if none exist yet.
     """
 
     kind = "batch_norm"
@@ -186,11 +186,6 @@ class BatchNorm(Layer):
             "running_var": np.ones(n_features),
             "updates": np.zeros(1),
         }
-        self._cache = None
-
-    def _check(self, x):
-        if x.shape[-1] != self.n_features:
-            raise ShapeError(f"batch norm expects {self.n_features} feature maps, got {x.shape[-1]}")
 
     def _standardize(self, x2, out):
         """x̂ = (x2 - batch mean) * inv_std written into ``out`` (which may
@@ -215,39 +210,6 @@ class BatchNorm(Layer):
             raise StateError("batch norm inference before any training update")
         scale = self.params["gamma"] / np.sqrt(self.buffers["running_var"] + self.eps)
         return scale, self.params["beta"] - self.buffers["running_mean"] * scale
-
-    def forward(self, x, training=False, rng=None):
-        self._check(x)
-        x2 = x.reshape(-1, self.n_features)
-        if training:
-            x_hat = np.empty(x2.shape)
-            inv_std = self._standardize(x2, x_hat)
-            self._cache = (x_hat, inv_std)
-            out = x_hat * self.params["gamma"]
-            out += self.params["beta"]
-        else:
-            scale, shift = self._inference_affine()
-            out = x2 * scale
-            out += shift
-        return out.reshape(x.shape)
-
-    def backward(self, dout, input_grad=True):
-        if self._cache is None:
-            raise StateError("batch norm backward needs a training-mode forward since its last backward")
-        x_hat, inv_std = self._cache
-        self._cache = None  # x_hat is overwritten below
-        d = dout.reshape(x_hat.shape)
-        m = d.shape[0]
-        dbeta = np.einsum("ij->j", d)
-        dgamma = np.einsum("ij,ij->j", d, x_hat)
-        self.grads["gamma"] = dgamma
-        self.grads["beta"] = dbeta
-        dx = d * m
-        dx -= dbeta
-        x_hat *= dgamma
-        dx -= x_hat
-        dx *= self.params["gamma"] * inv_std / m
-        return dx.reshape(dout.shape)
 
 
 def _pool_taps(m, op):
@@ -301,10 +263,11 @@ def _select(m, flip):
 
 
 class MaxPoolFreq(Layer):
-    """Max pooling on the frequency axis only; time resolution is preserved.
+    """Max pooling on the frequency axis only, run by :class:`ConvBlock`;
+    time resolution is preserved.
 
-    (S, T, B, F) -> (S, T, B//factor, F); ties go to the lowest bin index and
-    the backward pass routes each gradient to its argmax.
+    (S, T, B, F) -> (S, T, B//factor, F); each window's gradient goes to
+    its max, a tie to the lowest bin index.
     """
 
     kind = "max_pool_freq"
@@ -315,21 +278,6 @@ class MaxPoolFreq(Layer):
         if factor < 1:
             raise RangeError(f"pool factor must be >= 1, got {factor}")
         self.factor = factor
-        self._cache = None
-
-    def forward(self, x, training=False, rng=None):
-        m = _windows(x, self.factor)
-        out = _pool_taps(m, np.maximum)
-        self._cache = (_first_tap(m, out), x.shape) if training else None
-        return out
-
-    def backward(self, dout, input_grad=True):
-        if self._cache is None:
-            raise StateError("max pool backward needs a training-mode forward since its last backward")
-        (arg, shape), self._cache = self._cache, None
-        dx = np.zeros(shape)
-        _add_at_taps(_windows(dx, self.factor), arg, dout)
-        return dx
 
 
 class ConvBlock:
@@ -339,19 +287,20 @@ class ConvBlock:
     Each step of batch norm is monotone in its input, so pooling commutes
     with it: the block pools x̂ (the window min where gamma < 0), or the
     conv's output in inference, and applies batch norm's scale and shift to
-    the pooled array only; outputs equal the three layers' bit for bit. The
-    conv's output is the one full-size array: it becomes x̂ in place and, in
-    backward, the conv's output gradient. Gradients differ from the layers'
-    own in summation order, and a tie goes to the first max of x̂.
+    the pooled array only. Outputs equal max pooling of batch norm's output
+    bit for bit, and a tie goes to the first max of x̂. The conv's output is
+    the one full-size array: it becomes x̂ in place and, in backward, the
+    conv's output gradient.
     """
 
     def __init__(self, conv: Conv2D, bn: BatchNorm, pool: MaxPoolFreq):
+        if conv.filters != bn.n_features:
+            raise ShapeError(f"batch norm of {bn.n_features} feature maps after a conv of {conv.filters} filters")
         self.conv, self.bn, self.pool = conv, bn, pool
         self._cache = None
 
     def forward(self, x, training=False, rng=None):
         y = self.conv.forward(x, training=training, rng=rng)
-        self.bn._check(y)
         m = _windows(y, self.pool.factor)
         self._cache = None
         if training:
@@ -518,12 +467,12 @@ class BiGRU(Layer):
             g[:, :, : 2 * u] = zr
             z = zr[:, :, :u]
             hs[:, :, i + 1] = (1.0 - z) * h + z * c
-        self._cache = (x, w, u_rec, hs, gates, rh)
+        self._cache = (x, w, u_rec, hs, gates, rh) if training else None
         return np.concatenate((hs[0, :, 1:], hs[1, :, :0:-1]), axis=2)
 
     def backward(self, dout, input_grad=True):
         if self._cache is None:
-            raise StateError("bigru backward needs a forward since its last backward")
+            raise StateError("bigru backward needs a training-mode forward since its last backward")
         (x, w, u_rec, hs, gates, rh), self._cache = self._cache, None
         _, s, t, u = rh.shape
         h_prev = hs[:, :, :-1]
@@ -606,12 +555,12 @@ class TimeDense(Layer):
         if x.ndim != 3 or x.shape[2] != self.in_dim:
             raise ShapeError(f"time dense expects (S, T, {self.in_dim}), got shape {x.shape}")
         out = _ACTIVATION_TABLE[self.activation][0](x @ self.params["W"] + self.params["b"])
-        self._cache = (x, out)
+        self._cache = (x, out) if training else None
         return out
 
     def backward(self, dout, input_grad=True):
         if self._cache is None:
-            raise StateError("time dense backward needs a forward since its last backward")
+            raise StateError("time dense backward needs a training-mode forward since its last backward")
         (x, out), self._cache = self._cache, None
         dz = _ACTIVATION_TABLE[self.activation][1](dout, out)
         x2 = x.reshape(-1, self.in_dim)

@@ -38,7 +38,8 @@ class ModelGraph:
 
     Each (conv, batch norm, frequency max pool) triple runs as one
     :class:`ConvBlock` over its three layers, which pools before batch
-    norm's scale and shift and overwrites only the conv's fresh output. No
+    norm's scale and shift and overwrites only the conv's fresh output; a
+    batch norm or pool outside such a triple raises :class:`ShapeError`. No
     step writes its argument, so the caller's input and output gradient
     are never written.
     """
@@ -53,6 +54,8 @@ class ModelGraph:
             if [type(layer) for layer in trio] == [Conv2D, BatchNorm, MaxPoolFreq]:
                 self._steps.append((i, ConvBlock(*trio)))
                 i += 3
+            elif isinstance(layers[i], (BatchNorm, MaxPoolFreq)):
+                raise ShapeError(f"layer {i} ({layers[i].kind}) runs only in a conv2d, batch_norm, max_pool_freq triple")
             else:
                 self._steps.append((i, layers[i]))
                 i += 1

@@ -204,3 +204,62 @@ def max_relative_error(a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
     return float((np.abs(a - b) / scale).max()) if a.size else 0.0
+
+
+def batch_norm_by_hand(x, gamma, beta, dout, eps=1e-5):
+    """Training-mode batch norm of each feature map (the last axis) over
+    every other axis, from its definition, with its gradients for upstream
+    ``dout``. Over the m values x_i of one map:
+
+        mean = sum_i x_i / m,  var = sum_i (x_i - mean)^2 / m,
+        sd = sqrt(var + eps),  x̂_i = (x_i - mean) / sd,
+        out_i = gamma * x̂_i + beta.
+
+    The input gradient is d_x_i = gamma * sum_j dout_j * dx̂_j/dx_i, with the
+    Jacobian dx̂_j/dx_i = ([i == j] - 1/m) / sd - (x_j - mean)(x_i - mean) / (m sd^3)
+    built whole. Returns (out, d_gamma, d_beta, d_x, mean, var).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n_f = x.shape[-1]
+    x2 = x.reshape(-1, n_f)
+    d2 = np.asarray(dout, dtype=np.float64).reshape(-1, n_f)
+    m = x2.shape[0]
+    out, dx = np.zeros_like(x2), np.zeros_like(x2)
+    mean, var, dgamma, dbeta = (np.zeros(n_f) for _ in range(4))
+    for f in range(n_f):
+        mean[f] = sum(x2[:, f]) / m
+        centred = x2[:, f] - mean[f]
+        var[f] = sum(centred * centred) / m
+        sd = np.sqrt(var[f] + eps)
+        x_hat = centred / sd
+        out[:, f] = gamma[f] * x_hat + beta[f]
+        dgamma[f] = sum(d2[:, f] * x_hat)
+        dbeta[f] = sum(d2[:, f])
+        jacobian = (np.eye(m) - 1.0 / m) / sd - np.outer(centred, centred) / (m * sd**3)
+        dx[:, f] = gamma[f] * (d2[:, f] @ jacobian)
+    return out.reshape(x.shape), dgamma, dbeta, dx.reshape(x.shape), mean, var
+
+
+def max_pool_by_hand(x, factor, dout=None):
+    """Max pooling of (S, T, B, F) over windows of ``factor`` neighbouring
+    frequency bins, from its definition, with its input gradient for
+    upstream ``dout``:
+
+        out[s, t, k, f] = max_j x[s, t, k * factor + j, f],
+
+    and each window's gradient goes to the lowest bin that holds its max.
+    Returns (out, d_x); d_x is None without ``dout``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n_s, n_t, n_b, n_f = x.shape
+    out = np.zeros((n_s, n_t, n_b // factor, n_f))
+    dx = None if dout is None else np.zeros_like(x)
+    for s, t, k, f in np.ndindex(*out.shape):
+        best = k * factor
+        for b in range(k * factor + 1, (k + 1) * factor):
+            if x[s, t, b, f] > x[s, t, best, f]:
+                best = b
+        out[s, t, k, f] = x[s, t, best, f]
+        if dx is not None:
+            dx[s, t, best, f] += dout[s, t, k, f]
+    return out, dx

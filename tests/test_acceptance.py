@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from oracles import brute_force_score, direct_dft, mel_frame_by_hand, segments_by_or
+from oracles import brute_force_score, direct_dft, hamming_by_hand, mel_frame_by_hand, segments_by_or
 from sedpipe import dsp, features, metrics, synth
 from sedpipe.audio_io import EventRoll, events_to_roll, to_mono
 from sedpipe.cli import main as cli_main
@@ -96,20 +96,33 @@ class TestMetricCriteria:
 
 
 class TestDspCriteria:
-    def test_fft_parseval_and_mel_oracles(self):
+    def test_stft_parseval_and_mel_oracles(self):
         rng = np.random.default_rng(5150)
         start = time.time()
         worst = 0.0
         for _ in range(100):
             n = int(2 ** rng.integers(3, 11))  # 8 .. 1024
-            x = rng.normal(size=n) + 1j * rng.normal(size=n)
-            ours = dsp.fft(x)
-            ref = direct_dft(x)
+            window_len = int(rng.integers(1, n + 1))
+            hop = int(rng.integers(1, window_len + 1))
+            samples = rng.normal(size=int(rng.integers(1, 3 * n)))
+            spectra = dsp.stft(samples, window_len, n, hop)
+            f = int(rng.integers(spectra.shape[0]))
+            # frame f: the window_len samples from f*hop - window_len//2,
+            # zero outside the signal, windowed and zero padded to n
+            frame = np.zeros(n)
+            for k, w in enumerate(hamming_by_hand(window_len)):
+                i = f * hop - window_len // 2 + k
+                if 0 <= i < samples.size:
+                    frame[k] = samples[i] * w
+            ref = direct_dft(frame)[: n // 2 + 1]
             scale = max(1.0, float(np.max(np.abs(ref))))
-            worst = max(worst, float(np.max(np.abs(ours - ref))) / scale)
+            worst = max(worst, float(np.max(np.abs(spectra[f] - ref))) / scale)
             assert worst < 1e-9
-            time_energy = float(np.sum(np.abs(x) ** 2))
-            freq_energy = float(np.sum(np.abs(ours) ** 2)) / n
+            # Parseval over the one-sided row: the bins strictly between DC
+            # and Nyquist stand for two bins each of the full spectrum
+            power = np.abs(spectra[f]) ** 2
+            time_energy = float(np.sum(frame**2))
+            freq_energy = float(power[0] + power[-1] + 2.0 * np.sum(power[1:-1])) / n
             assert abs(time_energy - freq_energy) / time_energy < 1e-9
 
         # one hand-composed mel frame against the extractor path
@@ -126,9 +139,9 @@ class TestDspCriteria:
         assert mel_err < 1e-9
         elapsed = time.time() - start
         report(
-            "dsp correctness (fft oracle, parseval, hand mel frame)",
+            "dsp correctness (stft oracle, parseval, hand mel frame)",
             True,
-            f"max fft err {worst:.1e}, mel err {mel_err:.1e}, {elapsed:.1f}s",
+            f"max stft err {worst:.1e}, mel err {mel_err:.1e}, {elapsed:.1f}s",
         )
 
 
@@ -165,7 +178,7 @@ class TestGradientCriteria:
         rng = np.random.default_rng(1312)
         worst = {}
 
-        def check(name, layer, x):
+        def check(name, layer, x, owners=None):
             out = layer.forward(x, training=True)
             proj = np.random.default_rng(99).normal(size=out.shape)
 
@@ -173,23 +186,23 @@ class TestGradientCriteria:
                 return float((layer.forward(x, training=True) * proj).sum())
 
             layer.forward(x, training=True)
-            layer.zero_grads()
             dx = layer.backward(proj)
             errs = []
             (fd_x,) = finite_difference_gradients(loss, [x])
             errs.append(max_relative_error(dx, fd_x))
-            for pname in layer.params:
-                (fd_p,) = finite_difference_gradients(loss, [layer.params[pname]])
-                errs.append(max_relative_error(layer.grads[pname], fd_p))
+            for owner in owners or (layer,):
+                for pname in owner.params:
+                    (fd_p,) = finite_difference_gradients(loss, [owner.params[pname]])
+                    errs.append(max_relative_error(owner.grads[pname], fd_p))
             worst[name] = max(errs)
             assert worst[name] < 1e-5, f"{name}: {worst[name]:.2e}"
 
         check("conv2d", nn_layers.Conv2D(2, 3, rng=rng), rng.normal(size=(1, 8, 8, 2)))
-        bn = nn_layers.BatchNorm(3)
-        bn.params["gamma"] = rng.normal(size=3) + 1.5
-        bn.params["beta"] = rng.normal(size=3)
-        check("batch_norm", bn, rng.normal(size=(2, 4, 5, 3)))
-        check("max_pool", nn_layers.MaxPoolFreq(4), rng.normal(size=(2, 3, 8, 2)))
+        # batch norm and the frequency max pool run only in a conv block
+        block = nn_layers.ConvBlock(nn_layers.Conv2D(2, 3, rng=rng), nn_layers.BatchNorm(3), nn_layers.MaxPoolFreq(4))
+        block.bn.params["gamma"][...] = rng.normal(size=3) + np.array([1.5, -1.5, 1.5])
+        block.bn.params["beta"][...] = rng.normal(size=3)
+        check("conv_block", block, rng.normal(size=(2, 4, 8, 2)), (block.conv, block.bn))
         check("bigru", nn_layers.BiGRU(3, 4, rng=rng), rng.normal(size=(2, 5, 3)))
         check("time_dense", nn_layers.TimeDense(4, 3, activation="linear", rng=rng),
               rng.normal(size=(2, 6, 4)))
@@ -205,7 +218,6 @@ class TestGradientCriteria:
 
         out = head.forward(x, training=True)
         _, dpred = bce_loss(out, y, mask)
-        head.zero_grads()
         head.backward(dpred)
         errs = []
         for pname in head.params:

@@ -5,7 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import bigru_by_hand, conv2d_by_hand, finite_difference_gradients, max_relative_error
+from oracles import (
+    batch_norm_by_hand,
+    bigru_by_hand,
+    conv2d_by_hand,
+    finite_difference_gradients,
+    max_pool_by_hand,
+    max_relative_error,
+)
 from sedpipe.errors import RangeError, ShapeError, StateError
 from sedpipe.nn import CrnnArch, build_crnn
 from sedpipe.nn import layers as L
@@ -14,9 +21,10 @@ from sedpipe.nn.loss import bce_loss
 GRAD_TOL = 1e-5
 
 
-def layer_gradient_errors(layer, x, projection_seed=7):
+def layer_gradient_errors(layer, x, projection_seed=7, owners=None):
     """Worst relative error of input and parameter gradients against central
-    finite differences, using a fixed random projection as the scalar loss."""
+    finite differences, using a fixed random projection as the scalar loss.
+    ``owners`` are the layers whose parameters are checked (the layer)."""
     out = layer.forward(x, training=True)
     proj = np.random.default_rng(projection_seed).normal(size=out.shape)
 
@@ -24,16 +32,25 @@ def layer_gradient_errors(layer, x, projection_seed=7):
         return float((layer.forward(x, training=True) * proj).sum())
 
     layer.forward(x, training=True)
-    layer.zero_grads()
     dx = layer.backward(proj)
 
     errors = {}
     (fd_x,) = finite_difference_gradients(loss, [x])
     errors["input"] = max_relative_error(dx, fd_x)
-    for name in layer.params:
-        (fd_p,) = finite_difference_gradients(loss, [layer.params[name]])
-        errors[name] = max_relative_error(layer.grads[name], fd_p)
+    for owner in (layer,) if owners is None else owners:
+        for name in owner.params:
+            (fd_p,) = finite_difference_gradients(loss, [owner.params[name]])
+            errors[name] = max_relative_error(owner.grads[name], fd_p)
     return errors
+
+
+def identity_block(n_features, factor=1):
+    """A conv block whose conv passes its input through (one centre tap per
+    feature map), so it runs batch norm alone, then pools by ``factor``."""
+    conv = L.Conv2D(n_features, n_features)
+    for n in range(n_features):
+        conv.params["kernels"][n, 1, 1, n] = 1.0
+    return L.ConvBlock(conv, L.BatchNorm(n_features), L.MaxPoolFreq(factor))
 
 
 class TestConv2d:
@@ -147,58 +164,64 @@ class TestConv2d:
 
 
 class TestBatchNorm:
+    """Batch norm runs only inside a conv block; an identity conv and a
+    pool factor of 1 leave batch norm's own output."""
+
     def test_standardized_batch_passes_through(self, rng):
-        bn = L.BatchNorm(3)
+        block = identity_block(3)
         x = rng.normal(size=(4, 10, 6, 3))
         x = (x - x.mean(axis=(0, 1, 2))) / x.std(axis=(0, 1, 2))
-        out = bn.forward(x, training=True)
+        out = block.forward(x, training=True)
         # eps=1e-5 inside the sqrt bounds the pass-through error at
         # ~eps/2 * |x|, so exact 1e-6 agreement is not attainable
         assert np.max(np.abs(out - x)) < 5e-5
 
     def test_training_output_is_standardized(self, rng):
-        bn = L.BatchNorm(4)
+        block = identity_block(4)
         x = rng.normal(2.0, 3.0, size=(3, 7, 5, 4))
-        out = bn.forward(x, training=True)
+        out = block.forward(x, training=True)
         assert np.max(np.abs(out.mean(axis=(0, 1, 2)))) < 1e-6
         assert np.max(np.abs(out.var(axis=(0, 1, 2)) - 1.0)) < 1e-4
 
     def test_inference_before_update_is_state_error(self, rng):
-        bn = L.BatchNorm(2)
+        block = identity_block(2)
         with pytest.raises(StateError):
-            bn.forward(rng.normal(size=(1, 2, 2, 2)), training=False)
+            block.forward(rng.normal(size=(1, 2, 2, 2)), training=False)
 
     def test_inference_uses_running_stats(self, rng):
-        bn = L.BatchNorm(2)
+        block = identity_block(2)
         for _ in range(50):
-            bn.forward(rng.normal(1.0, 2.0, size=(8, 4, 3, 2)), training=True)
+            block.forward(rng.normal(1.0, 2.0, size=(8, 4, 3, 2)), training=True)
         x = rng.normal(1.0, 2.0, size=(2, 4, 3, 2))
-        a = bn.forward(x, training=False)
-        b = bn.forward(x[:1], training=False)
+        a = block.forward(x, training=False)
+        b = block.forward(x[:1], training=False)
         assert np.array_equal(a[:1], b)
 
     def test_second_backward_is_state_error(self, rng):
         # backward consumes x-hat, so a repeat must not return wrong numbers
-        bn = L.BatchNorm(2)
-        out = bn.forward(rng.normal(size=(2, 3, 4, 2)), training=True)
-        bn.backward(np.ones_like(out))
+        block = identity_block(2)
+        out = block.forward(rng.normal(size=(2, 3, 4, 2)), training=True)
+        block.backward(np.ones_like(out))
         with pytest.raises(StateError):
-            bn.backward(np.ones_like(out))
+            block.backward(np.ones_like(out))
 
     def test_gradients_match_finite_differences(self, rng):
-        bn = L.BatchNorm(3)
-        bn.params["gamma"] = rng.normal(size=3) + 1.5
-        bn.params["beta"] = rng.normal(size=3)
+        block = identity_block(3)
+        block.bn.params["gamma"][...] = rng.normal(size=3) + 1.5
+        block.bn.params["beta"][...] = rng.normal(size=3)
         x = rng.normal(size=(2, 4, 5, 3))
-        errors = layer_gradient_errors(bn, x)
+        errors = layer_gradient_errors(block, x, owners=(block.bn,))
         assert max(errors.values()) < 1e-6
 
 
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize(
     "make_layer",
-    [lambda rng: L.Conv2D(2, 3, rng=rng), lambda rng: L.BatchNorm(2)],
-    ids=["conv2d", "batch_norm"],
+    [
+        lambda rng: L.Conv2D(2, 3, rng=rng),
+        lambda rng: L.ConvBlock(L.Conv2D(2, 3, rng=rng), L.BatchNorm(3), L.MaxPoolFreq(5)),
+    ],
+    ids=["conv2d", "conv_block"],
 )
 def test_forward_and_backward_leave_arguments_unchanged(rng, make_layer, training):
     # the finite-difference harness reuses x and the projection after these
@@ -218,61 +241,79 @@ def test_forward_and_backward_leave_arguments_unchanged(rng, make_layer, trainin
 
 
 class TestMaxPoolFreq:
+    """The pool runs only inside a conv block; an identity conv leaves the
+    pooled batch norm output, gamma * x-hat + beta (x-hat at gamma 1, beta 0)."""
+
     def test_factor_one_is_identity(self, rng):
-        pool = L.MaxPoolFreq(1)
-        x = rng.normal(size=(2, 3, 4, 2))
-        assert np.array_equal(pool.forward(x), x)
+        block = identity_block(2, 1)
+        out = block.forward(rng.normal(size=(2, 3, 4, 2)), training=True)
+        x_hat = block._cache[0]
+        assert np.array_equal(out, x_hat)
 
     def test_full_reduction(self, rng):
-        pool = L.MaxPoolFreq(8)
-        x = rng.normal(size=(1, 4, 8, 1))
-        out = pool.forward(x)
+        block = identity_block(1, 8)
+        out = block.forward(rng.normal(size=(1, 4, 8, 1)), training=True)
+        x_hat = block._cache[0]
         assert out.shape == (1, 4, 1, 1)
-        assert np.array_equal(out[0, :, 0, 0], x[0].max(axis=1)[:, 0])
+        assert np.array_equal(out[0, :, 0, 0], x_hat[0].max(axis=1)[:, 0])
 
     def test_ties_route_to_lowest_index(self):
-        pool = L.MaxPoolFreq(2)
-        x = np.ones((1, 1, 4, 1))
-        pool.forward(x, training=True)
-        dx = pool.backward(np.ones((1, 1, 2, 1)))
-        assert np.array_equal(dx[0, 0, :, 0], [1.0, 0.0, 1.0, 0.0])
+        # both windows are tied; the pooled gradient reaches batch norm's
+        # backward at the first tap of each
+        block = identity_block(1, 2)
+        x = np.array([1.0, 1.0, 0.0, 0.0]).reshape(1, 1, 4, 1)
+        block.forward(x, training=True)
+        dout = np.ones((1, 1, 2, 1))
+        dx = block.backward(dout)
+        routed = max_pool_by_hand(x, 2, dout)[1]
+        assert np.array_equal(routed[0, 0, :, 0], [1.0, 0.0, 1.0, 0.0])
+        want = batch_norm_by_hand(x, np.ones(1), np.zeros(1), routed)[3]
+        assert max_relative_error(dx, want) < 1e-12
 
     def test_time_axis_untouched(self, rng):
-        pool = L.MaxPoolFreq(4)
-        x = rng.normal(size=(1, 6, 8, 2))
-        assert pool.forward(x).shape == (1, 6, 2, 2)
+        block = identity_block(2, 4)
+        assert block.forward(rng.normal(size=(1, 6, 8, 2)), training=True).shape == (1, 6, 2, 2)
 
     def test_gradients_match_finite_differences(self, rng):
-        pool = L.MaxPoolFreq(4)
+        block = identity_block(2, 4)
         x = rng.normal(size=(2, 3, 8, 2))  # random values sit far from ties
-        errors = layer_gradient_errors(pool, x)
+        errors = layer_gradient_errors(block, x, owners=())
         assert errors["input"] < 1e-6
 
     def test_inference_matches_training_and_keeps_no_cache(self, rng):
-        pool = L.MaxPoolFreq(5)
-        x = np.round(rng.normal(size=(2, 3, 20, 4)))  # rounding makes ties
-        trained = pool.forward(x, training=True)
-        assert np.array_equal(pool.forward(x), trained)
+        # rounding makes ties; inference pools x * scale + shift as
+        # training pools x-hat, each tie to its first tap
+        block = identity_block(4, 5)
+        x = np.round(rng.normal(size=(2, 3, 20, 4)))
+        trained = block.forward(x, training=True)
+        x_hat = block._cache[0]
+        assert np.array_equal(trained, max_pool_by_hand(x_hat, 5)[0])
+        scale, shift = block.bn._inference_affine()
+        assert np.array_equal(block.forward(x), max_pool_by_hand(x * scale + shift, 5)[0])
         with pytest.raises(StateError):
-            pool.backward(np.ones_like(trained))
+            block.backward(np.ones_like(trained))
 
     def test_nan_input_routes_each_gradient_inside_its_window(self, rng):
-        pool = L.MaxPoolFreq(4)
+        # the block's pooling helpers: a NaN window pools to NaN and still
+        # routes its gradient to one of its own taps
         x = rng.normal(size=(2, 3, 8, 2))
         x[0, 1, 5, 1] = np.nan
         x[1, 2, :4, 0] = np.nan
-        out = pool.forward(x, training=True)
+        m = L._windows(x, 4)
+        out = L._pool_taps(m, np.maximum)
         assert np.isnan(out[0, 1, 1, 1]) and np.isnan(out[1, 2, 0, 0])
         dout = rng.normal(size=out.shape)
-        dx = pool.backward(dout).reshape(2, 3, 2, 4, 2)
+        dx = np.zeros(x.shape)
+        L._add_at_taps(L._windows(dx, 4), L._first_tap(m, out), dout)
+        dx = dx.reshape(2, 3, 2, 4, 2)
         # each window passes its gradient to exactly one of its own taps
         assert np.array_equal(dx.sum(axis=3), dout)
         assert np.array_equal(np.count_nonzero(dx, axis=3), np.ones(out.shape, dtype=np.intp))
 
     def test_non_divisible_factor_rejected(self, rng):
-        pool = L.MaxPoolFreq(3)
+        block = identity_block(1, 3)
         with pytest.raises(ShapeError):
-            pool.forward(rng.normal(size=(1, 2, 8, 1)))
+            block.forward(rng.normal(size=(1, 2, 8, 1)))
 
 
 class TestBiGru:
@@ -459,12 +500,12 @@ class TestBceLoss:
     "make_layer, shape",
     [
         (lambda rng: L.Conv2D(2, 3, rng=rng), (2, 4, 5, 2)),
-        (lambda rng: L.MaxPoolFreq(2), (2, 4, 6, 2)),
+        (lambda rng: L.ConvBlock(L.Conv2D(2, 3, rng=rng), L.BatchNorm(3), L.MaxPoolFreq(2)), (2, 4, 6, 2)),
         (lambda rng: L.BiGRU(3, 4, rng=rng), (2, 5, 3)),
         (lambda rng: L.TimeDense(3, 2, activation="tanh", rng=rng), (2, 5, 3)),
         (lambda rng: L.Dropout(0.5), (2, 5, 3)),
     ],
-    ids=["conv2d", "max_pool_freq", "bigru", "time_dense", "dropout"],
+    ids=["conv2d", "conv_block", "bigru", "time_dense", "dropout"],
 )
 def test_second_backward_is_state_error(rng, make_layer, shape):
     # backward consumes the forward's state, so a repeat must not return
@@ -472,6 +513,27 @@ def test_second_backward_is_state_error(rng, make_layer, shape):
     layer = make_layer(rng)
     out = layer.forward(rng.normal(size=shape), training=True, rng=rng)
     layer.backward(np.ones_like(out))
+    with pytest.raises(StateError):
+        layer.backward(np.ones_like(out))
+
+
+@pytest.mark.parametrize(
+    "make_layer, shape",
+    [
+        (lambda rng: L.Conv2D(2, 3, rng=rng), (2, 4, 5, 2)),
+        (lambda rng: L.BiGRU(3, 4, rng=rng), (2, 5, 3)),
+        (lambda rng: L.TimeDense(3, 2, activation="tanh", rng=rng), (2, 5, 3)),
+    ],
+    ids=["conv2d", "bigru", "time_dense"],
+)
+def test_inference_forward_keeps_no_backward_state(rng, make_layer, shape):
+    # inference batches run between training steps, so whatever an
+    # inference forward cached would stay alive until the next step; it
+    # also drops the state of an earlier training forward
+    layer = make_layer(rng)
+    out = layer.forward(rng.normal(size=shape), training=True)
+    layer.forward(rng.normal(size=shape))
+    assert layer._cache is None
     with pytest.raises(StateError):
         layer.backward(np.ones_like(out))
 
@@ -517,12 +579,10 @@ def test_model_backward_skips_only_the_first_input_gradient(rng):
     dout = rng.normal(size=out.shape)
     assert model.backward(dout) is None
     graph_grads = {key: model.gradient(key).copy() for key, _ in model.parameters()}
-    # the same step through the separate layers, every input gradient on;
-    # the graph's conv blocks sum their gradients in another order
-    h, drop = x, np.random.default_rng(4)
-    for layer in model.layers:
-        h = layer.forward(h, training=True, rng=drop)
-    for layer in reversed(model.layers):
-        dout = layer.backward(dout, input_grad=True)
+    # the same step through the graph's steps, every input gradient on
+    model.forward(x, training=True, rng=np.random.default_rng(4))
+    for _, step in reversed(model._steps):
+        dout = step.backward(dout, input_grad=True)
+    assert dout.shape == x.shape
     for key, _ in model.parameters():
         assert max_relative_error(model.gradient(key), graph_grads[key]) < 1e-12, key

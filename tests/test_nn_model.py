@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import finite_difference_gradients, max_relative_error
-from sedpipe.errors import CheckpointError, ConfigError, RangeError, StateError
+from oracles import (
+    batch_norm_by_hand,
+    conv2d_by_hand,
+    finite_difference_gradients,
+    max_pool_by_hand,
+    max_relative_error,
+)
+from sedpipe.errors import CheckpointError, ConfigError, RangeError, ShapeError, StateError
 from sedpipe.features import Normalizer
 from sedpipe.nn import (
     BatchNorm,
@@ -23,10 +30,10 @@ from sedpipe.nn import (
     pool_plan,
     save_checkpoint,
 )
-from sedpipe.nn.layers import ConvBlock
+from sedpipe.nn.layers import ConvBlock, FlattenFreq
 
-# a conv block sums its gradients in another order than the separate conv,
-# batch norm and pool layers do
+# a conv block sums its outputs and gradients in another order than the
+# conv, batch norm and max pool oracles do
 BLOCK_GRAD_TOL = 1e-12
 
 
@@ -107,10 +114,10 @@ class TestBuildCrnn:
         arch = tiny_arch(n_bins=1024, pool_factors=(8, 8, 8), conv_layers=3, filters=3)
         model = build_crnn(arch, rng)
         x = rng.normal(size=(1, 4, 1024, 1))
-        for layer in model.layers:
-            x = layer.forward(x, training=True, rng=rng)
-            if layer.descriptor()["type"] == "max_pool_freq" and x.shape[2] == 2:
+        for _, step in model._steps:
+            if isinstance(step, FlattenFreq):
                 break
+            x = step.forward(x, training=True, rng=rng)
         assert x.shape == (1, 4, 2, 3)
 
     def test_bad_pool_product_rejected(self):
@@ -319,15 +326,34 @@ def test_model_graph_from_descriptor_rebuilds_same_topology(rng):
         assert [k for k, _ in rebuilt.state_arrays()] == [k for k, _ in model.state_arrays()]
 
 
-# graphs in which batch norm may, or may not, work in place; only the conv
-# block does. Each takes (2, 4, 5, 3) inputs
+# graphs whose steps must leave the caller's input and output gradient
+# unwritten, although the conv block works in place. Each takes (2, 4, 5, 3)
+# inputs
 OWNERSHIP_GRAPHS = {
     "conv_block": [
         {"type": "conv2d", "in_channels": 3, "filters": 2},
         {"type": "batch_norm", "n_features": 2},
         {"type": "max_pool_freq", "factor": 5},
     ],
-    # the caller's dout passes through dropout into batch norm's backward
+    # the caller's dout passes through dropout into the block's backward
+    "conv_block_dropout_last": [
+        {"type": "conv2d", "in_channels": 3, "filters": 2},
+        {"type": "batch_norm", "n_features": 2},
+        {"type": "max_pool_freq", "factor": 5},
+        {"type": "dropout", "rate": 0.0},
+    ],
+    # the caller's x passes through dropout into the block's forward
+    "dropout_zero_first": [
+        {"type": "dropout", "rate": 0.0},
+        {"type": "conv2d", "in_channels": 3, "filters": 2},
+        {"type": "batch_norm", "n_features": 2},
+        {"type": "max_pool_freq", "factor": 5},
+    ],
+}
+
+# graphs with a batch norm or a frequency max pool outside a (conv, batch
+# norm, pool) triple, which no pass runs, or with a triple that cannot run
+REJECTED_GRAPHS = {
     "conv_bn_dropout_last": [
         {"type": "conv2d", "in_channels": 3, "filters": 2},
         {"type": "batch_norm", "n_features": 2},
@@ -347,8 +373,6 @@ OWNERSHIP_GRAPHS = {
         {"type": "batch_norm", "n_features": 15},
         {"type": "time_dense", "in_dim": 15, "units": 2, "activation": "linear"},
     ],
-    # tanh's derivative reads the output time dense keeps, so a batch norm
-    # that overwrote it would break the gradients
     "after_kept_output": [
         {"type": "flatten_freq"},
         {"type": "time_dense", "in_dim": 15, "units": 4, "activation": "tanh"},
@@ -360,7 +384,44 @@ OWNERSHIP_GRAPHS = {
         {"type": "flatten_freq"},
         {"type": "batch_norm", "n_features": 10},
     ],
+    "lone_pool": [
+        {"type": "conv2d", "in_channels": 3, "filters": 2},
+        {"type": "max_pool_freq", "factor": 5},
+    ],
+    "pool_before_batch_norm": [
+        {"type": "conv2d", "in_channels": 3, "filters": 2},
+        {"type": "max_pool_freq", "factor": 5},
+        {"type": "batch_norm", "n_features": 2},
+    ],
+    "block_of_mismatched_widths": [
+        {"type": "conv2d", "in_channels": 3, "filters": 2},
+        {"type": "batch_norm", "n_features": 3},
+        {"type": "max_pool_freq", "factor": 5},
+    ],
 }
+
+
+@pytest.mark.parametrize("name", list(REJECTED_GRAPHS))
+def test_unrunnable_graph_rejected(name):
+    with pytest.raises(ShapeError):
+        ModelGraph.from_descriptor(REJECTED_GRAPHS[name])
+
+
+def test_checkpoint_with_a_lone_batch_norm_rejected(rng, tmp_path):
+    # swapping the block's batch norm and pool keeps the payload's bytes
+    model = ModelGraph.from_descriptor(OWNERSHIP_GRAPHS["conv_block"])
+    model.forward(rng.normal(size=(2, 4, 5, 3)), training=True)
+    path = tmp_path / "model.sedm"
+    save_checkpoint(model, path)
+    raw = path.read_bytes()
+    desc_len = int.from_bytes(raw[6:10], "little")
+    layers = json.loads(raw[10 : 10 + desc_len])
+    layers[1], layers[2] = layers[2], layers[1]
+    swapped = json.dumps(layers, sort_keys=True, separators=(",", ":")).encode()
+    assert len(swapped) == desc_len
+    path.write_bytes(raw[:10] + swapped + raw[10 + desc_len :])
+    with pytest.raises(ShapeError):
+        load_checkpoint(path)
 
 
 class TestOwnedActivations:
@@ -386,11 +447,11 @@ class TestOwnedActivations:
             (fd,) = finite_difference_gradients(loss, [p])
             assert max_relative_error(model.gradient(key), fd) < 1e-5, key
 
-    def test_crnn_step_keeps_caller_arrays_and_equals_direct_layer_calls(self, rng):
-        # the direct calls run batch norm and the pool as separate layers;
-        # the graph's conv blocks sum the gradients in another order
+    def test_crnn_step_keeps_caller_arrays_and_matches_oracle_blocks(self, rng):
+        # the reference step runs each conv block through the oracles and
+        # every other step as the graph does
         arch = tiny_arch(n_channels=2, conv_layers=2, pool_factors=(5, 4), filters=3, dropout=0.25)
-        graph, direct = build_crnn(arch, np.random.default_rng(5)), build_crnn(arch, np.random.default_rng(5))
+        graph, ref = build_crnn(arch, np.random.default_rng(5)), build_crnn(arch, np.random.default_rng(5))
         x = rng.normal(size=(2, 8, 40, 2))
         x_before = x.copy()
         out = graph.forward(x, training=True, rng=np.random.default_rng(6))
@@ -399,19 +460,25 @@ class TestOwnedActivations:
         graph.backward(dout)
         assert np.array_equal(x, x_before)
         assert np.array_equal(dout, dout_before)
-        h, drop = x, np.random.default_rng(6)
-        for layer in direct.layers:
-            h = layer.forward(h, training=True, rng=drop)
-        assert np.array_equal(h, out)
+        inputs, h, drop = [], x, np.random.default_rng(6)
+        for _, step in ref._steps:
+            inputs.append(h)
+            if isinstance(step, ConvBlock):
+                pooled = h.shape[:2] + (h.shape[2] // step.pool.factor, step.conv.filters)
+                h = block_by_hand(step, h, np.zeros(pooled))[0]
+            else:
+                h = step.forward(h, training=True, rng=drop)
+        assert max_relative_error(h, out) < BLOCK_GRAD_TOL
         g = dout
-        for layer in reversed(direct.layers):
-            g = layer.backward(g)
+        for (_, step), h in zip(reversed(ref._steps), reversed(inputs)):
+            if isinstance(step, ConvBlock):
+                _, g, grads, _, _ = block_by_hand(step, h, g)
+                step.conv.grads["kernels"] = grads["kernels"]
+                step.bn.grads.update(gamma=grads["gamma"], beta=grads["beta"])
+            else:
+                g = step.backward(g)
         for key, _ in graph.parameters():
-            assert max_relative_error(graph.gradient(key), direct.gradient(key)) < BLOCK_GRAD_TOL, key
-        h = x
-        for layer in direct.layers:
-            h = layer.forward(h, training=False)
-        assert np.array_equal(graph.forward(x, training=False), h)
+            assert max_relative_error(graph.gradient(key), ref.gradient(key)) < BLOCK_GRAD_TOL, key
 
     def test_full_step_peak_below_four_conv1_outputs(self):
         # a small bin-fft step; the bound scales with conv1's output, the
@@ -436,58 +503,69 @@ class TestOwnedActivations:
         assert peak < 4 * s * t * b * filters * 8
 
 
-def block_pair(rng, cin=2, filters=3, factor=5, gamma=(1.3, -0.7, 0.4)):
-    """A conv block and an identical separate conv, batch norm and pool."""
-    pair = []
-    for _ in range(2):
-        conv, bn, pool = Conv2D(cin, filters), BatchNorm(filters), MaxPoolFreq(factor)
-        pair.append((conv, bn, pool))
-    kernels = rng.normal(size=pair[0][0].params["kernels"].shape)
-    beta = rng.normal(size=filters)
-    for conv, bn, _ in pair:
-        conv.params["kernels"][...] = kernels
-        bn.params["gamma"][...] = gamma
-        bn.params["beta"][...] = beta
-    return ConvBlock(*pair[0]), pair[1]
+def make_block(rng, cin=2, filters=3, factor=5, gamma=(1.3, -0.7, 0.4)):
+    """A conv block with random kernels and beta; one gamma is negative."""
+    block = ConvBlock(Conv2D(cin, filters), BatchNorm(filters), MaxPoolFreq(factor))
+    block.conv.params["kernels"][...] = rng.normal(size=block.conv.params["kernels"].shape)
+    block.bn.params["gamma"][...] = gamma
+    block.bn.params["beta"][...] = rng.normal(size=filters)
+    return block
 
 
-def separate_step(layers, x, dout):
-    """Training forward and backward through the separate layers."""
-    conv, bn, pool = layers
-    out = pool.forward(bn.forward(conv.forward(x, training=True), training=True), training=True)
-    dx = conv.backward(bn.backward(pool.backward(dout)))
-    return out, dx
+def block_by_hand(block, x, dout):
+    """The block's training step composed from the conv, batch norm and max
+    pool oracles, for upstream ``dout``: (out, d_x, gradients by parameter
+    name, batch mean, batch variance)."""
+    kernels = block.conv.params["kernels"]
+    gamma, beta, eps = block.bn.params["gamma"], block.bn.params["beta"], block.bn.eps
+    y = conv2d_by_hand(x, kernels, np.zeros(x.shape[:3] + (block.conv.filters,)))[0]
+    normed = batch_norm_by_hand(y, gamma, beta, np.zeros_like(y), eps)[0]
+    out, d_normed = max_pool_by_hand(normed, block.pool.factor, dout)
+    _, dgamma, dbeta, dy, mean, var = batch_norm_by_hand(y, gamma, beta, d_normed, eps)
+    _, dk, dx = conv2d_by_hand(x, kernels, dy)
+    return out, dx, {"kernels": dk, "gamma": dgamma, "beta": dbeta}, mean, var
 
 
 class TestConvBlock:
-    def check_against_separate_layers(self, rng, x, kernels=None):
-        block, separate = block_pair(rng, cin=x.shape[3])
+    def check_against_oracles(self, rng, x, kernels=None, factor=5):
+        block = make_block(rng, cin=x.shape[3], factor=factor)
         if kernels is not None:
-            for conv in (block.conv, separate[0]):
-                conv.params["kernels"][...] = kernels
+            block.conv.params["kernels"][...] = kernels
+        gamma, beta = block.bn.params["gamma"], block.bn.params["beta"]
         out = block.forward(x, training=True)
+        # pooling first, then scaling and shifting, gives the same bits as
+        # the reverse: the affine map is monotone, and so is its rounding
+        x_hat = block._cache[0].copy()
+        assert np.array_equal(out, max_pool_by_hand(x_hat * gamma + beta, factor)[0])
         dout = rng.normal(size=out.shape)
         x_before, dout_before = x.copy(), dout.copy()
         dx = block.backward(dout)
-        ref, ref_dx = separate_step(separate, x, dout)
-        assert np.array_equal(out, ref)
         assert np.array_equal(x, x_before)
         assert np.array_equal(dout, dout_before)
-        assert max_relative_error(dx, ref_dx) < BLOCK_GRAD_TOL
-        for a, b in zip((block.conv, block.bn), separate):
-            for name in a.params:
-                assert max_relative_error(a.grads[name], b.grads[name]) < BLOCK_GRAD_TOL, name
-        for name, buf in block.bn.buffers.items():
-            assert np.array_equal(buf, separate[1].buffers[name]), name
-        conv, bn, pool = separate
-        inference = pool.forward(bn.forward(conv.forward(x)))
-        assert np.array_equal(block.forward(x), inference)
+        want_out, want_dx, want_grads, mean, var = block_by_hand(block, x, dout)
+        assert out.shape == want_out.shape
+        assert max_relative_error(out, want_out) < BLOCK_GRAD_TOL
+        assert max_relative_error(dx, want_dx) < BLOCK_GRAD_TOL
+        for layer in (block.conv, block.bn):
+            for name in layer.params:
+                assert max_relative_error(layer.grads[name], want_grads[name]) < BLOCK_GRAD_TOL, name
+        # one update from the initial running mean 0 and variance 1
+        m, bufs = block.bn.momentum, block.bn.buffers
+        assert max_relative_error(bufs["running_mean"], (1 - m) * mean) < BLOCK_GRAD_TOL
+        assert max_relative_error(bufs["running_var"], m + (1 - m) * var) < BLOCK_GRAD_TOL
+        assert bufs["updates"][0] == 1
+        y = block.conv.forward(x)
+        scale, shift = block.bn._inference_affine()
+        inference = block.forward(x)
+        assert np.array_equal(inference, max_pool_by_hand(y * scale + shift, factor)[0])
+        normed = (y - bufs["running_mean"]) / np.sqrt(bufs["running_var"] + block.bn.eps) * gamma + beta
+        assert max_relative_error(inference, max_pool_by_hand(normed, factor)[0]) < BLOCK_GRAD_TOL
         assert np.array_equal(x, x_before)
 
-    def test_equals_separate_layers_with_a_negative_gamma(self, rng):
-        self.check_against_separate_layers(rng, rng.normal(size=(2, 6, 20, 2)))
+    def test_matches_oracles_with_a_negative_gamma(self, rng):
+        self.check_against_oracles(rng, rng.normal(size=(2, 6, 20, 2)))
 
-    def test_tied_windows_equal_separate_layers(self, rng):
+    def test_tied_windows_match_oracles(self, rng):
         # integer inputs and kernels give integer conv outputs, so many
         # windows hold their max (kept where gamma > 0) or their min
         # (kept where gamma < 0) at more than one tap
@@ -498,10 +576,14 @@ class TestConvBlock:
         y = conv.forward(x).reshape(2, 6, 4, 5, 3)
         assert np.any(np.sum(y == y.max(axis=3, keepdims=True), axis=3) > 1)
         assert np.any(np.sum(y == y.min(axis=3, keepdims=True), axis=3) > 1)
-        self.check_against_separate_layers(rng, x, kernels)
+        self.check_against_oracles(rng, x, kernels)
+
+    @pytest.mark.parametrize("factor", [1, 20])
+    def test_pool_of_one_bin_and_of_every_bin_match_oracles(self, rng, factor):
+        self.check_against_oracles(rng, rng.normal(size=(1, 4, 20, 2)), factor=factor)
 
     def test_gradients_match_finite_differences(self, rng):
-        block, _ = block_pair(rng, cin=2)
+        block = make_block(rng, cin=2)
         x = rng.normal(size=(2, 4, 10, 2))
         proj = rng.normal(size=block.forward(x, training=True).shape)
 
@@ -518,7 +600,7 @@ class TestConvBlock:
                 assert max_relative_error(layer.grads[name], fd) < 1e-5, name
 
     def test_backward_needs_a_training_forward(self, rng):
-        block, _ = block_pair(rng)
+        block = make_block(rng)
         x = rng.normal(size=(1, 2, 10, 2))
         out = block.forward(x, training=True)
         block.backward(np.ones_like(out))
