@@ -4,15 +4,19 @@ The WAV reader handles the RIFF/WAVE subset the datasets use: little-endian
 PCM (format code 1), 16 or 24 bit, one or two channels. Unknown chunks are
 skipped. Annotations are three-column TSV (onset, offset, label) in seconds;
 the dataset manifest is a separate TSV mapping each clip to a fold and split
-role.
+role. Every writer goes through :func:`atomic_write`, so an interrupted
+write leaves no partial file.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import BinaryIO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -108,6 +112,21 @@ class ManifestRow(NamedTuple):
     role: str
 
 
+@contextmanager
+def atomic_write(path) -> Iterator[BinaryIO]:
+    """Open ``<path>.tmp`` for binary writing and move it over ``path`` once
+    the block completes. An exception inside the block removes the
+    temporary file, so an interrupted write leaves any old ``path`` intact
+    and never a truncated one."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def read_wav(path) -> AudioClip:
     """Read a PCM WAV file, scaling samples to [-1, 1] by ``2**(bits-1)``."""
     data = Path(path).read_bytes()
@@ -181,7 +200,7 @@ def write_wav(path, clip: AudioClip, bit_depth: int = 16) -> None:
     pad = b"\x00" if len(payload) & 1 else b""
     riff_size = 4 + 8 + 16 + 8 + len(payload) + len(pad)
 
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(b"RIFF" + struct.pack("<I", riff_size) + b"WAVE")
         fh.write(b"fmt " + struct.pack("<IHHIIHH", 16, 1, n_channels, clip.sample_rate, byte_rate, block_align, bit_depth))
         fh.write(b"data" + struct.pack("<I", len(payload)))
@@ -225,9 +244,9 @@ def read_annotations(path, class_names: Sequence[str]) -> list[Event]:
 
 
 def write_annotations(events: Sequence[Event], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for ev in events:
-            fh.write(f"{ev.onset:.6f}\t{ev.offset:.6f}\t{ev.label}\n")
+            fh.write(f"{ev.onset:.6f}\t{ev.offset:.6f}\t{ev.label}\n".encode("utf-8"))
 
 
 def event_frame_span(onset: float, offset: float, hop_seconds: float, n_frames: int) -> tuple[int, int]:
@@ -294,6 +313,6 @@ def read_manifest(path) -> list[ManifestRow]:
 
 
 def write_manifest(rows: Sequence[ManifestRow], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for r in rows:
-            fh.write(f"{r.audio_path}\t{r.annotation_path}\t{r.fold}\t{r.role}\n")
+            fh.write(f"{r.audio_path}\t{r.annotation_path}\t{r.fold}\t{r.role}\n".encode("utf-8"))

@@ -19,7 +19,7 @@ import numpy as np
 from . import features as feats
 from . import metrics, synth
 from .audio_io import (
-    ManifestRow,
+    atomic_write,
     events_to_roll,
     read_annotations,
     read_manifest,
@@ -31,16 +31,20 @@ from .audio_io import (
 from .config import ExperimentConfig, dump_config, load_config, with_section
 from .errors import ConfigError, SedError
 from .experiment import archive_name, clip_features, cross_validate, random_search
-from .features import atomic_write
 from .nn import save_checkpoint
 
 log = logging.getLogger("sedpipe")
 
 
 def _load_cfg(args) -> ExperimentConfig:
+    """The config file (or the defaults) with the command-line overrides:
+    ``--seed`` sets both seeds, ``--data-dir DIR`` the manifest
+    ``DIR/manifest.tsv``."""
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if getattr(args, "seed", None) is not None:
         cfg = with_section(with_section(cfg, "data", seed=args.seed), "train", seed=args.seed)
+    if getattr(args, "data_dir", None):
+        cfg = with_section(cfg, "data", manifest=str(Path(args.data_dir) / "manifest.tsv"))
     return cfg
 
 
@@ -68,29 +72,15 @@ def cmd_synth(args) -> int:
     out = Path(args.out or cfg.data.root)
     out.mkdir(parents=True, exist_ok=True)
     spec = synth.SynthSpec(**dataclasses.asdict(cfg.data))
-    rows = []
-    n_folds = cfg.data.folds
-    # round-robin clip groups; each fold tests one group, holds out the next
-    # for validation (when there are enough groups) and trains on the rest
-    with_validation = n_folds >= 3
+    rows = synth.manifest_rows(spec.n_clips, spec.folds)
     # each clip is written and dropped before the next is rendered, so one
-    # clip is held at a time (enumerate's result tuple would keep the last)
+    # clip is held at a time (zip's result tuple would keep the last)
     clips = synth.synth_dataset(spec)
-    for i in range(spec.n_clips):
+    for row in rows[:: spec.folds]:  # each clip's first row
         clip, events = next(clips)
-        stem = f"clip{i:03d}"
-        write_wav(out / f"{stem}.wav", clip, bit_depth=cfg.data.bit_depth)
-        write_annotations(events, out / f"{stem}.tsv")
+        write_wav(out / row.audio_path, clip, bit_depth=cfg.data.bit_depth)
+        write_annotations(events, out / row.annotation_path)
         del clip
-        for fold in range(1, n_folds + 1):
-            group = i % n_folds
-            if group == fold - 1:
-                role = "test"
-            elif with_validation and group == fold % n_folds:
-                role = "validation"
-            else:
-                role = "train"
-            rows.append(ManifestRow(f"{stem}.wav", f"{stem}.tsv", fold, role))
     manifest = out / "manifest.tsv"
     write_manifest(rows, manifest)
     log.info("wrote %d clips and %d manifest rows", spec.n_clips, len(rows))
@@ -102,7 +92,7 @@ def cmd_extract(args) -> int:
     cfg = _load_cfg(args)
     fc = args.feature or cfg.features.feature_class
     features_cfg = dataclasses.replace(cfg.features, feature_class=fc)
-    manifest = Path(args.data_dir) / "manifest.tsv" if args.data_dir else cfg.data.manifest_path()
+    manifest = cfg.data.manifest_path()
     rows = read_manifest(manifest)
     base = manifest.parent
     out = Path(args.out or cfg.features.archive_dir or (base / "features"))
@@ -121,7 +111,6 @@ def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     out = Path(args.out or "runs/default")
     out.mkdir(parents=True, exist_ok=True)
-    base = Path(args.data_dir or ".")
 
     def on_fold(run: int, fold: int, result) -> None:
         run_dir = out / f"fold{fold}" / f"run{run}"
@@ -137,7 +126,7 @@ def cmd_train(args) -> int:
         _write_lines(run_dir / "history.tsv", lines)
         _write_metric_tsv(result.report, run_dir / "metrics.tsv")
 
-    summary = cross_validate(cfg, base_dir=base, on_fold=on_fold)
+    summary = cross_validate(cfg, on_fold=on_fold)
     print(f"ER: {summary.mean_er:.2f} +/- {summary.std_er:.2f}")
     print(f"F: {100 * summary.mean_f:.1f} +/- {100 * summary.std_f:.1f}")
     print(out)
@@ -216,7 +205,6 @@ def cmd_search(args) -> int:
         cfg = with_section(cfg, "search", trials=args.trials)
     out = Path(args.out or "runs/search")
     out.mkdir(parents=True, exist_ok=True)
-    base = Path(args.data_dir or ".")
 
     def on_trial(trial) -> None:
         trial_dir = out / f"trial{trial.index}"
@@ -228,7 +216,7 @@ def cmd_search(args) -> int:
             (f"{key}\t{_fmt(getattr(trial, key))}" for key in ("mean_er", "std_er", "mean_f", "std_f")),
         )
 
-    ranked = random_search(cfg, base_dir=base, on_trial=on_trial)
+    ranked = random_search(cfg, on_trial=on_trial)
     lines = ["rank\ttrial\tmean_er\tmean_f"]
     lines += [
         f"{rank}\t{trial.index}\t{_fmt(trial.mean_er)}\t{_fmt(trial.mean_f)}"
@@ -278,26 +266,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p, data_dir=False):
         p.add_argument("--config", help="experiment config file")
         p.add_argument("--out", help="output path")
-        if seed:
-            p.add_argument("--seed", type=int, help="override the config seeds")
+        p.add_argument("--seed", type=int, help="override the config seeds")
+        if data_dir:
+            p.add_argument(
+                "--data-dir", metavar="DIR", help="dataset directory: read DIR/manifest.tsv, not the config's manifest"
+            )
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic dataset")
     common(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("extract", help="extract feature archives for a dataset")
-    common(p)
+    common(p, data_dir=True)
     p.add_argument("--feature", choices=feats.FEATURE_CLASSES, help="feature class")
-    p.add_argument("--data-dir", help="dataset directory (overrides config)")
     p.add_argument("--force", action="store_true", help="delete existing archives and extract again")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="train and evaluate over folds and runs")
-    common(p)
-    p.add_argument("--data-dir", help="directory the manifest paths are relative to")
+    common(p, data_dir=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a prediction TSV against a reference TSV")
@@ -313,8 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("search", help="random hyper-parameter search")
-    common(p)
-    p.add_argument("--data-dir", help="directory the manifest paths are relative to")
+    common(p, data_dir=True)
     p.add_argument("--trials", type=int, help="number of sampled configurations")
     p.set_defaults(func=cmd_search)
 

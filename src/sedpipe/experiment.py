@@ -23,12 +23,10 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class FoldResult:
-    fold: int
     report: metrics.MetricReport
     history: TrainHistory
     model: ModelGraph
     normalizer: Normalizer
-    class_names: tuple[str, ...]
 
 
 @dataclass
@@ -72,16 +70,17 @@ def _load_split(
     rows: list[ManifestRow],
     cfg: ExperimentConfig,
     class_names: tuple[str, ...],
-    base_dir: Path,
     cache: dict,
 ) -> list[tuple[FeatureTensor, EventRoll]]:
+    # manifest rows hold paths relative to the manifest's own directory
+    data_dir = cfg.data.manifest_path().parent
     fc = cfg.features.feature_class
     archive_dir = Path(cfg.features.archive_dir) if cfg.features.archive_dir else None
     for row in rows:
         if row.audio_path not in cache:
             archive = archive_dir / archive_name(row.audio_path, fc) if archive_dir else None
-            tensor = clip_features(base_dir / row.audio_path, cfg.features, archive)
-            events = read_annotations(base_dir / row.annotation_path, class_names)
+            tensor = clip_features(data_dir / row.audio_path, cfg.features, archive)
+            events = read_annotations(data_dir / row.annotation_path, class_names)
             roll = events_to_roll(events, tensor.n_frames, tensor.hop_seconds, class_names)
             cache[row.audio_path] = (tensor, roll)
     return [cache[row.audio_path] for row in rows]
@@ -105,20 +104,17 @@ def split_rows(rows: list[ManifestRow], fold: int, monitor: str) -> dict[str, li
     return by_role
 
 
-def _split_sequences(
-    clips: list[tuple[FeatureTensor, EventRoll]], normalizer, seq_len: int
-) -> tuple[SequenceBatch, list[int]]:
-    """A split's normalized sequences, clip after clip, and the number of
-    sequences of each clip."""
-    parts = [chunk_sequences(apply_normalizer(normalizer, tensor), roll, seq_len) for tensor, roll in clips]
-    return SequenceBatch.concat(parts), [part.n_sequences for part in parts]
+def _split_sequences(clips: list[tuple[FeatureTensor, EventRoll]], normalizer, seq_len: int) -> SequenceBatch:
+    """A split's normalized sequences, clip after clip."""
+    return SequenceBatch.concat(
+        [chunk_sequences(apply_normalizer(normalizer, tensor), roll, seq_len) for tensor, roll in clips]
+    )
 
 
 def run_fold(
     cfg: ExperimentConfig,
     fold: int,
     seed: int | None = None,
-    base_dir: str | Path = ".",
     feature_cache: dict | None = None,
     manifest_rows: list[ManifestRow] | None = None,
 ) -> FoldResult:
@@ -129,22 +125,19 @@ def run_fold(
     :func:`sedpipe.nn.training.monitor_scores`. ``manifest_rows`` are the
     config's manifest, already read; without them the manifest is read here.
     """
-    manifest_file = Path(base_dir) / cfg.data.manifest_path()
-    rows = read_manifest(manifest_file) if manifest_rows is None else manifest_rows
-    # manifest rows hold paths relative to the manifest's own directory
-    base_dir = manifest_file.parent
+    rows = read_manifest(cfg.data.manifest_path()) if manifest_rows is None else manifest_rows
     class_names = synth.class_names(cfg.data)
     roles = split_rows(rows, fold, cfg.train.monitor)
 
     cache = feature_cache if feature_cache is not None else {}
-    train_clips = _load_split(roles["train"], cfg, class_names, base_dir, cache)
-    monitor_clips = _load_split(roles[cfg.train.monitor], cfg, class_names, base_dir, cache)
-    test_clips = _load_split(roles["test"], cfg, class_names, base_dir, cache)
+    train_clips = _load_split(roles["train"], cfg, class_names, cache)
+    monitor_clips = _load_split(roles[cfg.train.monitor], cfg, class_names, cache)
+    test_clips = _load_split(roles["test"], cfg, class_names, cache)
 
     normalizer = fit_normalizer([tensor for tensor, _ in train_clips])
     seq_len = cfg.train.sequence_length
-    train_batch, _ = _split_sequences(train_clips, normalizer, seq_len)
-    monitor_batch, monitor_counts = _split_sequences(monitor_clips, normalizer, seq_len)
+    train_batch = _split_sequences(train_clips, normalizer, seq_len)
+    monitor_batch = _split_sequences(monitor_clips, normalizer, seq_len)
 
     run_seed = cfg.train.seed if seed is None else seed
     sample = train_clips[0][0]
@@ -157,22 +150,11 @@ def run_fold(
     init_rng = np.random.default_rng(np.random.SeedSequence(run_seed).spawn(1)[0])
     model = build_crnn(arch, init_rng)
 
-    hop = sample.hop_seconds
-    model, history = train(
-        model, train_batch, monitor_batch, monitor_counts,
-        dataclasses.replace(cfg.train, seed=run_seed), hop, class_names,
-    )
-    test_batch, test_counts = _split_sequences(test_clips, normalizer, seq_len)
-    report = training.monitor_scores(model, test_batch, test_counts, hop, class_names, cfg.train.threshold)
+    model, history = train(model, train_batch, monitor_batch, dataclasses.replace(cfg.train, seed=run_seed))
+    test_batch = _split_sequences(test_clips, normalizer, seq_len)
+    report = training.monitor_scores(model, test_batch, cfg.train.threshold)
     log.info("fold %d: test ER %.4f, F %.1f%%", fold, report.error_rate, 100 * report.f_score)
-    return FoldResult(
-        fold=fold,
-        report=report,
-        history=history,
-        model=model,
-        normalizer=normalizer,
-        class_names=class_names,
-    )
+    return FoldResult(report=report, history=history, model=model, normalizer=normalizer)
 
 
 def run_seed_for(master_seed: int, run: int, fold: int) -> int:
@@ -181,14 +163,9 @@ def run_seed_for(master_seed: int, run: int, fold: int) -> int:
     return int(child.generate_state(1, dtype=np.uint32)[0])
 
 
-def cross_validate(
-    cfg: ExperimentConfig,
-    base_dir: str | Path = ".",
-    feature_cache: dict | None = None,
-    on_fold=None,
-) -> CvSummary:
+def cross_validate(cfg: ExperimentConfig, feature_cache: dict | None = None, on_fold=None) -> CvSummary:
     """Train and score every (run, fold) of the config; see :class:`CvSummary`."""
-    manifest_rows = read_manifest(Path(base_dir) / cfg.data.manifest_path())
+    manifest_rows = read_manifest(cfg.data.manifest_path())
     for fold in cfg.train.folds:  # every fold, before the first one trains
         split_rows(manifest_rows, fold, cfg.train.monitor)
     cache = feature_cache if feature_cache is not None else {}
@@ -199,7 +176,7 @@ def cross_validate(
         for fold in cfg.train.folds:
             result = run_fold(
                 cfg, fold, seed=run_seed_for(cfg.train.seed, run, fold),
-                base_dir=base_dir, feature_cache=cache, manifest_rows=manifest_rows,
+                feature_cache=cache, manifest_rows=manifest_rows,
             )
             if on_fold is not None:
                 on_fold(run, fold, result)
@@ -254,12 +231,7 @@ def sample_model_config(space: SearchSection, rng: np.random.Generator, n_bins: 
     raise ConfigError("search space contains no valid configuration")
 
 
-def random_search(
-    cfg: ExperimentConfig,
-    seed: int | None = None,
-    base_dir: str | Path = ".",
-    on_trial=None,
-) -> list[TrialResult]:
+def random_search(cfg: ExperimentConfig, seed: int | None = None, on_trial=None) -> list[TrialResult]:
     """Evaluate ``cfg.search.trials`` sampled architectures with a truncated
     epoch budget and rank them by mean ER, best first."""
     space = cfg.search
@@ -282,7 +254,7 @@ def random_search(
                 n_runs=space.n_runs,
             ),
         )
-        summary = cross_validate(trial_cfg, base_dir=base_dir, feature_cache=cache)
+        summary = cross_validate(trial_cfg, feature_cache=cache)
         trial = TrialResult(
             index=index,
             model=model_cfg,

@@ -17,20 +17,17 @@ array holds the spectra of a whole clip.
 from __future__ import annotations
 
 import logging
-import os
 import struct
 import warnings
-from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import BinaryIO, Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import dsp
-from .audio_io import AudioClip, EventRoll, to_mono
+from .audio_io import AudioClip, EventRoll, atomic_write, to_mono
 from .errors import ChannelError, ConfigError, RangeError, ShapeError, StateError
 
 log = logging.getLogger(__name__)
@@ -305,15 +302,20 @@ def apply_normalizer(norm: Normalizer, tensor: FeatureTensor) -> FeatureTensor:
 
 @dataclass(frozen=True)
 class SequenceBatch:
-    """Fixed-length training sequences with frame-validity masks.
+    """Fixed-length sequences of one or more clips, with frame-validity masks.
 
     ``inputs`` is (n, T, B, Ch), ``targets`` (n, T, C) and ``mask`` (n, T);
-    masked-off frames are zero padding excluded from loss and metrics.
+    masked-off frames are zero padding excluded from loss and metrics. The
+    sequences run clip after clip, ``clip_sequences`` holding each clip's
+    count, and every clip shares the frame hop and class names of its roll.
     """
 
     inputs: np.ndarray
     targets: np.ndarray
     mask: np.ndarray
+    clip_sequences: tuple[int, ...]
+    hop_seconds: float
+    class_names: tuple[str, ...]
 
     def __post_init__(self):
         if self.inputs.ndim != 4 or self.targets.ndim != 3 or self.mask.ndim != 2:
@@ -323,24 +325,27 @@ class SequenceBatch:
             and self.inputs.shape[1] == self.targets.shape[1] == self.mask.shape[1]
         ):
             raise ShapeError("SequenceBatch arrays disagree on (n, T)")
+        if sum(self.clip_sequences) != self.n_sequences:
+            raise ShapeError(f"clips hold {sum(self.clip_sequences)} sequences, the batch {self.n_sequences}")
 
     @property
     def n_sequences(self) -> int:
         return self.inputs.shape[0]
 
-    @property
-    def seq_len(self) -> int:
-        return self.inputs.shape[1]
-
     @staticmethod
     def concat(batches: Sequence["SequenceBatch"]) -> "SequenceBatch":
-        batches = [b for b in batches if b.n_sequences]
-        if not batches:
+        if not any(b.n_sequences for b in batches):
             raise StateError("no sequences to concatenate")
+        first = batches[0]
+        if any((b.hop_seconds, b.class_names) != (first.hop_seconds, first.class_names) for b in batches):
+            raise ShapeError("batches to concatenate differ in frame hop or class names")
         return SequenceBatch(
             inputs=np.concatenate([b.inputs for b in batches], axis=0),
             targets=np.concatenate([b.targets for b in batches], axis=0),
             mask=np.concatenate([b.mask for b in batches], axis=0),
+            clip_sequences=sum((b.clip_sequences for b in batches), ()),
+            hop_seconds=first.hop_seconds,
+            class_names=first.class_names,
         )
 
 
@@ -349,7 +354,8 @@ def chunk_sequences(tensor, roll: EventRoll, seq_len: int) -> SequenceBatch:
 
     The final partial window is zero padded on both features and targets
     and flagged invalid in the mask. ``tensor`` may be a FeatureTensor or a
-    plain (F, B, Ch) array (the baseline's context windows use the latter).
+    plain (F, B, Ch) array (the baseline's context windows use the latter);
+    the hop and class names come from ``roll``.
     """
     data = tensor.data if isinstance(tensor, FeatureTensor) else np.asarray(tensor)
     if seq_len < 1:
@@ -370,22 +376,10 @@ def chunk_sequences(tensor, roll: EventRoll, seq_len: int) -> SequenceBatch:
         inputs=inputs.reshape(n_seq, seq_len, b, ch),
         targets=targets.reshape(n_seq, seq_len, roll.n_classes),
         mask=(np.arange(n_seq * seq_len) < f).reshape(n_seq, seq_len),
+        clip_sequences=(n_seq,),
+        hop_seconds=roll.hop_seconds,
+        class_names=roll.class_names,
     )
-
-
-@contextmanager
-def atomic_write(path) -> Iterator[BinaryIO]:
-    """Open ``<path>.tmp`` for binary writing and move it over ``path`` once
-    the block completes. An exception inside the block removes the
-    temporary file, so an interrupted write leaves any old ``path`` intact
-    and never a truncated one."""
-    tmp = Path(f"{path}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def save_feature_archive(tensor: FeatureTensor, path) -> None:

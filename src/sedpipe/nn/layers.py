@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import RangeError, ShapeError, StateError
+from ..errors import CheckpointError, RangeError, ShapeError, StateError
 
 
 def sigmoid(x):
@@ -574,8 +574,13 @@ LAYER_TYPES = {cls.kind: cls for cls in Layer.__subclasses__()}
 
 
 def layer_from_descriptor(desc: dict) -> Layer:
-    kind = desc.get("type")
-    if kind not in LAYER_TYPES:
-        raise ShapeError(f"unknown layer type {kind!r}")
-    kwargs = {k: v for k, v in desc.items() if k != "type"}
-    return LAYER_TYPES[kind](**kwargs)
+    """The layer one descriptor entry rebuilds. An entry that is not an
+    object naming a layer ``type`` and only settings that type declares and
+    accepts is a :class:`CheckpointError`."""
+    cls = LAYER_TYPES.get(str(desc.get("type"))) if isinstance(desc, dict) else None
+    if cls is None or not desc.keys() - {"type"} <= set(cls.settings):
+        raise CheckpointError(f"malformed layer descriptor {desc!r}")
+    try:
+        return cls(**{k: v for k, v in desc.items() if k != "type"})
+    except (TypeError, ValueError, RangeError) as exc:
+        raise CheckpointError(f"layer descriptor {desc!r}: {exc}") from None

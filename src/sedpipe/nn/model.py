@@ -9,9 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..audio_io import atomic_write
 from ..config import ModelConfig
 from ..errors import CheckpointError, ConfigError, ShapeError
-from ..features import FeatureTensor, Normalizer, atomic_write
+from ..features import FeatureTensor, Normalizer
 from .layers import (
     BatchNorm,
     BiGRU,
@@ -283,8 +284,12 @@ def load_checkpoint(path, expect_descriptor: list[dict] | None = None):
     pos += desc_len
     if expect_descriptor is not None and descriptors != expect_descriptor:
         raise CheckpointError(f"{path}: architecture descriptor does not match the expected one")
-
-    model = ModelGraph.from_descriptor(descriptors)
+    if not isinstance(descriptors, list):
+        raise CheckpointError(f"{path}: architecture descriptor is not a list of layers")
+    try:
+        model = ModelGraph.from_descriptor(descriptors)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     for key, arr in model.state_arrays():
         nbytes = arr.size * 8
         chunk = raw[pos : pos + nbytes]

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .. import metrics
 from ..audio_io import EventRoll
 from ..config import TrainSection
-from ..errors import ShapeError, StateError
+from ..errors import StateError
 from ..features import SequenceBatch
 from .loss import bce_loss
 from .model import ModelGraph
@@ -42,27 +41,16 @@ class TrainHistory:
         return len(self.train_loss)
 
 
-def monitor_scores(
-    model: ModelGraph,
-    batch: SequenceBatch,
-    clip_sequences: Sequence[int],
-    hop_seconds: float,
-    class_names: tuple[str, ...],
-    threshold: float,
-) -> metrics.MetricReport:
+def monitor_scores(model: ModelGraph, batch: SequenceBatch, threshold: float) -> metrics.MetricReport:
     """Score any split: the monitored one after each epoch, the test one
     after training.
 
-    ``batch`` holds the split's sequences clip after clip, and
-    ``clip_sequences`` the number of sequences of each clip. The model
-    predicts in inference mode, 32 sequences at a time; each clip's valid
-    frames become one (reference, prediction) roll pair, and the pairs are
-    pooled through :func:`metrics.evaluate_pooled`, so no segment spans two
-    clips.
+    The model predicts ``batch`` in inference mode, 32 sequences at a time;
+    each clip's valid frames become one (reference, prediction) roll pair,
+    and the pairs are pooled through :func:`metrics.evaluate_pooled`, so no
+    segment spans two clips.
     """
-    bounds = np.cumsum([0, *clip_sequences])
-    if bounds[-1] != batch.n_sequences:
-        raise ShapeError(f"clips hold {bounds[-1]} sequences, the batch {batch.n_sequences}")
+    bounds = np.cumsum([0, *batch.clip_sequences])
     probs = np.concatenate(
         [model.forward(batch.inputs[lo : lo + 32], training=False) for lo in range(0, batch.n_sequences, 32)]
     )
@@ -72,7 +60,7 @@ def monitor_scores(
 
     def roll(activity: np.ndarray, lo: int, hi: int) -> EventRoll:
         frames = activity[lo:hi][valid[lo:hi]]
-        return EventRoll(activity=frames, hop_seconds=hop_seconds, class_names=class_names)
+        return EventRoll(activity=frames, hop_seconds=batch.hop_seconds, class_names=batch.class_names)
 
     return metrics.evaluate_pooled(
         [(roll(ref, lo, hi), roll(pred, lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
@@ -94,15 +82,9 @@ def train(
     model: ModelGraph,
     train_batch: SequenceBatch,
     monitor_batch: SequenceBatch,
-    monitor_clips: Sequence[int],
     config: TrainSection,
-    hop_seconds: float,
-    class_names: tuple[str, ...],
 ) -> tuple[ModelGraph, TrainHistory]:
-    """Train in place and return the model restored to its best snapshot.
-
-    ``monitor_clips`` is the number of sequences of each monitored clip, as
-    :func:`monitor_scores` takes it."""
+    """Train in place and return the model restored to its best snapshot."""
     if train_batch.n_sequences == 0:
         raise StateError("training stream is empty")
     if monitor_batch.n_sequences == 0:
@@ -114,6 +96,7 @@ def train(
 
     optimizer = Adam(model, lr=config.learning_rate)
     history = TrainHistory()
+    # epoch 1's error rate is finite (or raises), so it always takes a snapshot
     best_er = np.inf
     best_snapshot = None
 
@@ -129,7 +112,7 @@ def train(
             optimizer.step()
             losses.append(loss)
 
-        report = monitor_scores(model, monitor_batch, monitor_clips, hop_seconds, class_names, config.threshold)
+        report = monitor_scores(model, monitor_batch, config.threshold)
         er, f = report.error_rate, report.f_score
         history.train_loss.append(float(np.mean(losses)))
         history.monitor_er.append(er)
@@ -144,6 +127,5 @@ def train(
             log.info("early stop at epoch %d (best epoch %d, ER %.4f)", epoch, history.best_epoch, best_er)
             break
 
-    if best_snapshot is not None:
-        model.restore(best_snapshot)
+    model.restore(best_snapshot)
     return model, history

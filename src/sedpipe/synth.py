@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import AudioClip, Event, event_frame_span
+from .audio_io import AudioClip, Event, ManifestRow, event_frame_span
 from .config import DataConfig
 
 _HARMONIC_AMPS = (1.0, 0.5, 0.25)
@@ -36,6 +36,25 @@ class SynthSpec(DataConfig):
 
 def class_names(data: DataConfig) -> tuple[str, ...]:
     return tuple(f"class{i}" for i in range(data.class_count))
+
+
+def manifest_rows(n_clips: int, folds: int) -> list[ManifestRow]:
+    """The round-robin fold plan of clips ``clip000`` onwards, clip after
+    clip: clip ``i`` is in group ``i % folds``, and fold ``k`` tests group
+    ``k - 1``, validates on the next group when there are at least 3 folds,
+    and trains on the rest."""
+    rows = []
+    for i in range(n_clips):
+        group = i % folds
+        for fold in range(1, folds + 1):
+            if group == fold - 1:
+                role = "test"
+            elif folds >= 3 and group == fold % folds:
+                role = "validation"
+            else:
+                role = "train"
+            rows.append(ManifestRow(f"clip{i:03d}.wav", f"clip{i:03d}.tsv", fold, role))
+    return rows
 
 
 def class_fundamentals(spec: SynthSpec) -> np.ndarray:

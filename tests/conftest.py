@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sedpipe import synth
-from sedpipe.audio_io import AudioClip, ManifestRow, write_annotations, write_manifest, write_wav
+from sedpipe.audio_io import AudioClip, write_annotations, write_manifest, write_wav
 
 
 @pytest.fixture
@@ -64,21 +64,10 @@ def write_dataset(
         event_duration=(0.3, 1.0),
         template_mode=template_mode,
     )
-    rows = []
-    with_validation = folds >= 3
-    for i, (clip, events) in enumerate(synth.synth_dataset(spec)):
-        stem = f"clip{i:03d}"
-        write_wav(directory / f"{stem}.wav", clip, bit_depth=16)
-        write_annotations(events, directory / f"{stem}.tsv")
-        for fold in range(1, folds + 1):
-            group = i % folds
-            if group == fold - 1:
-                role = "test"
-            elif with_validation and group == fold % folds:
-                role = "validation"
-            else:
-                role = "train"
-            rows.append(ManifestRow(f"{stem}.wav", f"{stem}.tsv", fold, role))
+    rows = synth.manifest_rows(n_clips, folds)
+    for row, (clip, events) in zip(rows[::folds], synth.synth_dataset(spec)):
+        write_wav(directory / row.audio_path, clip, bit_depth=16)
+        write_annotations(events, directory / row.annotation_path)
     manifest = directory / "manifest.tsv"
     write_manifest(rows, manifest)
     return manifest

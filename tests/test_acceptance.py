@@ -6,6 +6,7 @@ Run with:  pytest tests/test_acceptance.py -v -s
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -257,8 +258,7 @@ class TestGradientCriteria:
 
 
 def _prepare_batches(clips, names, feature_class, seq_len=64, split=None):
-    """(train, test) splits, each a (batch, sequences per clip) pair, and the
-    channel count."""
+    """(train, test) batches and the channel count."""
     tensors, rolls = [], []
     for clip, events in clips:
         tensor = features.extract(clip, feature_class, f_max=22050.0)
@@ -271,8 +271,9 @@ def _prepare_batches(clips, names, feature_class, seq_len=64, split=None):
     norm = fit_normalizer([tensors[i] for i in train_idx])
 
     def make(idx):
-        parts = [chunk_sequences(apply_normalizer(norm, tensors[i]), rolls[i], seq_len) for i in idx]
-        return SequenceBatch.concat(parts), [part.n_sequences for part in parts]
+        return SequenceBatch.concat(
+            [chunk_sequences(apply_normalizer(norm, tensors[i]), rolls[i], seq_len) for i in idx]
+        )
 
     return make(train_idx), make(test_idx), tensors[0].n_channels
 
@@ -281,7 +282,9 @@ class TestTrainingCriteria:
     def test_overfit_and_early_stopping_restore(self, tiny_dataset):
         start = time.time()
         clips, names = tiny_dataset
-        (batch, counts), _, _ = _prepare_batches(clips, names, "mbe")
+        batch, _, _ = _prepare_batches(clips, names, "mbe")
+        # a one-second hop gives one frame per one-second segment: a frame ER
+        batch = dataclasses.replace(batch, hop_seconds=1.0)
         arch = CrnnArch(
             n_bins=40, n_channels=1, n_classes=2, conv_layers=2, filters=8,
             pool_factors=(5, 4), gru_layers=1, gru_units=16, dense_layers=1,
@@ -289,10 +292,9 @@ class TestTrainingCriteria:
         )
         model = build_crnn(arch, np.random.default_rng(1))
         cfg = TrainSection(learning_rate=3e-3, max_epochs=200, patience=60, batch_size=4, seed=1, monitor="test")
-        # a one-second hop gives one frame per one-second segment: a frame ER
-        model, history = train(model, batch, batch, counts, cfg, 1.0, names)
+        model, history = train(model, batch, batch, cfg)
         best = min(history.monitor_er)
-        er_now = monitor_scores(model, batch, counts, 1.0, names, 0.5).error_rate
+        er_now = monitor_scores(model, batch, 0.5).error_rate
         elapsed = time.time() - start
         ok = best < 0.2 and history.n_epochs <= 200 and er_now == best and elapsed < 600
         report(
@@ -318,7 +320,7 @@ class TestTrainingCriteria:
             clips = list(synth.synth_dataset(spec))
             names = synth.class_names(spec)
             for fc in ("mbe", "bin-mbe"):
-                (train_batch, _), (test_batch, test_counts), n_ch = _prepare_batches(
+                train_batch, test_batch, n_ch = _prepare_batches(
                     clips, names, fc, split=(range(4), range(4, 6))
                 )
                 model = build_crnn(
@@ -328,8 +330,8 @@ class TestTrainingCriteria:
                     learning_rate=3e-3, max_epochs=30, patience=29, batch_size=4,
                     seed=seed, monitor="test",
                 )
-                model, _ = train(model, train_batch, test_batch, test_counts, cfg, 0.02, names)
-                scores[fc].append(monitor_scores(model, test_batch, test_counts, 0.02, names, 0.5).error_rate)
+                model, _ = train(model, train_batch, test_batch, cfg)
+                scores[fc].append(monitor_scores(model, test_batch, 0.5).error_rate)
         mean_mbe = float(np.mean(scores["mbe"]))
         mean_bin = float(np.mean(scores["bin-mbe"]))
         elapsed = time.time() - start
@@ -365,10 +367,13 @@ class TestTrainingCriteria:
         norm = fit_normalizer(
             [features.FeatureTensor(data=c, feature_class="mbe", hop_seconds=0.02) for c in contexts]
         )
-        parts = [chunk_sequences((c - norm.mean) / norm.std, r, 64) for c, r in zip(contexts, rolls)]
-        batch = SequenceBatch.concat(parts)
+        batch = SequenceBatch.concat(
+            [chunk_sequences((c - norm.mean) / norm.std, r, 64) for c, r in zip(contexts, rolls)]
+        )
+        # monitored at a one-second hop, one frame per segment
+        batch = dataclasses.replace(batch, hop_seconds=1.0)
         cfg = TrainSection(learning_rate=3e-3, max_epochs=200, patience=199, batch_size=4, seed=4, monitor="test")
-        model, history = train(model, batch, batch, [part.n_sequences for part in parts], cfg, 1.0, names)
+        model, history = train(model, batch, batch, cfg)
         decrease = 1.0 - history.train_loss[-1] / history.train_loss[0]
         report(
             "baseline: input width 200, 50-50-dropout(0.2)-sigmoid, loss halves",

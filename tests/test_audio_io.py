@@ -291,6 +291,20 @@ class TestManifest:
         with pytest.raises(ManifestError, match="role"):
             read_manifest(path)
 
+    def test_interrupted_write_keeps_the_old_manifest(self, tmp_path):
+        path = tmp_path / "manifest.tsv"
+        write_manifest([ManifestRow("a.wav", "a.tsv", 1, "test")], path)
+        before = path.read_bytes()
+
+        def rows_then_fail():
+            yield ManifestRow("b.wav", "b.tsv", 1, "train")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            write_manifest(rows_then_fail(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
 
 def test_clip_validation_rejects_out_of_range():
     with pytest.raises(WavFormatError):

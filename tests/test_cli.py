@@ -310,6 +310,20 @@ class TestTrainCommand:
         assert code == 0
         assert "mean" in report_out
 
+    def test_data_dir_names_the_manifest_directory(self, tmp_path, capsys, monkeypatch):
+        # as for extract, --data-dir D reads D/manifest.tsv, wherever the
+        # command runs from and whatever the config's [data] root
+        cfg = small_synth_config(tmp_path)
+        run_cli(capsys, "synth", "--config", str(cfg), "--out", str(tmp_path / "ds"))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code, _, stderr = run_cli(
+            capsys, "train", "--config", str(cfg), "--data-dir", "../ds", "--out", "runs"
+        )
+        assert code == 0, stderr
+        assert (work / "runs" / "fold1" / "run1" / "metrics.tsv").exists()
+
     @pytest.mark.parametrize(
         "text, key",
         [("er\t0.5\nsegments\t4\n", "'f'"), ("er\tnan-ish\nf\t0.5\n", "'er'")],

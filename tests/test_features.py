@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import struct
 import tracemalloc
 from dataclasses import asdict
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import chunks_by_hand, direct_dft, mel_frame_by_hand
-from sedpipe import dsp, features, synth
+from sedpipe import audio_io, dsp, features, synth
 from sedpipe.audio_io import AudioClip, EventRoll, to_mono
 from sedpipe.config import FeatureConfig
 from sedpipe.errors import ChannelError, ShapeError, StateError
@@ -392,6 +393,37 @@ class TestChunkSequences:
         with pytest.raises(ShapeError):
             features.chunk_sequences(tensor, short, 16)
 
+    def test_batch_describes_its_clip(self, rng):
+        tensor, roll = self._tensor_roll(rng, 150, names=("x", "y", "z"))
+        batch = features.chunk_sequences(tensor, roll, 64)
+        assert batch.clip_sequences == (3,)
+        assert batch.hop_seconds == 0.02
+        assert batch.class_names == ("x", "y", "z")
+
+
+class TestSequenceBatch:
+    def _clip(self, rng, n_frames, hop=0.02, names=("a", "b")):
+        roll = EventRoll(
+            activity=np.zeros((n_frames, len(names)), dtype=np.uint8), hop_seconds=hop, class_names=names
+        )
+        return features.chunk_sequences(rng.normal(size=(n_frames, 6, 1)), roll, 16)
+
+    def test_counts_must_cover_the_batch(self, rng):
+        batch = self._clip(rng, 80)
+        with pytest.raises(ShapeError):
+            dataclasses.replace(batch, clip_sequences=(2, 2))
+
+    def test_concat_joins_the_clip_counts(self, rng):
+        batch = features.SequenceBatch.concat([self._clip(rng, 40), self._clip(rng, 0), self._clip(rng, 17)])
+        assert batch.clip_sequences == (3, 0, 2)
+        assert batch.n_sequences == 5
+        assert (batch.hop_seconds, batch.class_names) == (0.02, ("a", "b"))
+
+    @pytest.mark.parametrize("other", [{"hop": 0.01}, {"names": ("a", "c")}])
+    def test_concat_rejects_parts_of_another_hop_or_vocabulary(self, rng, other):
+        with pytest.raises(ShapeError):
+            features.SequenceBatch.concat([self._clip(rng, 40), self._clip(rng, 40, **other)])
+
 
 class TestArchive:
     def test_round_trip_preserves_float32_payload(self, tmp_path, rng):
@@ -461,8 +493,9 @@ class TestArchive:
                     raise OSError("disk full")
                 return self.fh.write(data)
 
+        # atomic_write opens the temporary file through audio_io's open
         monkeypatch.setattr(
-            features, "open", lambda p, mode: FailingPayload(open(p, mode)), raising=False
+            audio_io, "open", lambda p, mode: FailingPayload(open(p, mode)), raising=False
         )
         new = features.FeatureTensor(
             data=rng.normal(size=(50, 4, 1)), feature_class="mbe", hop_seconds=0.02

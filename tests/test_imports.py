@@ -1,4 +1,4 @@
-"""Every import in ``src/`` and ``scripts/`` is used.
+"""Every import in ``src/``, ``scripts/`` and ``tests/`` is used.
 
 A name counts as used when the module reads it anywhere, in code or in an
 annotation; no annotation here is a string, so each one is a Name node.
@@ -15,7 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(
-    p for d in ("src", "scripts") for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py"
+    p for d in ("src", "scripts", "tests") for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py"
 )
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -421,6 +422,25 @@ def test_checkpoint_with_a_lone_batch_norm_rejected(rng, tmp_path):
     assert len(swapped) == desc_len
     path.write_bytes(raw[:10] + swapped + raw[10 + desc_len :])
     with pytest.raises(ShapeError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "layers",
+    [
+        [{"type": "conv2d", "in_channels": 3}],  # a missing setting
+        [{"type": "dropout", "rate": 0.5, "seed": 1}],  # a stray key
+        [{"type": "dropout", "rate": "x"}],
+        ["dropout"],  # an entry that is not an object
+        {"type": "dropout", "rate": 0.5},  # not a list of layers
+    ],
+    ids=["missing_setting", "stray_key", "bad_value", "non_object_entry", "non_list"],
+)
+def test_malformed_descriptor_is_a_checkpoint_error_naming_the_file(tmp_path, layers):
+    desc = json.dumps(layers).encode()
+    path = tmp_path / "model.sedm"
+    path.write_bytes(b"SEDM" + struct.pack("<HI", 1, len(desc)) + desc + b"\x00")
+    with pytest.raises(CheckpointError, match="model.sedm"):
         load_checkpoint(path)
 
 
