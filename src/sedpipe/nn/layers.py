@@ -13,9 +13,21 @@ settings, parameters and buffers: they run only as part of a
 :class:`ConvBlock`, which runs a (conv, batch norm, frequency max pool)
 triple as one block that normalizes the conv's fresh output in place and
 applies batch norm's scale and shift after the pool.
+
+:class:`Conv2D` and :class:`ConvBlock` split a batch into contiguous sample
+ranges, one per core (see :func:`_sample_ranges`), and run each range's
+GEMMs and elementwise passes on its own thread. Every element is computed
+by the same operations whatever range holds it, batch statistics are
+whole-batch reductions, and the kernel gradient is summed in one declared
+order (each sample's time blocks, then the samples in order), so results
+do not depend on the number of cores.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -71,18 +83,28 @@ class Layer:
         return {"type": self.kind, **{name: getattr(self, name) for name in self.settings}}
 
 
-def _im2col(xp):
+def _im2col(xp, out):
     """(T+2, B+2, C) padded sample -> (T*B, 9*C) rows of 3x3 patches in
-    (i, j, c) order, matching ``kernels.reshape(filters, -1)``."""
+    (i, j, c) order, matching ``kernels.reshape(filters, -1)``, written to
+    the front of the flat buffer ``out``."""
     t, b, c = xp.shape[0] - 2, xp.shape[1] - 2, xp.shape[2]
     win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(0, 1))
-    return win.transpose(0, 1, 3, 4, 2).reshape(t * b, 9 * c)
+    patches = out[: t * b * 9 * c].reshape(t, b, 3, 3, c)
+    np.copyto(patches, win.transpose(0, 1, 3, 4, 2))
+    return patches.reshape(t * b, 9 * c)
 
 
-# Bytes of patch rows (and of their column gradient) that Conv2D holds at
-# once. At the paper-default bin-fft shape one sample's patch matrix of conv2
-# is 144 MiB; at the mbe and protocol shapes a sample fits in one block.
+# Bytes of patch rows (and of their column gradient, which reuses their
+# buffer) that each sample range of Conv2D holds at once. At the
+# paper-default bin-fft shape one sample's patch matrix of conv2 is 144 MiB;
+# at the protocol shapes a sample fits in one block.
 _PATCH_BYTES = 4 * 2**20
+
+
+def _split(total: int, n: int) -> list[slice]:
+    """``range(total)`` as ``n`` contiguous slices of near-equal sizes."""
+    bounds = [total * k // n for k in range(n + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _time_blocks(t: int, b: int, c: int) -> list[slice]:
@@ -91,9 +113,62 @@ def _time_blocks(t: int, b: int, c: int) -> list[slice]:
     sizes keep every block's GEMM as large as the budget allows: OpenBLAS
     rounds small products in another kernel."""
     per_block = max(1, _PATCH_BYTES // (b * 9 * c * 8))
-    n = -(-t // per_block)
-    bounds = [t * k // n for k in range(n + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return _split(t, -(-t // per_block))
+
+
+def _cores() -> int:
+    """The cores this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _sample_ranges(conv_map) -> list[slice]:
+    """Contiguous, near-equal ranges of the samples of the (S, T, B, F)
+    ``conv_map``, one per core and at most one per sample. A map smaller
+    than one range's patch budget is one range: at that size handing work
+    to another thread costs more than it saves."""
+    s = conv_map.shape[0]
+    return _split(s, min(s, _cores()) if conv_map.nbytes >= _PATCH_BYTES else 1)
+
+
+# The threads that run every sample range but the first, started on first
+# use; numpy releases the interpreter lock inside its GEMMs and loops
+_executor = None
+_executor_lock = threading.Lock()
+
+
+def _forget_executor():
+    """A forked child has none of its parent's threads: start anew."""
+    global _executor, _executor_lock
+    _executor, _executor_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_executor)
+
+
+def _run(fn, jobs: list) -> None:
+    """Call ``fn(job)`` for every job, one per sample range: the first on
+    the calling thread, the others on the pool. Returns, or raises a call's
+    exception with its own type (the earliest job's first), only after
+    every call has finished.
+
+    Memory that a pool thread allocates and frees stays in that thread's
+    malloc arena, so the callers allocate the patch buffers and the
+    pooled-size float arrays that the jobs write, and hand each job its
+    part."""
+    global _executor
+    if len(jobs) == 1:
+        fn(jobs[0])
+        return
+    with _executor_lock:
+        if _executor is None:
+            _executor = ThreadPoolExecutor(max(1, _cores() - 1), thread_name_prefix="sedpipe-nn")
+        futures = [_executor.submit(fn, job) for job in jobs[1:]]
+    try:
+        fn(jobs[0])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 class Conv2D(Layer):
@@ -101,12 +176,14 @@ class Conv2D(Layer):
 
     (S, T, B, Cin) -> (S, T, B, filters). Bias-free: every architecture here
     follows a conv with batch norm, whose beta supplies the shift. Both passes
-    run one sample at a time, over blocks of whole time rows (see
-    :func:`_time_blocks`), so no temporary exceeds ``_PATCH_BYTES`` of patch
-    rows or of their column gradient. Each output row is one patch row's
-    product, so forward outputs equal a whole-sample GEMM's bit for bit;
-    the kernel gradient sums per block, and the input gradient adds a
-    block's taps before the next block's.
+    run over sample ranges (see :func:`_sample_ranges`), one sample at a
+    time, over blocks of whole time rows (see :func:`_time_blocks`), so no
+    range holds more than ``_PATCH_BYTES`` of patch rows or of their column
+    gradient. Each output row is one patch row's product, so forward outputs
+    equal a whole-sample GEMM's bit for bit. The kernel gradient is summed
+    in a declared order: each sample's blocks in time order into that
+    sample's partial, then the partials in sample order. The input gradient
+    adds a block's taps before the next block's.
     """
 
     kind = "conv2d"
@@ -126,15 +203,28 @@ class Conv2D(Layer):
                 f"conv2d expects (S, T, B, {self.in_channels}), got shape {x.shape}"
             )
         s, t, b, c = x.shape
-        xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+        blocks = _time_blocks(t, b, c)
         kmat = self.params["kernels"].reshape(self.filters, -1).T
+        xp = np.zeros((s, t + 2, b + 2, c))
         out = np.empty((s, t, b, self.filters))
-        for q in range(s):
-            for rows in _time_blocks(t, b, c):
-                block = out[q, rows].reshape(-1, self.filters)
-                np.matmul(_im2col(xp[q, rows.start : rows.stop + 2]), kmat, out=block)
+        ranges = _sample_ranges(out)
+
+        def run(job):
+            samples, patch_rows = job
+            xp[samples, 1:-1, 1:-1] = x[samples]
+            for q in range(samples.start, samples.stop):
+                for rows in blocks:
+                    block = out[q, rows].reshape(-1, self.filters)
+                    np.matmul(_im2col(xp[q, rows.start : rows.stop + 2], patch_rows), kmat, out=block)
+
+        _run(run, list(zip(ranges, self._patch_buffers(len(ranges), blocks, b))))
         self._cache = xp if training else None
         return out
+
+    def _patch_buffers(self, n, blocks, b):
+        """One flat buffer per sample range for the largest time block's
+        patch rows (and, in backward, its column gradient)."""
+        return np.empty((n, max(r.stop - r.start for r in blocks) * b * 9 * self.in_channels))
 
     def backward(self, dout, input_grad=True):
         if self._cache is None:
@@ -142,23 +232,35 @@ class Conv2D(Layer):
         xp, self._cache = self._cache, None
         s, t, b, n = dout.shape
         c = self.in_channels
+        blocks = _time_blocks(t, b, c)
         k = self.params["kernels"]
         kmat = k.reshape(n, -1)
-        dk = np.zeros_like(kmat)
+        partials = np.zeros((s,) + kmat.shape)
         dxp = np.zeros_like(xp) if input_grad else None
-        for q in range(s):
-            for rows in _time_blocks(t, b, c):
-                lo, hi = rows.start, rows.stop
-                d = dout[q, rows].reshape(-1, n)
-                dk += d.T @ _im2col(xp[q, lo : hi + 2])
-                if not input_grad:
-                    continue
-                # col2im: each of the nine kernel taps adds its column
-                # gradient back at its shifted position in the padded input
-                dcols = (d @ kmat).reshape(hi - lo, b, 3, 3, c)
-                for i in range(3):
-                    for j in range(3):
-                        dxp[q, lo + i : hi + i, j : j + b] += dcols[:, :, i, j]
+        ranges = _sample_ranges(dout)
+
+        def run(job):
+            samples, buf = job
+            for q in range(samples.start, samples.stop):
+                for rows in blocks:
+                    lo, hi = rows.start, rows.stop
+                    d = dout[q, rows].reshape(-1, n)
+                    partials[q] += d.T @ _im2col(xp[q, lo : hi + 2], buf)
+                    if not input_grad:
+                        continue
+                    # col2im: each of the nine kernel taps adds its column
+                    # gradient, written over the patch rows, back at its
+                    # shifted position in the padded input
+                    dcols = np.matmul(d, kmat, out=buf[: d.shape[0] * 9 * c].reshape(-1, 9 * c))
+                    dcols = dcols.reshape(hi - lo, b, 3, 3, c)
+                    for i in range(3):
+                        for j in range(3):
+                            dxp[q, lo + i : hi + i, j : j + b] += dcols[:, :, i, j]
+
+        _run(run, list(zip(ranges, self._patch_buffers(len(ranges), blocks, b))))
+        dk = np.zeros_like(kmat)
+        for partial in partials:
+            dk += partial
         self.grads["kernels"] = dk.reshape(k.shape)
         return dxp[:, 1:-1, 1:-1] if input_grad else None
 
@@ -187,21 +289,23 @@ class BatchNorm(Layer):
             "updates": np.zeros(1),
         }
 
-    def _standardize(self, x2, out):
-        """x̂ = (x2 - batch mean) * inv_std written into ``out`` (which may
-        be ``x2``), folding the batch statistics into the running
-        estimates; returns inv_std."""
+    def _standardize(self, x, ranges):
+        """Overwrite the (S, T, B, F) batch ``x`` with x̂ = (x - batch mean)
+        * inv_std, one sample range per thread, folding the batch statistics
+        into the running estimates; returns inv_std. The statistics are
+        whole-batch reductions, so they do not depend on the ranges."""
+        x2 = x.reshape(-1, x.shape[3])
         # einsum reductions over axis 0 run several times faster than
         # .mean(axis=0) when F is small, with the same summation order
         mean = np.einsum("ij->j", x2) / x2.shape[0]
-        x_hat = np.subtract(x2, mean, out=out)
-        var = np.einsum("ij,ij->j", x_hat, x_hat) / x2.shape[0]
+        _run(lambda r: np.subtract(x[r], mean, out=x[r]), ranges)
+        var = np.einsum("ij,ij->j", x2, x2) / x2.shape[0]
         m = self.momentum
         self.buffers["running_mean"] = m * self.buffers["running_mean"] + (1 - m) * mean
         self.buffers["running_var"] = m * self.buffers["running_var"] + (1 - m) * var
         self.buffers["updates"] = self.buffers["updates"] + 1
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat *= inv_std
+        _run(lambda r: np.multiply(x[r], inv_std, out=x[r]), ranges)
         return inv_std
 
     def _inference_affine(self):
@@ -212,36 +316,36 @@ class BatchNorm(Layer):
         return scale, self.params["beta"] - self.buffers["running_mean"] * scale
 
 
-def _pool_taps(m, op):
+def _pool_taps(m, op, out):
     """Reduce the (S, T, B/f, f, F) window view ``m`` over its tap axis by
-    the elementwise ``op`` (np.maximum or np.minimum). One pass per tap
-    reads m in place: a reduction over the inner tap axis is slower."""
-    out = m[:, :, :, 0].copy()
+    the elementwise ``op`` (np.maximum or np.minimum) into ``out``. One pass
+    per tap reads m in place: a reduction over the inner tap axis is slower."""
+    np.copyto(out, m[:, :, :, 0])
     for k in range(1, m.shape[3]):
         op(out, m[:, :, :, k], out=out)
     return out
 
 
-def _first_tap(m, sel):
-    """Index of each window's first tap equal to ``sel``, as the smallest
-    unsigned type that holds it: the count of the leading taps that differ.
-    A NaN window equals no tap and gets its last one."""
-    f = m.shape[3]
-    arg = np.zeros(sel.shape, dtype=np.min_scalar_type(f - 1))
+def _first_tap(m, sel, out):
+    """Write into the unsigned ``out`` the index of each window's first tap
+    equal to ``sel``: the count of the leading taps that differ. A NaN
+    window equals no tap and gets its last one."""
+    out.fill(0)
     notyet = np.ones(sel.shape, dtype=bool)
-    for k in range(f - 1):
+    for k in range(m.shape[3] - 1):
         notyet &= m[:, :, :, k] != sel
-        arg += notyet
-    return arg
+        out += notyet
+    return out
 
 
-def _add_at_taps(m, arg, g):
+def _add_at_taps(m, arg, g, scratch):
     """Add each window's pooled gradient ``g`` to tap ``arg`` of the
-    (S, T, B/f, f, F) view ``m``. At the paper's conv1 shape a masked
+    (S, T, B/f, f, F) view ``m``, forming each tap's masked product in
+    ``scratch``, an array of g's shape. At the paper's conv1 shape a masked
     product per tap is about 3x faster than a ``where=`` add and 2x faster
     than a fancy-index scatter."""
     for k in range(m.shape[3]):
-        m[:, :, :, k] += (arg == k) * g
+        m[:, :, :, k] += np.multiply(arg == k, g, out=scratch)
 
 
 def _windows(x, factor):
@@ -252,13 +356,13 @@ def _windows(x, factor):
     return x.reshape(s, t, b // factor, factor, f)
 
 
-def _select(m, flip):
-    """Each window's max, or its min in the feature maps where ``flip`` is
-    set: where batch norm's gain is negative, the window min becomes the
-    max of its output."""
-    out = _pool_taps(m, np.maximum)
+def _select(m, flip, out):
+    """Write into ``out`` each window's max, or its min in the feature maps
+    where ``flip`` is set: where batch norm's gain is negative, the window
+    min becomes the max of its output."""
+    _pool_taps(m, np.maximum, out)
     if flip.any():
-        np.copyto(out, _pool_taps(m, np.minimum), where=flip)
+        np.copyto(out, _pool_taps(m, np.minimum, np.empty_like(out)), where=flip)
     return out
 
 
@@ -290,7 +394,9 @@ class ConvBlock:
     the pooled array only. Outputs equal max pooling of batch norm's output
     bit for bit, and a tie goes to the first max of x̂. The conv's output is
     the one full-size array: it becomes x̂ in place and, in backward, the
-    conv's output gradient.
+    conv's output gradient. Every pass over it runs one sample range per
+    thread, over the conv's ranges, into pooled-size arrays that the
+    calling thread allocates once for the whole batch (see :func:`_run`).
     """
 
     def __init__(self, conv: Conv2D, bn: BatchNorm, pool: MaxPoolFreq):
@@ -302,19 +408,25 @@ class ConvBlock:
     def forward(self, x, training=False, rng=None):
         y = self.conv.forward(x, training=training, rng=rng)
         m = _windows(y, self.pool.factor)
+        ranges = _sample_ranges(y)
+        out = np.empty(m.shape[:3] + m.shape[4:])
         self._cache = None
         if training:
             gamma = self.bn.params["gamma"]
-            y2 = y.reshape(-1, y.shape[3])
-            inv_std = self.bn._standardize(y2, y2)
+            inv_std = self.bn._standardize(y, ranges)
             flip = gamma < 0
-            out = _select(m, flip)
-            self._cache = (y, _first_tap(m, out), inv_std, flip)
+            arg = np.empty(out.shape, dtype=np.min_scalar_type(self.pool.factor - 1))
+
+            def pool(r):
+                _first_tap(m[r], _select(m[r], flip, out[r]), arg[r])
+
+            _run(pool, ranges)
+            self._cache = (y, arg, inv_std, flip)
             out *= gamma
             out += self.bn.params["beta"]
         else:
             scale, shift = self.bn._inference_affine()
-            out = _select(m, scale < 0)
+            _run(lambda r: _select(m[r], scale < 0, out[r]), ranges)
             out *= scale
             out += shift
         return out
@@ -327,19 +439,31 @@ class ConvBlock:
         n = x_hat.shape[3]
         count = x_hat.size // n
         m = _windows(x_hat, self.pool.factor)
-        d2 = dout.reshape(-1, n)
+        ranges = _sample_ranges(x_hat)
         # x̂ at each window's first max is the pooled x̂ again: pooling it
         # anew is faster than a take_along_axis gather by the argmax
+        pooled = np.empty(dout.shape)
+        _run(lambda r: _select(m[r], flip, pooled[r]), ranges)
+        d2 = dout.reshape(-1, n)
         dbeta = np.einsum("ij->j", d2)
-        dgamma = np.einsum("ij,ij->j", d2, _select(m, flip).reshape(-1, n))
+        dgamma = np.einsum("ij,ij->j", d2, pooled.reshape(-1, n))
         self.bn.grads["gamma"] = dgamma
         self.bn.grads["beta"] = dbeta
         # dx = c * (count * dy - dbeta - x_hat * dgamma), c = gamma * inv_std
         # / count, where dy is dout routed to each window's first max
         c = self.bn.params["gamma"] * inv_std / count
-        x_hat *= -c * dgamma
-        x_hat -= c * dbeta
-        _add_at_taps(m, arg, dout * (c * count))
+        scale, shift, route = -c * dgamma, c * dbeta, c * count
+        scratch = np.empty(dout.shape)
+
+        def spread(r):
+            part = x_hat[r]
+            part *= scale
+            part -= shift
+            # the pooled x̂ is read; its array now holds the routed gradient
+            g = np.multiply(dout[r], route, out=pooled[r])
+            _add_at_taps(m[r], arg[r], g, scratch[r])
+
+        _run(spread, ranges)
         return self.conv.backward(x_hat, input_grad=input_grad)
 
 

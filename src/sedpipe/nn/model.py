@@ -267,21 +267,31 @@ def load_checkpoint(path, expect_descriptor: list[dict] | None = None):
     """Rebuild (model, normalizer) from a checkpoint file.
 
     ``expect_descriptor`` (e.g. the architecture a config implies) is
-    checked against the stored descriptor and any mismatch is rejected.
+    checked against the stored descriptor and any mismatch is rejected. A
+    file that ends early is a :class:`CheckpointError` naming the part it
+    cut.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
+    pos = 0
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal pos
+        if pos + n > len(raw):
+            raise CheckpointError(f"{path}: truncated {what}")
+        pos += n
+        return raw[pos - n : pos]
+
     if raw[:4] != _CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a model checkpoint")
-    version, desc_len = struct.unpack("<HI", raw[4:10])
+    take(4, "magic")
+    version, desc_len = struct.unpack("<HI", take(6, "header"))
     if version != _CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    pos = 10
     try:
-        descriptors = json.loads(raw[pos : pos + desc_len].decode("utf-8"))
+        descriptors = json.loads(take(desc_len, "architecture descriptor").decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt architecture descriptor") from exc
-    pos += desc_len
     if expect_descriptor is not None and descriptors != expect_descriptor:
         raise CheckpointError(f"{path}: architecture descriptor does not match the expected one")
     if not isinstance(descriptors, list):
@@ -291,29 +301,18 @@ def load_checkpoint(path, expect_descriptor: list[dict] | None = None):
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     for key, arr in model.state_arrays():
-        nbytes = arr.size * 8
-        chunk = raw[pos : pos + nbytes]
-        if len(chunk) < nbytes:
-            raise CheckpointError(f"{path}: truncated parameter payload at {key}")
+        chunk = take(arr.size * 8, f"parameter payload at {key}")
         np.copyto(arr, np.frombuffer(chunk, dtype="<f8").reshape(arr.shape))
-        pos += nbytes
 
-    if pos >= len(raw):
-        raise CheckpointError(f"{path}: missing normalizer trailer")
-    (has_norm,) = struct.unpack("<B", raw[pos : pos + 1])
-    pos += 1
+    (has_norm,) = take(1, "normalizer trailer")
     normalizer = None
     if has_norm:
-        (ndim,) = struct.unpack("<B", raw[pos : pos + 1])
-        pos += 1
-        shape = struct.unpack("<" + "I" * ndim, raw[pos : pos + 4 * ndim])
-        pos += 4 * ndim
+        (ndim,) = take(1, "normalizer shape")
+        shape = struct.unpack("<" + "I" * ndim, take(4 * ndim, "normalizer shape"))
         count = int(np.prod(shape)) if shape else 1
-        mean = np.frombuffer(raw, dtype="<f8", count=count, offset=pos).reshape(shape).copy()
-        pos += count * 8
-        std = np.frombuffer(raw, dtype="<f8", count=count, offset=pos).reshape(shape).copy()
-        pos += count * 8
-        normalizer = Normalizer(mean=mean, std=std)
+        mean = np.frombuffer(take(count * 8, "normalizer mean"), dtype="<f8").reshape(shape)
+        std = np.frombuffer(take(count * 8, "normalizer std"), dtype="<f8").reshape(shape)
+        normalizer = Normalizer(mean=mean.copy(), std=std.copy())
     if pos != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - pos} trailing bytes")
     return model, normalizer

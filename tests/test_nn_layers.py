@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -143,7 +148,7 @@ class TestConv2d:
             tracemalloc.stop()
         assert peak < patch_bytes
         kmat = conv.params["kernels"].reshape(filters, -1).T
-        whole = L._im2col(np.pad(x[0], ((1, 1), (1, 1), (0, 0)))) @ kmat
+        whole = L._im2col(np.pad(x[0], ((1, 1), (1, 1), (0, 0))), np.empty(patch_bytes // 8)) @ kmat
         assert np.array_equal(out.reshape(t * b, filters), whole)
 
     def test_time_blocked_gradients_match_oracles(self, rng, monkeypatch):
@@ -161,6 +166,105 @@ class TestConv2d:
         assert max_relative_error(dx, want_dx) < 1e-12
         errors = layer_gradient_errors(conv, x)
         assert max(errors.values()) < 1e-6
+
+
+# a script that counts Python threads: after importing sedpipe, after a
+# training step and an inference forward at the protocol workload's shapes
+# (bin-mbe, T=64, batch 8, 2 conv x 16, conv maps of at most 2.5 MiB), and
+# after one block forward over a conv map of 10 MiB on two cores
+THREAD_COUNT_SCRIPT = """
+import threading
+import numpy as np
+import sedpipe
+from sedpipe.nn import CrnnArch, build_crnn, layers
+counts = [threading.active_count()]
+layers._cores = lambda: 2
+arch = CrnnArch(n_bins=40, n_channels=2, n_classes=3, conv_layers=2, filters=16,
+                gru_layers=1, gru_units=32, dense_layers=1, dense_units=32, dropout=0.25)
+model = build_crnn(arch, np.random.default_rng(0))
+x = np.random.default_rng(1).normal(size=(8, 64, 40, 2))
+out = model.forward(x, training=True, rng=np.random.default_rng(2))
+model.backward(np.ones_like(out))
+model.forward(x)
+counts.append(threading.active_count())
+block = layers.ConvBlock(layers.Conv2D(2, 64), layers.BatchNorm(64), layers.MaxPoolFreq(5))
+block.forward(x, training=True)
+counts.append(threading.active_count())
+print(counts)
+"""
+
+
+class TestSampleRanges:
+    """Conv2D and the conv block run one contiguous sample range per core."""
+
+    @pytest.fixture
+    def three_ranges(self, monkeypatch):
+        # one time row per patch block, so every conv map below is over
+        # the budget, and three cores
+        monkeypatch.setattr(L, "_PATCH_BYTES", 8)
+        monkeypatch.setattr(L, "_cores", lambda: 3)
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    @pytest.mark.parametrize("phase", ["forward", "backward"])
+    def test_failure_surfaces_with_its_type_after_every_range(self, rng, monkeypatch, three_ranges, phase, failing):
+        class Failure(Exception):
+            pass
+
+        # sample q holds the value q, so each patch block names its sample;
+        # each sample is one range and its two time rows are two blocks
+        x = np.repeat(np.arange(3.0), 2 * 4).reshape(3, 2, 4, 1)
+        conv = L.Conv2D(1, 2, rng=rng)
+        out = conv.forward(x, training=True)
+        finished = []
+        im2col = L._im2col
+
+        def im2col_or_fail(xp, out):
+            sample = int(xp[1, 1, 0])
+            if sample == failing:
+                raise Failure()
+            if sample == 2:
+                time.sleep(0.2)
+            finished.append(sample)
+            return im2col(xp, out)
+
+        monkeypatch.setattr(L, "_im2col", im2col_or_fail)
+        with pytest.raises(Failure):
+            if phase == "forward":
+                conv.forward(x, training=True)
+            else:
+                conv.backward(np.ones_like(out))
+        # the slow last range ran both its blocks before the failure surfaced
+        assert finished.count(2) == 2
+
+    def test_child_forked_after_a_parallel_block_runs_one(self, rng, three_ranges):
+        block = identity_block(2, 2)
+        x = rng.normal(size=(3, 2, 4, 2))
+        want = block.forward(x, training=True)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if np.array_equal(block.forward(x, training=True), want) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("a forked child hung in a conv block")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_no_thread_at_import_or_at_protocol_shapes(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", THREAD_COUNT_SCRIPT], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[1, 1, 2]"
 
 
 class TestBatchNorm:
@@ -300,11 +404,12 @@ class TestMaxPoolFreq:
         x[0, 1, 5, 1] = np.nan
         x[1, 2, :4, 0] = np.nan
         m = L._windows(x, 4)
-        out = L._pool_taps(m, np.maximum)
+        out = L._pool_taps(m, np.maximum, np.empty((2, 3, 2, 2)))
         assert np.isnan(out[0, 1, 1, 1]) and np.isnan(out[1, 2, 0, 0])
         dout = rng.normal(size=out.shape)
         dx = np.zeros(x.shape)
-        L._add_at_taps(L._windows(dx, 4), L._first_tap(m, out), dout)
+        arg = L._first_tap(m, out, np.empty(out.shape, dtype=np.uint8))
+        L._add_at_taps(L._windows(dx, 4), arg, dout, np.empty(out.shape))
         dx = dx.reshape(2, 3, 2, 4, 2)
         # each window passes its gradient to exactly one of its own taps
         assert np.array_equal(dx.sum(axis=3), dout)

@@ -31,6 +31,7 @@ from sedpipe.nn import (
     pool_plan,
     save_checkpoint,
 )
+from sedpipe.nn import layers
 from sedpipe.nn.layers import ConvBlock, FlattenFreq
 
 # a conv block sums its outputs and gradients in another order than the
@@ -216,12 +217,18 @@ class TestCheckpoint:
         load_checkpoint(path, expect_descriptor=model.descriptor())
 
     def test_truncated_file_rejected(self, rng, tmp_path):
-        model = build_crnn(tiny_arch(), rng)
+        # every prefix of a checkpoint with a normalizer is a CheckpointError
+        model = ModelGraph([layers.TimeDense(2, 1, rng=rng)])
+        normalizer = Normalizer(mean=rng.normal(size=(1, 2)), std=rng.random((1, 2)) + 0.5)
         path = tmp_path / "model.sedm"
-        save_checkpoint(model, path)
-        path.write_bytes(path.read_bytes()[:-16])
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
+        save_checkpoint(model, path, normalizer)
+        raw = path.read_bytes()
+        load_checkpoint(path)
+        cut = tmp_path / "cut.sedm"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(CheckpointError, match="cut.sedm"):
+                load_checkpoint(cut)
 
     def test_failed_save_keeps_old_checkpoint_and_no_temp_file(self, rng, tmp_path, monkeypatch):
         model = build_crnn(tiny_arch(), rng)
@@ -601,6 +608,27 @@ class TestConvBlock:
     @pytest.mark.parametrize("factor", [1, 20])
     def test_pool_of_one_bin_and_of_every_bin_match_oracles(self, rng, factor):
         self.check_against_oracles(rng, rng.normal(size=(1, 4, 20, 2)), factor=factor)
+
+    def test_results_do_not_depend_on_the_worker_count(self, monkeypatch):
+        # a budget of two time rows splits T=7 into blocks of 1, 2, 2 and 2
+        # rows, and the conv map, over that budget, into one sample range
+        # per worker: 5 samples into 1, 2 and 2 under three
+        monkeypatch.setattr(layers, "_PATCH_BYTES", 2 * 20 * 9 * 2 * 8)
+        assert [r.stop - r.start for r in layers._time_blocks(7, 20, 2)] == [1, 2, 2, 2]
+        data = np.random.default_rng(11)
+        x, dout = data.normal(size=(5, 7, 20, 2)), data.normal(size=(5, 7, 4, 3))
+        results = {}
+        for workers in (1, 3):
+            monkeypatch.setattr(layers, "_cores", lambda: workers)
+            assert len(layers._sample_ranges(np.empty((5, 7, 20, 3)))) == workers
+            block = make_block(np.random.default_rng(12))
+            out = block.forward(x, training=True)
+            dx = block.backward(dout)
+            grads = [layer.grads[name] for layer in (block.conv, block.bn) for name in layer.params]
+            results[workers] = [out, dx, *grads, *block.bn.buffers.values(), block.forward(x)]
+        for one, three in zip(results[1], results[3]):
+            assert np.array_equal(one, three)
+        self.check_against_oracles(np.random.default_rng(13), x)
 
     def test_gradients_match_finite_differences(self, rng):
         block = make_block(rng, cin=2)
