@@ -215,9 +215,10 @@ def to_mono(clip: AudioClip) -> AudioClip:
     return AudioClip(samples=clip.samples.mean(axis=0, keepdims=True), sample_rate=clip.sample_rate)
 
 
-def read_annotations(path, class_names: Sequence[str]) -> list[Event]:
-    """Parse an ``onset<TAB>offset<TAB>label`` TSV into an event list."""
-    vocab = set(class_names)
+def read_annotations(path, class_names: Sequence[str] | None = None) -> list[Event]:
+    """Parse an ``onset<TAB>offset<TAB>label`` TSV into an event list. Labels
+    are kept verbatim; without ``class_names`` any label is accepted."""
+    vocab = None if class_names is None else set(class_names)
     events = []
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -233,7 +234,7 @@ def read_annotations(path, class_names: Sequence[str]) -> list[Event]:
         except ValueError:
             raise AnnotationError(f"{path}: line {lineno}: onset/offset are not decimal seconds") from None
         label = parts[2]
-        if label not in vocab:
+        if vocab is not None and label not in vocab:
             raise AnnotationError(f"{path}: line {lineno}: unknown label {label!r}")
         if onset < 0:
             raise AnnotationError(f"{path}: line {lineno}: onset must be >= 0, got {onset}")

@@ -151,21 +151,15 @@ def cmd_eval(args) -> int:
     elif cfg is not None:
         class_names = synth.class_names(cfg.data)
     else:
-        ref_text = Path(args.ref).read_text(encoding="utf-8")
-        pred_text = Path(args.pred).read_text(encoding="utf-8")
-        labels = set()
-        for text in (ref_text, pred_text):
-            for line in text.splitlines():
-                parts = line.split("\t")
-                if len(parts) == 3:
-                    labels.add(parts[2].strip())
-        class_names = tuple(sorted(labels))
+        class_names = None
+    ref_events = read_annotations(args.ref, class_names)
+    pred_events = read_annotations(args.pred, class_names)
+    if class_names is None:
+        class_names = tuple(sorted({e.label for e in ref_events + pred_events}))
     if not class_names:
         raise ConfigError("no class vocabulary: pass --classes or --config, or non-empty files")
 
     hop = args.hop
-    ref_events = read_annotations(args.ref, class_names)
-    pred_events = read_annotations(args.pred, class_names)
     if args.duration is not None:
         duration = args.duration
     else:
@@ -175,10 +169,7 @@ def cmd_eval(args) -> int:
 
     ref = events_to_roll(ref_events, n_frames, hop, class_names)
     pred = events_to_roll(pred_events, n_frames, hop, class_names)
-    counts = metrics.count_segments(
-        metrics.roll_to_segments(ref, args.segment_seconds),
-        metrics.roll_to_segments(pred, args.segment_seconds),
-    )
+    counts = metrics.pair_counts(ref, pred, args.segment_seconds)
     report = metrics.report_from_counts(counts)
 
     print(f"segments: {report.n_segments}")

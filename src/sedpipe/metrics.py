@@ -138,7 +138,7 @@ def error_rate(counts: SegmentCounts) -> float:
     return float(counts.s.sum() + counts.d.sum() + counts.i.sum()) / n
 
 
-def _pair_counts(ref: EventRoll, pred: EventRoll, segment_seconds: float) -> SegmentCounts:
+def pair_counts(ref: EventRoll, pred: EventRoll, segment_seconds: float) -> SegmentCounts:
     """Check that a (ref, pred) roll pair is comparable and count its segments."""
     if ref.class_names != pred.class_names:
         raise ClassVocabularyError(
@@ -155,7 +155,7 @@ def _pair_counts(ref: EventRoll, pred: EventRoll, segment_seconds: float) -> Seg
 
 def evaluate(ref: EventRoll, pred: EventRoll, segment_seconds: float = 1.0) -> MetricReport:
     """Score a prediction roll against a reference roll."""
-    return report_from_counts(_pair_counts(ref, pred, segment_seconds))
+    return report_from_counts(pair_counts(ref, pred, segment_seconds))
 
 
 def report_from_counts(counts: SegmentCounts) -> MetricReport:
@@ -176,5 +176,5 @@ def evaluate_pooled(
     """Score many (ref, pred) roll pairs by pooling their segments, e.g. all
     clips of a test split. Each roll is segmented independently."""
     return report_from_counts(
-        SegmentCounts.concat([_pair_counts(ref, pred, segment_seconds) for ref, pred in pairs])
+        SegmentCounts.concat([pair_counts(ref, pred, segment_seconds) for ref, pred in pairs])
     )

@@ -8,8 +8,9 @@ calls; an inference forward keeps nothing. Each backward consumes that
 cache, so nothing a step no longer reads outlives its use, and a backward
 without a training forward since the last one raises :class:`StateError`;
 an identity dropout keeps nothing and stays the identity. No layer writes
-its arguments. :class:`BatchNorm` and :class:`MaxPoolFreq` hold only their
-settings, parameters and buffers: they run only as part of a
+its arguments. :class:`BatchNorm` and :class:`MaxPoolFreq` have no passes
+of their own: they hold their settings, parameters and buffers, and batch
+norm its statistics (``_standardize``, ``_inference_affine``), for a
 :class:`ConvBlock`, which runs a (conv, batch norm, frequency max pool)
 triple as one block that normalizes the conv's fresh output in place and
 applies batch norm's scale and shift after the pool.
@@ -316,16 +317,6 @@ class BatchNorm(Layer):
         return scale, self.params["beta"] - self.buffers["running_mean"] * scale
 
 
-def _pool_taps(m, op, out):
-    """Reduce the (S, T, B/f, f, F) window view ``m`` over its tap axis by
-    the elementwise ``op`` (np.maximum or np.minimum) into ``out``. One pass
-    per tap reads m in place: a reduction over the inner tap axis is slower."""
-    np.copyto(out, m[:, :, :, 0])
-    for k in range(1, m.shape[3]):
-        op(out, m[:, :, :, k], out=out)
-    return out
-
-
 def _first_tap(m, sel, out):
     """Write into the unsigned ``out`` the index of each window's first tap
     equal to ``sel``: the count of the leading taps that differ. A NaN
@@ -356,13 +347,20 @@ def _windows(x, factor):
     return x.reshape(s, t, b // factor, factor, f)
 
 
-def _select(m, flip, out):
-    """Write into ``out`` each window's max, or its min in the feature maps
-    where ``flip`` is set: where batch norm's gain is negative, the window
-    min becomes the max of its output."""
-    _pool_taps(m, np.maximum, out)
-    if flip.any():
-        np.copyto(out, _pool_taps(m, np.minimum, np.empty_like(out)), where=flip)
+def _select(m, flip, out, mins=None):
+    """Write into ``out`` each window of the (S, T, B/f, f, F) view ``m``
+    reduced to its max, or to its min in the feature maps where ``flip`` is
+    set: where batch norm's gain is negative, the window min becomes the max
+    of its output. The mins go through ``mins``, an array of out's shape
+    that only a set ``flip`` needs. One pass per tap reads m in place: a
+    reduction over the inner tap axis is slower."""
+    for op, acc in ((np.maximum, out), (np.minimum, mins)):
+        np.copyto(acc, m[:, :, :, 0])
+        for k in range(1, m.shape[3]):
+            op(acc, m[:, :, :, k], out=acc)
+        if not flip.any():
+            return out
+    np.copyto(out, mins, where=flip)
     return out
 
 
@@ -389,14 +387,17 @@ class ConvBlock:
     layer objects, which keep their parameters, buffers and grads.
 
     Each step of batch norm is monotone in its input, so pooling commutes
-    with it: the block pools x̂ (the window min where gamma < 0), or the
-    conv's output in inference, and applies batch norm's scale and shift to
-    the pooled array only. Outputs equal max pooling of batch norm's output
-    bit for bit, and a tie goes to the first max of x̂. The conv's output is
-    the one full-size array: it becomes x̂ in place and, in backward, the
-    conv's output gradient. Every pass over it runs one sample range per
-    thread, over the conv's ranges, into pooled-size arrays that the
-    calling thread allocates once for the whole batch (see :func:`_run`).
+    with it. Both modes pool by one rule, the window min where scale < 0,
+    and apply x * scale + shift to the pooled array only: training pools x̂
+    with (gamma, beta), inference the conv's output with batch norm's
+    inference map, whose scale has gamma's sign. Outputs equal max pooling
+    of batch norm's output bit for bit. The backward pools x̂ again and
+    routes each window's gradient to its first max, so no argmax is held
+    between the passes. The conv's output is the one full-size array: it
+    becomes x̂ in place and, in backward, the conv's output gradient. Every
+    pass over it runs one sample range per thread, over the conv's ranges,
+    into pooled-size arrays that the calling thread allocates once for the
+    whole batch (see :func:`_run`).
     """
 
     def __init__(self, conv: Conv2D, bn: BatchNorm, pool: MaxPoolFreq):
@@ -409,41 +410,36 @@ class ConvBlock:
         y = self.conv.forward(x, training=training, rng=rng)
         m = _windows(y, self.pool.factor)
         ranges = _sample_ranges(y)
-        out = np.empty(m.shape[:3] + m.shape[4:])
         self._cache = None
         if training:
-            gamma = self.bn.params["gamma"]
-            inv_std = self.bn._standardize(y, ranges)
-            flip = gamma < 0
-            arg = np.empty(out.shape, dtype=np.min_scalar_type(self.pool.factor - 1))
-
-            def pool(r):
-                _first_tap(m[r], _select(m[r], flip, out[r]), arg[r])
-
-            _run(pool, ranges)
-            self._cache = (y, arg, inv_std, flip)
-            out *= gamma
-            out += self.bn.params["beta"]
+            self._cache = (y, self.bn._standardize(y, ranges))
+            scale, shift = self.bn.params["gamma"], self.bn.params["beta"]
         else:
             scale, shift = self.bn._inference_affine()
-            _run(lambda r: _select(m[r], scale < 0, out[r]), ranges)
-            out *= scale
-            out += shift
+        flip = scale < 0
+        out = np.empty(m.shape[:3] + m.shape[4:])
+        mins = np.empty(out.shape) if flip.any() else None
+        _run(lambda r: _select(m[r], flip, out[r], None if mins is None else mins[r]), ranges)
+        out *= scale
+        out += shift
         return out
 
     def backward(self, dout, input_grad=True):
         if self._cache is None:
             raise StateError("conv block backward needs a training-mode forward since its last backward")
-        x_hat, arg, inv_std, flip = self._cache
+        x_hat, inv_std = self._cache
         self._cache = None  # x_hat becomes the conv's output gradient below
+        gamma = self.bn.params["gamma"]
         n = x_hat.shape[3]
         count = x_hat.size // n
         m = _windows(x_hat, self.pool.factor)
         ranges = _sample_ranges(x_hat)
-        # x̂ at each window's first max is the pooled x̂ again: pooling it
-        # anew is faster than a take_along_axis gather by the argmax
-        pooled = np.empty(dout.shape)
-        _run(lambda r: _select(m[r], flip, pooled[r]), ranges)
+        # gamma is still the forward's, so x̂ pooled anew is the forward's
+        # pooled x̂, and each window's first tap equal to it is its route
+        flip = gamma < 0
+        pooled, scratch = np.empty(dout.shape), np.empty(dout.shape)
+        arg = np.empty(dout.shape, dtype=np.min_scalar_type(self.pool.factor - 1))
+        _run(lambda r: _first_tap(m[r], _select(m[r], flip, pooled[r], scratch[r]), arg[r]), ranges)
         d2 = dout.reshape(-1, n)
         dbeta = np.einsum("ij->j", d2)
         dgamma = np.einsum("ij,ij->j", d2, pooled.reshape(-1, n))
@@ -451,9 +447,8 @@ class ConvBlock:
         self.bn.grads["beta"] = dbeta
         # dx = c * (count * dy - dbeta - x_hat * dgamma), c = gamma * inv_std
         # / count, where dy is dout routed to each window's first max
-        c = self.bn.params["gamma"] * inv_std / count
+        c = gamma * inv_std / count
         scale, shift, route = -c * dgamma, c * dbeta, c * count
-        scratch = np.empty(dout.shape)
 
         def spread(r):
             part = x_hat[r]

@@ -254,6 +254,22 @@ class TestEval:
         assert seg_lines[0] == "k\tTP\tFP\tFN\tS\tD\tI\tN"
         assert len(seg_lines) == 3
 
+    def test_inferred_vocabulary_keeps_labels_verbatim(self, tmp_path, capsys):
+        # the labels read from both files are the vocabulary, as given by
+        # --classes: a trailing space is part of the label
+        ref = tmp_path / "ref.tsv"
+        pred = tmp_path / "pred.tsv"
+        ref.write_text("0.0\t1.0\tdog \n1.0\t2.0\tcat\n", encoding="utf-8")
+        pred.write_text("0.0\t1.0\tdog \n", encoding="utf-8")
+        outputs = [
+            run_cli(capsys, "eval", "--ref", str(ref), "--pred", str(pred), *classes)
+            for classes in ((), ("--classes", "dog ,cat"))
+        ]
+        assert outputs[0] == outputs[1]
+        code, stdout, _ = outputs[0]
+        assert code == 0
+        assert "ER: 0.50" in stdout
+
     def test_empty_reference_is_runtime_error(self, tmp_path, capsys):
         ref = tmp_path / "ref.tsv"
         pred = tmp_path / "pred.tsv"

@@ -259,6 +259,25 @@ class TestSampleRanges:
             time.sleep(0.01)
         assert os.waitstatus_to_exitcode(status) == 0
 
+    def test_training_forward_holds_only_the_backward_inputs(self, rng, three_ranges):
+        # what outlives a training forward, beyond its output, is the
+        # conv's padded input, x-hat and inv_std (plus a few KiB of Python
+        # objects), not a per-window argmax of out.size bytes
+        block = identity_block(16, 4)
+        block.bn.params["gamma"][::2] = -1.0
+        x = rng.normal(size=(3, 16, 400, 16))
+        block.backward(np.ones_like(block.forward(x, training=True)))
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            out = block.forward(x, training=True)
+            kept = tracemalloc.get_traced_memory()[0] - held - out.nbytes
+        finally:
+            tracemalloc.stop()
+        x_hat, inv_std = block._cache
+        cached = block.conv._cache.nbytes + x_hat.nbytes + inv_std.nbytes
+        assert cached <= kept < cached + out.size / 4
+
     def test_no_thread_at_import_or_at_protocol_shapes(self):
         proc = subprocess.run(
             [sys.executable, "-c", THREAD_COUNT_SCRIPT], capture_output=True, text=True, timeout=120
@@ -404,7 +423,7 @@ class TestMaxPoolFreq:
         x[0, 1, 5, 1] = np.nan
         x[1, 2, :4, 0] = np.nan
         m = L._windows(x, 4)
-        out = L._pool_taps(m, np.maximum, np.empty((2, 3, 2, 2)))
+        out = L._select(m, np.zeros(2, dtype=bool), np.empty((2, 3, 2, 2)))
         assert np.isnan(out[0, 1, 1, 1]) and np.isnan(out[1, 2, 0, 0])
         dout = rng.normal(size=out.shape)
         dx = np.zeros(x.shape)
@@ -414,6 +433,24 @@ class TestMaxPoolFreq:
         # each window passes its gradient to exactly one of its own taps
         assert np.array_equal(dx.sum(axis=3), dout)
         assert np.array_equal(np.count_nonzero(dx, axis=3), np.ones(out.shape, dtype=np.intp))
+
+    def test_flipped_maps_pool_through_the_callers_buffer(self, rng):
+        # a pooled-size array allocated inside a sample range's job would
+        # stay in a pool thread's malloc arena; numpy's strided-loop buffer
+        # is at most 64 KiB
+        m = L._windows(rng.normal(size=(2, 64, 512, 8)), 4)
+        flip = np.arange(8) % 2 == 1
+        out, mins = np.empty((2, 64, 128, 8)), np.empty((2, 64, 128, 8))
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            L._select(m, flip, out, mins)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes / 4
+        want = np.where(flip, m.min(axis=3), m.max(axis=3))
+        assert np.array_equal(out, want)
 
     def test_non_divisible_factor_rejected(self, rng):
         block = identity_block(1, 3)
