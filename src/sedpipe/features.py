@@ -411,8 +411,7 @@ def load_feature_archive(path) -> FeatureTensor:
         raise StateError(f"{path}: unsupported archive version {version}")
     if class_id not in _CLASS_FROM_ID:
         raise StateError(f"{path}: unknown feature class id {class_id}")
-    payload = np.frombuffer(raw, dtype="<f4", offset=head_size)
-    if payload.size != f * b * ch:
+    if len(raw) - head_size != 4 * f * b * ch:
         raise StateError(f"{path}: payload size does not match header")
-    data = payload.reshape(f, b, ch).astype(np.float64)
+    data = np.frombuffer(raw, dtype="<f4", offset=head_size).reshape(f, b, ch).astype(np.float64)
     return FeatureTensor(data=data, feature_class=_CLASS_FROM_ID[class_id], hop_seconds=hop)

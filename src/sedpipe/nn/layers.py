@@ -2,33 +2,34 @@
 
 Array conventions: the convolutional block works on (S, T, B, F) volumes
 (batch, time, frequency bins, feature maps); the recurrent and dense block
-works on (S, T, D). Every layer caches what its backward pass needs during
-a training forward, so forward/backward pairs must not interleave across
-calls; an inference forward keeps nothing. Each backward consumes that
-cache, so nothing a step no longer reads outlives its use, and a backward
-without a training forward since the last one raises :class:`StateError`;
-an identity dropout keeps nothing and stays the identity. No layer writes
-its arguments. :class:`BatchNorm` and :class:`MaxPoolFreq` have no passes
-of their own: they hold their settings, parameters and buffers, and batch
-norm its statistics (``_standardize``, ``_inference_affine``), for a
-:class:`ConvBlock`, which runs a (conv, batch norm, frequency max pool)
-triple as one block that normalizes the conv's fresh output in place and
-applies batch norm's scale and shift after the pool.
+works on (S, T, D). Every step holds its backward state by one rule
+(:meth:`Layer._keep`, :meth:`Layer._take`): a training forward keeps what
+its backward reads, an inference forward keeps nothing, and a backward
+releases the state, so nothing a step no longer reads outlives its use, and
+a backward without a training forward since the last one raises
+:class:`StateError`. Forward/backward pairs must therefore not interleave
+across calls. No layer writes its arguments. :class:`BatchNorm` and
+:class:`MaxPoolFreq` have no passes of their own: they hold their settings,
+parameters and buffers, and batch norm its statistics (``_standardize``,
+``_inference_affine``) and backward state, for a :class:`ConvBlock`, which
+runs a (conv, batch norm, frequency max pool) triple as one block that
+normalizes the conv's fresh output in place and applies batch norm's scale
+and shift after the pool.
 
 :class:`Conv2D` and :class:`ConvBlock` split a batch into contiguous sample
 ranges, one per core (see :func:`_sample_ranges`), and run each range's
-GEMMs and elementwise passes on its own thread. Every element is computed
-by the same operations whatever range holds it, batch statistics are
-whole-batch reductions, and the kernel gradient is summed in one declared
-order (each sample's time blocks, then the samples in order), so results
-do not depend on the number of cores.
+GEMMs and elementwise passes on its own thread, which lives for that one
+pass (see :func:`_run`). Every element is computed by the same operations
+whatever range holds it, batch statistics are whole-batch reductions, and
+the kernel gradient is summed in one declared order (each sample's time
+blocks, then the samples in order), so results do not depend on the number
+of cores.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -66,6 +67,7 @@ class Layer:
 
     kind = ""
     settings: tuple[str, ...] = ()
+    _cache = None
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
@@ -79,6 +81,18 @@ class Layer:
         """Fill ``grads`` and return the input gradient; a layer may skip
         that gradient and return None when ``input_grad`` is False."""
         raise NotImplementedError
+
+    def _keep(self, training, *state):
+        """Hold ``state`` for the next backward after a training forward;
+        hold nothing after an inference forward."""
+        self._cache = state if training else None
+
+    def _take(self) -> tuple:
+        """Release and return the state the last training forward kept."""
+        if self._cache is None:
+            raise StateError(f"{self.kind} backward needs a training-mode forward since its last backward")
+        state, self._cache = self._cache, None
+        return state
 
     def descriptor(self) -> dict:
         return {"type": self.kind, **{name: getattr(self, name) for name in self.settings}}
@@ -131,43 +145,24 @@ def _sample_ranges(conv_map) -> list[slice]:
     return _split(s, min(s, _cores()) if conv_map.nbytes >= _PATCH_BYTES else 1)
 
 
-# The threads that run every sample range but the first, started on first
-# use; numpy releases the interpreter lock inside its GEMMs and loops
-_executor = None
-_executor_lock = threading.Lock()
-
-
-def _forget_executor():
-    """A forked child has none of its parent's threads: start anew."""
-    global _executor, _executor_lock
-    _executor, _executor_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_executor)
-
-
 def _run(fn, jobs: list) -> None:
     """Call ``fn(job)`` for every job, one per sample range: the first on
-    the calling thread, the others on the pool. Returns, or raises a call's
-    exception with its own type (the earliest job's first), only after
-    every call has finished.
+    the calling thread, each other one on a thread of its own that lives
+    for this call only (numpy releases the interpreter lock inside its
+    GEMMs and loops). Returns, or raises a call's exception with its own
+    type (the earliest job's first), only after every call has finished and
+    every thread has ended, so no thread outlives a pass and a forked child
+    has nothing to reset.
 
-    Memory that a pool thread allocates and frees stays in that thread's
-    malloc arena, so the callers allocate the patch buffers and the
-    pooled-size float arrays that the jobs write, and hand each job its
-    part."""
-    global _executor
+    Memory that a thread allocates and frees stays in that thread's malloc
+    arena, so the callers allocate the patch buffers and the pooled-size
+    arrays that the jobs write, and hand each job its part."""
     if len(jobs) == 1:
         fn(jobs[0])
         return
-    with _executor_lock:
-        if _executor is None:
-            _executor = ThreadPoolExecutor(max(1, _cores() - 1), thread_name_prefix="sedpipe-nn")
-        futures = [_executor.submit(fn, job) for job in jobs[1:]]
-    try:
+    with ThreadPoolExecutor(len(jobs) - 1, thread_name_prefix="sedpipe-nn") as pool:
+        futures = [pool.submit(fn, job) for job in jobs[1:]]
         fn(jobs[0])
-    finally:
-        wait(futures)
     for future in futures:
         future.result()
 
@@ -196,7 +191,6 @@ class Conv2D(Layer):
         self.filters = filters
         shape = (filters, 3, 3, in_channels)
         self.params = {"kernels": uniform_init(rng, shape, 9 * in_channels, 9 * filters)}
-        self._cache = None
 
     def forward(self, x, training=False, rng=None):
         if x.ndim != 4 or x.shape[3] != self.in_channels:
@@ -219,7 +213,7 @@ class Conv2D(Layer):
                     np.matmul(_im2col(xp[q, rows.start : rows.stop + 2], patch_rows), kmat, out=block)
 
         _run(run, list(zip(ranges, self._patch_buffers(len(ranges), blocks, b))))
-        self._cache = xp if training else None
+        self._keep(training, xp)
         return out
 
     def _patch_buffers(self, n, blocks, b):
@@ -228,9 +222,7 @@ class Conv2D(Layer):
         return np.empty((n, max(r.stop - r.start for r in blocks) * b * 9 * self.in_channels))
 
     def backward(self, dout, input_grad=True):
-        if self._cache is None:
-            raise StateError("conv2d backward needs a training-mode forward since its last backward")
-        xp, self._cache = self._cache, None
+        (xp,) = self._take()
         s, t, b, n = dout.shape
         c = self.in_channels
         blocks = _time_blocks(t, b, c)
@@ -317,26 +309,27 @@ class BatchNorm(Layer):
         return scale, self.params["beta"] - self.buffers["running_mean"] * scale
 
 
-def _first_tap(m, sel, out):
+def _first_tap(m, sel, out, notyet, differs):
     """Write into the unsigned ``out`` the index of each window's first tap
     equal to ``sel``: the count of the leading taps that differ. A NaN
-    window equals no tap and gets its last one."""
+    window equals no tap and gets its last one. ``notyet`` and ``differs``
+    are boolean arrays of sel's shape that it overwrites."""
     out.fill(0)
-    notyet = np.ones(sel.shape, dtype=bool)
+    notyet.fill(True)
     for k in range(m.shape[3] - 1):
-        notyet &= m[:, :, :, k] != sel
+        notyet &= np.not_equal(m[:, :, :, k], sel, out=differs)
         out += notyet
     return out
 
 
-def _add_at_taps(m, arg, g, scratch):
+def _add_at_taps(m, arg, g, scratch, hit):
     """Add each window's pooled gradient ``g`` to tap ``arg`` of the
-    (S, T, B/f, f, F) view ``m``, forming each tap's masked product in
-    ``scratch``, an array of g's shape. At the paper's conv1 shape a masked
-    product per tap is about 3x faster than a ``where=`` add and 2x faster
-    than a fancy-index scatter."""
+    (S, T, B/f, f, F) view ``m``, forming each tap's mask in the boolean
+    ``hit`` and its masked product in ``scratch``, arrays of g's shape. At
+    the paper's conv1 shape a masked product per tap is about 3x faster than
+    a ``where=`` add and 2x faster than a fancy-index scatter."""
     for k in range(m.shape[3]):
-        m[:, :, :, k] += np.multiply(arg == k, g, out=scratch)
+        m[:, :, :, k] += np.multiply(np.equal(arg, k, out=hit), g, out=scratch)
 
 
 def _windows(x, factor):
@@ -384,7 +377,9 @@ class MaxPoolFreq(Layer):
 
 class ConvBlock:
     """A Conv2D, BatchNorm and MaxPoolFreq run as one block over the three
-    layer objects, which keep their parameters, buffers and grads.
+    layer objects, which keep their parameters, buffers, grads and backward
+    state: the block holds none of its own, and x̂ and inv_std are batch
+    norm's.
 
     Each step of batch norm is monotone in its input, so pooling commutes
     with it. Both modes pool by one rule, the window min where scale < 0,
@@ -404,17 +399,16 @@ class ConvBlock:
         if conv.filters != bn.n_features:
             raise ShapeError(f"batch norm of {bn.n_features} feature maps after a conv of {conv.filters} filters")
         self.conv, self.bn, self.pool = conv, bn, pool
-        self._cache = None
 
     def forward(self, x, training=False, rng=None):
         y = self.conv.forward(x, training=training, rng=rng)
         m = _windows(y, self.pool.factor)
         ranges = _sample_ranges(y)
-        self._cache = None
         if training:
-            self._cache = (y, self.bn._standardize(y, ranges))
+            self.bn._keep(True, y, self.bn._standardize(y, ranges))
             scale, shift = self.bn.params["gamma"], self.bn.params["beta"]
         else:
+            self.bn._keep(False)
             scale, shift = self.bn._inference_affine()
         flip = scale < 0
         out = np.empty(m.shape[:3] + m.shape[4:])
@@ -425,10 +419,7 @@ class ConvBlock:
         return out
 
     def backward(self, dout, input_grad=True):
-        if self._cache is None:
-            raise StateError("conv block backward needs a training-mode forward since its last backward")
-        x_hat, inv_std = self._cache
-        self._cache = None  # x_hat becomes the conv's output gradient below
+        x_hat, inv_std = self.bn._take()  # x_hat becomes the conv's output gradient below
         gamma = self.bn.params["gamma"]
         n = x_hat.shape[3]
         count = x_hat.size // n
@@ -439,7 +430,13 @@ class ConvBlock:
         flip = gamma < 0
         pooled, scratch = np.empty(dout.shape), np.empty(dout.shape)
         arg = np.empty(dout.shape, dtype=np.min_scalar_type(self.pool.factor - 1))
-        _run(lambda r: _first_tap(m[r], _select(m[r], flip, pooled[r], scratch[r]), arg[r]), ranges)
+        notyet, differs = np.empty(dout.shape, dtype=bool), np.empty(dout.shape, dtype=bool)
+
+        def first_taps(r):
+            sel = _select(m[r], flip, pooled[r], scratch[r])
+            _first_tap(m[r], sel, arg[r], notyet[r], differs[r])
+
+        _run(first_taps, ranges)
         d2 = dout.reshape(-1, n)
         dbeta = np.einsum("ij->j", d2)
         dgamma = np.einsum("ij,ij->j", d2, pooled.reshape(-1, n))
@@ -456,9 +453,10 @@ class ConvBlock:
             part -= shift
             # the pooled x̂ is read; its array now holds the routed gradient
             g = np.multiply(dout[r], route, out=pooled[r])
-            _add_at_taps(m[r], arg[r], g, scratch[r])
+            _add_at_taps(m[r], arg[r], g, scratch[r], differs[r])
 
         _run(spread, ranges)
+        del pooled, scratch, arg, notyet, differs  # free the routing arrays before the conv's backward
         return self.conv.backward(x_hat, input_grad=input_grad)
 
 
@@ -475,8 +473,6 @@ class Dropout(Layer):
         if not 0.0 <= rate < 1.0:
             raise RangeError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
-        # None after an identity forward; False once backward used the mask
-        self._mask = None
 
     def _apply(self, x, mask):
         out = x * mask
@@ -484,21 +480,17 @@ class Dropout(Layer):
         return out
 
     def forward(self, x, training=False, rng=None):
-        if not training or self.rate == 0.0:
-            self._mask = None
-            return x
-        if rng is None:
-            raise StateError("dropout in training mode needs the run's generator")
-        self._mask = rng.random(x.shape) >= self.rate
-        return self._apply(x, self._mask)
+        mask = None
+        if training and self.rate > 0.0:
+            if rng is None:
+                raise StateError("dropout in training mode needs the run's generator")
+            mask = rng.random(x.shape) >= self.rate
+        self._keep(training, mask)
+        return x if mask is None else self._apply(x, mask)
 
     def backward(self, dout, input_grad=True):
-        if self._mask is None:
-            return dout
-        if self._mask is False:
-            raise StateError("dropout backward needs a forward since its last backward")
-        mask, self._mask = self._mask, False
-        return self._apply(dout, mask)
+        (mask,) = self._take()
+        return dout if mask is None else self._apply(dout, mask)
 
 
 class FlattenFreq(Layer):
@@ -506,19 +498,16 @@ class FlattenFreq(Layer):
 
     kind = "flatten_freq"
 
-    def __init__(self):
-        super().__init__()
-        self._shape = None
-
     def forward(self, x, training=False, rng=None):
         if x.ndim != 4:
             raise ShapeError(f"flatten expects a 4-D volume, got shape {x.shape}")
-        self._shape = x.shape
+        self._keep(training, x.shape)
         s, t, b, f = x.shape
         return x.reshape(s, t, b * f)
 
     def backward(self, dout, input_grad=True):
-        return dout.reshape(self._shape)
+        (shape,) = self._take()
+        return dout.reshape(shape)
 
 
 _DIRECTIONS = ("fwd", "bwd")
@@ -555,7 +544,6 @@ class BiGRU(Layer):
             self.params[f"{d}_W"] = uniform_init(rng, (3, in_dim, units), in_dim, units)
             self.params[f"{d}_U"] = uniform_init(rng, (3, units, units), units, units)
             self.params[f"{d}_b"] = np.zeros((3, units))
-        self._cache = None
 
     def _stacked(self, name):
         """Both directions' (3, rows, U) gate stacks as (2, rows, 3U) with
@@ -586,13 +574,11 @@ class BiGRU(Layer):
             g[:, :, : 2 * u] = zr
             z = zr[:, :, :u]
             hs[:, :, i + 1] = (1.0 - z) * h + z * c
-        self._cache = (x, w, u_rec, hs, gates, rh) if training else None
+        self._keep(training, x, w, u_rec, hs, gates, rh)
         return np.concatenate((hs[0, :, 1:], hs[1, :, :0:-1]), axis=2)
 
     def backward(self, dout, input_grad=True):
-        if self._cache is None:
-            raise StateError("bigru backward needs a training-mode forward since its last backward")
-        (x, w, u_rec, hs, gates, rh), self._cache = self._cache, None
+        x, w, u_rec, hs, gates, rh = self._take()
         _, s, t, u = rh.shape
         h_prev = hs[:, :, :-1]
         z, r, c = gates[..., :u], gates[..., u : 2 * u], gates[..., 2 * u :]
@@ -668,19 +654,16 @@ class TimeDense(Layer):
         self.units = units
         self.activation = activation
         self.params = {"W": uniform_init(rng, (in_dim, units), in_dim, units), "b": np.zeros(units)}
-        self._cache = None
 
     def forward(self, x, training=False, rng=None):
         if x.ndim != 3 or x.shape[2] != self.in_dim:
             raise ShapeError(f"time dense expects (S, T, {self.in_dim}), got shape {x.shape}")
         out = _ACTIVATION_TABLE[self.activation][0](x @ self.params["W"] + self.params["b"])
-        self._cache = (x, out) if training else None
+        self._keep(training, x, out)
         return out
 
     def backward(self, dout, input_grad=True):
-        if self._cache is None:
-            raise StateError("time dense backward needs a training-mode forward since its last backward")
-        (x, out), self._cache = self._cache, None
+        x, out = self._take()
         dz = _ACTIVATION_TABLE[self.activation][1](dout, out)
         x2 = x.reshape(-1, self.in_dim)
         dz2 = dz.reshape(-1, self.units)

@@ -422,6 +422,20 @@ class TestTrainCommand:
         assert "fold 5" in stderr
         assert not (out / "fold1").exists()
 
+    def test_truncated_archive_exits_one_naming_it(self, tmp_path, capsys):
+        cfg = small_synth_config(tmp_path)
+        data, feats = tmp_path / "data", tmp_path / "features"
+        run_cli(capsys, "synth", "--config", str(cfg), "--out", str(data))
+        text = cfg.read_text(encoding="utf-8").replace("[data]", f"[data]\nroot = {data}")
+        cfg.write_text(text.replace("[features]", f"[features]\narchive_dir = {feats}"), encoding="utf-8")
+        code, _, _ = run_cli(capsys, "extract", "--config", str(cfg))
+        assert code == 0
+        archive = sorted(feats.glob("*.sedf"))[0]
+        archive.write_bytes(archive.read_bytes()[:-2])
+        code, _, stderr = run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path / "runs"))
+        assert code == 1
+        assert stderr.startswith("error:") and archive.name in stderr
+
 
 class TestLogging:
     def test_log_env_var_controls_stderr(self, tmp_path):

@@ -456,14 +456,20 @@ class TestArchive:
             features.load_feature_archive(path)
 
     def test_truncated_payload_rejected(self, tmp_path, rng):
+        # every prefix is a StateError naming the file, including a cut of
+        # one to three bytes into a float32
         tensor = features.FeatureTensor(
-            data=rng.normal(size=(8, 4, 1)), feature_class="mbe", hop_seconds=0.02
+            data=rng.normal(size=(3, 2, 1)), feature_class="mbe", hop_seconds=0.02
         )
         path = tmp_path / "clip.mbe.sedf"
         features.save_feature_archive(tensor, path)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(StateError):
-            features.load_feature_archive(path)
+        raw = path.read_bytes()
+        features.load_feature_archive(path)
+        cut = tmp_path / "cut.mbe.sedf"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(StateError, match="cut.mbe.sedf"):
+                features.load_feature_archive(cut)
 
     def test_failed_save_keeps_old_archive_and_no_temp_file(self, tmp_path, rng, monkeypatch):
         path = tmp_path / "clip.mbe.sedf"

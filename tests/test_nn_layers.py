@@ -171,7 +171,8 @@ class TestConv2d:
 # a script that counts Python threads: after importing sedpipe, after a
 # training step and an inference forward at the protocol workload's shapes
 # (bin-mbe, T=64, batch 8, 2 conv x 16, conv maps of at most 2.5 MiB), and
-# after one block forward over a conv map of 10 MiB on two cores
+# after a block's training forward and backward over a conv map of 10 MiB
+# on two cores; then it prints the names of the threads that pooled a range
 THREAD_COUNT_SCRIPT = """
 import threading
 import numpy as np
@@ -187,10 +188,16 @@ out = model.forward(x, training=True, rng=np.random.default_rng(2))
 model.backward(np.ones_like(out))
 model.forward(x)
 counts.append(threading.active_count())
+names = set()
+select = layers._select
+def traced_select(*args):
+    names.add(threading.current_thread().name.split("_")[0])
+    return select(*args)
+layers._select = traced_select
 block = layers.ConvBlock(layers.Conv2D(2, 64), layers.BatchNorm(64), layers.MaxPoolFreq(5))
-block.forward(x, training=True)
+block.backward(np.ones_like(block.forward(x, training=True)))
 counts.append(threading.active_count())
-print(counts)
+print(counts, sorted(names))
 """
 
 
@@ -274,16 +281,18 @@ class TestSampleRanges:
             kept = tracemalloc.get_traced_memory()[0] - held - out.nbytes
         finally:
             tracemalloc.stop()
-        x_hat, inv_std = block._cache
-        cached = block.conv._cache.nbytes + x_hat.nbytes + inv_std.nbytes
+        x_hat, inv_std = block.bn._cache
+        cached = block.conv._cache[0].nbytes + x_hat.nbytes + inv_std.nbytes
         assert cached <= kept < cached + out.size / 4
 
     def test_no_thread_at_import_or_at_protocol_shapes(self):
+        # a range ran on a sedpipe-nn thread, and that thread ended with
+        # its pass
         proc = subprocess.run(
             [sys.executable, "-c", THREAD_COUNT_SCRIPT], capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[1, 1, 2]"
+        assert proc.stdout.strip() == "[1, 1, 1] ['MainThread', 'sedpipe-nn']"
 
 
 class TestBatchNorm:
@@ -370,13 +379,13 @@ class TestMaxPoolFreq:
     def test_factor_one_is_identity(self, rng):
         block = identity_block(2, 1)
         out = block.forward(rng.normal(size=(2, 3, 4, 2)), training=True)
-        x_hat = block._cache[0]
+        x_hat = block.bn._cache[0]
         assert np.array_equal(out, x_hat)
 
     def test_full_reduction(self, rng):
         block = identity_block(1, 8)
         out = block.forward(rng.normal(size=(1, 4, 8, 1)), training=True)
-        x_hat = block._cache[0]
+        x_hat = block.bn._cache[0]
         assert out.shape == (1, 4, 1, 1)
         assert np.array_equal(out[0, :, 0, 0], x_hat[0].max(axis=1)[:, 0])
 
@@ -409,7 +418,7 @@ class TestMaxPoolFreq:
         block = identity_block(4, 5)
         x = np.round(rng.normal(size=(2, 3, 20, 4)))
         trained = block.forward(x, training=True)
-        x_hat = block._cache[0]
+        x_hat = block.bn._cache[0]
         assert np.array_equal(trained, max_pool_by_hand(x_hat, 5)[0])
         scale, shift = block.bn._inference_affine()
         assert np.array_equal(block.forward(x), max_pool_by_hand(x * scale + shift, 5)[0])
@@ -427,8 +436,9 @@ class TestMaxPoolFreq:
         assert np.isnan(out[0, 1, 1, 1]) and np.isnan(out[1, 2, 0, 0])
         dout = rng.normal(size=out.shape)
         dx = np.zeros(x.shape)
-        arg = L._first_tap(m, out, np.empty(out.shape, dtype=np.uint8))
-        L._add_at_taps(L._windows(dx, 4), arg, dout, np.empty(out.shape))
+        flags = np.empty((2,) + out.shape, dtype=bool)
+        arg = L._first_tap(m, out, np.empty(out.shape, dtype=np.uint8), *flags)
+        L._add_at_taps(L._windows(dx, 4), arg, dout, np.empty(out.shape), flags[0])
         dx = dx.reshape(2, 3, 2, 4, 2)
         # each window passes its gradient to exactly one of its own taps
         assert np.array_equal(dx.sum(axis=3), dout)
@@ -451,6 +461,29 @@ class TestMaxPoolFreq:
         assert peak < out.nbytes / 4
         want = np.where(flip, m.min(axis=3), m.max(axis=3))
         assert np.array_equal(out, want)
+
+    def test_routes_go_through_the_callers_buffers(self, rng):
+        # as for _select: the first-max index and the routed gradient take
+        # their boolean masks from the caller, so neither allocates a
+        # pooled-size array inside a sample range's job
+        # pooled array of 512 KiB per boolean mask; numpy's strided-loop
+        # buffers take at most 64 KiB per operand
+        m = L._windows(rng.normal(size=(2, 64, 2048, 8)), 4)
+        sel = m.max(axis=3)
+        arg = np.empty(sel.shape, dtype=np.uint8)
+        notyet, differs = np.empty(sel.shape, dtype=bool), np.empty(sel.shape, dtype=bool)
+        g, scratch, dx = rng.normal(size=sel.shape), np.empty(sel.shape), np.zeros(m.shape)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            L._first_tap(m, sel, arg, notyet, differs)
+            L._add_at_taps(dx, arg, g, scratch, differs)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < arg.nbytes / 2
+        assert np.array_equal(arg, m.argmax(axis=3))
+        assert np.array_equal(dx, np.where(np.arange(4)[:, None] == arg[:, :, :, None], g[:, :, :, None], 0.0))
 
     def test_non_divisible_factor_rejected(self, rng):
         block = identity_block(1, 3)
@@ -582,13 +615,17 @@ class TestDropout:
         assert dx.tobytes() == (dout * float_mask).tobytes()
 
     @pytest.mark.parametrize("rate, training", [(0.5, False), (0.0, True)])
-    def test_identity_forward_stays_identity_in_backward(self, rng, rate, training):
+    def test_identity_forward_follows_the_state_rule(self, rng, rate, training):
+        # an identity forward returns its input; a training one gives one
+        # identity backward, and an inference one none, as for every step
         drop = L.Dropout(rate)
         x = rng.normal(size=(2, 3, 4))
-        drop.forward(x, training=training, rng=rng)
+        assert drop.forward(x, training=training, rng=rng) is x
         dout = rng.normal(size=x.shape)
-        assert drop.backward(dout) is dout
-        assert drop.backward(dout) is dout
+        if training:
+            assert drop.backward(dout) is dout
+        with pytest.raises(StateError):
+            drop.backward(dout)
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(RangeError):
@@ -646,37 +683,30 @@ class TestBceLoss:
         (lambda rng: L.BiGRU(3, 4, rng=rng), (2, 5, 3)),
         (lambda rng: L.TimeDense(3, 2, activation="tanh", rng=rng), (2, 5, 3)),
         (lambda rng: L.Dropout(0.5), (2, 5, 3)),
+        (lambda rng: L.Dropout(0.0), (2, 5, 3)),
+        (lambda rng: L.FlattenFreq(), (2, 5, 3, 2)),
     ],
-    ids=["conv2d", "conv_block", "bigru", "time_dense", "dropout"],
+    ids=["conv2d", "conv_block", "bigru", "time_dense", "dropout", "identity_dropout", "flatten_freq"],
 )
 def test_second_backward_is_state_error(rng, make_layer, shape):
-    # backward consumes the forward's state, so a repeat must not return
-    # numbers from a stale cache
+    # backward releases the forward's state, so a repeat must not return
+    # numbers from a stale one; inference batches run between training
+    # steps, so whatever an inference forward kept would stay alive until
+    # the next step, and it drops the state of an earlier training forward
     layer = make_layer(rng)
-    out = layer.forward(rng.normal(size=shape), training=True, rng=rng)
+    x = rng.normal(size=shape)
+    out = layer.forward(x, training=True, rng=rng)
     layer.backward(np.ones_like(out))
-    with pytest.raises(StateError):
+    with pytest.raises(StateError, match="backward needs a training-mode forward"):
         layer.backward(np.ones_like(out))
-
-
-@pytest.mark.parametrize(
-    "make_layer, shape",
-    [
-        (lambda rng: L.Conv2D(2, 3, rng=rng), (2, 4, 5, 2)),
-        (lambda rng: L.BiGRU(3, 4, rng=rng), (2, 5, 3)),
-        (lambda rng: L.TimeDense(3, 2, activation="tanh", rng=rng), (2, 5, 3)),
-    ],
-    ids=["conv2d", "bigru", "time_dense"],
-)
-def test_inference_forward_keeps_no_backward_state(rng, make_layer, shape):
-    # inference batches run between training steps, so whatever an
-    # inference forward cached would stay alive until the next step; it
-    # also drops the state of an earlier training forward
-    layer = make_layer(rng)
-    out = layer.forward(rng.normal(size=shape), training=True)
-    layer.forward(rng.normal(size=shape))
-    assert layer._cache is None
-    with pytest.raises(StateError):
+    layer.forward(x, training=True, rng=rng)
+    layer.forward(x)
+    # a conv block holds no state of its own: its batch norm holds x-hat
+    # and inv_std
+    holder = layer.bn if isinstance(layer, L.ConvBlock) else layer
+    assert not hasattr(layer, "_cache") or holder is layer
+    assert holder._cache is None
+    with pytest.raises(StateError, match="backward needs a training-mode forward"):
         layer.backward(np.ones_like(out))
 
 

@@ -562,7 +562,7 @@ class TestConvBlock:
         out = block.forward(x, training=True)
         # pooling first, then scaling and shifting, gives the same bits as
         # the reverse: the affine map is monotone, and so is its rounding
-        x_hat = block._cache[0].copy()
+        x_hat = block.bn._cache[0].copy()
         assert np.array_equal(out, max_pool_by_hand(x_hat * gamma + beta, factor)[0])
         dout = rng.normal(size=out.shape)
         x_before, dout_before = x.copy(), dout.copy()
