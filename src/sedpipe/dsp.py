@@ -44,7 +44,14 @@ def frame_count(n_samples: int, hop: int) -> int:
 
 
 def stft(
-    samples, window_len: int, fft_size: int, hop: int, start: int = 0, stop: int | None = None
+    samples,
+    window_len: int,
+    fft_size: int,
+    hop: int,
+    start: int = 0,
+    stop: int | None = None,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Short-time Fourier transform with centered frames.
 
@@ -61,7 +68,10 @@ def stft(
     raises :class:`RangeError`.
 
     Returns the one-sided bins as a ``(min(stop, F) - start, fft_size//2 + 1)``
-    complex array, no rows when ``start >= F``.
+    complex array, no rows when ``start >= F``. A caller that transforms
+    many ranges can pass flat buffers to reuse: the bins are then written to
+    the front of the complex128 ``out`` and returned as a view of it, and
+    the windowed frames to the front of the float64 ``work``.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1:
@@ -83,13 +93,23 @@ def stft(
     if start >= stop:
         return np.zeros((0, fft_size // 2 + 1), dtype=np.complex128)
 
-    # samples [lo, hi) of the zero-extended signal hold frames [start, stop)
+    # samples [lo, hi) of the zero-extended signal hold frames [start, stop);
+    # only a range that reaches past either end of the signal is copied
     lo = start * hop - window_len // 2
     hi = (stop - 1) * hop - window_len // 2 + window_len
-    padded = np.concatenate((np.zeros(max(0, -lo)), x[max(0, lo) : hi], np.zeros(max(0, hi - n))))
+    if 0 <= lo and hi <= n:
+        padded = x[lo:hi]
+    else:
+        padded = np.concatenate((np.zeros(max(0, -lo)), x[max(0, lo) : hi], np.zeros(max(0, hi - n))))
 
     frames = np.lib.stride_tricks.sliding_window_view(padded, window_len)[::hop]
-    return np.fft.rfft(frames * hamming_window(window_len), n=fft_size, axis=1)
+    rows = stop - start
+    if work is not None:
+        work = work[: rows * window_len].reshape(rows, window_len)
+    if out is not None:
+        out = out[: rows * (fft_size // 2 + 1)].reshape(rows, fft_size // 2 + 1)
+    windowed = np.multiply(frames, hamming_window(window_len), out=work)
+    return np.fft.rfft(windowed, n=fft_size, axis=1, out=out)
 
 
 def power_spectrum(spectra) -> np.ndarray:

@@ -8,10 +8,16 @@ same frame count F whatever the analysis window; at the defaults:
   bin-mul-mbe  per-channel, windows 1024/4096/16384   (F, 40, 6)
   bin-fft      per-channel STFT magnitude and phase   (F, 1024, 4)
 
-Every extractor transforms a channel in blocks of at most ``_BLOCK_FRAMES``
-frames and ``_BLOCK_BYTES`` of frame samples through ``dsp.stft``, and
-reduces each block straight into its preallocated (F, B, Ch) output, so no
-array holds the spectra of a whole clip.
+Every extractor splits a clip's ``_BLOCK_FRAMES`` blocks of frames into one
+contiguous group per core, and runs each group, at every resolution and on
+every channel, on a thread of its own that lives for one extraction (see
+:mod:`sedpipe.cores`). A group transforms its frames through ``dsp.stft`` in
+blocks of at most ``_BLOCK_FRAMES`` frames and its share of ``_BLOCK_BYTES``
+of frame samples, into buffers that the calling thread allocates, and
+reduces each block straight into the preallocated (F, B, Ch) output, so no
+array holds the spectra of a whole clip. Every output element comes from
+the same operations whatever group holds it, so the features do not depend
+on the number of cores.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import dsp
+from . import cores, dsp
 from .audio_io import AudioClip, EventRoll, atomic_write, to_mono
 from .errors import ChannelError, ConfigError, RangeError, ShapeError, StateError
 
@@ -38,10 +44,11 @@ _STD_FLOOR = 1e-8
 # also stay clear of the small-product kernel OpenBLAS uses up to 30 rows at
 # 40 mels, which rounds differently.
 _BLOCK_FRAMES = 64
-# Bytes of float64 frame samples per STFT block: 64 frames up to 4096
-# points and 16 at 16384, so a block's windowed frames and its spectra take
-# at most 2 MiB each, which keeps extraction's heap small. The mel product
-# still runs over 64 rows.
+# Bytes of float64 frame samples in the STFT blocks of one extraction,
+# shared equally by its jobs: alone, a job takes 64 frames up to 4096
+# points and 16 at 16384, two take half that each, so the windowed frames
+# and the spectra of all jobs' blocks take at most 2 MiB each, which keeps
+# extraction's heap small. The mel product still runs over 64 rows.
 _BLOCK_BYTES = 2 * 2**20
 _ARCHIVE_MAGIC = b"SEDF"
 _ARCHIVE_VERSION = 1
@@ -103,14 +110,53 @@ def effective_f_max(f_max: float, sample_rate: int) -> float:
     return f_max
 
 
-def _stft_blocks(samples, window_len: int, fft_size: int, hop: int, start: int, stop: int):
-    """``(rows, spectra)`` for consecutive blocks of frames ``[start, stop)``
-    of one channel's STFT, each at most ``_BLOCK_FRAMES`` frames and
-    ``_BLOCK_BYTES`` of frame samples; ``rows`` slices the frame axis."""
-    step = max(1, min(_BLOCK_FRAMES, _BLOCK_BYTES // (8 * fft_size)))
-    for lo in range(start, stop, step):
-        rows = slice(lo, min(lo + step, stop))
-        yield rows, dsp.stft(samples, window_len, fft_size, hop, rows.start, rows.stop)
+class _Buffers(NamedTuple):
+    """One job's flat buffers, sized for its largest resolution."""
+
+    work: np.ndarray  # windowed frames of one STFT block, float64
+    spectra: np.ndarray  # their one-sided spectra, complex128
+    power: np.ndarray  # power spectra of one mel block at full height, float64
+
+
+def _stft_rows(fft_size: int, n_jobs: int) -> int:
+    """Frames per STFT block: at most ``_BLOCK_FRAMES``, and at most a
+    1/``n_jobs`` share of ``_BLOCK_BYTES`` of frame samples."""
+    return max(1, min(_BLOCK_FRAMES, _BLOCK_BYTES // n_jobs // (8 * fft_size)))
+
+
+def _jobs(n_frames: int, resolutions: Sequence[tuple[int, int]], mel: bool) -> list:
+    """The clip's ``_BLOCK_FRAMES`` blocks in one contiguous group of frames
+    per core (one empty group for an empty clip), each with the buffers its
+    blocks are written to at every (window length, FFT size) resolution.
+    The buffers are allocated here, on the calling thread (see
+    :func:`sedpipe.cores.run`); a mel job's power buffer is zeroed, since
+    the rows of a short last block past the clip enter its mel product."""
+    n_blocks = -(-n_frames // _BLOCK_FRAMES)
+    groups = cores.split(n_blocks, max(1, min(n_blocks, cores.count())))
+    rows = {fft_size: _stft_rows(fft_size, len(groups)) for _, fft_size in resolutions}
+    work = max(rows[fft_size] * window_len for window_len, fft_size in resolutions)
+    bins = max(fft_size // 2 + 1 for fft_size in rows)
+    spectra = max(n * (fft_size // 2 + 1) for fft_size, n in rows.items())
+    power = min(n_frames, _BLOCK_FRAMES) * bins if mel else 0
+    return [
+        (
+            slice(g.start * _BLOCK_FRAMES, min(g.stop * _BLOCK_FRAMES, n_frames)),
+            _Buffers(np.empty(work), np.empty(spectra, dtype=np.complex128), np.zeros(power)),
+        )
+        for g in groups
+    ]
+
+
+def _stft_blocks(samples, window_len: int, fft_size: int, hop: int, frames: slice, n_jobs: int, buffers):
+    """``(rows, spectra)`` for consecutive STFT blocks of ``frames`` of one
+    channel, each of at most ``_stft_rows`` frames and written to
+    ``buffers``; ``rows`` slices the frame axis."""
+    step = _stft_rows(fft_size, n_jobs)
+    for lo in range(frames.start, frames.stop, step):
+        rows = slice(lo, min(lo + step, frames.stop))
+        yield rows, dsp.stft(
+            samples, window_len, fft_size, hop, rows.start, rows.stop, out=buffers.spectra, work=buffers.work
+        )
 
 
 def _log_mel(
@@ -122,21 +168,34 @@ def _log_mel(
     The channel axis is resolution-major: (r0 ch0, r0 ch1, r1 ch0, ...).
     """
     f_top = effective_f_max(cfg.f_max, clip.sample_rate)
+    banks = [dsp.mel_filterbank(cfg.n_mels, n, clip.sample_rate, cfg.f_min, f_top) for _, n in resolutions]
     n_ch = clip.n_channels
     n_frames = dsp.frame_count(clip.n_samples, hop)
+    height = min(n_frames, _BLOCK_FRAMES)
     out = np.empty((n_frames, cfg.n_mels, n_ch * len(resolutions)))
-    for r, (window_len, fft_size) in enumerate(resolutions):
-        bank = dsp.mel_filterbank(cfg.n_mels, fft_size, clip.sample_rate, cfg.f_min, f_top)
-        # a short last block is projected at the full block height, so every
-        # frame's mel sums come from the same BLAS kernel as in a whole-clip
-        # product: OpenBLAS rounds small products differently
-        power = np.zeros((min(n_frames, _BLOCK_FRAMES), bank.n_bins))
-        for ch, samples in enumerate(clip.samples):
-            for start in range(0, n_frames, _BLOCK_FRAMES):
-                stop = min(start + _BLOCK_FRAMES, n_frames)
-                for rows, spectra in _stft_blocks(samples, window_len, fft_size, hop, start, stop):
-                    power[rows.start - start : rows.stop - start] = dsp.power_spectrum(spectra)
-                out[start:stop, :, r * n_ch + ch] = dsp.log_mel_energies(power, bank)[: stop - start]
+    jobs = _jobs(n_frames, resolutions, mel=True)
+
+    def job(task):
+        frames, buffers = task
+        for r, ((window_len, fft_size), bank) in enumerate(zip(resolutions, banks)):
+            # a short last block is projected at the full block height, so
+            # every frame's mel sums come from the same BLAS kernel as in a
+            # whole-clip product: OpenBLAS rounds small products differently
+            power = buffers.power[: height * bank.n_bins].reshape(height, bank.n_bins)
+            for ch, samples in enumerate(clip.samples):
+                for start in range(frames.start, frames.stop, _BLOCK_FRAMES):
+                    block = slice(start, min(start + _BLOCK_FRAMES, frames.stop))
+                    blocks = _stft_blocks(samples, window_len, fft_size, hop, block, len(jobs), buffers)
+                    for rows, spectra in blocks:
+                        # |z|^2 as re*re + im*im, squared in the spectra's
+                        # own buffer
+                        parts = spectra.view(np.float64)
+                        np.square(parts, out=parts)
+                        lo, hi = rows.start - start, rows.stop - start
+                        np.add(parts[:, 0::2], parts[:, 1::2], out=power[lo:hi])
+                    out[block, :, r * n_ch + ch] = dsp.log_mel_energies(power, bank)[: block.stop - start]
+
+    cores.run(job, jobs)
     return out
 
 
@@ -160,16 +219,23 @@ def _magnitude_phase(clip: AudioClip, hop: int, cfg: FeatureConfig) -> np.ndarra
     window_len = _samples(cfg.window_ms, clip.sample_rate)
     n_frames = dsp.frame_count(clip.n_samples, hop)
     out = np.empty((n_frames, cfg.fft_size // 2, 4))
-    for ch, samples in enumerate(clip.samples):
-        for rows, spectra in _stft_blocks(samples, window_len, cfg.fft_size, hop, 0, n_frames):
-            spectra = spectra[:, 1:]
-            mag = out[rows, :, ch]
-            np.abs(spectra, out=mag)
-            if cfg.fft_log_magnitude:
-                np.log(np.maximum(mag, dsp.LOG_FLOOR, out=mag), out=mag)
-            phase = out[rows, :, 2 + ch]
-            np.arctan2(spectra.imag, spectra.real, out=phase)
-            phase[phase <= -np.pi] = np.pi
+    jobs = _jobs(n_frames, ((window_len, cfg.fft_size),), mel=False)
+
+    def job(task):
+        frames, buffers = task
+        for ch, samples in enumerate(clip.samples):
+            blocks = _stft_blocks(samples, window_len, cfg.fft_size, hop, frames, len(jobs), buffers)
+            for rows, spectra in blocks:
+                spectra = spectra[:, 1:]
+                mag = out[rows, :, ch]
+                np.abs(spectra, out=mag)
+                if cfg.fft_log_magnitude:
+                    np.log(np.maximum(mag, dsp.LOG_FLOOR, out=mag), out=mag)
+                phase = out[rows, :, 2 + ch]
+                np.arctan2(spectra.imag, spectra.real, out=phase)
+                phase[phase <= -np.pi] = np.pi
+
+    cores.run(job, jobs)
     return out
 
 

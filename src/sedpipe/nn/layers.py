@@ -19,20 +19,18 @@ and shift after the pool.
 :class:`Conv2D` and :class:`ConvBlock` split a batch into contiguous sample
 ranges, one per core (see :func:`_sample_ranges`), and run each range's
 GEMMs and elementwise passes on its own thread, which lives for that one
-pass (see :func:`_run`). Every element is computed by the same operations
-whatever range holds it, batch statistics are whole-batch reductions, and
-the kernel gradient is summed in one declared order (each sample's time
-blocks, then the samples in order), so results do not depend on the number
-of cores.
+pass (see :func:`sedpipe.cores.run`). Every element is computed by the same
+operations whatever range holds it, batch statistics are whole-batch
+reductions, and the kernel gradient is summed in one declared order (each
+sample's time blocks, then the samples in order), so results do not depend
+on the number of cores.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
+from .. import cores
 from ..errors import CheckpointError, RangeError, ShapeError, StateError
 
 
@@ -116,24 +114,13 @@ def _im2col(xp, out):
 _PATCH_BYTES = 4 * 2**20
 
 
-def _split(total: int, n: int) -> list[slice]:
-    """``range(total)`` as ``n`` contiguous slices of near-equal sizes."""
-    bounds = [total * k // n for k in range(n + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-
 def _time_blocks(t: int, b: int, c: int) -> list[slice]:
     """Whole time rows of a (T, B, C) sample in near-equal blocks whose
     patch matrices hold at most ``_PATCH_BYTES`` (or one time row). Equal
     sizes keep every block's GEMM as large as the budget allows: OpenBLAS
     rounds small products in another kernel."""
     per_block = max(1, _PATCH_BYTES // (b * 9 * c * 8))
-    return _split(t, -(-t // per_block))
-
-
-def _cores() -> int:
-    """The cores this process may run on."""
-    return len(os.sched_getaffinity(0))
+    return cores.split(t, -(-t // per_block))
 
 
 def _sample_ranges(conv_map) -> list[slice]:
@@ -142,29 +129,7 @@ def _sample_ranges(conv_map) -> list[slice]:
     than one range's patch budget is one range: at that size handing work
     to another thread costs more than it saves."""
     s = conv_map.shape[0]
-    return _split(s, min(s, _cores()) if conv_map.nbytes >= _PATCH_BYTES else 1)
-
-
-def _run(fn, jobs: list) -> None:
-    """Call ``fn(job)`` for every job, one per sample range: the first on
-    the calling thread, each other one on a thread of its own that lives
-    for this call only (numpy releases the interpreter lock inside its
-    GEMMs and loops). Returns, or raises a call's exception with its own
-    type (the earliest job's first), only after every call has finished and
-    every thread has ended, so no thread outlives a pass and a forked child
-    has nothing to reset.
-
-    Memory that a thread allocates and frees stays in that thread's malloc
-    arena, so the callers allocate the patch buffers and the pooled-size
-    arrays that the jobs write, and hand each job its part."""
-    if len(jobs) == 1:
-        fn(jobs[0])
-        return
-    with ThreadPoolExecutor(len(jobs) - 1, thread_name_prefix="sedpipe-nn") as pool:
-        futures = [pool.submit(fn, job) for job in jobs[1:]]
-        fn(jobs[0])
-    for future in futures:
-        future.result()
+    return cores.split(s, min(s, cores.count()) if conv_map.nbytes >= _PATCH_BYTES else 1)
 
 
 class Conv2D(Layer):
@@ -212,7 +177,7 @@ class Conv2D(Layer):
                     block = out[q, rows].reshape(-1, self.filters)
                     np.matmul(_im2col(xp[q, rows.start : rows.stop + 2], patch_rows), kmat, out=block)
 
-        _run(run, list(zip(ranges, self._patch_buffers(len(ranges), blocks, b))))
+        cores.run(run, list(zip(ranges, self._patch_buffers(len(ranges), blocks, b))))
         self._keep(training, xp)
         return out
 
@@ -250,7 +215,7 @@ class Conv2D(Layer):
                         for j in range(3):
                             dxp[q, lo + i : hi + i, j : j + b] += dcols[:, :, i, j]
 
-        _run(run, list(zip(ranges, self._patch_buffers(len(ranges), blocks, b))))
+        cores.run(run, list(zip(ranges, self._patch_buffers(len(ranges), blocks, b))))
         dk = np.zeros_like(kmat)
         for partial in partials:
             dk += partial
@@ -291,14 +256,14 @@ class BatchNorm(Layer):
         # einsum reductions over axis 0 run several times faster than
         # .mean(axis=0) when F is small, with the same summation order
         mean = np.einsum("ij->j", x2) / x2.shape[0]
-        _run(lambda r: np.subtract(x[r], mean, out=x[r]), ranges)
+        cores.run(lambda r: np.subtract(x[r], mean, out=x[r]), ranges)
         var = np.einsum("ij,ij->j", x2, x2) / x2.shape[0]
         m = self.momentum
         self.buffers["running_mean"] = m * self.buffers["running_mean"] + (1 - m) * mean
         self.buffers["running_var"] = m * self.buffers["running_var"] + (1 - m) * var
         self.buffers["updates"] = self.buffers["updates"] + 1
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        _run(lambda r: np.multiply(x[r], inv_std, out=x[r]), ranges)
+        cores.run(lambda r: np.multiply(x[r], inv_std, out=x[r]), ranges)
         return inv_std
 
     def _inference_affine(self):
@@ -392,7 +357,7 @@ class ConvBlock:
     becomes x̂ in place and, in backward, the conv's output gradient. Every
     pass over it runs one sample range per thread, over the conv's ranges,
     into pooled-size arrays that the calling thread allocates once for the
-    whole batch (see :func:`_run`).
+    whole batch (see :func:`sedpipe.cores.run`).
     """
 
     def __init__(self, conv: Conv2D, bn: BatchNorm, pool: MaxPoolFreq):
@@ -413,7 +378,7 @@ class ConvBlock:
         flip = scale < 0
         out = np.empty(m.shape[:3] + m.shape[4:])
         mins = np.empty(out.shape) if flip.any() else None
-        _run(lambda r: _select(m[r], flip, out[r], None if mins is None else mins[r]), ranges)
+        cores.run(lambda r: _select(m[r], flip, out[r], None if mins is None else mins[r]), ranges)
         out *= scale
         out += shift
         return out
@@ -436,7 +401,7 @@ class ConvBlock:
             sel = _select(m[r], flip, pooled[r], scratch[r])
             _first_tap(m[r], sel, arg[r], notyet[r], differs[r])
 
-        _run(first_taps, ranges)
+        cores.run(first_taps, ranges)
         d2 = dout.reshape(-1, n)
         dbeta = np.einsum("ij->j", d2)
         dgamma = np.einsum("ij,ij->j", d2, pooled.reshape(-1, n))
@@ -455,7 +420,7 @@ class ConvBlock:
             g = np.multiply(dout[r], route, out=pooled[r])
             _add_at_taps(m[r], arg[r], g, scratch[r], differs[r])
 
-        _run(spread, ranges)
+        cores.run(spread, ranges)
         del pooled, scratch, arg, notyet, differs  # free the routing arrays before the conv's backward
         return self.conv.backward(x_hat, input_grad=input_grad)
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
+import threading
 import tracemalloc
 from dataclasses import asdict
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import chunks_by_hand, direct_dft, mel_frame_by_hand
-from sedpipe import audio_io, dsp, features, synth
+from sedpipe import audio_io, cores, dsp, features, synth
 from sedpipe.audio_io import AudioClip, EventRoll, to_mono
 from sedpipe.config import FeatureConfig
 from sedpipe.errors import ChannelError, ShapeError, StateError
@@ -78,10 +79,16 @@ class TestExtractMbe:
         expected = np.log(np.maximum(power @ bank.weights.T, 1e-10))
         assert np.max(np.abs(tensor.data[f, :, 0] - expected)) < 1e-9
 
-    def test_f_max_above_nyquist_warns_and_clamps(self):
-        clip = AudioClip(samples=np.zeros((1, 44100)), sample_rate=44100)
-        with pytest.warns(UserWarning, match="Nyquist"):
-            features.extract(clip, "mbe", f_max=22500.0)
+    @pytest.mark.parametrize("fc", ["mbe", "bin-mbe", "bin-mul-mbe"])
+    def test_f_max_above_nyquist_warns_and_clamps(self, monkeypatch, fc):
+        # three cores split the 130 frames into three groups; the clamp
+        # warns once, on the calling thread, whatever thread runs a group
+        monkeypatch.setattr(cores, "count", lambda: 3)
+        clip = AudioClip(samples=np.zeros((2, 130 * 882)), sample_rate=44100)
+        with pytest.warns(UserWarning, match="Nyquist") as record:
+            clamped = features.extract(clip, fc, f_max=22500.0)
+        assert len(record) == 1
+        assert np.array_equal(clamped.data, features.extract(clip, fc, f_max=F_MAX).data)
 
 
 class TestExtractBinMbe:
@@ -267,15 +274,72 @@ class TestDispatcher:
         assert np.array_equal(a.data, b.data)
 
 
-class TestExtractMemory:
-    @pytest.fixture(scope="class")
-    def ten_second_clip(self) -> AudioClip:
-        spec = synth.SynthSpec(n_clips=1, duration_s=10.0, seed=5)
-        return next(iter(synth.synth_dataset(spec)))[0]
+@pytest.fixture(scope="module")
+def ten_second_clip() -> AudioClip:
+    spec = synth.SynthSpec(n_clips=1, duration_s=10.0, seed=5)
+    return next(iter(synth.synth_dataset(spec)))[0]
 
+
+class TestCoreCount:
+    """Each clip's 64-frame blocks split into one contiguous group per core,
+    each run on its own thread for one extraction."""
+
+    @pytest.mark.parametrize("fc", features.FEATURE_CLASSES)
+    @pytest.mark.parametrize("n_frames", BLOCK_SEAM_FRAMES + ["10 s"])
+    def test_features_do_not_depend_on_the_core_count(self, rng, monkeypatch, ten_second_clip, fc, n_frames):
+        clip = ten_second_clip if n_frames == "10 s" else noise_clip(rng, n_frames)
+        results = []
+        for n in (1, 2, 3):
+            monkeypatch.setattr(cores, "count", lambda: n)
+            results.append(features.extract(clip, fc, f_max=F_MAX).data)
+        for other in results[1:]:
+            assert other.shape == results[0].shape
+            assert np.array_equal(other, results[0])
+
+    @pytest.mark.parametrize(
+        "n_frames, groups",
+        [(0, [(0, 0)]), (1, [(0, 1)]), (65, [(0, 64), (64, 65)]), (130, [(0, 64), (64, 128), (128, 130)]),
+         (500, [(0, 128), (128, 320), (320, 500)])],
+    )
+    def test_groups_are_whole_blocks_one_per_core(self, monkeypatch, n_frames, groups):
+        monkeypatch.setattr(cores, "count", lambda: 3)
+        jobs = features._jobs(n_frames, ((1764, 2048),), mel=True)
+        assert [(frames.start, frames.stop) for frames, _ in jobs] == groups
+
+    @pytest.mark.parametrize("fc", features.FEATURE_CLASSES)
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_no_thread_outlives_an_extraction(self, rng, monkeypatch, fc, fails):
+        # every group past the first runs on a sedpipe thread, which ends
+        # with the call, also when a group raises
+        class Failure(Exception):
+            pass
+
+        monkeypatch.setattr(cores, "count", lambda: 3)
+        names = set()
+        stft = dsp.stft
+
+        def traced_stft(samples, window_len, fft_size, hop, start, stop, **buffers):
+            names.add(threading.current_thread().name.split("_")[0])
+            if fails and start >= 128:
+                raise Failure()
+            return stft(samples, window_len, fft_size, hop, start, stop, **buffers)
+
+        monkeypatch.setattr(dsp, "stft", traced_stft)
+        before = threading.active_count()
+        if fails:
+            with pytest.raises(Failure):
+                features.extract(noise_clip(rng, 130), fc, f_max=F_MAX)
+        else:
+            assert features.extract(noise_clip(rng, 130), fc, f_max=F_MAX).n_frames == 130
+        assert threading.active_count() == before
+        assert names == {"MainThread", "sedpipe"}
+
+
+class TestExtractMemory:
     # whole-clip transforms peaked at 194 MiB (bin-mul-mbe) and 43 MiB (bin-fft)
     # of traced numpy memory; blocks of at most 64 frames and 2 MiB of frame
-    # samples need about 15 and 19 MiB (64-frame blocks alone: 32 and 19)
+    # samples need about 13 and 18 MiB on one core (64-frame blocks alone:
+    # 32 and 19), and about 17 and 20 MiB split between two cores
     @pytest.mark.parametrize("fc, bound_mib", [("bin-mul-mbe", 24), ("bin-fft", 32)])
     def test_peak_traced_memory_is_bounded(self, ten_second_clip, fc, bound_mib):
         tracemalloc.start()

@@ -18,6 +18,7 @@ from oracles import (
     max_pool_by_hand,
     max_relative_error,
 )
+from sedpipe import cores
 from sedpipe.errors import RangeError, ShapeError, StateError
 from sedpipe.nn import CrnnArch, build_crnn
 from sedpipe.nn import layers as L
@@ -177,9 +178,10 @@ THREAD_COUNT_SCRIPT = """
 import threading
 import numpy as np
 import sedpipe
+from sedpipe import cores
 from sedpipe.nn import CrnnArch, build_crnn, layers
 counts = [threading.active_count()]
-layers._cores = lambda: 2
+cores.count = lambda: 2
 arch = CrnnArch(n_bins=40, n_channels=2, n_classes=3, conv_layers=2, filters=16,
                 gru_layers=1, gru_units=32, dense_layers=1, dense_units=32, dropout=0.25)
 model = build_crnn(arch, np.random.default_rng(0))
@@ -209,7 +211,7 @@ class TestSampleRanges:
         # one time row per patch block, so every conv map below is over
         # the budget, and three cores
         monkeypatch.setattr(L, "_PATCH_BYTES", 8)
-        monkeypatch.setattr(L, "_cores", lambda: 3)
+        monkeypatch.setattr(cores, "count", lambda: 3)
 
     @pytest.mark.parametrize("failing", [0, 1])
     @pytest.mark.parametrize("phase", ["forward", "backward"])
@@ -286,13 +288,13 @@ class TestSampleRanges:
         assert cached <= kept < cached + out.size / 4
 
     def test_no_thread_at_import_or_at_protocol_shapes(self):
-        # a range ran on a sedpipe-nn thread, and that thread ended with
+        # a range ran on a sedpipe thread, and that thread ended with
         # its pass
         proc = subprocess.run(
             [sys.executable, "-c", THREAD_COUNT_SCRIPT], capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[1, 1, 1] ['MainThread', 'sedpipe-nn']"
+        assert proc.stdout.strip() == "[1, 1, 1] ['MainThread', 'sedpipe']"
 
 
 class TestBatchNorm:

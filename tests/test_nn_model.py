@@ -14,6 +14,7 @@ from oracles import (
     max_pool_by_hand,
     max_relative_error,
 )
+from sedpipe import cores
 from sedpipe.errors import CheckpointError, ConfigError, RangeError, ShapeError, StateError
 from sedpipe.features import Normalizer
 from sedpipe.nn import (
@@ -619,7 +620,7 @@ class TestConvBlock:
         x, dout = data.normal(size=(5, 7, 20, 2)), data.normal(size=(5, 7, 4, 3))
         results = {}
         for workers in (1, 3):
-            monkeypatch.setattr(layers, "_cores", lambda: workers)
+            monkeypatch.setattr(cores, "count", lambda: workers)
             assert len(layers._sample_ranges(np.empty((5, 7, 20, 3)))) == workers
             block = make_block(np.random.default_rng(12))
             out = block.forward(x, training=True)
