@@ -93,8 +93,8 @@ class EventRoll:
             )
         if a.size and not np.isin(a, (0, 1)).all():
             raise AnnotationError("activity entries must be 0 or 1")
-        if self.hop_seconds <= 0:
-            raise RangeError(f"hop_seconds must be positive, got {self.hop_seconds}")
+        if not 0 < self.hop_seconds < np.inf:
+            raise RangeError(f"hop_seconds must be positive and finite, got {self.hop_seconds}")
 
     @property
     def n_frames(self) -> int:
@@ -231,8 +231,10 @@ def read_annotations(path, class_names: Sequence[str] | None = None) -> list[Eve
         try:
             onset = float(parts[0])
             offset = float(parts[1])
+            if not (np.isfinite(onset) and np.isfinite(offset)):
+                raise ValueError(parts)
         except ValueError:
-            raise AnnotationError(f"{path}: line {lineno}: onset/offset are not decimal seconds") from None
+            raise AnnotationError(f"{path}: line {lineno}: onset/offset are not finite decimal seconds") from None
         label = parts[2]
         if vocab is not None and label not in vocab:
             raise AnnotationError(f"{path}: line {lineno}: unknown label {label!r}")
@@ -269,8 +271,8 @@ def events_to_roll(
     the end of the roll are clipped, not rejected."""
     if n_frames <= 0:
         raise RangeError(f"n_frames must be positive, got {n_frames}")
-    if hop_seconds <= 0:
-        raise RangeError(f"hop_seconds must be positive, got {hop_seconds}")
+    if not 0 < hop_seconds < np.inf:
+        raise RangeError(f"hop_seconds must be positive and finite, got {hop_seconds}")
     index = {name: i for i, name in enumerate(class_names)}
     activity = np.zeros((n_frames, len(class_names)), dtype=np.uint8)
     for ev in events:

@@ -204,18 +204,18 @@ def cmd_search(args) -> int:
         _write_lines(trial_dir / "config.txt", dump_config(trial_cfg).splitlines())
         _write_lines(
             trial_dir / "metrics.tsv",
-            (f"{key}\t{_fmt(getattr(trial, key))}" for key in ("mean_er", "std_er", "mean_f", "std_f")),
+            (f"{key}\t{_fmt(getattr(trial.summary, key))}" for key in ("mean_er", "std_er", "mean_f", "std_f")),
         )
 
     ranked = random_search(cfg, on_trial=on_trial)
     lines = ["rank\ttrial\tmean_er\tmean_f"]
     lines += [
-        f"{rank}\t{trial.index}\t{_fmt(trial.mean_er)}\t{_fmt(trial.mean_f)}"
+        f"{rank}\t{trial.index}\t{_fmt(trial.summary.mean_er)}\t{_fmt(trial.summary.mean_f)}"
         for rank, trial in enumerate(ranked, start=1)
     ]
     _write_lines(out / "ranking.tsv", lines)
     best = ranked[0]
-    print(f"best trial {best.index}: ER {best.mean_er:.2f}, F {100 * best.mean_f:.1f}")
+    print(f"best trial {best.index}: ER {best.summary.mean_er:.2f}, F {100 * best.summary.mean_f:.1f}")
     print(out)
     return 0
 

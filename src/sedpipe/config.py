@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -172,7 +173,10 @@ def _parse_value(raw: str, kind, key: str):
         if kind is int:
             return int(raw)
         if kind is float:
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ConfigError(f"key {key!r}: {raw!r} is not a finite number")
+            return value
         if kind is bool:
             if raw.lower() not in _BOOL_WORDS:
                 raise ValueError(raw)

@@ -123,10 +123,6 @@ def mel_from_hz(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
 
 
-def hz_from_mel(m):
-    return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
-
-
 @dataclass(frozen=True)
 class MelFilterbank:
     """Triangular mel filterbank weights over one-sided FFT bins.

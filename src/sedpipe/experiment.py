@@ -114,32 +114,31 @@ def _split_sequences(clips: list[tuple[FeatureTensor, EventRoll]], normalizer, s
 def run_fold(
     cfg: ExperimentConfig,
     fold: int,
-    seed: int | None = None,
-    feature_cache: dict | None = None,
-    manifest_rows: list[ManifestRow] | None = None,
+    seed: int,
+    feature_cache: dict,
+    manifest_rows: list[ManifestRow],
 ) -> FoldResult:
-    """Train on the fold's train split and score its test split.
+    """Train on the fold's train split with the run seed ``seed`` and score
+    its test split.
 
     The monitored split follows ``cfg.train.monitor`` (validation unless the
     config explicitly asks for the test split). Both are scored per clip by
     :func:`sedpipe.nn.training.monitor_scores`. ``manifest_rows`` are the
-    config's manifest, already read; without them the manifest is read here.
+    config's manifest, already read; ``feature_cache`` maps each clip's
+    audio path to its features and roll, and fills as clips load.
     """
-    rows = read_manifest(cfg.data.manifest_path()) if manifest_rows is None else manifest_rows
     class_names = synth.class_names(cfg.data)
-    roles = split_rows(rows, fold, cfg.train.monitor)
+    roles = split_rows(manifest_rows, fold, cfg.train.monitor)
 
-    cache = feature_cache if feature_cache is not None else {}
-    train_clips = _load_split(roles["train"], cfg, class_names, cache)
-    monitor_clips = _load_split(roles[cfg.train.monitor], cfg, class_names, cache)
-    test_clips = _load_split(roles["test"], cfg, class_names, cache)
+    train_clips = _load_split(roles["train"], cfg, class_names, feature_cache)
+    monitor_clips = _load_split(roles[cfg.train.monitor], cfg, class_names, feature_cache)
+    test_clips = _load_split(roles["test"], cfg, class_names, feature_cache)
 
     normalizer = fit_normalizer([tensor for tensor, _ in train_clips])
     seq_len = cfg.train.sequence_length
     train_batch = _split_sequences(train_clips, normalizer, seq_len)
     monitor_batch = _split_sequences(monitor_clips, normalizer, seq_len)
 
-    run_seed = cfg.train.seed if seed is None else seed
     sample = train_clips[0][0]
     arch = CrnnArch(
         n_bins=sample.n_bins,
@@ -147,10 +146,10 @@ def run_fold(
         n_classes=len(class_names),
         **dataclasses.asdict(cfg.model),
     )
-    init_rng = np.random.default_rng(np.random.SeedSequence(run_seed).spawn(1)[0])
+    init_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     model = build_crnn(arch, init_rng)
 
-    model, history = train(model, train_batch, monitor_batch, dataclasses.replace(cfg.train, seed=run_seed))
+    model, history = train(model, train_batch, monitor_batch, dataclasses.replace(cfg.train, seed=seed))
     test_batch = _split_sequences(test_clips, normalizer, seq_len)
     report = training.monitor_scores(model, test_batch, cfg.train.threshold)
     log.info("fold %d: test ER %.4f, F %.1f%%", fold, report.error_rate, 100 * report.f_score)
@@ -203,10 +202,7 @@ def cross_validate(cfg: ExperimentConfig, feature_cache: dict | None = None, on_
 class TrialResult:
     index: int
     model: ModelConfig
-    mean_er: float
-    std_er: float
-    mean_f: float
-    std_f: float
+    summary: CvSummary
 
 
 def sample_model_config(space: SearchSection, rng: np.random.Generator, n_bins: int) -> ModelConfig:
@@ -231,12 +227,13 @@ def sample_model_config(space: SearchSection, rng: np.random.Generator, n_bins: 
     raise ConfigError("search space contains no valid configuration")
 
 
-def random_search(cfg: ExperimentConfig, seed: int | None = None, on_trial=None) -> list[TrialResult]:
-    """Evaluate ``cfg.search.trials`` sampled architectures with a truncated
-    epoch budget and rank them by mean ER, best first."""
+def random_search(cfg: ExperimentConfig, on_trial=None) -> list[TrialResult]:
+    """Evaluate ``cfg.search.trials`` architectures sampled with
+    ``cfg.train.seed`` under a truncated epoch budget and rank them by mean
+    ER, best first."""
     space = cfg.search
     n_trials = space.trials
-    rng = np.random.default_rng(cfg.train.seed if seed is None else seed)
+    rng = np.random.default_rng(cfg.train.seed)
     n_bins = feats.feature_spec(cfg.features.feature_class).bins(cfg.features)
 
     cache: dict = {}
@@ -255,17 +252,10 @@ def random_search(cfg: ExperimentConfig, seed: int | None = None, on_trial=None)
             ),
         )
         summary = cross_validate(trial_cfg, feature_cache=cache)
-        trial = TrialResult(
-            index=index,
-            model=model_cfg,
-            mean_er=summary.mean_er,
-            std_er=summary.std_er,
-            mean_f=summary.mean_f,
-            std_f=summary.std_f,
-        )
+        trial = TrialResult(index, model_cfg, summary)
         if on_trial is not None:
             on_trial(trial)
         trials.append(trial)
-        log.info("trial %d/%d: mean ER %.4f", index, n_trials, trial.mean_er)
+        log.info("trial %d/%d: mean ER %.4f", index, n_trials, trial.summary.mean_er)
 
-    return sorted(trials, key=lambda t: (t.mean_er, t.index))
+    return sorted(trials, key=lambda t: (t.summary.mean_er, t.index))

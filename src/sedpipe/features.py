@@ -69,6 +69,8 @@ class FeatureTensor:
             raise ShapeError(f"feature data must be 3-D (F, B, Ch), got shape {d.shape}")
         if d.size and not np.all(np.isfinite(d)):
             raise ShapeError("feature data contains non-finite values")
+        if not 0 < self.hop_seconds < np.inf:
+            raise RangeError(f"hop_seconds must be positive and finite, got {self.hop_seconds}")
         # bin counts follow the config (n_mels, fft size); channel counts are
         # fixed per class except bin-mul-mbe, which scales with the window set
         ch = d.shape[2]
@@ -479,5 +481,7 @@ def load_feature_archive(path) -> FeatureTensor:
         raise StateError(f"{path}: unknown feature class id {class_id}")
     if len(raw) - head_size != 4 * f * b * ch:
         raise StateError(f"{path}: payload size does not match header")
+    if not 0 < hop < np.inf:
+        raise StateError(f"{path}: hop {hop} s is not positive and finite")
     data = np.frombuffer(raw, dtype="<f4", offset=head_size).reshape(f, b, ch).astype(np.float64)
     return FeatureTensor(data=data, feature_class=_CLASS_FROM_ID[class_id], hop_seconds=hop)

@@ -25,33 +25,6 @@ from .model import (
     save_checkpoint,
     validate_pools,
 )
-from .optim import Adam, adam_step
+from .optim import Adam
 from .training import TrainHistory, monitor_scores, train
 
-__all__ = [
-    "ACTIVATIONS",
-    "Adam",
-    "BatchNorm",
-    "BiGRU",
-    "Conv2D",
-    "CrnnArch",
-    "Dropout",
-    "FlattenFreq",
-    "Layer",
-    "MaxPoolFreq",
-    "ModelGraph",
-    "TimeDense",
-    "TrainHistory",
-    "adam_step",
-    "bce_loss",
-    "build_baseline_mlp",
-    "build_crnn",
-    "load_checkpoint",
-    "mbe_context_windows",
-    "monitor_scores",
-    "pool_plan",
-    "save_checkpoint",
-    "sigmoid",
-    "train",
-    "validate_pools",
-]

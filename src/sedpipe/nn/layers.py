@@ -593,7 +593,6 @@ class BiGRU(Layer):
 _ACTIVATION_TABLE = {
     "linear": (lambda z: z, lambda g, y: g),
     "relu": (lambda z: np.maximum(z, 0.0), lambda g, y: g * (y > 0)),
-    "tanh": (np.tanh, lambda g, y: g * (1.0 - y * y)),
     # clamped so downstream cross-entropy stays finite
     "sigmoid": (
         lambda z: np.clip(sigmoid(z), SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP),

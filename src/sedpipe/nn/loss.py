@@ -7,7 +7,7 @@ import numpy as np
 from .layers import SIGMOID_CLAMP
 
 
-def bce_loss(pred, target, mask=None):
+def bce_loss(pred, target, mask):
     """Mean binary cross-entropy over valid frame-class cells.
 
     ``pred`` holds probabilities in (0, 1) (the sigmoid head already clamps
@@ -21,10 +21,7 @@ def bce_loss(pred, target, mask=None):
     y = np.asarray(target, dtype=np.float64)
     if p.shape != y.shape:
         raise ValueError(f"pred shape {p.shape} != target shape {y.shape}")
-    if mask is None:
-        valid = np.ones(p.shape, dtype=np.float64)
-    else:
-        valid = np.broadcast_to(np.asarray(mask, dtype=np.float64)[..., None], p.shape)
+    valid = np.broadcast_to(np.asarray(mask, dtype=np.float64)[..., None], p.shape)
     m = valid.sum()
     if m == 0:
         return 0.0, np.zeros_like(p)

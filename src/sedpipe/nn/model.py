@@ -104,9 +104,6 @@ class ModelGraph:
     def from_descriptor(cls, descriptors: list[dict]) -> "ModelGraph":
         return cls([layer_from_descriptor(d) for d in descriptors])
 
-    def n_parameters(self) -> int:
-        return sum(p.size for _, p in self.parameters())
-
 
 @dataclass(frozen=True, kw_only=True)
 class CrnnArch(ModelConfig):

@@ -6,45 +6,35 @@ import numpy as np
 
 from ..errors import RangeError
 
-
-def adam_step(param, grad, m, v, t, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One in-place Adam update with bias-corrected moments.
-
-    ``t`` is the 1-based step count shared by all parameters of a model.
-    ``param``, ``m`` and ``v`` are updated in place; ``param`` is returned.
-    """
-    if t < 1:
-        raise RangeError(f"Adam step count must be >= 1, got {t}")
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    param -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    return param
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 class Adam:
-    """Per-parameter moment state over a model's parameter registry."""
+    """Per-parameter moment state over a model's parameter registry, with
+    the fixed ``BETA1``, ``BETA2`` and ``EPS``."""
 
-    def __init__(self, model, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, model, lr=1e-4):
         if lr <= 0:
             raise RangeError(f"learning rate must be positive, got {lr}")
         self.model = model
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {key: np.zeros_like(p) for key, p in model.parameters()}
         self.v = {key: np.zeros_like(p) for key, p in model.parameters()}
 
     def step(self):
+        """One in-place update of every parameter with bias-corrected
+        moments; ``t`` is the 1-based step count shared by all of them."""
         self.t += 1
         for key, param in self.model.parameters():
             grad = self.model.gradient(key)
-            adam_step(
-                param, grad, self.m[key], self.v[key], self.t,
-                lr=self.lr, beta1=self.beta1, beta2=self.beta2, eps=self.eps,
-            )
+            m, v = self.m[key], self.v[key]
+            m *= BETA1
+            m += (1.0 - BETA1) * grad
+            v *= BETA2
+            v += (1.0 - BETA2) * grad * grad
+            m_hat = m / (1.0 - BETA1**self.t)
+            v_hat = v / (1.0 - BETA2**self.t)
+            param -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)

@@ -1,5 +1,13 @@
 from __future__ import annotations
 
+import os
+
+# set before numpy loads: README's byte-identical determinism holds only at
+# a fixed BLAS thread count, and the log-mel features round differently
+# when OpenBLAS runs more threads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from pathlib import Path
 
 import numpy as np

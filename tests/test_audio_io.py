@@ -25,6 +25,7 @@ from sedpipe.audio_io import (
 from sedpipe.errors import (
     AnnotationError,
     ManifestError,
+    RangeError,
     UnsupportedWavError,
     WavFormatError,
 )
@@ -156,6 +157,12 @@ class TestAnnotations:
         with pytest.raises(AnnotationError, match="exceed"):
             read_annotations(path, ["car"])
 
+    def test_infinite_offset_is_error_with_line(self, tmp_path):
+        path = tmp_path / "a.tsv"
+        path.write_text("0.0\t1.0\tcar\n0.5\tinf\tcar\n", encoding="utf-8")
+        with pytest.raises(AnnotationError, match="line 2"):
+            read_annotations(path, ["car"])
+
     def test_unknown_label_is_error_with_line(self, tmp_path):
         path = tmp_path / "a.tsv"
         path.write_text("0.0\t1.0\tcar\n0.0\t1.0\tufo\n", encoding="utf-8")
@@ -251,6 +258,13 @@ class TestEventRollValidation:
     def test_rejects_non_binary(self):
         with pytest.raises(AnnotationError):
             EventRoll(activity=np.array([[2]]), hop_seconds=0.02, class_names=("a",))
+
+    @pytest.mark.parametrize("hop", [float("nan"), float("inf")])
+    def test_rejects_a_non_finite_hop(self, hop):
+        with pytest.raises(RangeError):
+            EventRoll(activity=np.zeros((3, 1), dtype=np.uint8), hop_seconds=hop, class_names=("a",))
+        with pytest.raises(RangeError):
+            events_to_roll([], 3, hop, ("a",))
 
     def test_rejects_class_mismatch(self):
         with pytest.raises(AnnotationError):

@@ -204,6 +204,19 @@ class TestExtract:
         assert "mfcc" in stderr
         assert not (tmp_path / "features").exists()
 
+    def test_non_finite_hop_exits_two_naming_it(self, dataset, capsys, tmp_path):
+        cfg, data = dataset
+        cfg.write_text(
+            cfg.read_text(encoding="utf-8").replace("[features]", "[features]\nhop_ms = nan"), encoding="utf-8"
+        )
+        code, _, stderr = run_cli(
+            capsys, "extract", "--config", str(cfg), "--data-dir", str(data),
+            "--out", str(tmp_path / "features"),
+        )
+        assert code == 2
+        assert "hop_ms" in stderr
+        assert not (tmp_path / "features").exists()
+
     def test_empty_multires_windows_exits_two_naming_it(self, dataset, capsys, tmp_path):
         cfg, data = dataset
         cfg.write_text(
@@ -281,6 +294,14 @@ class TestEval:
         assert code == 1
         assert "reference" in stderr
 
+
+    def test_non_finite_annotation_time_exits_one_naming_the_line(self, tmp_path, capsys):
+        ref = tmp_path / "ref.tsv"
+        ref.write_text("0.0\t1.0\tdog\n0.5\tinf\tdog\n", encoding="utf-8")
+        code, stdout, stderr = run_cli(capsys, "eval", "--ref", str(ref), "--pred", str(ref))
+        assert code == 1
+        assert stdout == ""
+        assert str(ref) in stderr and "line 2" in stderr
 
     @pytest.mark.parametrize(
         "option, value",

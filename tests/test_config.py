@@ -81,6 +81,22 @@ def test_bad_value_type_is_hard_error(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("[features]\nhop_ms = nan\n", "hop_ms"),
+        ("[data]\nduration_s = inf\n", "duration_s"),
+        ("[train]\nthreshold = nan\n", "threshold"),
+        ("[search]\ndropout = 0.25,-inf\n", "dropout"),
+    ],
+)
+def test_non_finite_float_is_hard_error(tmp_path, text, key):
+    path = tmp_path / "exp.cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+
+
 def test_missing_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.cfg")

@@ -52,6 +52,12 @@ def desk_config(manifest, epochs=8, **train_kwargs) -> ExperimentConfig:
     )
 
 
+def fold_of(cfg: ExperimentConfig, fold: int):
+    """``run_fold`` as a lone call: the config's seed, a fresh feature cache
+    and the config's manifest."""
+    return run_fold(cfg, fold, cfg.train.seed, {}, read_manifest(cfg.data.manifest_path()))
+
+
 class TestSplitRows:
     def test_roles_partition_fold(self, tmp_path):
         manifest = write_dataset(tmp_path / "data", n_clips=4, folds=4)
@@ -80,8 +86,8 @@ class TestRunFold:
     def test_deterministic_metric_report(self, tmp_path):
         manifest = write_dataset(tmp_path / "data")
         cfg = desk_config(manifest, epochs=4)
-        a = run_fold(cfg, 1)
-        b = run_fold(cfg, 1)
+        a = fold_of(cfg, 1)
+        b = fold_of(cfg, 1)
         assert a.report.error_rate == b.report.error_rate
         assert a.report.f_score == b.report.f_score
         assert a.history.train_loss == b.history.train_loss
@@ -90,7 +96,7 @@ class TestRunFold:
         manifest = write_dataset(tmp_path / "data", folds=2)  # no validation role
         cfg = desk_config(manifest, monitor="validation")
         with pytest.raises(ManifestError, match="validation"):
-            run_fold(cfg, 1)
+            fold_of(cfg, 1)
 
     def test_train_test_overlap_rejected(self, tmp_path):
         manifest = write_dataset(tmp_path / "data")
@@ -100,7 +106,7 @@ class TestRunFold:
         write_manifest(leaky, manifest)
         cfg = desk_config(manifest)
         with pytest.raises((ManifestError,)):
-            run_fold(cfg, 2)
+            fold_of(cfg, 2)
 
     def test_leak_fixture_reaches_low_error(self, tmp_path):
         # duplicated audio under a different name slips past the path check
@@ -120,7 +126,7 @@ class TestRunFold:
         cfg = dataclasses.replace(
             cfg, train=dataclasses.replace(cfg.train, patience=59)
         )
-        result = run_fold(cfg, 1)
+        result = fold_of(cfg, 1)
         assert result.report.error_rate < 0.2
 
     def test_test_score_is_the_best_monitor_score_when_monitoring_test(self, tmp_path):
@@ -129,7 +135,7 @@ class TestRunFold:
         manifest = write_dataset(tmp_path / "data", n_clips=8, duration_s=4.5, folds=4)
         cfg = desk_config(manifest, epochs=8, monitor="test")
         for fold in (1, 2, 3, 4):
-            result = run_fold(cfg, fold)
+            result = fold_of(cfg, fold)
             assert result.report.error_rate == min(result.history.monitor_er), f"fold {fold}"
 
     def test_archives_are_used_when_present(self, tmp_path, monkeypatch):
@@ -150,7 +156,7 @@ class TestRunFold:
             cfg, features=dataclasses.replace(cfg.features, archive_dir=str(archive_dir))
         )
         _forbid_audio_reads(monkeypatch)
-        result = run_fold(cfg_arch, 1)
+        result = fold_of(cfg_arch, 1)
         assert result.report.n_segments > 0
 
     def test_missing_archives_are_written_then_loaded(self, tmp_path, monkeypatch):
@@ -160,13 +166,13 @@ class TestRunFold:
         cfg = dataclasses.replace(
             cfg, features=dataclasses.replace(cfg.features, archive_dir=str(archive_dir))
         )
-        cold = run_fold(cfg, 1)
+        cold = fold_of(cfg, 1)
         clips = {r.audio_path for r in read_manifest(manifest)}
         assert sorted(p.name for p in archive_dir.iterdir()) == sorted(
             experiment.archive_name(a, "mbe") for a in clips
         )
         _forbid_audio_reads(monkeypatch)
-        warm = run_fold(cfg, 1)
+        warm = fold_of(cfg, 1)
         # the cold run trained on the archived float32 values, not on the
         # float64 extraction, so the two runs match exactly
         assert warm.history.train_loss == cold.history.train_loss
@@ -188,7 +194,7 @@ class TestCrossValidate:
         manifest = write_dataset(tmp_path / "data")
         cfg = desk_config(manifest, epochs=4)
         summary = cross_validate(cfg)
-        direct = run_fold(cfg, 1, seed=run_seed_for(cfg.train.seed, 1, 1))
+        direct = run_fold(cfg, 1, run_seed_for(cfg.train.seed, 1, 1), {}, read_manifest(manifest))
         assert summary.mean_er == direct.report.error_rate
         assert summary.std_er == 0.0
         assert summary.mean_f == direct.report.f_score
@@ -315,7 +321,7 @@ class TestRandomSearch:
 
     def test_single_trial_search_returns_it_ranked(self, tmp_path):
         manifest = write_dataset(tmp_path / "data")
-        cfg = desk_config(manifest, epochs=2)
+        cfg = desk_config(manifest, epochs=2, seed=5)
         cfg = dataclasses.replace(
             cfg,
             search=SearchSection(
@@ -323,13 +329,13 @@ class TestRandomSearch:
                 gru_units=(4,), dense_layers=(0,), dense_units=(4,), dropout=(0.05,),
             ),
         )
-        trials = random_search(cfg, seed=5)
+        trials = random_search(cfg)
         assert len(trials) == 1
         assert trials[0].index == 1
 
     def test_ranking_is_ascending_in_mean_er(self, tmp_path, monkeypatch):
         manifest = write_dataset(tmp_path / "data")
-        cfg = desk_config(manifest, epochs=2)
+        cfg = desk_config(manifest, epochs=2, seed=5)
         cfg = dataclasses.replace(cfg, search=SearchSection(trials=4, epochs=2))
         fake = iter([0.9, 0.2, 0.5, 0.7])
 
@@ -340,9 +346,9 @@ class TestRandomSearch:
             )
 
         monkeypatch.setattr(experiment, "cross_validate", fake_cv)
-        trials = random_search(cfg, seed=5)
-        assert [t.mean_er for t in trials] == sorted([0.9, 0.2, 0.5, 0.7])
-        assert trials[0].mean_er == 0.2
+        trials = random_search(cfg)
+        assert [t.summary.mean_er for t in trials] == sorted([0.9, 0.2, 0.5, 0.7])
+        assert trials[0].summary.mean_er == 0.2
 
 
 class TestPooledAggregation:

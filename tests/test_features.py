@@ -13,7 +13,7 @@ from oracles import chunks_by_hand, direct_dft, mel_frame_by_hand
 from sedpipe import audio_io, cores, dsp, features, synth
 from sedpipe.audio_io import AudioClip, EventRoll, to_mono
 from sedpipe.config import FeatureConfig
-from sedpipe.errors import ChannelError, ShapeError, StateError
+from sedpipe.errors import ChannelError, RangeError, ShapeError, StateError
 
 F_MAX = 22050.0  # explicit Nyquist keeps tests free of the clamp warning
 
@@ -512,6 +512,19 @@ class TestArchive:
         assert back.feature_class == "bin-mul-mbe"
         assert back.hop_seconds == 0.02
         assert np.array_equal(back.data.ravel(), payload)
+
+    @pytest.mark.parametrize("hop", [float("nan"), float("inf"), 0.0, -0.02])
+    def test_bad_hop_header_is_state_error_naming_the_file(self, tmp_path, hop):
+        path = tmp_path / "hop.mbe.sedf"
+        header = struct.pack("<4sHHIIId", b"SEDF", 1, 1, 2, 3, 1, hop)
+        path.write_bytes(header + np.zeros(6, dtype="<f4").tobytes())
+        with pytest.raises(StateError, match="hop.mbe.sedf"):
+            features.load_feature_archive(path)
+
+    @pytest.mark.parametrize("hop", [float("nan"), float("inf"), 0.0])
+    def test_tensor_rejects_a_bad_hop(self, hop):
+        with pytest.raises(RangeError, match="hop_seconds"):
+            features.FeatureTensor(data=np.zeros((2, 3, 1)), feature_class="mbe", hop_seconds=hop)
 
     def test_magic_enforced(self, tmp_path):
         path = tmp_path / "bogus.sedf"

@@ -15,15 +15,15 @@ from oracles import (
     max_relative_error,
 )
 from sedpipe import cores
-from sedpipe.errors import CheckpointError, ConfigError, RangeError, ShapeError, StateError
+from sedpipe.errors import CheckpointError, ConfigError, ShapeError, StateError
 from sedpipe.features import Normalizer
 from sedpipe.nn import (
+    Adam,
     BatchNorm,
     Conv2D,
     CrnnArch,
     MaxPoolFreq,
     ModelGraph,
-    adam_step,
     bce_loss,
     build_baseline_mlp,
     build_crnn,
@@ -50,38 +50,41 @@ def tiny_arch(**kwargs):
     return CrnnArch(**base)
 
 
+def adam_on(values):
+    """Adam (lr 0.1) over a one-layer graph whose bias holds ``values``; the
+    weight, every gradient and every moment start at zero, and the tests
+    set the bias gradient and moments by hand."""
+    layer = layers.TimeDense(1, len(values))
+    layer.params["b"][:] = values
+    layer.grads = {name: np.zeros_like(p) for name, p in layer.params.items()}
+    return Adam(ModelGraph([layer]), lr=0.1), layer
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params_but_decays_moments(self):
-        p = np.array([1.0, -2.0])
-        m = np.array([0.5, 0.5])
-        v = np.array([0.25, 0.25])
-        adam_step(p, np.zeros(2), m, v, t=1, lr=0.1)
+        opt, _ = adam_on([1.0, -2.0])
+        opt.m["0.b"][:] = 0.5
+        opt.v["0.b"][:] = 0.25
+        opt.step()
         # m_hat = m/(1-b1) recovers 0.5 -> the update uses stale momentum,
         # so params move, but moments themselves shrink by beta
-        assert np.allclose(m, 0.9 * 0.5)
-        assert np.allclose(v, 0.999 * 0.25)
+        assert np.allclose(opt.m["0.b"], 0.9 * 0.5)
+        assert np.allclose(opt.v["0.b"], 0.999 * 0.25)
 
     def test_first_step_magnitude_is_lr_signed(self):
         # m_hat/sqrt(v_hat) = sign(g) up to the eps regularizer
         for g in (0.001, 3.0, -250.0):
-            p = np.array([1.0])
-            m = np.zeros(1)
-            v = np.zeros(1)
-            adam_step(p, np.array([g]), m, v, t=1, lr=0.1)
-            assert p[0] == pytest.approx(1.0 - 0.1 * np.sign(g), rel=1e-4)
+            opt, layer = adam_on([1.0])
+            layer.grads["b"][:] = g
+            opt.step()
+            assert layer.params["b"][0] == pytest.approx(1.0 - 0.1 * np.sign(g), rel=1e-4)
 
     def test_scalar_quadratic_converges(self):
-        x = np.array([1.0])
-        m = np.zeros(1)
-        v = np.zeros(1)
-        for t in range(1, 201):
-            grad = 2.0 * x
-            adam_step(x, grad, m, v, t=t, lr=0.1)
-        assert abs(x[0]) < 0.05
-
-    def test_step_count_must_be_positive(self):
-        with pytest.raises(RangeError):
-            adam_step(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1), t=0)
+        opt, layer = adam_on([1.0])
+        for _ in range(200):
+            layer.grads["b"][:] = 2.0 * layer.params["b"]
+            opt.step()
+        assert abs(layer.params["b"][0]) < 0.05
 
 
 class TestPoolPlan:
@@ -331,7 +334,7 @@ def test_model_graph_from_descriptor_rebuilds_same_topology(rng):
     for model in (build_crnn(tiny_arch(), rng), build_baseline_mlp(3, rng=rng)):
         rebuilt = ModelGraph.from_descriptor(model.descriptor())
         assert rebuilt.descriptor() == model.descriptor()
-        assert rebuilt.n_parameters() == model.n_parameters()
+        assert [(k, p.shape) for k, p in rebuilt.parameters()] == [(k, p.shape) for k, p in model.parameters()]
         assert [k for k, _ in rebuilt.state_arrays()] == [k for k, _ in model.state_arrays()]
 
 
@@ -384,7 +387,7 @@ REJECTED_GRAPHS = {
     ],
     "after_kept_output": [
         {"type": "flatten_freq"},
-        {"type": "time_dense", "in_dim": 15, "units": 4, "activation": "tanh"},
+        {"type": "time_dense", "in_dim": 15, "units": 4, "activation": "sigmoid"},
         {"type": "batch_norm", "n_features": 4},
         {"type": "time_dense", "in_dim": 4, "units": 2, "activation": "linear"},
     ],
