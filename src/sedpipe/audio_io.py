@@ -64,10 +64,6 @@ class AudioClip:
     def n_samples(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples / self.sample_rate
-
 
 class Event(NamedTuple):
     onset: float
@@ -177,7 +173,7 @@ def read_wav(path) -> AudioClip:
     return AudioClip(samples=samples, sample_rate=int(sample_rate))
 
 
-def write_wav(path, clip: AudioClip, bit_depth: int = 16) -> None:
+def write_wav(path, clip: AudioClip, bit_depth: int) -> None:
     """Write a PCM WAV file at the given bit depth (16 or 24)."""
     if bit_depth not in (16, 24):
         raise UnsupportedWavError(f"only 16 or 24 bit supported, got {bit_depth}")

@@ -140,7 +140,6 @@ def _write_metric_tsv(report: metrics.MetricReport, path) -> None:
         f"segments\t{report.n_segments}",
     ]
     lines += [f"{key}\t{report.totals[key]}" for key in ("tp", "fp", "fn", "n", "s", "d", "i")]
-    lines.append(f"degenerate_f\t{int(report.degenerate_f)}")
     _write_lines(path, lines)
 
 
@@ -176,7 +175,7 @@ def cmd_eval(args) -> int:
     t = report.totals
     print(f"counts: TP {t['tp']} FP {t['fp']} FN {t['fn']} N {t['n']} S {t['s']} D {t['d']} I {t['i']}")
     print(f"ER: {report.error_rate:.2f}")
-    print(f"F: {report.f_percent():.1f}")
+    print(f"F: {100 * report.f_score:.1f}")
     if args.out:
         _write_metric_tsv(report, args.out)
     if args.segments_out:
@@ -286,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, help="prediction annotation TSV")
     p.add_argument("--classes", help="comma-separated class vocabulary")
     p.add_argument("--duration", type=_positive_float, help="clip duration in seconds")
-    p.add_argument("--hop", type=_positive_float, default=0.02, help="frame hop in seconds")
-    p.add_argument("--segment-seconds", type=_positive_float, default=1.0)
+    p.add_argument("--hop", type=_positive_float, default=feats.FeatureConfig.hop_ms / 1000.0, help="frame hop in seconds")
+    p.add_argument("--segment-seconds", type=_positive_float, default=metrics.SEGMENT_SECONDS)
     p.add_argument("--out", help="write metric TSV here")
     p.add_argument("--segments-out", help="write the per-segment count TSV here")
     p.set_defaults(func=cmd_eval)
@@ -319,7 +318,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SedError, OSError) as exc:
+    except (SedError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1
 

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import RangeError, ShapeError, SizeError
+from .errors import RangeError, ShapeError
 
 # floor applied inside the log of log-mel energies; well below any energy
 # the synthetic material produces, so only true silence hits it
@@ -77,7 +77,7 @@ def stft(
     if x.ndim != 1:
         raise ShapeError(f"stft expects a 1-D sample array, got shape {x.shape}")
     if not is_power_of_two(fft_size):
-        raise SizeError(f"fft_size must be a power of two, got {fft_size}")
+        raise RangeError(f"fft_size must be a power of two, got {fft_size}")
     if fft_size < window_len:
         raise RangeError(f"fft_size {fft_size} is smaller than window_len {window_len}")
     if window_len < 1:
@@ -132,13 +132,6 @@ class MelFilterbank:
     """
 
     weights: np.ndarray
-    sample_rate: int
-    f_min: float
-    f_max: float
-
-    @property
-    def n_mels(self) -> int:
-        return self.weights.shape[0]
 
     @property
     def n_bins(self) -> int:
@@ -149,8 +142,8 @@ def mel_filterbank(
     n_mels: int,
     fft_size: int,
     sample_rate: int,
-    f_min: float = 0.0,
-    f_max: float | None = None,
+    f_min: float,
+    f_max: float,
 ) -> MelFilterbank:
     """Build ``n_mels`` triangular filters with unit peak weight.
 
@@ -159,8 +152,6 @@ def mel_filterbank(
     at half the mel spacing.
     """
     nyquist = sample_rate / 2.0
-    if f_max is None:
-        f_max = nyquist
     if n_mels < 1:
         raise RangeError(f"n_mels must be >= 1, got {n_mels}")
     if not 0.0 <= f_min < f_max:
@@ -168,7 +159,7 @@ def mel_filterbank(
     if f_max > nyquist:
         raise RangeError(f"f_max {f_max} Hz exceeds Nyquist {nyquist} Hz")
     if not is_power_of_two(fft_size):
-        raise SizeError(f"fft_size must be a power of two, got {fft_size}")
+        raise RangeError(f"fft_size must be a power of two, got {fft_size}")
 
     n_bins = fft_size // 2 + 1
     mel_pts = np.linspace(mel_from_hz(f_min), mel_from_hz(f_max), n_mels + 2)
@@ -186,9 +177,7 @@ def mel_filterbank(
             f"FFT resolution too coarse: some of the {n_mels} filters cover no bin "
             f"(fft_size={fft_size}, sample_rate={sample_rate})"
         )
-    return MelFilterbank(
-        weights=weights, sample_rate=int(sample_rate), f_min=float(f_min), f_max=float(f_max)
-    )
+    return MelFilterbank(weights=weights)
 
 
 def log_mel_energies(power_frames, bank: MelFilterbank) -> np.ndarray:

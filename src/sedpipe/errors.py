@@ -30,10 +30,6 @@ class ShapeError(SedError):
     """Array shapes incompatible with the operation."""
 
 
-class SizeError(SedError):
-    """Transform length is not a power of two."""
-
-
 class RangeError(SedError):
     """Numeric parameter outside its valid range."""
 
@@ -56,4 +52,4 @@ class UndefinedMetricError(SedError):
 
 
 class CheckpointError(SedError):
-    """Corrupt checkpoint file or architecture descriptor mismatch."""
+    """Corrupt checkpoint file or malformed architecture descriptor."""

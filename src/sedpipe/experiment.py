@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,6 @@ class CvSummary:
     std_f: float
     pooled_er: float
     pooled_f: float
-    rows: list[tuple[int, int, float, float]] = field(default_factory=list)  # (run, fold, er, f)
 
 
 def archive_name(audio_path: str, feature_class: str) -> str:
@@ -194,7 +193,6 @@ def cross_validate(cfg: ExperimentConfig, feature_cache: dict | None = None, on_
         std_f=float(np.std(fs)),
         pooled_er=float(np.mean([r.error_rate for r in pooled])),
         pooled_f=float(np.mean([r.f_score for r in pooled])),
-        rows=rows,
     )
 
 
@@ -227,7 +225,7 @@ def sample_model_config(space: SearchSection, rng: np.random.Generator, n_bins: 
     raise ConfigError("search space contains no valid configuration")
 
 
-def random_search(cfg: ExperimentConfig, on_trial=None) -> list[TrialResult]:
+def random_search(cfg: ExperimentConfig, on_trial) -> list[TrialResult]:
     """Evaluate ``cfg.search.trials`` architectures sampled with
     ``cfg.train.seed`` under a truncated epoch budget and rank them by mean
     ER, best first."""
@@ -253,8 +251,7 @@ def random_search(cfg: ExperimentConfig, on_trial=None) -> list[TrialResult]:
         )
         summary = cross_validate(trial_cfg, feature_cache=cache)
         trial = TrialResult(index, model_cfg, summary)
-        if on_trial is not None:
-            on_trial(trial)
+        on_trial(trial)
         trials.append(trial)
         log.info("trial %d/%d: mean ER %.4f", index, n_trials, trial.summary.mean_er)
 

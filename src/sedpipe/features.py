@@ -298,8 +298,6 @@ FEATURE_TABLE = {
     "bin-fft": FeatureClass(2, 4, _magnitude_phase, lambda cfg: cfg.fft_size // 2),
 }
 FEATURE_CLASSES = tuple(FEATURE_TABLE)
-_CLASS_IDS = {name: i + 1 for i, name in enumerate(FEATURE_CLASSES)}
-_CLASS_FROM_ID = {i: name for name, i in _CLASS_IDS.items()}
 
 
 def feature_spec(feature_class: str) -> FeatureClass:
@@ -458,7 +456,7 @@ def save_feature_archive(tensor: FeatureTensor, path) -> None:
         "<4sHHIIId",
         _ARCHIVE_MAGIC,
         _ARCHIVE_VERSION,
-        _CLASS_IDS[tensor.feature_class],
+        FEATURE_CLASSES.index(tensor.feature_class) + 1,
         f,
         b,
         ch,
@@ -477,11 +475,12 @@ def load_feature_archive(path) -> FeatureTensor:
     magic, version, class_id, f, b, ch, hop = struct.unpack("<4sHHIIId", raw[:head_size])
     if version != _ARCHIVE_VERSION:
         raise StateError(f"{path}: unsupported archive version {version}")
-    if class_id not in _CLASS_FROM_ID:
+    if not 1 <= class_id <= len(FEATURE_CLASSES):
         raise StateError(f"{path}: unknown feature class id {class_id}")
     if len(raw) - head_size != 4 * f * b * ch:
         raise StateError(f"{path}: payload size does not match header")
-    if not 0 < hop < np.inf:
-        raise StateError(f"{path}: hop {hop} s is not positive and finite")
     data = np.frombuffer(raw, dtype="<f4", offset=head_size).reshape(f, b, ch).astype(np.float64)
-    return FeatureTensor(data=data, feature_class=_CLASS_FROM_ID[class_id], hop_seconds=hop)
+    try:
+        return FeatureTensor(data=data, feature_class=FEATURE_CLASSES[class_id - 1], hop_seconds=hop)
+    except (ShapeError, RangeError) as exc:
+        raise StateError(f"{path}: {exc}") from None

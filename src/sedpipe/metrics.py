@@ -1,11 +1,11 @@
 """Segment-based polyphonic SED metrics.
 
-Predictions and ground truth are compared in fixed-length segments (one
-second by default): a class counts as active in a segment if it is active
-in any frame of it. Per segment, false negatives and false positives pair
-off into substitutions; the leftovers are deletions and insertions. The
-error rate is (S + D + I) / N over all segments and the F-score is the
-micro-averaged 2*TP / (2*TP + FP + FN).
+Predictions and ground truth are compared in fixed-length segments of
+``SEGMENT_SECONDS`` (one second): a class counts as active in a segment if
+it is active in any frame of it. Per segment, false negatives and false
+positives pair off into substitutions; the leftovers are deletions and
+insertions. The error rate is (S + D + I) / N over all segments and the
+F-score is the micro-averaged 2*TP / (2*TP + FP + FN).
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .errors import (
     ShapeError,
     UndefinedMetricError,
 )
+
+SEGMENT_SECONDS = 1.0
 
 
 @dataclass(frozen=True)
@@ -76,15 +78,9 @@ class MetricReport:
     f_score: float
     totals: dict[str, int]
     n_segments: int
-    # True when both reference and prediction were empty, which forces the
-    # F-score denominator to zero; F is then defined as 1
-    degenerate_f: bool = False
-
-    def f_percent(self) -> float:
-        return 100.0 * self.f_score
 
 
-def roll_to_segments(roll: EventRoll, segment_seconds: float = 1.0) -> np.ndarray:
+def roll_to_segments(roll: EventRoll, segment_seconds: float = SEGMENT_SECONDS) -> np.ndarray:
     """Collapse a frame roll to a (segments, classes) binary matrix.
 
     A class is active in a segment iff it is active in at least one of its
@@ -153,28 +149,23 @@ def pair_counts(ref: EventRoll, pred: EventRoll, segment_seconds: float) -> Segm
     )
 
 
-def evaluate(ref: EventRoll, pred: EventRoll, segment_seconds: float = 1.0) -> MetricReport:
+def evaluate(ref: EventRoll, pred: EventRoll) -> MetricReport:
     """Score a prediction roll against a reference roll."""
-    return report_from_counts(pair_counts(ref, pred, segment_seconds))
+    return report_from_counts(pair_counts(ref, pred, SEGMENT_SECONDS))
 
 
 def report_from_counts(counts: SegmentCounts) -> MetricReport:
-    totals = counts.totals()
-    degenerate = 2 * totals["tp"] + totals["fp"] + totals["fn"] == 0
     return MetricReport(
         error_rate=error_rate(counts),
         f_score=f_score(counts),
-        totals=totals,
+        totals=counts.totals(),
         n_segments=counts.n_segments,
-        degenerate_f=degenerate,
     )
 
 
-def evaluate_pooled(
-    pairs: Sequence[tuple[EventRoll, EventRoll]], segment_seconds: float = 1.0
-) -> MetricReport:
+def evaluate_pooled(pairs: Sequence[tuple[EventRoll, EventRoll]]) -> MetricReport:
     """Score many (ref, pred) roll pairs by pooling their segments, e.g. all
     clips of a test split. Each roll is segmented independently."""
     return report_from_counts(
-        SegmentCounts.concat([pair_counts(ref, pred, segment_seconds) for ref, pred in pairs])
+        SegmentCounts.concat([pair_counts(ref, pred, SEGMENT_SECONDS) for ref, pred in pairs])
     )

@@ -260,12 +260,10 @@ def save_checkpoint(model: ModelGraph, path, normalizer: Normalizer | None = Non
             fh.write(np.ascontiguousarray(normalizer.std, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path, expect_descriptor: list[dict] | None = None):
+def load_checkpoint(path):
     """Rebuild (model, normalizer) from a checkpoint file.
 
-    ``expect_descriptor`` (e.g. the architecture a config implies) is
-    checked against the stored descriptor and any mismatch is rejected. A
-    file that ends early is a :class:`CheckpointError` naming the part it
+    A file that ends early is a :class:`CheckpointError` naming the part it
     cut.
     """
     with open(path, "rb") as fh:
@@ -289,8 +287,6 @@ def load_checkpoint(path, expect_descriptor: list[dict] | None = None):
         descriptors = json.loads(take(desc_len, "architecture descriptor").decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt architecture descriptor") from exc
-    if expect_descriptor is not None and descriptors != expect_descriptor:
-        raise CheckpointError(f"{path}: architecture descriptor does not match the expected one")
     if not isinstance(descriptors, list):
         raise CheckpointError(f"{path}: architecture descriptor is not a list of layers")
     try:

@@ -15,7 +15,7 @@ class Adam:
     """Per-parameter moment state over a model's parameter registry, with
     the fixed ``BETA1``, ``BETA2`` and ``EPS``."""
 
-    def __init__(self, model, lr=1e-4):
+    def __init__(self, model, lr):
         if lr <= 0:
             raise RangeError(f"learning rate must be positive, got {lr}")
         self.model = model

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioClip, Event, ManifestRow, event_frame_span
-from .config import DataConfig
+from .config import DataConfig, FeatureConfig
 
 _HARMONIC_AMPS = (1.0, 0.5, 0.25)
 _NOISE_PARTIALS = 12
 _NOISE_LEVEL = 0.15
 _RAMP_S = 0.01
-_FRAME_S = 0.02  # grid used for the polyphony cap, matching the feature hop
+_FRAME_S = FeatureConfig.hop_ms / 1000.0  # grid used for the polyphony cap: the default feature hop
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -262,6 +263,7 @@ class TestEval:
         metric_lines = dict(
             line.split("\t") for line in out.read_text(encoding="utf-8").splitlines()
         )
+        assert list(metric_lines) == ["er", "f", "segments", "tp", "fp", "fn", "n", "s", "d", "i"]
         assert float(metric_lines["er"]) == 0.5
         seg_lines = segments.read_text(encoding="utf-8").splitlines()
         assert seg_lines[0] == "k\tTP\tFP\tFN\tS\tD\tI\tN"
@@ -282,6 +284,16 @@ class TestEval:
         code, stdout, _ = outputs[0]
         assert code == 0
         assert "ER: 0.50" in stdout
+
+    def test_allocation_failure_is_runtime_error(self, tmp_path, capsys):
+        # a (10^18, 1) roll: numpy refuses the allocation before touching memory
+        ref = tmp_path / "ref.tsv"
+        ref.write_text("0.0\t1.0\tcar\n", encoding="utf-8")
+        code, _, stderr = run_cli(
+            capsys, "eval", "--ref", str(ref), "--pred", str(ref), "--duration", "1e12", "--hop", "1e-6"
+        )
+        assert code == 1
+        assert stderr.startswith("error:")
 
     def test_empty_reference_is_runtime_error(self, tmp_path, capsys):
         ref = tmp_path / "ref.tsv"
@@ -443,7 +455,9 @@ class TestTrainCommand:
         assert "fold 5" in stderr
         assert not (out / "fold1").exists()
 
-    def test_truncated_archive_exits_one_naming_it(self, tmp_path, capsys):
+    def _train_on_damaged_archive(self, tmp_path, capsys, damage):
+        """Extract a small dataset's archives, pass the first through
+        ``damage`` and train on the cache; returns (exit code, stderr, archive)."""
         cfg = small_synth_config(tmp_path)
         data, feats = tmp_path / "data", tmp_path / "features"
         run_cli(capsys, "synth", "--config", str(cfg), "--out", str(data))
@@ -452,10 +466,24 @@ class TestTrainCommand:
         code, _, _ = run_cli(capsys, "extract", "--config", str(cfg))
         assert code == 0
         archive = sorted(feats.glob("*.sedf"))[0]
-        archive.write_bytes(archive.read_bytes()[:-2])
+        archive.write_bytes(damage(archive.read_bytes()))
         code, _, stderr = run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path / "runs"))
+        return code, stderr, archive
+
+    def test_truncated_archive_exits_one_naming_it(self, tmp_path, capsys):
+        code, stderr, archive = self._train_on_damaged_archive(tmp_path, capsys, lambda raw: raw[:-2])
         assert code == 1
         assert stderr.startswith("error:") and archive.name in stderr
+
+    def test_non_finite_archive_exits_one_naming_it(self, tmp_path, capsys):
+        head = struct.calcsize("<4sHHIIId")
+
+        def nan_payload(raw):
+            return raw[:head] + struct.pack("<f", float("nan")) * ((len(raw) - head) // 4)
+
+        code, stderr, archive = self._train_on_damaged_archive(tmp_path, capsys, nan_payload)
+        assert code == 1
+        assert stderr.startswith("error:") and archive.name in stderr and "non-finite" in stderr
 
 
 class TestLogging:

@@ -212,8 +212,9 @@ class TestCrossValidate:
             return read_manifest(path)
 
         monkeypatch.setattr(experiment, "read_manifest", counting_read)
-        summary = cross_validate(cfg)
-        assert len(summary.rows) == 4
+        folds_run = []
+        cross_validate(cfg, on_fold=lambda run, fold, result: folds_run.append((run, fold)))
+        assert len(folds_run) == 4
         assert len(reads) == 1
 
     def test_mean_std_match_hand_computation(self, tmp_path, monkeypatch):
@@ -239,14 +240,15 @@ class TestCrossValidate:
             return FakeResult(*next(fake_scores))
 
         monkeypatch.setattr(experiment, "run_fold", fake_run_fold)
-        summary = cross_validate(cfg)
+        folds_run = []
+        summary = cross_validate(cfg, on_fold=lambda run, fold, result: folds_run.append((run, fold)))
         ers = np.array([0.2, 0.4, 0.6, 0.8])
         fs = np.array([0.9, 0.8, 0.7, 0.6])
         assert summary.mean_er == pytest.approx(ers.mean())
         assert summary.std_er == pytest.approx(ers.std())
         assert summary.mean_f == pytest.approx(fs.mean())
         assert summary.std_f == pytest.approx(fs.std())
-        assert len(summary.rows) == 4
+        assert len(folds_run) == 4
 
     def test_seed_derivation_is_stable(self):
         a = run_seed_for(7, run=1, fold=3)
@@ -329,7 +331,7 @@ class TestRandomSearch:
                 gru_units=(4,), dense_layers=(0,), dense_units=(4,), dropout=(0.05,),
             ),
         )
-        trials = random_search(cfg)
+        trials = random_search(cfg, on_trial=lambda trial: None)
         assert len(trials) == 1
         assert trials[0].index == 1
 
@@ -346,7 +348,7 @@ class TestRandomSearch:
             )
 
         monkeypatch.setattr(experiment, "cross_validate", fake_cv)
-        trials = random_search(cfg)
+        trials = random_search(cfg, on_trial=lambda trial: None)
         assert [t.summary.mean_er for t in trials] == sorted([0.9, 0.2, 0.5, 0.7])
         assert trials[0].summary.mean_er == 0.2
 

@@ -521,6 +521,25 @@ class TestArchive:
         with pytest.raises(StateError, match="hop.mbe.sedf"):
             features.load_feature_archive(path)
 
+    # (class id, channels, payload value, message); class ids 1..4 are mbe,
+    # bin-mbe, bin-mul-mbe, bin-fft, and bin-fft holds exactly 4 channels
+    @pytest.mark.parametrize(
+        "class_id, ch, value, message",
+        [
+            (1, 1, float("nan"), "feature data contains non-finite values"),
+            (1, 1, float("inf"), "feature data contains non-finite values"),
+            (4, 3, 0.0, "bin-fft cannot have 3 channel"),
+            (0, 1, 0.0, "unknown feature class id 0"),
+            (5, 1, 0.0, "unknown feature class id 5"),
+        ],
+    )
+    def test_bad_archive_is_state_error_naming_the_file(self, tmp_path, class_id, ch, value, message):
+        path = tmp_path / "bad.sedf"
+        header = struct.pack("<4sHHIIId", b"SEDF", 1, class_id, 2, 3, ch, 0.02)
+        path.write_bytes(header + np.full(6 * ch, value, dtype="<f4").tobytes())
+        with pytest.raises(StateError, match=f"bad.sedf: {message}"):
+            features.load_feature_archive(path)
+
     @pytest.mark.parametrize("hop", [float("nan"), float("inf"), 0.0])
     def test_tensor_rejects_a_bad_hop(self, hop):
         with pytest.raises(RangeError, match="hop_seconds"):

@@ -210,16 +210,6 @@ class TestCheckpoint:
             "9.W", "9.b",
         ]
 
-    def test_descriptor_mismatch_rejected(self, rng, tmp_path):
-        model = build_crnn(tiny_arch(), rng)
-        model.forward(rng.normal(size=(1, 4, 40, 1)), training=True)
-        path = tmp_path / "model.sedm"
-        save_checkpoint(model, path)
-        other = build_crnn(tiny_arch(gru_units=4), rng)
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path, expect_descriptor=other.descriptor())
-        load_checkpoint(path, expect_descriptor=model.descriptor())
-
     def test_truncated_file_rejected(self, rng, tmp_path):
         # every prefix of a checkpoint with a normalizer is a CheckpointError
         model = ModelGraph([layers.TimeDense(2, 1, rng=rng)])
