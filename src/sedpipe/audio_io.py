@@ -5,7 +5,9 @@ PCM (format code 1), 16 or 24 bit, one or two channels. Unknown chunks are
 skipped. Annotations are three-column TSV (onset, offset, label) in seconds;
 the dataset manifest is a separate TSV mapping each clip to a fold and split
 role. Every writer goes through :func:`atomic_write`, so an interrupted
-write leaves no partial file.
+write leaves no partial file. Feature archives and checkpoints are numpy
+``.npz`` files, written by :func:`write_arrays` and read by
+:func:`read_arrays`.
 """
 
 from __future__ import annotations
@@ -123,6 +125,35 @@ def atomic_write(path) -> Iterator[BinaryIO]:
         tmp.unlink(missing_ok=True)
 
 
+def write_lines(path, lines) -> None:
+    """Write newline-terminated UTF-8 lines through :func:`atomic_write`."""
+    with atomic_write(path) as fh:
+        fh.write("".join(f"{line}\n" for line in lines).encode("utf-8"))
+
+
+def write_arrays(path, **arrays) -> None:
+    """Write named arrays as an uncompressed ``.npz`` through
+    :func:`atomic_write`. Its zip entries carry a fixed timestamp, so equal
+    arrays give equal bytes."""
+    with atomic_write(path) as fh:
+        np.savez(fh, **arrays)
+
+
+def read_arrays(path, error: type[Exception]) -> dict[str, np.ndarray]:
+    """Every array of an ``.npz`` file, by name. A file that does not parse
+    raises ``error`` naming it; a missing file raises ``OSError``."""
+    # opened here, not by np.load, which leaks its handle when parsing fails
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh, allow_pickle=False) as npz:
+                return {key: npz[key] for key in npz.files}
+        # damaged input raises an open set of types from zipfile, numpy's
+        # header parser and tokenize (BadZipFile, ValueError, TokenError,
+        # EOFError, NotImplementedError, MemoryError and more)
+        except Exception as exc:
+            raise error(f"{path}: not a readable .npz file ({exc})") from None
+
+
 def read_wav(path) -> AudioClip:
     """Read a PCM WAV file, scaling samples to [-1, 1] by ``2**(bits-1)``."""
     data = Path(path).read_bytes()
@@ -216,14 +247,7 @@ def read_annotations(path, class_names: Sequence[str] | None = None) -> list[Eve
     are kept verbatim; without ``class_names`` any label is accepted."""
     vocab = None if class_names is None else set(class_names)
     events = []
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.rstrip("\r")
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise AnnotationError(f"{path}: line {lineno}: expected 'onset<TAB>offset<TAB>label'")
+    for lineno, parts in _tsv_rows(path, 3, AnnotationError, "'onset<TAB>offset<TAB>label'"):
         try:
             onset = float(parts[0])
             offset = float(parts[1])
@@ -243,9 +267,7 @@ def read_annotations(path, class_names: Sequence[str] | None = None) -> list[Eve
 
 
 def write_annotations(events: Sequence[Event], path) -> None:
-    with atomic_write(path) as fh:
-        for ev in events:
-            fh.write(f"{ev.onset:.6f}\t{ev.offset:.6f}\t{ev.label}\n".encode("utf-8"))
+    write_lines(path, (f"{ev.onset:.6f}\t{ev.offset:.6f}\t{ev.label}" for ev in events))
 
 
 def event_frame_span(onset: float, offset: float, hop_seconds: float, n_frames: int) -> tuple[int, int]:
@@ -282,15 +304,7 @@ def events_to_roll(
 def read_manifest(path) -> list[ManifestRow]:
     """Parse and validate an ``audio<TAB>annotation<TAB>fold<TAB>role`` TSV."""
     rows: list[ManifestRow] = []
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.rstrip("\r")
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise ManifestError(f"{path}: line {lineno}: expected 4 tab-separated columns")
-        audio, annot, fold_s, role = parts
+    for lineno, (audio, annot, fold_s, role) in _tsv_rows(path, 4, ManifestError, "4 tab-separated columns"):
         try:
             fold = int(fold_s)
         except ValueError:
@@ -312,6 +326,18 @@ def read_manifest(path) -> list[ManifestRow]:
 
 
 def write_manifest(rows: Sequence[ManifestRow], path) -> None:
-    with atomic_write(path) as fh:
-        for r in rows:
-            fh.write(f"{r.audio_path}\t{r.annotation_path}\t{r.fold}\t{r.role}\n".encode("utf-8"))
+    write_lines(path, (f"{r.audio_path}\t{r.annotation_path}\t{r.fold}\t{r.role}" for r in rows))
+
+
+def _tsv_rows(path, n_columns: int, error: type[Exception], expected: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each non-blank line of a UTF-8 TSV file, in
+    which ``splitlines`` also ends a line at ``\\r``. A line without
+    ``n_columns`` fields raises ``error`` saying what was ``expected``."""
+    text = Path(path).read_text(encoding="utf-8")
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != n_columns:
+            raise error(f"{path}: line {lineno}: expected {expected}")
+        yield lineno, parts

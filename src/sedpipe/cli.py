@@ -19,12 +19,12 @@ import numpy as np
 from . import features as feats
 from . import metrics, synth
 from .audio_io import (
-    atomic_write,
     events_to_roll,
     read_annotations,
     read_manifest,
     read_wav,  # noqa: F401  perfbench/tracer.py wraps cli.read_wav
     write_annotations,
+    write_lines,
     write_manifest,
     write_wav,
 )
@@ -59,12 +59,6 @@ def _positive_float(text: str) -> float:
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _write_lines(path, lines) -> None:
-    """Write newline-terminated UTF-8 lines through :func:`atomic_write`."""
-    with atomic_write(path) as fh:
-        fh.write("".join(f"{line}\n" for line in lines).encode("utf-8"))
 
 
 def cmd_synth(args) -> int:
@@ -123,7 +117,7 @@ def cmd_train(args) -> int:
             for e in range(h.n_epochs)
         ]
         lines.append(f"# best_epoch\t{h.best_epoch}")
-        _write_lines(run_dir / "history.tsv", lines)
+        write_lines(run_dir / "history.tsv", lines)
         _write_metric_tsv(result.report, run_dir / "metrics.tsv")
 
     summary = cross_validate(cfg, on_fold=on_fold)
@@ -140,7 +134,7 @@ def _write_metric_tsv(report: metrics.MetricReport, path) -> None:
         f"segments\t{report.n_segments}",
     ]
     lines += [f"{key}\t{report.totals[key]}" for key in ("tp", "fp", "fn", "n", "s", "d", "i")]
-    _write_lines(path, lines)
+    write_lines(path, lines)
 
 
 def cmd_eval(args) -> int:
@@ -185,7 +179,7 @@ def cmd_eval(args) -> int:
             f"\t{counts.s[k]}\t{counts.d[k]}\t{counts.i[k]}\t{counts.n[k]}"
             for k in range(counts.n_segments)
         ]
-        _write_lines(args.segments_out, lines)
+        write_lines(args.segments_out, lines)
     return 0
 
 
@@ -200,8 +194,8 @@ def cmd_search(args) -> int:
         trial_dir = out / f"trial{trial.index}"
         trial_dir.mkdir(parents=True, exist_ok=True)
         trial_cfg = dataclasses.replace(cfg, model=trial.model)
-        _write_lines(trial_dir / "config.txt", dump_config(trial_cfg).splitlines())
-        _write_lines(
+        write_lines(trial_dir / "config.txt", dump_config(trial_cfg).splitlines())
+        write_lines(
             trial_dir / "metrics.tsv",
             (f"{key}\t{_fmt(getattr(trial.summary, key))}" for key in ("mean_er", "std_er", "mean_f", "std_f")),
         )
@@ -212,7 +206,7 @@ def cmd_search(args) -> int:
         f"{rank}\t{trial.index}\t{_fmt(trial.summary.mean_er)}\t{_fmt(trial.summary.mean_f)}"
         for rank, trial in enumerate(ranked, start=1)
     ]
-    _write_lines(out / "ranking.tsv", lines)
+    write_lines(out / "ranking.tsv", lines)
     best = ranked[0]
     print(f"best trial {best.index}: ER {best.summary.mean_er:.2f}, F {100 * best.summary.mean_f:.1f}")
     print(out)

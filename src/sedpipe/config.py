@@ -137,6 +137,9 @@ class SearchSection:
         for key in ("trials", "n_runs"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        # a trial trains with patience below its epoch budget
+        if self.epochs < 2:
+            raise ConfigError(f"epochs must be >= 2, got {self.epochs}")
         for f in fields(self):
             if getattr(self, f.name) == ():
                 raise ConfigError(f"{f.name} must name at least one candidate")

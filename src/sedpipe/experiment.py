@@ -238,14 +238,13 @@ def random_search(cfg: ExperimentConfig, on_trial) -> list[TrialResult]:
     trials = []
     for index in range(1, n_trials + 1):
         model_cfg = sample_model_config(space, rng, n_bins)
-        budget = max(2, space.epochs)
         trial_cfg = dataclasses.replace(
             cfg,
             model=model_cfg,
             train=dataclasses.replace(
                 cfg.train,
-                max_epochs=budget,
-                patience=min(cfg.train.patience, budget - 1),
+                max_epochs=space.epochs,
+                patience=min(cfg.train.patience, space.epochs - 1),
                 n_runs=space.n_runs,
             ),
         )

@@ -23,17 +23,15 @@ on the number of cores.
 from __future__ import annotations
 
 import logging
-import struct
 import warnings
 from dataclasses import dataclass
 from operator import attrgetter
-from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import cores, dsp
-from .audio_io import AudioClip, EventRoll, atomic_write, to_mono
+from .audio_io import AudioClip, EventRoll, read_arrays, to_mono, write_arrays
 from .errors import ChannelError, ConfigError, RangeError, ShapeError, StateError
 
 log = logging.getLogger(__name__)
@@ -50,8 +48,6 @@ _BLOCK_FRAMES = 64
 # and the spectra of all jobs' blocks take at most 2 MiB each, which keeps
 # extraction's heap small. The mel product still runs over 64 rows.
 _BLOCK_BYTES = 2 * 2**20
-_ARCHIVE_MAGIC = b"SEDF"
-_ARCHIVE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -288,7 +284,6 @@ class FeatureConfig:
             raise RangeError(f"f_max must be above f_min ({self.f_min}), got {self.f_max}")
 
 
-# Archive class ids are positions in this table counted from 1: append only.
 FEATURE_TABLE = {
     "mbe": FeatureClass(1, 1, _mel, attrgetter("n_mels")),
     "bin-mbe": FeatureClass(2, 2, _mel, attrgetter("n_mels")),
@@ -449,38 +444,34 @@ def chunk_sequences(tensor, roll: EventRoll, seq_len: int) -> SequenceBatch:
 
 
 def save_feature_archive(tensor: FeatureTensor, path) -> None:
-    """Write the versioned binary archive: magic, header, float32 payload in
-    frame-major order, through :func:`atomic_write`."""
-    f, b, ch = tensor.data.shape
-    header = struct.pack(
-        "<4sHHIIId",
-        _ARCHIVE_MAGIC,
-        _ARCHIVE_VERSION,
-        FEATURE_CLASSES.index(tensor.feature_class) + 1,
-        f,
-        b,
-        ch,
-        tensor.hop_seconds,
+    """Write the ``.npz`` archive: ``data`` at float32 (F, B, Ch), the
+    ``feature_class`` name and ``hop_seconds``, through
+    :func:`~sedpipe.audio_io.write_arrays`."""
+    write_arrays(
+        path,
+        data=tensor.data.astype(np.float32),
+        feature_class=tensor.feature_class,
+        hop_seconds=tensor.hop_seconds,
     )
-    with atomic_write(path) as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
 
 
 def load_feature_archive(path) -> FeatureTensor:
-    raw = Path(path).read_bytes()
-    head_size = struct.calcsize("<4sHHIIId")
-    if len(raw) < head_size or raw[:4] != _ARCHIVE_MAGIC:
-        raise StateError(f"{path}: not a feature archive")
-    magic, version, class_id, f, b, ch, hop = struct.unpack("<4sHHIIId", raw[:head_size])
-    if version != _ARCHIVE_VERSION:
-        raise StateError(f"{path}: unsupported archive version {version}")
-    if not 1 <= class_id <= len(FEATURE_CLASSES):
-        raise StateError(f"{path}: unknown feature class id {class_id}")
-    if len(raw) - head_size != 4 * f * b * ch:
-        raise StateError(f"{path}: payload size does not match header")
-    data = np.frombuffer(raw, dtype="<f4", offset=head_size).reshape(f, b, ch).astype(np.float64)
+    """Any fault, an archive of the old binary format included, is a
+    :class:`StateError` naming the file and saying how to replace it."""
     try:
-        return FeatureTensor(data=data, feature_class=FEATURE_CLASSES[class_id - 1], hop_seconds=hop)
-    except (ShapeError, RangeError) as exc:
-        raise StateError(f"{path}: {exc}") from None
+        arrays = read_arrays(path, StateError)
+        if sorted(arrays) != ["data", "feature_class", "hop_seconds"]:
+            raise StateError(f"{path}: holds arrays {sorted(arrays)}, not data, feature_class and hop_seconds")
+        data, name, hop = arrays["data"], str(arrays["feature_class"]), arrays["hop_seconds"]
+        if data.dtype != np.float32:
+            raise StateError(f"{path}: data is {data.dtype}, not float32")
+        if name not in FEATURE_CLASSES:
+            raise StateError(f"{path}: unknown feature class {name!r}")
+        if hop.shape != () or hop.dtype != np.float64:
+            raise StateError(f"{path}: hop_seconds is {hop.dtype} {hop.shape}, not a float64 scalar")
+        try:
+            return FeatureTensor(data=data.astype(np.float64), feature_class=name, hop_seconds=float(hop))
+        except (ShapeError, RangeError) as exc:
+            raise StateError(f"{path}: {exc}") from None
+    except StateError as exc:
+        raise StateError(f"{exc}; re-extract it with `sedpipe extract --force`") from None

@@ -4,12 +4,11 @@ baseline, and checkpoint serialization."""
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..audio_io import atomic_write
+from ..audio_io import read_arrays, write_arrays
 from ..config import ModelConfig
 from ..errors import CheckpointError, ConfigError, ShapeError
 from ..features import FeatureTensor, Normalizer
@@ -25,9 +24,6 @@ from .layers import (
     TimeDense,
     layer_from_descriptor,
 )
-
-_CHECKPOINT_MAGIC = b"SEDM"
-_CHECKPOINT_VERSION = 1
 
 
 class ModelGraph:
@@ -240,72 +236,48 @@ def mbe_context_windows(tensor, context: int = 5) -> np.ndarray:
 
 
 def save_checkpoint(model: ModelGraph, path, normalizer: Normalizer | None = None) -> None:
-    """Checkpoint layout: magic, version, JSON architecture descriptor, raw
-    float64 parameter/buffer payload in declaration order, then optional
-    normalizer statistics. The file is written through :func:`atomic_write`."""
-    desc = json.dumps(model.descriptor(), sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with atomic_write(path) as fh:
-        fh.write(_CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<HI", _CHECKPOINT_VERSION, len(desc)))
-        fh.write(desc)
-        for _, arr in model.state_arrays():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        if normalizer is None:
-            fh.write(struct.pack("<B", 0))
-        else:
-            fh.write(struct.pack("<B", 1))
-            shape = normalizer.mean.shape
-            fh.write(struct.pack("<B" + "I" * len(shape), len(shape), *shape))
-            fh.write(np.ascontiguousarray(normalizer.mean, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(normalizer.std, dtype="<f8").tobytes())
+    """Write the ``.npz`` checkpoint: the JSON architecture ``descriptor``,
+    each :meth:`ModelGraph.state_arrays` key and, given a normalizer,
+    ``normalizer.mean`` and ``normalizer.std``, through
+    :func:`~sedpipe.audio_io.write_arrays`."""
+    arrays = dict(model.state_arrays())
+    if normalizer is not None:
+        arrays.update({"normalizer.mean": normalizer.mean, "normalizer.std": normalizer.std})
+    write_arrays(path, descriptor=json.dumps(model.descriptor(), sort_keys=True, separators=(",", ":")), **arrays)
 
 
 def load_checkpoint(path):
-    """Rebuild (model, normalizer) from a checkpoint file.
-
-    A file that ends early is a :class:`CheckpointError` naming the part it
-    cut.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    pos = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal pos
-        if pos + n > len(raw):
-            raise CheckpointError(f"{path}: truncated {what}")
-        pos += n
-        return raw[pos - n : pos]
-
-    if raw[:4] != _CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a model checkpoint")
-    take(4, "magic")
-    version, desc_len = struct.unpack("<HI", take(6, "header"))
-    if version != _CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    """Rebuild (model, normalizer) from a checkpoint file. A bad descriptor,
+    or an array that is missing, extra, misshapen or not float64, is a
+    :class:`CheckpointError` naming the file."""
+    arrays = read_arrays(path, CheckpointError)
     try:
-        descriptors = json.loads(take(desc_len, "architecture descriptor").decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt architecture descriptor") from exc
+        descriptors = json.loads(str(arrays.pop("descriptor")))
+    except (KeyError, ValueError) as exc:
+        raise CheckpointError(f"{path}: no valid architecture descriptor") from exc
     if not isinstance(descriptors, list):
         raise CheckpointError(f"{path}: architecture descriptor is not a list of layers")
     try:
         model = ModelGraph.from_descriptor(descriptors)
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    for key, arr in model.state_arrays():
-        chunk = take(arr.size * 8, f"parameter payload at {key}")
-        np.copyto(arr, np.frombuffer(chunk, dtype="<f8").reshape(arr.shape))
 
-    (has_norm,) = take(1, "normalizer trailer")
+    def take(key: str, shape: tuple[int, ...] | None) -> np.ndarray:
+        """The stored ``key`` array: float64, of ``shape`` unless it is None."""
+        arr = arrays.pop(key, None)
+        if arr is None:
+            raise CheckpointError(f"{path}: no {key} array")
+        shape = arr.shape if shape is None else shape
+        if arr.dtype != np.float64 or arr.shape != shape:
+            raise CheckpointError(f"{path}: {key} is {arr.dtype} {arr.shape}, expected float64 {shape}")
+        return arr
+
+    for key, arr in model.state_arrays():
+        np.copyto(arr, take(key, arr.shape))
     normalizer = None
-    if has_norm:
-        (ndim,) = take(1, "normalizer shape")
-        shape = struct.unpack("<" + "I" * ndim, take(4 * ndim, "normalizer shape"))
-        count = int(np.prod(shape)) if shape else 1
-        mean = np.frombuffer(take(count * 8, "normalizer mean"), dtype="<f8").reshape(shape)
-        std = np.frombuffer(take(count * 8, "normalizer std"), dtype="<f8").reshape(shape)
-        normalizer = Normalizer(mean=mean.copy(), std=std.copy())
-    if pos != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - pos} trailing bytes")
+    if {"normalizer.mean", "normalizer.std"} & arrays.keys():
+        mean = take("normalizer.mean", None)
+        normalizer = Normalizer(mean=mean, std=take("normalizer.std", mean.shape))
+    if arrays:
+        raise CheckpointError(f"{path}: unexpected arrays {sorted(arrays)}")
     return model, normalizer

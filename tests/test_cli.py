@@ -1,13 +1,14 @@
 from __future__ import annotations
 
+import io
 import json
 import os
-import struct
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sedpipe.cli import main
@@ -476,10 +477,13 @@ class TestTrainCommand:
         assert stderr.startswith("error:") and archive.name in stderr
 
     def test_non_finite_archive_exits_one_naming_it(self, tmp_path, capsys):
-        head = struct.calcsize("<4sHHIIId")
-
         def nan_payload(raw):
-            return raw[:head] + struct.pack("<f", float("nan")) * ((len(raw) - head) // 4)
+            with np.load(io.BytesIO(raw)) as npz:
+                arrays = dict(npz)
+            arrays["data"] = np.full_like(arrays["data"], np.nan)
+            out = io.BytesIO()
+            np.savez(out, **arrays)
+            return out.getvalue()
 
         code, stderr, archive = self._train_on_damaged_archive(tmp_path, capsys, nan_payload)
         assert code == 1
@@ -552,6 +556,7 @@ class TestSearchCommand:
         [
             ("n_runs = 0", [], "n_runs"),
             ("trials = 0", [], "trials"),
+            ("epochs = 1", [], "epochs"),
             ("filters =", [], "filters"),
             ("dropout =", [], "dropout"),
             ("", ["--trials", "0"], "trials"),

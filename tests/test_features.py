@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import struct
 import threading
+import time
 import tracemalloc
 from dataclasses import asdict
 
@@ -502,43 +503,77 @@ class TestArchive:
         assert back.data.shape == (37, 40, 2)
         assert np.array_equal(back.data, tensor.data.astype(np.float32).astype(np.float64))
 
-    def test_hand_written_v1_header_loads(self, tmp_path):
-        # v1 layout; class ids 1..4 are mbe, bin-mbe, bin-mul-mbe, bin-fft
-        payload = np.arange(2 * 3 * 6, dtype="<f4")
+    def test_v1_archive_says_to_re_extract(self, tmp_path):
+        # the binary layout archives had before they became .npz files
         path = tmp_path / "clip.bin-mul-mbe.sedf"
         header = struct.pack("<4sHHIIId", b"SEDF", 1, 3, 2, 3, 6, 0.02)
-        path.write_bytes(header + payload.tobytes())
-        back = features.load_feature_archive(path)
-        assert back.feature_class == "bin-mul-mbe"
-        assert back.hop_seconds == 0.02
-        assert np.array_equal(back.data.ravel(), payload)
+        path.write_bytes(header + np.arange(2 * 3 * 6, dtype="<f4").tobytes())
+        with pytest.raises(StateError, match=r"clip.bin-mul-mbe.sedf: .*re-extract it with `sedpipe extract --force`"):
+            features.load_feature_archive(path)
+
+    @staticmethod
+    def _write(path, **arrays):
+        """An archive of a (2, 3, 1) mbe tensor at a 20 ms hop, with
+        ``arrays`` replacing or adding arrays."""
+        base = {"data": np.zeros((2, 3, 1), dtype=np.float32), "feature_class": "mbe", "hop_seconds": 0.02}
+        audio_io.write_arrays(path, **{**base, **arrays})
 
     @pytest.mark.parametrize("hop", [float("nan"), float("inf"), 0.0, -0.02])
-    def test_bad_hop_header_is_state_error_naming_the_file(self, tmp_path, hop):
+    def test_bad_hop_is_state_error_naming_the_file(self, tmp_path, hop):
         path = tmp_path / "hop.mbe.sedf"
-        header = struct.pack("<4sHHIIId", b"SEDF", 1, 1, 2, 3, 1, hop)
-        path.write_bytes(header + np.zeros(6, dtype="<f4").tobytes())
-        with pytest.raises(StateError, match="hop.mbe.sedf"):
+        self._write(path, hop_seconds=hop)
+        with pytest.raises(StateError, match="hop.mbe.sedf: hop_seconds must be positive and finite"):
             features.load_feature_archive(path)
 
-    # (class id, channels, payload value, message); class ids 1..4 are mbe,
-    # bin-mbe, bin-mul-mbe, bin-fft, and bin-fft holds exactly 4 channels
+    # (feature class, channels, payload value, message); bin-fft holds
+    # exactly 4 channels
     @pytest.mark.parametrize(
-        "class_id, ch, value, message",
+        "feature_class, ch, value, message",
         [
-            (1, 1, float("nan"), "feature data contains non-finite values"),
-            (1, 1, float("inf"), "feature data contains non-finite values"),
-            (4, 3, 0.0, "bin-fft cannot have 3 channel"),
-            (0, 1, 0.0, "unknown feature class id 0"),
-            (5, 1, 0.0, "unknown feature class id 5"),
+            ("mbe", 1, float("nan"), "feature data contains non-finite values"),
+            ("mbe", 1, float("inf"), "feature data contains non-finite values"),
+            ("bin-fft", 3, 0.0, "bin-fft cannot have 3 channel"),
+            ("fft", 1, 0.0, "unknown feature class 'fft'"),
+            ("bin-mfcc", 1, 0.0, "unknown feature class 'bin-mfcc'"),
         ],
     )
-    def test_bad_archive_is_state_error_naming_the_file(self, tmp_path, class_id, ch, value, message):
+    def test_bad_archive_is_state_error_naming_the_file(self, tmp_path, feature_class, ch, value, message):
         path = tmp_path / "bad.sedf"
-        header = struct.pack("<4sHHIIId", b"SEDF", 1, class_id, 2, 3, ch, 0.02)
-        path.write_bytes(header + np.full(6 * ch, value, dtype="<f4").tobytes())
+        self._write(path, data=np.full((2, 3, ch), value, dtype=np.float32), feature_class=feature_class)
         with pytest.raises(StateError, match=f"bad.sedf: {message}"):
             features.load_feature_archive(path)
+
+    @pytest.mark.parametrize(
+        "arrays, message",
+        [
+            ({"data": np.zeros((2, 3, 1))}, "data is float64, not float32"),
+            ({"hop_seconds": np.float32(0.02)}, "hop_seconds is float32"),
+            ({"hop_seconds": np.array([0.02])}, r"hop_seconds is float64 \(1,\)"),
+            ({"feature_class": np.array(["mbe"])}, "unknown feature class"),
+            ({"normalizer": np.zeros(1)}, "holds arrays"),
+        ],
+        ids=["float64_data", "float32_hop", "hop_vector", "class_vector", "extra_array"],
+    )
+    def test_mistyped_or_extra_array_is_state_error_naming_the_file(self, tmp_path, arrays, message):
+        path = tmp_path / "odd.sedf"
+        self._write(path, **arrays)
+        with pytest.raises(StateError, match=f"odd.sedf: {message}"):
+            features.load_feature_archive(path)
+
+    def test_missing_array_is_state_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "short.sedf"
+        audio_io.write_arrays(path, data=np.zeros((2, 3, 1), dtype=np.float32), feature_class="mbe")
+        with pytest.raises(StateError, match="short.sedf: holds arrays"):
+            features.load_feature_archive(path)
+
+    def test_equal_tensors_give_equal_bytes(self, tmp_path, rng):
+        # zip entries carry a timestamp; it must not be the time of writing
+        tensor = features.FeatureTensor(data=rng.normal(size=(5, 4, 2)), feature_class="bin-mbe", hop_seconds=0.02)
+        first, second = tmp_path / "a.sedf", tmp_path / "b.sedf"
+        features.save_feature_archive(tensor, first)
+        time.sleep(1.1)
+        features.save_feature_archive(tensor, second)
+        assert first.read_bytes() == second.read_bytes()
 
     @pytest.mark.parametrize("hop", [float("nan"), float("inf"), 0.0])
     def test_tensor_rejects_a_bad_hop(self, hop):
@@ -576,7 +611,9 @@ class TestArchive:
         before = path.read_bytes()
 
         class FailingPayload:
-            """Writes the header, then half the payload, then fails."""
+            """Passes the first write through, writes half of the second,
+            then fails; ``seek`` and ``tell``, which zipfile calls, reach
+            the file."""
 
             def __init__(self, fh):
                 self.fh = fh
@@ -587,6 +624,9 @@ class TestArchive:
 
             def __exit__(self, *exc):
                 self.fh.close()
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
 
             def write(self, data):
                 self.writes += 1

@@ -1,4 +1,5 @@
-"""Every import in ``src/``, ``scripts/`` and ``tests/`` is used.
+"""Every import in ``src/``, ``scripts/`` and ``tests/`` is used, and only
+``audio_io`` imports ``struct`` or ``zipfile``.
 
 A name counts as used when the module reads it anywhere, in code or in an
 annotation; no annotation here is a string, so each one is a Name node.
@@ -40,3 +41,19 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def test_only_audio_io_imports_struct_or_zipfile():
+    # every other module writes and reads its files through audio_io
+    importers = set()
+    for path in (ROOT / "src" / "sedpipe").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if {m.split(".")[0] for m in modules} & {"struct", "zipfile"}:
+                importers.add(str(path.relative_to(ROOT)))
+    assert importers <= {"src/sedpipe/audio_io.py"}

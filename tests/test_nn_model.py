@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import json
-import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,7 +14,7 @@ from oracles import (
     max_pool_by_hand,
     max_relative_error,
 )
-from sedpipe import cores
+from sedpipe import audio_io, cores
 from sedpipe.errors import CheckpointError, ConfigError, ShapeError, StateError
 from sedpipe.features import Normalizer
 from sedpipe.nn import (
@@ -242,6 +242,46 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
+    def test_equal_models_give_equal_bytes(self, rng, tmp_path):
+        # zip entries carry a timestamp; it must not be the time of writing
+        model = build_crnn(tiny_arch(), rng)
+        norm = Normalizer(mean=rng.normal(size=(40, 1)), std=np.ones((40, 1)))
+        first, second = tmp_path / "a.sedm", tmp_path / "b.sedm"
+        save_checkpoint(model, first, norm)
+        time.sleep(1.1)
+        save_checkpoint(model, second, norm)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda a: a.pop("0.W"), "no 0.W array"),
+            (lambda a: a.update({"0.V": np.zeros(2)}), r"unexpected arrays \['0.V'\]"),
+            (lambda a: a.update({"0.W": np.zeros((1, 2))}), r"0.W is float64 \(1, 2\), expected float64 \(2, 1\)"),
+            (lambda a: a.update({"0.b": np.zeros(1, dtype=np.float32)}), "0.b is float32"),
+            (lambda a: a.update({"0.b": np.zeros(1, dtype=np.int64)}), "0.b is int64"),
+            (lambda a: a.pop("normalizer.std"), "no normalizer.std array"),
+            (lambda a: a.pop("normalizer.mean"), "no normalizer.mean array"),
+            (lambda a: a.update({"normalizer.std": np.ones((2, 1))}), r"normalizer.std is float64 \(2, 1\), expected float64 \(1, 2\)"),
+            (lambda a: a.update({"normalizer.mean": np.zeros((1, 2), dtype=np.float32)}), "normalizer.mean is float32"),
+            (lambda a: a.pop("descriptor"), "no valid architecture descriptor"),
+            (lambda a: a.update({"descriptor": np.zeros(3)}), "no valid architecture descriptor"),
+        ],
+        ids=[
+            "missing", "extra", "misshapen", "float32", "int64", "lone_mean", "lone_std",
+            "misshapen_std", "float32_mean", "no_descriptor", "numeric_descriptor",
+        ],
+    )
+    def test_bad_array_is_a_checkpoint_error_naming_the_file(self, rng, tmp_path, change, message):
+        model = ModelGraph([layers.TimeDense(2, 1, rng=rng)])
+        path = tmp_path / "odd.sedm"
+        save_checkpoint(model, path, Normalizer(mean=np.zeros((1, 2)), std=np.ones((1, 2))))
+        arrays = audio_io.read_arrays(path, CheckpointError)
+        change(arrays)
+        audio_io.write_arrays(path, **arrays)
+        with pytest.raises(CheckpointError, match=f"odd.sedm: {message}"):
+            load_checkpoint(path)
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.sedm"
         path.write_bytes(b"JUNKnotacheckpoint")
@@ -410,18 +450,16 @@ def test_unrunnable_graph_rejected(name):
 
 
 def test_checkpoint_with_a_lone_batch_norm_rejected(rng, tmp_path):
-    # swapping the block's batch norm and pool keeps the payload's bytes
+    # the block's batch norm and pool swapped, every array kept: the graph
+    # is rejected before any array is read
     model = ModelGraph.from_descriptor(OWNERSHIP_GRAPHS["conv_block"])
     model.forward(rng.normal(size=(2, 4, 5, 3)), training=True)
     path = tmp_path / "model.sedm"
     save_checkpoint(model, path)
-    raw = path.read_bytes()
-    desc_len = int.from_bytes(raw[6:10], "little")
-    layers = json.loads(raw[10 : 10 + desc_len])
+    arrays = audio_io.read_arrays(path, CheckpointError)
+    layers = json.loads(str(arrays["descriptor"]))
     layers[1], layers[2] = layers[2], layers[1]
-    swapped = json.dumps(layers, sort_keys=True, separators=(",", ":")).encode()
-    assert len(swapped) == desc_len
-    path.write_bytes(raw[:10] + swapped + raw[10 + desc_len :])
+    audio_io.write_arrays(path, **{**arrays, "descriptor": json.dumps(layers)})
     with pytest.raises(ShapeError):
         load_checkpoint(path)
 
@@ -438,10 +476,9 @@ def test_checkpoint_with_a_lone_batch_norm_rejected(rng, tmp_path):
     ids=["missing_setting", "stray_key", "bad_value", "non_object_entry", "non_list"],
 )
 def test_malformed_descriptor_is_a_checkpoint_error_naming_the_file(tmp_path, layers):
-    desc = json.dumps(layers).encode()
     path = tmp_path / "model.sedm"
-    path.write_bytes(b"SEDM" + struct.pack("<HI", 1, len(desc)) + desc + b"\x00")
-    with pytest.raises(CheckpointError, match="model.sedm"):
+    audio_io.write_arrays(path, descriptor=json.dumps(layers))
+    with pytest.raises(CheckpointError, match="model.sedm: "):
         load_checkpoint(path)
 
 
