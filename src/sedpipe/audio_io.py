@@ -12,8 +12,10 @@ write leaves no partial file. Feature archives and checkpoints are numpy
 
 from __future__ import annotations
 
+import math
 import os
 import struct
+import zipfile
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -21,6 +23,7 @@ from pathlib import Path
 from typing import BinaryIO, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .errors import (
     AnnotationError,
@@ -53,10 +56,14 @@ class AudioClip:
             raise UnsupportedWavError(f"only 1 or 2 channels supported, got {s.shape[0]}")
         if self.sample_rate <= 0:
             raise WavFormatError(f"sample rate must be positive, got {self.sample_rate}")
-        if s.size and not np.all(np.isfinite(s)):
-            raise WavFormatError("samples contain non-finite values")
-        if s.size and np.max(np.abs(s)) > 1.0:
-            raise WavFormatError("samples fall outside [-1, 1]")
+        if s.size:
+            # a NaN or an infinity shows up in the minimum or the maximum,
+            # so no full-size temporary is needed to find one
+            lo, hi = s.min(), s.max()
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise WavFormatError("samples contain non-finite values")
+            if lo < -1.0 or hi > 1.0:
+                raise WavFormatError("samples fall outside [-1, 1]")
 
     @property
     def n_channels(self) -> int:
@@ -140,12 +147,14 @@ def write_arrays(path, **arrays) -> None:
 
 
 def read_arrays(path, error: type[Exception]) -> dict[str, np.ndarray]:
-    """Every array of an ``.npz`` file, by name. A file that does not parse
+    """Every array of an ``.npz`` file, by name. A file that does not parse,
+    or holds a member of another size than its ``.npy`` header claims,
     raises ``error`` naming it; a missing file raises ``OSError``."""
     # opened here, not by np.load, which leaks its handle when parsing fails
     with open(path, "rb") as fh:
         try:
             with np.load(fh, allow_pickle=False) as npz:
+                _check_member_sizes(npz.zip, os.fstat(fh.fileno()).st_size)
                 return {key: npz[key] for key in npz.files}
         # damaged input raises an open set of types from zipfile, numpy's
         # header parser and tokenize (BadZipFile, ValueError, TokenError,
@@ -154,9 +163,33 @@ def read_arrays(path, error: type[Exception]) -> dict[str, np.ndarray]:
             raise error(f"{path}: not a readable .npz file ({exc})") from None
 
 
+_NPY_HEADER_READERS = {(1, 0): npy_format.read_array_header_1_0, (2, 0): npy_format.read_array_header_2_0}
+
+
+def _check_member_sizes(archive: zipfile.ZipFile, archive_bytes: int) -> None:
+    """Raise ``ValueError`` naming the first member whose zip entry is not
+    its ``.npy`` header plus the data its shape and dtype claim, or claims
+    more bytes than the whole archive holds. ``np.load`` allocates the
+    claimed array before it reads any data."""
+    for info in archive.infolist():
+        with archive.open(info) as member:
+            version = npy_format.read_magic(member)
+            if version not in _NPY_HEADER_READERS:
+                raise ValueError(f"member {info.filename} has unsupported .npy version {version}")
+            shape, _, dtype = _NPY_HEADER_READERS[version](member)
+            claimed = member.tell() + math.prod(shape) * dtype.itemsize
+        if claimed != info.file_size or claimed > archive_bytes:
+            raise ValueError(
+                f"member {info.filename} claims {claimed} bytes, its entry holds {info.file_size}"
+                f" of a {archive_bytes}-byte file"
+            )
+
+
 def read_wav(path) -> AudioClip:
     """Read a PCM WAV file, scaling samples to [-1, 1] by ``2**(bits-1)``."""
-    data = Path(path).read_bytes()
+    # chunks are parsed as views of the file bytes, so beside those bytes
+    # only the returned samples and, at 24 bit, one int32 array are allocated
+    data = memoryview(Path(path).read_bytes())
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise WavFormatError(f"{path}: not a RIFF/WAVE file")
 
@@ -164,7 +197,7 @@ def read_wav(path) -> AudioClip:
     raw = None
     pos = 12
     while pos + 8 <= len(data):
-        chunk_id = data[pos : pos + 4]
+        chunk_id = bytes(data[pos : pos + 4])
         size = int.from_bytes(data[pos + 4 : pos + 8], "little")
         body = data[pos + 8 : pos + 8 + size]
         if len(body) < size:
@@ -191,17 +224,26 @@ def read_wav(path) -> AudioClip:
     frame_bytes = (bits // 8) * n_channels
     if len(raw) % frame_bytes:
         raise WavFormatError(f"{path}: data size {len(raw)} is not a whole number of frames")
+    n_frames = len(raw) // frame_bytes
 
     if bits == 16:
-        ints = np.frombuffer(raw, dtype="<i2").astype(np.int32)
+        ints = np.frombuffer(raw, dtype="<i2")
     else:
-        b = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
-        ints = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
-        ints = np.where(ints >= 1 << 23, ints - (1 << 24), ints)
+        # each 3-byte sample goes into the top three bytes of an int32, and
+        # the arithmetic shift back down sign-extends it
+        wide = np.zeros((n_frames * n_channels, 4), dtype=np.uint8)
+        wide[:, 1:] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3)
+        ints = wide.view("<i4")[:, 0]
+        ints >>= 8
 
-    samples = ints.astype(np.float64) / float(1 << (bits - 1))
-    samples = samples.reshape(-1, n_channels).T.copy()
+    samples = np.empty((n_channels, n_frames))
+    np.divide(ints.reshape(n_frames, n_channels).T, float(1 << (bits - 1)), out=samples)
     return AudioClip(samples=samples, sample_rate=int(sample_rate))
+
+
+# frames encoded per block by write_wav: about 0.5 MiB of temporaries for
+# a stereo clip, whatever its length
+_WRITE_BLOCK_FRAMES = 1 << 14
 
 
 def write_wav(path, clip: AudioClip, bit_depth: int) -> None:
@@ -209,29 +251,29 @@ def write_wav(path, clip: AudioClip, bit_depth: int) -> None:
     if bit_depth not in (16, 24):
         raise UnsupportedWavError(f"only 16 or 24 bit supported, got {bit_depth}")
     full = 1 << (bit_depth - 1)
-    # scaled and rounded in place, so at most one float copy of the clip
-    # lives beside the integer one
-    ints = clip.samples.T * full
-    np.rint(ints, out=ints)
-    np.clip(ints, -full, full - 1, out=ints)
-    ints = np.ascontiguousarray(ints, dtype=np.int32)
-
-    if bit_depth == 16:
-        payload = ints.astype("<i2").tobytes()
-    else:
-        payload = ints.astype("<i4", copy=False).view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
-
-    n_channels = clip.n_channels
+    n_channels, n_frames = clip.samples.shape
     block_align = n_channels * bit_depth // 8
     byte_rate = clip.sample_rate * block_align
-    pad = b"\x00" if len(payload) & 1 else b""
-    riff_size = 4 + 8 + 16 + 8 + len(payload) + len(pad)
+    data_size = n_frames * block_align
+    pad = b"\x00" if data_size & 1 else b""
+    riff_size = 4 + 8 + 16 + 8 + data_size + len(pad)
 
     with atomic_write(path) as fh:
         fh.write(b"RIFF" + struct.pack("<I", riff_size) + b"WAVE")
         fh.write(b"fmt " + struct.pack("<IHHIIHH", 16, 1, n_channels, clip.sample_rate, byte_rate, block_align, bit_depth))
-        fh.write(b"data" + struct.pack("<I", len(payload)))
-        fh.write(payload)
+        fh.write(b"data" + struct.pack("<I", data_size))
+        scaled = np.empty((min(n_frames, _WRITE_BLOCK_FRAMES), n_channels))
+        for start in range(0, n_frames, _WRITE_BLOCK_FRAMES):
+            frames = clip.samples[:, start : start + _WRITE_BLOCK_FRAMES].T
+            block = scaled[: len(frames)]
+            np.multiply(frames, full, out=block)
+            np.rint(block, out=block)
+            np.clip(block, -full, full - 1, out=block)
+            ints = block.astype("<i4")
+            if bit_depth == 16:
+                fh.write(ints.astype("<i2"))
+            else:
+                fh.write(np.ascontiguousarray(ints.view(np.uint8).reshape(-1, 4)[:, :3]))
         fh.write(pad)
 
 

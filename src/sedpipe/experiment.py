@@ -62,7 +62,9 @@ def clip_features(audio_file: Path, features_cfg: FeatureConfig, archive: Path |
         return tensor
     archive.parent.mkdir(parents=True, exist_ok=True)
     feats.save_feature_archive(tensor, archive)
-    return dataclasses.replace(tensor, data=tensor.data.astype(np.float32).astype(np.float64))
+    # rounded in place; replace() runs the FeatureTensor checks again
+    np.copyto(tensor.data, tensor.data.astype(np.float32))
+    return dataclasses.replace(tensor)
 
 
 def _load_split(

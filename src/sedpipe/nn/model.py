@@ -248,8 +248,9 @@ def save_checkpoint(model: ModelGraph, path, normalizer: Normalizer | None = Non
 
 def load_checkpoint(path):
     """Rebuild (model, normalizer) from a checkpoint file. A bad descriptor,
-    or an array that is missing, extra, misshapen or not float64, is a
-    :class:`CheckpointError` naming the file."""
+    an array that is missing, extra, misshapen, not float64 or not finite,
+    or a normalizer std that is not positive, is a :class:`CheckpointError`
+    naming the file."""
     arrays = read_arrays(path, CheckpointError)
     try:
         descriptors = json.loads(str(arrays.pop("descriptor")))
@@ -270,6 +271,8 @@ def load_checkpoint(path):
         shape = arr.shape if shape is None else shape
         if arr.dtype != np.float64 or arr.shape != shape:
             raise CheckpointError(f"{path}: {key} is {arr.dtype} {arr.shape}, expected float64 {shape}")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: {key} holds non-finite values")
         return arr
 
     for key, arr in model.state_arrays():
@@ -277,7 +280,10 @@ def load_checkpoint(path):
     normalizer = None
     if {"normalizer.mean", "normalizer.std"} & arrays.keys():
         mean = take("normalizer.mean", None)
-        normalizer = Normalizer(mean=mean, std=take("normalizer.std", mean.shape))
+        try:
+            normalizer = Normalizer(mean=mean, std=take("normalizer.std", mean.shape))
+        except ShapeError as exc:  # shapes already match, so a std entry is not positive
+            raise CheckpointError(f"{path}: normalizer.std: {exc}") from None
     if arrays:
         raise CheckpointError(f"{path}: unexpected arrays {sorted(arrays)}")
     return model, normalizer

@@ -8,13 +8,49 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import io
+import math
+import struct
+import tracemalloc
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib import format as npy_format
 
 from sedpipe import synth
 from sedpipe.audio_io import AudioClip, write_annotations, write_manifest, write_wav
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``, where ``peak`` is the most memory tracemalloc saw
+    allocated during the call, in bytes, above what was allocated before."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def write_oversized_claim(path, member: str, shape=(10**9, 2, 1), entry_agrees: bool = False) -> None:
+    """An ``.npz`` file whose one ``member`` has a ``.npy`` header claiming a
+    float32 array of ``shape`` (by default 7.45 GiB) over 64 bytes of data.
+    With ``entry_agrees``, the sizes in the member's zip entry are rewritten
+    to the claimed size, which must then fit in 32 bits."""
+    header = io.BytesIO()
+    npy_format.write_array_header_1_0(header, {"descr": "<f4", "fortran_order": False, "shape": shape})
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        archive.writestr(member, header.getvalue() + bytes(64))
+    data = bytearray(buffer.getvalue())
+    if entry_agrees:
+        claimed = len(header.getvalue()) + 4 * math.prod(shape)
+        struct.pack_into("<II", data, 18, claimed, claimed)  # local file header
+        struct.pack_into("<II", data, data.rfind(b"PK\x01\x02") + 20, claimed, claimed)  # central directory
+    Path(path).write_bytes(data)
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from sedpipe.audio_io import (
     AudioClip,
     Event,
@@ -103,6 +104,64 @@ class TestWav:
         back = read_wav(path)
         assert back.samples[0, 0] == -1.0
         assert back.samples[0, 1] == pytest.approx(-0.25, abs=1e-6)
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_24bit_extremes_round_trip_bitwise(self, tmp_path, channels):
+        codes = np.array([-(1 << 23), (1 << 23) - 1, -1, 0, 1])
+        frames = np.stack([codes, codes[::-1]][:channels], axis=1)  # (frames, channels)
+        payload = frames.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+        first, second = tmp_path / "a.wav", tmp_path / "b.wav"
+        _write_raw_wav(first, payload, channels=channels, rate=8000, bits=24)
+        clip = read_wav(first)
+        assert np.array_equal(clip.samples, frames.T / float(1 << 23))
+        write_wav(second, clip, bit_depth=24)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_odd_data_chunk_and_its_pad_byte(self, tmp_path):
+        # one 3-byte sample: the pad byte must be skipped to reach the
+        # chunk after it
+        path = tmp_path / "odd.wav"
+        fmt = struct.pack("<HHIIHH", 1, 1, 8000, 24000, 3, 24)
+        body = (
+            b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", 3) + (-2).to_bytes(3, "little", signed=True) + b"\x00"
+            + b"LIST" + struct.pack("<I", 4) + b"info"
+        )
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        assert np.array_equal(read_wav(path).samples, [[-2 / (1 << 23)]])
+
+    def test_truncated_chunk_names_its_id(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        _write_raw_wav(path, struct.pack("<hhhh", 1, 2, 3, 4), channels=1, rate=8000, bits=16)
+        path.write_bytes(path.read_bytes()[:-2])
+        with pytest.raises(WavFormatError, match=r"cut.wav: truncated b'data' chunk"):
+            read_wav(path)
+
+
+class TestWavMemory:
+    """A clip costs one copy: decoding goes straight into the returned
+    samples, encoding works through fixed blocks of frames. The bounds are
+    for 5 s of stereo at 44.1 kHz, 3.4 MiB of float64 samples."""
+
+    @pytest.fixture
+    def clip(self, rng):
+        return AudioClip(samples=rng.uniform(-1.0, 1.0, size=(2, 5 * 44100)), sample_rate=44100)
+
+    @pytest.mark.parametrize("bits, ratio", [(16, 1.5), (24, 2.1)])
+    def test_read_peaks_near_one_copy_of_the_result(self, tmp_path, clip, bits, ratio):
+        path = tmp_path / "clip.wav"
+        write_wav(path, clip, bit_depth=bits)
+        back, peak = traced_peak(lambda: read_wav(path))
+        assert peak < ratio * back.samples.nbytes
+
+    def test_clip_check_allocates_no_copy(self, clip):
+        _, peak = traced_peak(lambda: AudioClip(samples=clip.samples, sample_rate=44100))
+        assert peak < 0.05 * clip.samples.nbytes
+
+    @pytest.mark.parametrize("bits", [16, 24])
+    def test_write_peaks_under_a_fixed_bound(self, tmp_path, clip, bits):
+        _, peak = traced_peak(lambda: write_wav(tmp_path / "clip.wav", clip, bit_depth=bits))
+        assert peak < 1.5 * 2**20
 
 
 def _write_raw_wav(path, payload, channels, rate, bits, fmt_code=1, extra_chunk=False):

@@ -5,12 +5,12 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from sedpipe.cli import main
 
 
@@ -107,13 +107,7 @@ class TestSynth:
         clip_bytes = 2 * int(seconds * 44100) * 8  # stereo float64 samples
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"[data]\nn_clips = {n_clips}\nduration_s = {seconds}\n", encoding="utf-8")
-        tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
-            code = run_cli(capsys, "synth", "--config", str(cfg), "--out", str(tmp_path / "d"))[0]
-            peak = tracemalloc.get_traced_memory()[1] - held
-        finally:
-            tracemalloc.stop()
+        (code, _, _), peak = traced_peak(lambda: run_cli(capsys, "synth", "--config", str(cfg), "--out", str(tmp_path / "d")))
         assert code == 0
         assert len(list((tmp_path / "d").glob("*.wav"))) == n_clips
         assert peak < 3 * clip_bytes

@@ -4,12 +4,12 @@ import dataclasses
 import struct
 import threading
 import time
-import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak, write_oversized_claim
 from oracles import chunks_by_hand, direct_dft, mel_frame_by_hand
 from sedpipe import audio_io, cores, dsp, features, synth
 from sedpipe.audio_io import AudioClip, EventRoll, to_mono
@@ -343,13 +343,7 @@ class TestExtractMemory:
     # 32 and 19), and about 17 and 20 MiB split between two cores
     @pytest.mark.parametrize("fc, bound_mib", [("bin-mul-mbe", 24), ("bin-fft", 32)])
     def test_peak_traced_memory_is_bounded(self, ten_second_clip, fc, bound_mib):
-        tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
-            tensor = features.extract(ten_second_clip, fc)
-            peak = tracemalloc.get_traced_memory()[1] - held
-        finally:
-            tracemalloc.stop()
+        tensor, peak = traced_peak(lambda: features.extract(ten_second_clip, fc))
         assert tensor.n_frames == 500
         assert peak < bound_mib * 2**20
 
@@ -565,6 +559,25 @@ class TestArchive:
         audio_io.write_arrays(path, data=np.zeros((2, 3, 1), dtype=np.float32), feature_class="mbe")
         with pytest.raises(StateError, match="short.sedf: holds arrays"):
             features.load_feature_archive(path)
+
+    @pytest.mark.parametrize(
+        "shape, entry_agrees, message",
+        [
+            ((10**9, 2, 1), False, "claims 8000000128 bytes, its entry holds 192"),
+            ((10**8, 1, 1), True, "claims 400000128 bytes, its entry holds 400000128 of a 306-byte file"),
+        ],
+        ids=["entry_disagrees", "entry_beyond_the_file"],
+    )
+    def test_oversized_claim_is_state_error_before_allocating(self, tmp_path, shape, entry_agrees, message):
+        path = tmp_path / "huge.sedf"
+        write_oversized_claim(path, "data.npy", shape, entry_agrees)
+
+        def load():
+            with pytest.raises(StateError, match=f"huge.sedf: .*member data.npy {message}"):
+                features.load_feature_archive(path)
+
+        _, peak = traced_peak(load)
+        assert peak < 2**20
 
     def test_equal_tensors_give_equal_bytes(self, tmp_path, rng):
         # zip entries carry a timestamp; it must not be the time of writing

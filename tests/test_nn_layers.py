@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from oracles import (
     batch_norm_by_hand,
     bigru_by_hand,
@@ -102,13 +103,7 @@ class TestConv2d:
         conv = L.Conv2D(4, 64, rng=rng)
         out = conv.forward(rng.normal(size=(2, 64, 1024, 4)), training=True)
         dout = rng.normal(size=out.shape)
-        tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
-            conv.backward(dout)
-            peak = tracemalloc.get_traced_memory()[1] - held
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: conv.backward(dout))
         assert peak < out.nbytes
 
 
@@ -118,13 +113,7 @@ class TestConv2d:
         conv = L.Conv2D(4, 64, rng=rng)
         out = conv.forward(rng.normal(size=(2, 64, 1024, 4)), training=True)
         dout = rng.normal(size=out.shape)
-        tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
-            dx = conv.backward(dout, input_grad=False)
-            peak = tracemalloc.get_traced_memory()[1] - held
-        finally:
-            tracemalloc.stop()
+        dx, peak = traced_peak(lambda: conv.backward(dout, input_grad=False))
         assert dx is None
         assert peak < out.nbytes / 2
 
@@ -139,14 +128,13 @@ class TestConv2d:
         conv = L.Conv2D(c, filters, rng=rng)
         x = rng.normal(size=(s, t, b, c))
         dout = rng.normal(size=(s, t, b, filters))
-        tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
+
+        def step():
             out = conv.forward(x, training=True)
             conv.backward(dout)
-            peak = tracemalloc.get_traced_memory()[1] - held
-        finally:
-            tracemalloc.stop()
+            return out
+
+        out, peak = traced_peak(step)
         assert peak < patch_bytes
         kmat = conv.params["kernels"].reshape(filters, -1).T
         whole = L._im2col(np.pad(x[0], ((1, 1), (1, 1), (0, 0))), np.empty(patch_bytes // 8)) @ kmat
@@ -453,13 +441,7 @@ class TestMaxPoolFreq:
         m = L._windows(rng.normal(size=(2, 64, 512, 8)), 4)
         flip = np.arange(8) % 2 == 1
         out, mins = np.empty((2, 64, 128, 8)), np.empty((2, 64, 128, 8))
-        tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
-            L._select(m, flip, out, mins)
-            peak = tracemalloc.get_traced_memory()[1] - held
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: L._select(m, flip, out, mins))
         assert peak < out.nbytes / 4
         want = np.where(flip, m.min(axis=3), m.max(axis=3))
         assert np.array_equal(out, want)
@@ -475,14 +457,12 @@ class TestMaxPoolFreq:
         arg = np.empty(sel.shape, dtype=np.uint8)
         notyet, differs = np.empty(sel.shape, dtype=bool), np.empty(sel.shape, dtype=bool)
         g, scratch, dx = rng.normal(size=sel.shape), np.empty(sel.shape), np.zeros(m.shape)
-        tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
+
+        def route():
             L._first_tap(m, sel, arg, notyet, differs)
             L._add_at_taps(dx, arg, g, scratch, differs)
-            peak = tracemalloc.get_traced_memory()[1] - held
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(route)
         assert peak < arg.nbytes / 2
         assert np.array_equal(arg, m.argmax(axis=3))
         assert np.array_equal(dx, np.where(np.arange(4)[:, None] == arg[:, :, :, None], g[:, :, :, None], 0.0))

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import traced_peak, write_oversized_claim
 from oracles import (
     batch_norm_by_hand,
     conv2d_by_hand,
@@ -266,10 +267,16 @@ class TestCheckpoint:
             (lambda a: a.update({"normalizer.mean": np.zeros((1, 2), dtype=np.float32)}), "normalizer.mean is float32"),
             (lambda a: a.pop("descriptor"), "no valid architecture descriptor"),
             (lambda a: a.update({"descriptor": np.zeros(3)}), "no valid architecture descriptor"),
+            (lambda a: a.update({"0.W": np.full((2, 1), np.nan)}), "0.W holds non-finite values"),
+            (lambda a: a.update({"0.b": np.array([np.inf])}), "0.b holds non-finite values"),
+            (lambda a: a.update({"normalizer.mean": np.full((1, 2), -np.inf)}), "normalizer.mean holds non-finite values"),
+            (lambda a: a.update({"normalizer.std": np.array([[1.0, np.nan]])}), "normalizer.std holds non-finite values"),
+            (lambda a: a.update({"normalizer.std": np.array([[1.0, 0.0]])}), "normalizer.std: std entries must be strictly positive"),
         ],
         ids=[
             "missing", "extra", "misshapen", "float32", "int64", "lone_mean", "lone_std",
             "misshapen_std", "float32_mean", "no_descriptor", "numeric_descriptor",
+            "nan_param", "inf_param", "inf_mean", "nan_std", "zero_std",
         ],
     )
     def test_bad_array_is_a_checkpoint_error_naming_the_file(self, rng, tmp_path, change, message):
@@ -280,6 +287,12 @@ class TestCheckpoint:
         change(arrays)
         audio_io.write_arrays(path, **arrays)
         with pytest.raises(CheckpointError, match=f"odd.sedm: {message}"):
+            load_checkpoint(path)
+
+    def test_oversized_claim_is_a_checkpoint_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "huge.sedm"
+        write_oversized_claim(path, "0.W.npy")
+        with pytest.raises(CheckpointError, match=r"huge.sedm: .*member 0.W.npy claims 8000000128 bytes"):
             load_checkpoint(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
@@ -549,15 +562,13 @@ class TestOwnedActivations:
         x = data.normal(size=(s, t, b, c))
         y = (data.random((s, t, 3)) < 0.3).astype(float)
         mask = np.ones((s, t), dtype=bool)
-        tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
+
+        def step():
             out = model.forward(x, training=True, rng=data)
             _, dpred = bce_loss(out, y, mask)
             model.backward(dpred)
-            peak = tracemalloc.get_traced_memory()[1] - held
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(step)
         assert peak < 4 * s * t * b * filters * 8
 
 
