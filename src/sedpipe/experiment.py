@@ -61,9 +61,9 @@ def clip_features(audio_file: Path, features_cfg: FeatureConfig, archive: Path |
     if archive is None:
         return tensor
     archive.parent.mkdir(parents=True, exist_ok=True)
-    feats.save_feature_archive(tensor, archive)
-    # rounded in place; replace() runs the FeatureTensor checks again
-    np.copyto(tensor.data, tensor.data.astype(np.float32))
+    # rounded in place to what was saved; replace() runs the FeatureTensor
+    # checks again
+    np.copyto(tensor.data, feats.save_feature_archive(tensor, archive))
     return dataclasses.replace(tensor)
 
 

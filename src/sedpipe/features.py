@@ -443,16 +443,13 @@ def chunk_sequences(tensor, roll: EventRoll, seq_len: int) -> SequenceBatch:
     )
 
 
-def save_feature_archive(tensor: FeatureTensor, path) -> None:
+def save_feature_archive(tensor: FeatureTensor, path) -> np.ndarray:
     """Write the ``.npz`` archive: ``data`` at float32 (F, B, Ch), the
     ``feature_class`` name and ``hop_seconds``, through
-    :func:`~sedpipe.audio_io.write_arrays`."""
-    write_arrays(
-        path,
-        data=tensor.data.astype(np.float32),
-        feature_class=tensor.feature_class,
-        hop_seconds=tensor.hop_seconds,
-    )
+    :func:`~sedpipe.audio_io.write_arrays`; returns the float32 data."""
+    data = tensor.data.astype(np.float32)
+    write_arrays(path, data=data, feature_class=tensor.feature_class, hop_seconds=tensor.hop_seconds)
+    return data
 
 
 def load_feature_archive(path) -> FeatureTensor:

@@ -3,13 +3,12 @@ masked cross-entropy, CRNN/baseline builders and the training loop."""
 
 from .layers import (
     ACTIVATIONS,
-    BatchNorm,
     BiGRU,
     Conv2D,
+    ConvBlock,
     Dropout,
     FlattenFreq,
     Layer,
-    MaxPoolFreq,
     TimeDense,
     sigmoid,
 )

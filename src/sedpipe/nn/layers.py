@@ -8,13 +8,10 @@ its backward reads, an inference forward keeps nothing, and a backward
 releases the state, so nothing a step no longer reads outlives its use, and
 a backward without a training forward since the last one raises
 :class:`StateError`. Forward/backward pairs must therefore not interleave
-across calls. No layer writes its arguments. :class:`BatchNorm` and
-:class:`MaxPoolFreq` have no passes of their own: they hold their settings,
-parameters and buffers, and batch norm its statistics (``_standardize``,
-``_inference_affine``) and backward state, for a :class:`ConvBlock`, which
-runs a (conv, batch norm, frequency max pool) triple as one block that
-normalizes the conv's fresh output in place and applies batch norm's scale
-and shift after the pool.
+across calls. No layer writes its arguments. A :class:`ConvBlock` is one
+conv stage (conv, batch norm, frequency max pool): it normalizes the
+conv's fresh output in place and applies batch norm's scale and shift
+after the pool.
 
 :class:`Conv2D` and :class:`ConvBlock` split a batch into contiguous sample
 ranges, one per core (see :func:`_sample_ranges`), and run each range's
@@ -223,57 +220,6 @@ class Conv2D(Layer):
         return dxp[:, 1:-1, 1:-1] if input_grad else None
 
 
-class BatchNorm(Layer):
-    """Per-feature-map normalization over all leading axes, run by
-    :class:`ConvBlock`.
-
-    Training mode normalizes with batch statistics and folds them into the
-    running estimates (momentum 0.9); inference normalizes with the running
-    estimates and fails if none exist yet.
-    """
-
-    kind = "batch_norm"
-    settings = ("n_features", "eps", "momentum")
-
-    def __init__(self, n_features: int, eps: float = 1e-5, momentum: float = 0.9):
-        super().__init__()
-        self.n_features = n_features
-        self.eps = eps
-        self.momentum = momentum
-        self.params = {"gamma": np.ones(n_features), "beta": np.zeros(n_features)}
-        self.buffers = {
-            "running_mean": np.zeros(n_features),
-            "running_var": np.ones(n_features),
-            "updates": np.zeros(1),
-        }
-
-    def _standardize(self, x, ranges):
-        """Overwrite the (S, T, B, F) batch ``x`` with x̂ = (x - batch mean)
-        * inv_std, one sample range per thread, folding the batch statistics
-        into the running estimates; returns inv_std. The statistics are
-        whole-batch reductions, so they do not depend on the ranges."""
-        x2 = x.reshape(-1, x.shape[3])
-        # einsum reductions over axis 0 run several times faster than
-        # .mean(axis=0) when F is small, with the same summation order
-        mean = np.einsum("ij->j", x2) / x2.shape[0]
-        cores.run(lambda r: np.subtract(x[r], mean, out=x[r]), ranges)
-        var = np.einsum("ij,ij->j", x2, x2) / x2.shape[0]
-        m = self.momentum
-        self.buffers["running_mean"] = m * self.buffers["running_mean"] + (1 - m) * mean
-        self.buffers["running_var"] = m * self.buffers["running_var"] + (1 - m) * var
-        self.buffers["updates"] = self.buffers["updates"] + 1
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        cores.run(lambda r: np.multiply(x[r], inv_std, out=x[r]), ranges)
-        return inv_std
-
-    def _inference_affine(self):
-        """(scale, shift) of the inference map x * scale + shift."""
-        if self.buffers["updates"][0] == 0:
-            raise StateError("batch norm inference before any training update")
-        scale = self.params["gamma"] / np.sqrt(self.buffers["running_var"] + self.eps)
-        return scale, self.params["beta"] - self.buffers["running_mean"] * scale
-
-
 def _first_tap(m, sel, out, notyet, differs):
     """Write into the unsigned ``out`` the index of each window's first tap
     equal to ``sel``: the count of the leading taps that differ. A NaN
@@ -322,29 +268,21 @@ def _select(m, flip, out, mins=None):
     return out
 
 
-class MaxPoolFreq(Layer):
-    """Max pooling on the frequency axis only, run by :class:`ConvBlock`;
-    time resolution is preserved.
-
-    (S, T, B, F) -> (S, T, B//factor, F); each window's gradient goes to
-    its max, a tie to the lowest bin index.
-    """
-
-    kind = "max_pool_freq"
-    settings = ("factor",)
-
-    def __init__(self, factor: int):
-        super().__init__()
-        if factor < 1:
-            raise RangeError(f"pool factor must be >= 1, got {factor}")
-        self.factor = factor
+# batch norm's variance floor and the weight of the old running estimate
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.9
 
 
-class ConvBlock:
-    """A Conv2D, BatchNorm and MaxPoolFreq run as one block over the three
-    layer objects, which keep their parameters, buffers, grads and backward
-    state: the block holds none of its own, and x̂ and inv_std are batch
-    norm's.
+class ConvBlock(Layer):
+    """One conv stage: a 3x3 :class:`Conv2D`, batch norm over its feature
+    maps, then max pooling of the frequency axis by ``factor``; time
+    resolution is preserved. (S, T, B, Cin) -> (S, T, B//factor, filters).
+
+    ``self.conv`` holds the conv and its backward state; the block's
+    ``kernels`` is the conv's array. Training mode normalizes with batch
+    statistics and folds them into the running estimates (momentum
+    ``BN_MOMENTUM``); inference normalizes with the running estimates and
+    fails if none exist yet.
 
     Each step of batch norm is monotone in its input, so pooling commutes
     with it. Both modes pool by one rule, the window min where scale < 0,
@@ -352,29 +290,68 @@ class ConvBlock:
     with (gamma, beta), inference the conv's output with batch norm's
     inference map, whose scale has gamma's sign. Outputs equal max pooling
     of batch norm's output bit for bit. The backward pools x̂ again and
-    routes each window's gradient to its first max, so no argmax is held
-    between the passes. The conv's output is the one full-size array: it
-    becomes x̂ in place and, in backward, the conv's output gradient. Every
-    pass over it runs one sample range per thread, over the conv's ranges,
-    into pooled-size arrays that the calling thread allocates once for the
-    whole batch (see :func:`sedpipe.cores.run`).
+    routes each window's gradient to its first max (a tie to the lowest
+    bin), so no argmax is held between the passes. The conv's output is the
+    one full-size array: it becomes x̂ in place and, in backward, the conv's
+    output gradient. Every pass over it runs one sample range per thread,
+    over the conv's ranges, into pooled-size arrays that the calling thread
+    allocates once for the whole batch (see :func:`sedpipe.cores.run`).
     """
 
-    def __init__(self, conv: Conv2D, bn: BatchNorm, pool: MaxPoolFreq):
-        if conv.filters != bn.n_features:
-            raise ShapeError(f"batch norm of {bn.n_features} feature maps after a conv of {conv.filters} filters")
-        self.conv, self.bn, self.pool = conv, bn, pool
+    kind = "conv_block"
+    settings = ("in_channels", "filters", "factor")
+
+    def __init__(self, in_channels: int, filters: int, factor: int, rng: np.random.Generator | None = None):
+        super().__init__()
+        if factor < 1:
+            raise RangeError(f"pool factor must be >= 1, got {factor}")
+        self.in_channels = in_channels
+        self.filters = filters
+        self.factor = factor
+        self.conv = Conv2D(in_channels, filters, rng=rng)
+        self.params = {"kernels": self.conv.params["kernels"], "gamma": np.ones(filters), "beta": np.zeros(filters)}
+        self.buffers = {
+            "running_mean": np.zeros(filters),
+            "running_var": np.ones(filters),
+            "updates": np.zeros(1),
+        }
+
+    def _standardize(self, x, ranges):
+        """Overwrite the (S, T, B, F) batch ``x`` with x̂ = (x - batch mean)
+        * inv_std, one sample range per thread, folding the batch statistics
+        into the running estimates; returns inv_std. The statistics are
+        whole-batch reductions, so they do not depend on the ranges."""
+        x2 = x.reshape(-1, x.shape[3])
+        # einsum reductions over axis 0 run several times faster than
+        # .mean(axis=0) when F is small, with the same summation order
+        mean = np.einsum("ij->j", x2) / x2.shape[0]
+        cores.run(lambda r: np.subtract(x[r], mean, out=x[r]), ranges)
+        var = np.einsum("ij,ij->j", x2, x2) / x2.shape[0]
+        m = BN_MOMENTUM
+        self.buffers["running_mean"] = m * self.buffers["running_mean"] + (1 - m) * mean
+        self.buffers["running_var"] = m * self.buffers["running_var"] + (1 - m) * var
+        self.buffers["updates"] = self.buffers["updates"] + 1
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        cores.run(lambda r: np.multiply(x[r], inv_std, out=x[r]), ranges)
+        return inv_std
+
+    def _inference_affine(self):
+        """(scale, shift) of the inference map x * scale + shift."""
+        if self.buffers["updates"][0] == 0:
+            raise StateError("batch norm inference before any training update")
+        scale = self.params["gamma"] / np.sqrt(self.buffers["running_var"] + BN_EPS)
+        return scale, self.params["beta"] - self.buffers["running_mean"] * scale
 
     def forward(self, x, training=False, rng=None):
         y = self.conv.forward(x, training=training, rng=rng)
-        m = _windows(y, self.pool.factor)
+        m = _windows(y, self.factor)
         ranges = _sample_ranges(y)
         if training:
-            self.bn._keep(True, y, self.bn._standardize(y, ranges))
-            scale, shift = self.bn.params["gamma"], self.bn.params["beta"]
+            self._keep(True, y, self._standardize(y, ranges))
+            scale, shift = self.params["gamma"], self.params["beta"]
         else:
-            self.bn._keep(False)
-            scale, shift = self.bn._inference_affine()
+            self._keep(False)
+            scale, shift = self._inference_affine()
         flip = scale < 0
         out = np.empty(m.shape[:3] + m.shape[4:])
         mins = np.empty(out.shape) if flip.any() else None
@@ -384,17 +361,17 @@ class ConvBlock:
         return out
 
     def backward(self, dout, input_grad=True):
-        x_hat, inv_std = self.bn._take()  # x_hat becomes the conv's output gradient below
-        gamma = self.bn.params["gamma"]
+        x_hat, inv_std = self._take()  # x_hat becomes the conv's output gradient below
+        gamma = self.params["gamma"]
         n = x_hat.shape[3]
         count = x_hat.size // n
-        m = _windows(x_hat, self.pool.factor)
+        m = _windows(x_hat, self.factor)
         ranges = _sample_ranges(x_hat)
         # gamma is still the forward's, so x̂ pooled anew is the forward's
         # pooled x̂, and each window's first tap equal to it is its route
         flip = gamma < 0
         pooled, scratch = np.empty(dout.shape), np.empty(dout.shape)
-        arg = np.empty(dout.shape, dtype=np.min_scalar_type(self.pool.factor - 1))
+        arg = np.empty(dout.shape, dtype=np.min_scalar_type(self.factor - 1))
         notyet, differs = np.empty(dout.shape, dtype=bool), np.empty(dout.shape, dtype=bool)
 
         def first_taps(r):
@@ -405,8 +382,8 @@ class ConvBlock:
         d2 = dout.reshape(-1, n)
         dbeta = np.einsum("ij->j", d2)
         dgamma = np.einsum("ij,ij->j", d2, pooled.reshape(-1, n))
-        self.bn.grads["gamma"] = dgamma
-        self.bn.grads["beta"] = dbeta
+        self.grads["gamma"] = dgamma
+        self.grads["beta"] = dbeta
         # dx = c * (count * dy - dbeta - x_hat * dgamma), c = gamma * inv_std
         # / count, where dy is dout routed to each window's first max
         c = gamma * inv_std / count
@@ -422,7 +399,9 @@ class ConvBlock:
 
         cores.run(spread, ranges)
         del pooled, scratch, arg, notyet, differs  # free the routing arrays before the conv's backward
-        return self.conv.backward(x_hat, input_grad=input_grad)
+        dx = self.conv.backward(x_hat, input_grad=input_grad)
+        self.grads["kernels"] = self.conv.grads["kernels"]
+        return dx
 
 
 class Dropout(Layer):

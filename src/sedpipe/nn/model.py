@@ -12,18 +12,7 @@ from ..audio_io import read_arrays, write_arrays
 from ..config import ModelConfig
 from ..errors import CheckpointError, ConfigError, ShapeError
 from ..features import FeatureTensor, Normalizer
-from .layers import (
-    BatchNorm,
-    BiGRU,
-    Conv2D,
-    ConvBlock,
-    Dropout,
-    FlattenFreq,
-    Layer,
-    MaxPoolFreq,
-    TimeDense,
-    layer_from_descriptor,
-)
+from .layers import BiGRU, ConvBlock, Dropout, FlattenFreq, Layer, TimeDense, layer_from_descriptor
 
 
 class ModelGraph:
@@ -31,42 +20,23 @@ class ModelGraph:
 
     Parameters are addressed as ``"<layer index>.<name>"``; buffers (batch
     norm running statistics) ride along in snapshots and checkpoints so a
-    restored model reproduces inference bit for bit.
-
-    Each (conv, batch norm, frequency max pool) triple runs as one
-    :class:`ConvBlock` over its three layers, which pools before batch
-    norm's scale and shift and overwrites only the conv's fresh output; a
-    batch norm or pool outside such a triple raises :class:`ShapeError`. No
-    step writes its argument, so the caller's input and output gradient
-    are never written.
+    restored model reproduces inference bit for bit. No layer writes its
+    argument, so the caller's input and output gradient are never written.
     """
 
     def __init__(self, layers: list[Layer]):
         self.layers = layers
-        # (index of the step's first layer, the layer or the conv block)
-        self._steps: list[tuple[int, Layer | ConvBlock]] = []
-        i = 0
-        while i < len(layers):
-            trio = layers[i : i + 3]
-            if [type(layer) for layer in trio] == [Conv2D, BatchNorm, MaxPoolFreq]:
-                self._steps.append((i, ConvBlock(*trio)))
-                i += 3
-            elif isinstance(layers[i], (BatchNorm, MaxPoolFreq)):
-                raise ShapeError(f"layer {i} ({layers[i].kind}) runs only in a conv2d, batch_norm, max_pool_freq triple")
-            else:
-                self._steps.append((i, layers[i]))
-                i += 1
 
     def forward(self, x, training=False, rng=None):
-        for _, step in self._steps:
-            x = step.forward(x, training=training, rng=rng)
+        for layer in self.layers:
+            x = layer.forward(x, training=training, rng=rng)
         return x
 
     def backward(self, dout) -> None:
         """Fill every layer's ``grads``. The first layer computes no input
         gradient: nothing reads the gradient of the model's input."""
-        for i, step in reversed(self._steps):
-            dout = step.backward(dout, input_grad=i > 0)
+        for i in reversed(range(len(self.layers))):
+            dout = self.layers[i].backward(dout, input_grad=i > 0)
 
     def parameters(self):
         for i, layer in enumerate(self.layers):
@@ -166,14 +136,12 @@ def validate_pools(n_bins: int, pool_factors: tuple[int, ...]) -> None:
 
 
 def build_crnn(arch: CrnnArch, rng: np.random.Generator) -> ModelGraph:
-    """conv(+bn+pool+dropout) stack -> flatten -> bigru stack -> dense stack
+    """conv block (+dropout) stack -> flatten -> bigru stack -> dense stack
     -> sigmoid head of ``n_classes`` units."""
     layers: list[Layer] = []
     in_ch = arch.n_channels
     for pool in arch.pools:
-        layers.append(Conv2D(in_ch, arch.filters, rng=rng))
-        layers.append(BatchNorm(arch.filters))
-        layers.append(MaxPoolFreq(pool))
+        layers.append(ConvBlock(in_ch, arch.filters, pool, rng=rng))
         layers.append(Dropout(arch.dropout))
         in_ch = arch.filters
     layers.append(FlattenFreq())

@@ -199,11 +199,11 @@ class TestGradientCriteria:
             assert worst[name] < 1e-5, f"{name}: {worst[name]:.2e}"
 
         check("conv2d", nn_layers.Conv2D(2, 3, rng=rng), rng.normal(size=(1, 8, 8, 2)))
-        # batch norm and the frequency max pool run only in a conv block
-        block = nn_layers.ConvBlock(nn_layers.Conv2D(2, 3, rng=rng), nn_layers.BatchNorm(3), nn_layers.MaxPoolFreq(4))
-        block.bn.params["gamma"][...] = rng.normal(size=3) + np.array([1.5, -1.5, 1.5])
-        block.bn.params["beta"][...] = rng.normal(size=3)
-        check("conv_block", block, rng.normal(size=(2, 4, 8, 2)), (block.conv, block.bn))
+        # conv, batch norm and frequency max pool as the one conv block layer
+        block = nn_layers.ConvBlock(2, 3, 4, rng=rng)
+        block.params["gamma"][...] = rng.normal(size=3) + np.array([1.5, -1.5, 1.5])
+        block.params["beta"][...] = rng.normal(size=3)
+        check("conv_block", block, rng.normal(size=(2, 4, 8, 2)), (block,))
         check("bigru", nn_layers.BiGRU(3, 4, rng=rng), rng.normal(size=(2, 5, 3)))
         check("time_dense", nn_layers.TimeDense(4, 3, activation="linear", rng=rng),
               rng.normal(size=(2, 6, 4)))

@@ -620,3 +620,42 @@ def test_perfbench_installers_find_every_name_they_wrap():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+TRACED_STEP = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import numpy as np
+from tracer import Tracer, install_step
+from sedpipe import nn
+from sedpipe.nn import loss
+tracer = Tracer("mbe")
+model = nn.build_crnn(nn.CrnnArch(n_bins=40, n_channels=1, n_classes=2, filters=4, gru_units=4, dense_units=4),
+                      np.random.default_rng(0))
+tracer.instrument_model(model)
+install_step(tracer)
+optimizer = nn.Adam(model, lr=1e-3)
+data = np.random.default_rng(1)
+out = model.forward(data.normal(size=(2, 8, 40, 1)), training=True, rng=data)
+model.backward(loss.bce_loss(out, np.zeros(out.shape), np.ones(out.shape[:2], dtype=bool))[1])
+optimizer.step()
+print(json.dumps(sorted(tracer.metrics())))
+"""
+
+
+def test_perfbench_tracer_times_each_conv_block_as_one_layer():
+    """The train workloads' hooks (``instrument_model`` and ``install_step``)
+    run one step of a CRNN whose conv stages are single ``ConvBlock``
+    layers; the conv's own passes run inside the block's span."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_STEP, str(root / "perfbench"), str(root / "src")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert {
+        "nn.ConvBlock.forward.s.mbe", "nn.ConvBlock.backward.s.mbe",
+        "nn.loss.bce_loss.s.mbe", "nn.optim.Adam.step.s.mbe",
+    } <= names
+    assert not any(name.startswith("nn.Conv2D.") for name in names)

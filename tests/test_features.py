@@ -490,12 +490,15 @@ class TestArchive:
             data=rng.normal(size=(37, 40, 2)), feature_class="bin-mbe", hop_seconds=0.02
         )
         path = tmp_path / "clip.bin-mbe.sedf"
-        features.save_feature_archive(tensor, path)
+        written = features.save_feature_archive(tensor, path)
         back = features.load_feature_archive(path)
         assert back.feature_class == "bin-mbe"
         assert back.hop_seconds == 0.02
         assert back.data.shape == (37, 40, 2)
         assert np.array_equal(back.data, tensor.data.astype(np.float32).astype(np.float64))
+        # the function returns the float32 array it wrote
+        assert written.dtype == np.float32
+        assert np.array_equal(written, back.data)
 
     def test_v1_archive_says_to_re_extract(self, tmp_path):
         # the binary layout archives had before they became .npz files

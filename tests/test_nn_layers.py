@@ -28,10 +28,10 @@ from sedpipe.nn.loss import bce_loss
 GRAD_TOL = 1e-5
 
 
-def layer_gradient_errors(layer, x, projection_seed=7, owners=None):
+def layer_gradient_errors(layer, x, projection_seed=7, names=None):
     """Worst relative error of input and parameter gradients against central
     finite differences, using a fixed random projection as the scalar loss.
-    ``owners`` are the layers whose parameters are checked (the layer)."""
+    ``names`` are the parameters checked (all of the layer's)."""
     out = layer.forward(x, training=True)
     proj = np.random.default_rng(projection_seed).normal(size=out.shape)
 
@@ -44,20 +44,19 @@ def layer_gradient_errors(layer, x, projection_seed=7, owners=None):
     errors = {}
     (fd_x,) = finite_difference_gradients(loss, [x])
     errors["input"] = max_relative_error(dx, fd_x)
-    for owner in (layer,) if owners is None else owners:
-        for name in owner.params:
-            (fd_p,) = finite_difference_gradients(loss, [owner.params[name]])
-            errors[name] = max_relative_error(owner.grads[name], fd_p)
+    for name in layer.params if names is None else names:
+        (fd_p,) = finite_difference_gradients(loss, [layer.params[name]])
+        errors[name] = max_relative_error(layer.grads[name], fd_p)
     return errors
 
 
 def identity_block(n_features, factor=1):
     """A conv block whose conv passes its input through (one centre tap per
     feature map), so it runs batch norm alone, then pools by ``factor``."""
-    conv = L.Conv2D(n_features, n_features)
+    block = L.ConvBlock(n_features, n_features, factor)
     for n in range(n_features):
-        conv.params["kernels"][n, 1, 1, n] = 1.0
-    return L.ConvBlock(conv, L.BatchNorm(n_features), L.MaxPoolFreq(factor))
+        block.params["kernels"][n, 1, 1, n] = 1.0
+    return block
 
 
 class TestConv2d:
@@ -184,7 +183,7 @@ def traced_select(*args):
     names.add(threading.current_thread().name.split("_")[0])
     return select(*args)
 layers._select = traced_select
-block = layers.ConvBlock(layers.Conv2D(2, 64), layers.BatchNorm(64), layers.MaxPoolFreq(5))
+block = layers.ConvBlock(2, 64, 5)
 block.backward(np.ones_like(block.forward(x, training=True)))
 counts.append(threading.active_count())
 print(counts, sorted(names))
@@ -261,7 +260,7 @@ class TestSampleRanges:
         # conv's padded input, x-hat and inv_std (plus a few KiB of Python
         # objects), not a per-window argmax of out.size bytes
         block = identity_block(16, 4)
-        block.bn.params["gamma"][::2] = -1.0
+        block.params["gamma"][::2] = -1.0
         x = rng.normal(size=(3, 16, 400, 16))
         block.backward(np.ones_like(block.forward(x, training=True)))
         tracemalloc.start()
@@ -271,7 +270,7 @@ class TestSampleRanges:
             kept = tracemalloc.get_traced_memory()[0] - held - out.nbytes
         finally:
             tracemalloc.stop()
-        x_hat, inv_std = block.bn._cache
+        x_hat, inv_std = block._cache
         cached = block.conv._cache[0].nbytes + x_hat.nbytes + inv_std.nbytes
         assert cached <= kept < cached + out.size / 4
 
@@ -286,8 +285,8 @@ class TestSampleRanges:
 
 
 class TestBatchNorm:
-    """Batch norm runs only inside a conv block; an identity conv and a
-    pool factor of 1 leave batch norm's own output."""
+    """The conv block's batch norm: an identity conv and a pool factor of 1
+    leave batch norm's own output."""
 
     def test_standardized_batch_passes_through(self, rng):
         block = identity_block(3)
@@ -329,10 +328,10 @@ class TestBatchNorm:
 
     def test_gradients_match_finite_differences(self, rng):
         block = identity_block(3)
-        block.bn.params["gamma"][...] = rng.normal(size=3) + 1.5
-        block.bn.params["beta"][...] = rng.normal(size=3)
+        block.params["gamma"][...] = rng.normal(size=3) + 1.5
+        block.params["beta"][...] = rng.normal(size=3)
         x = rng.normal(size=(2, 4, 5, 3))
-        errors = layer_gradient_errors(block, x, owners=(block.bn,))
+        errors = layer_gradient_errors(block, x, names=("gamma", "beta"))
         assert max(errors.values()) < 1e-6
 
 
@@ -341,7 +340,7 @@ class TestBatchNorm:
     "make_layer",
     [
         lambda rng: L.Conv2D(2, 3, rng=rng),
-        lambda rng: L.ConvBlock(L.Conv2D(2, 3, rng=rng), L.BatchNorm(3), L.MaxPoolFreq(5)),
+        lambda rng: L.ConvBlock(2, 3, 5, rng=rng),
     ],
     ids=["conv2d", "conv_block"],
 )
@@ -363,19 +362,19 @@ def test_forward_and_backward_leave_arguments_unchanged(rng, make_layer, trainin
 
 
 class TestMaxPoolFreq:
-    """The pool runs only inside a conv block; an identity conv leaves the
+    """The conv block's frequency max pool: an identity conv leaves the
     pooled batch norm output, gamma * x-hat + beta (x-hat at gamma 1, beta 0)."""
 
     def test_factor_one_is_identity(self, rng):
         block = identity_block(2, 1)
         out = block.forward(rng.normal(size=(2, 3, 4, 2)), training=True)
-        x_hat = block.bn._cache[0]
+        x_hat = block._cache[0]
         assert np.array_equal(out, x_hat)
 
     def test_full_reduction(self, rng):
         block = identity_block(1, 8)
         out = block.forward(rng.normal(size=(1, 4, 8, 1)), training=True)
-        x_hat = block.bn._cache[0]
+        x_hat = block._cache[0]
         assert out.shape == (1, 4, 1, 1)
         assert np.array_equal(out[0, :, 0, 0], x_hat[0].max(axis=1)[:, 0])
 
@@ -399,7 +398,7 @@ class TestMaxPoolFreq:
     def test_gradients_match_finite_differences(self, rng):
         block = identity_block(2, 4)
         x = rng.normal(size=(2, 3, 8, 2))  # random values sit far from ties
-        errors = layer_gradient_errors(block, x, owners=())
+        errors = layer_gradient_errors(block, x, names=())
         assert errors["input"] < 1e-6
 
     def test_inference_matches_training_and_keeps_no_cache(self, rng):
@@ -408,9 +407,9 @@ class TestMaxPoolFreq:
         block = identity_block(4, 5)
         x = np.round(rng.normal(size=(2, 3, 20, 4)))
         trained = block.forward(x, training=True)
-        x_hat = block.bn._cache[0]
+        x_hat = block._cache[0]
         assert np.array_equal(trained, max_pool_by_hand(x_hat, 5)[0])
-        scale, shift = block.bn._inference_affine()
+        scale, shift = block._inference_affine()
         assert np.array_equal(block.forward(x), max_pool_by_hand(x * scale + shift, 5)[0])
         with pytest.raises(StateError):
             block.backward(np.ones_like(trained))
@@ -661,7 +660,7 @@ class TestBceLoss:
     "make_layer, shape",
     [
         (lambda rng: L.Conv2D(2, 3, rng=rng), (2, 4, 5, 2)),
-        (lambda rng: L.ConvBlock(L.Conv2D(2, 3, rng=rng), L.BatchNorm(3), L.MaxPoolFreq(2)), (2, 4, 6, 2)),
+        (lambda rng: L.ConvBlock(2, 3, 2, rng=rng), (2, 4, 6, 2)),
         (lambda rng: L.BiGRU(3, 4, rng=rng), (2, 5, 3)),
         (lambda rng: L.TimeDense(3, 2, activation="sigmoid", rng=rng), (2, 5, 3)),
         (lambda rng: L.Dropout(0.5), (2, 5, 3)),
@@ -683,11 +682,9 @@ def test_second_backward_is_state_error(rng, make_layer, shape):
         layer.backward(np.ones_like(out))
     layer.forward(x, training=True, rng=rng)
     layer.forward(x)
-    # a conv block holds no state of its own: its batch norm holds x-hat
-    # and inv_std
-    holder = layer.bn if isinstance(layer, L.ConvBlock) else layer
-    assert not hasattr(layer, "_cache") or holder is layer
-    assert holder._cache is None
+    # a conv block holds x-hat and inv_std, and its conv the padded input
+    assert layer._cache is None
+    assert not isinstance(layer, L.ConvBlock) or layer.conv._cache is None
     with pytest.raises(StateError, match="backward needs a training-mode forward"):
         layer.backward(np.ones_like(out))
 
@@ -733,10 +730,10 @@ def test_model_backward_skips_only_the_first_input_gradient(rng):
     dout = rng.normal(size=out.shape)
     assert model.backward(dout) is None
     graph_grads = {key: model.gradient(key).copy() for key, _ in model.parameters()}
-    # the same step through the graph's steps, every input gradient on
+    # the same step through the graph's layers, every input gradient on
     model.forward(x, training=True, rng=np.random.default_rng(4))
-    for _, step in reversed(model._steps):
-        dout = step.backward(dout, input_grad=True)
+    for layer in reversed(model.layers):
+        dout = layer.backward(dout, input_grad=True)
     assert dout.shape == x.shape
     for key, _ in model.parameters():
         assert max_relative_error(model.gradient(key), graph_grads[key]) < 1e-12, key

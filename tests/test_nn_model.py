@@ -16,14 +16,12 @@ from oracles import (
     max_relative_error,
 )
 from sedpipe import audio_io, cores
-from sedpipe.errors import CheckpointError, ConfigError, ShapeError, StateError
+from sedpipe.errors import CheckpointError, ConfigError, StateError
 from sedpipe.features import Normalizer
 from sedpipe.nn import (
     Adam,
-    BatchNorm,
     Conv2D,
     CrnnArch,
-    MaxPoolFreq,
     ModelGraph,
     bce_loss,
     build_baseline_mlp,
@@ -121,10 +119,10 @@ class TestBuildCrnn:
         arch = tiny_arch(n_bins=1024, pool_factors=(8, 8, 8), conv_layers=3, filters=3)
         model = build_crnn(arch, rng)
         x = rng.normal(size=(1, 4, 1024, 1))
-        for _, step in model._steps:
-            if isinstance(step, FlattenFreq):
+        for layer in model.layers:
+            if isinstance(layer, FlattenFreq):
                 break
-            x = step.forward(x, training=True, rng=rng)
+            x = layer.forward(x, training=True, rng=rng)
         assert x.shape == (1, 4, 2, 3)
 
     def test_bad_pool_product_rejected(self):
@@ -203,12 +201,11 @@ class TestCheckpoint:
         # checkpoint bytes follow this order, so it must not drift
         keys = [key for key, _ in build_crnn(tiny_arch(), rng).state_arrays()]
         assert keys == [
-            "0.kernels",
-            "1.gamma", "1.beta",
-            "1.buffer.running_mean", "1.buffer.running_var", "1.buffer.updates",
-            "5.fwd_W", "5.fwd_U", "5.fwd_b", "5.bwd_W", "5.bwd_U", "5.bwd_b",
+            "0.kernels", "0.gamma", "0.beta",
+            "0.buffer.running_mean", "0.buffer.running_var", "0.buffer.updates",
+            "3.fwd_W", "3.fwd_U", "3.fwd_b", "3.bwd_W", "3.bwd_U", "3.bwd_b",
+            "5.W", "5.b",
             "7.W", "7.b",
-            "9.W", "9.b",
         ]
 
     def test_truncated_file_rejected(self, rng, tmp_path):
@@ -386,94 +383,44 @@ def test_model_graph_from_descriptor_rebuilds_same_topology(rng):
 # inputs
 OWNERSHIP_GRAPHS = {
     "conv_block": [
-        {"type": "conv2d", "in_channels": 3, "filters": 2},
-        {"type": "batch_norm", "n_features": 2},
-        {"type": "max_pool_freq", "factor": 5},
+        {"type": "conv_block", "in_channels": 3, "filters": 2, "factor": 5},
     ],
     # the caller's dout passes through dropout into the block's backward
     "conv_block_dropout_last": [
-        {"type": "conv2d", "in_channels": 3, "filters": 2},
-        {"type": "batch_norm", "n_features": 2},
-        {"type": "max_pool_freq", "factor": 5},
+        {"type": "conv_block", "in_channels": 3, "filters": 2, "factor": 5},
         {"type": "dropout", "rate": 0.0},
     ],
     # the caller's x passes through dropout into the block's forward
     "dropout_zero_first": [
         {"type": "dropout", "rate": 0.0},
-        {"type": "conv2d", "in_channels": 3, "filters": 2},
-        {"type": "batch_norm", "n_features": 2},
-        {"type": "max_pool_freq", "factor": 5},
-    ],
-}
-
-# graphs with a batch norm or a frequency max pool outside a (conv, batch
-# norm, pool) triple, which no pass runs, or with a triple that cannot run
-REJECTED_GRAPHS = {
-    "conv_bn_dropout_last": [
-        {"type": "conv2d", "in_channels": 3, "filters": 2},
-        {"type": "batch_norm", "n_features": 2},
-        {"type": "dropout", "rate": 0.0},
-    ],
-    "batch_norm_first": [
-        {"type": "batch_norm", "n_features": 3},
-        {"type": "conv2d", "in_channels": 3, "filters": 2},
-    ],
-    "after_dropout_zero": [
-        {"type": "dropout", "rate": 0.0},
-        {"type": "batch_norm", "n_features": 3},
-        {"type": "conv2d", "in_channels": 3, "filters": 2},
-    ],
-    "after_flatten": [
-        {"type": "flatten_freq"},
-        {"type": "batch_norm", "n_features": 15},
-        {"type": "time_dense", "in_dim": 15, "units": 2, "activation": "linear"},
-    ],
-    "after_kept_output": [
-        {"type": "flatten_freq"},
-        {"type": "time_dense", "in_dim": 15, "units": 4, "activation": "sigmoid"},
-        {"type": "batch_norm", "n_features": 4},
-        {"type": "time_dense", "in_dim": 4, "units": 2, "activation": "linear"},
-    ],
-    "owned_view_after_flatten": [
-        {"type": "conv2d", "in_channels": 3, "filters": 2},
-        {"type": "flatten_freq"},
-        {"type": "batch_norm", "n_features": 10},
-    ],
-    "lone_pool": [
-        {"type": "conv2d", "in_channels": 3, "filters": 2},
-        {"type": "max_pool_freq", "factor": 5},
-    ],
-    "pool_before_batch_norm": [
-        {"type": "conv2d", "in_channels": 3, "filters": 2},
-        {"type": "max_pool_freq", "factor": 5},
-        {"type": "batch_norm", "n_features": 2},
-    ],
-    "block_of_mismatched_widths": [
-        {"type": "conv2d", "in_channels": 3, "filters": 2},
-        {"type": "batch_norm", "n_features": 3},
-        {"type": "max_pool_freq", "factor": 5},
+        {"type": "conv_block", "in_channels": 3, "filters": 2, "factor": 5},
     ],
 }
 
 
-@pytest.mark.parametrize("name", list(REJECTED_GRAPHS))
-def test_unrunnable_graph_rejected(name):
-    with pytest.raises(ShapeError):
-        ModelGraph.from_descriptor(REJECTED_GRAPHS[name])
-
-
-def test_checkpoint_with_a_lone_batch_norm_rejected(rng, tmp_path):
-    # the block's batch norm and pool swapped, every array kept: the graph
-    # is rejected before any array is read
+def test_checkpoint_of_the_three_layer_conv_block_is_a_checkpoint_error_naming_the_file(rng, tmp_path):
+    # the format before the block was one layer: (conv2d, batch_norm,
+    # max_pool_freq) descriptor entries and the block's arrays under the
+    # indices of those layers
     model = ModelGraph.from_descriptor(OWNERSHIP_GRAPHS["conv_block"])
     model.forward(rng.normal(size=(2, 4, 5, 3)), training=True)
     path = tmp_path / "model.sedm"
     save_checkpoint(model, path)
     arrays = audio_io.read_arrays(path, CheckpointError)
-    layers = json.loads(str(arrays["descriptor"]))
-    layers[1], layers[2] = layers[2], layers[1]
-    audio_io.write_arrays(path, **{**arrays, "descriptor": json.dumps(layers)})
-    with pytest.raises(ShapeError):
+    old = {"descriptor": json.dumps([
+        {"type": "conv2d", "in_channels": 3, "filters": 2},
+        {"type": "batch_norm", "n_features": 2, "eps": 1e-5, "momentum": 0.9},
+        {"type": "max_pool_freq", "factor": 5},
+    ])}
+    for key, arr in arrays.items():
+        if key.startswith("0."):
+            old[key if key == "0.kernels" else "1." + key[2:]] = arr
+    assert sorted(old) == [
+        "0.kernels", "1.beta", "1.buffer.running_mean", "1.buffer.running_var", "1.buffer.updates", "1.gamma",
+        "descriptor",
+    ]
+    audio_io.write_arrays(path, **old)
+    with pytest.raises(CheckpointError, match="model.sedm: .*batch_norm"):
         load_checkpoint(path)
 
 
@@ -532,22 +479,21 @@ class TestOwnedActivations:
         assert np.array_equal(x, x_before)
         assert np.array_equal(dout, dout_before)
         inputs, h, drop = [], x, np.random.default_rng(6)
-        for _, step in ref._steps:
+        for layer in ref.layers:
             inputs.append(h)
-            if isinstance(step, ConvBlock):
-                pooled = h.shape[:2] + (h.shape[2] // step.pool.factor, step.conv.filters)
-                h = block_by_hand(step, h, np.zeros(pooled))[0]
+            if isinstance(layer, ConvBlock):
+                pooled = h.shape[:2] + (h.shape[2] // layer.factor, layer.filters)
+                h = block_by_hand(layer, h, np.zeros(pooled))[0]
             else:
-                h = step.forward(h, training=True, rng=drop)
+                h = layer.forward(h, training=True, rng=drop)
         assert max_relative_error(h, out) < BLOCK_GRAD_TOL
         g = dout
-        for (_, step), h in zip(reversed(ref._steps), reversed(inputs)):
-            if isinstance(step, ConvBlock):
-                _, g, grads, _, _ = block_by_hand(step, h, g)
-                step.conv.grads["kernels"] = grads["kernels"]
-                step.bn.grads.update(gamma=grads["gamma"], beta=grads["beta"])
+        for layer, h in zip(reversed(ref.layers), reversed(inputs)):
+            if isinstance(layer, ConvBlock):
+                _, g, grads, _, _ = block_by_hand(layer, h, g)
+                layer.grads.update(grads)
             else:
-                g = step.backward(g)
+                g = layer.backward(g)
         for key, _ in graph.parameters():
             assert max_relative_error(graph.gradient(key), ref.gradient(key)) < BLOCK_GRAD_TOL, key
 
@@ -574,10 +520,10 @@ class TestOwnedActivations:
 
 def make_block(rng, cin=2, filters=3, factor=5, gamma=(1.3, -0.7, 0.4)):
     """A conv block with random kernels and beta; one gamma is negative."""
-    block = ConvBlock(Conv2D(cin, filters), BatchNorm(filters), MaxPoolFreq(factor))
-    block.conv.params["kernels"][...] = rng.normal(size=block.conv.params["kernels"].shape)
-    block.bn.params["gamma"][...] = gamma
-    block.bn.params["beta"][...] = rng.normal(size=filters)
+    block = ConvBlock(cin, filters, factor)
+    block.params["kernels"][...] = rng.normal(size=block.params["kernels"].shape)
+    block.params["gamma"][...] = gamma
+    block.params["beta"][...] = rng.normal(size=filters)
     return block
 
 
@@ -585,11 +531,11 @@ def block_by_hand(block, x, dout):
     """The block's training step composed from the conv, batch norm and max
     pool oracles, for upstream ``dout``: (out, d_x, gradients by parameter
     name, batch mean, batch variance)."""
-    kernels = block.conv.params["kernels"]
-    gamma, beta, eps = block.bn.params["gamma"], block.bn.params["beta"], block.bn.eps
-    y = conv2d_by_hand(x, kernels, np.zeros(x.shape[:3] + (block.conv.filters,)))[0]
+    kernels = block.params["kernels"]
+    gamma, beta, eps = block.params["gamma"], block.params["beta"], layers.BN_EPS
+    y = conv2d_by_hand(x, kernels, np.zeros(x.shape[:3] + (block.filters,)))[0]
     normed = batch_norm_by_hand(y, gamma, beta, np.zeros_like(y), eps)[0]
-    out, d_normed = max_pool_by_hand(normed, block.pool.factor, dout)
+    out, d_normed = max_pool_by_hand(normed, block.factor, dout)
     _, dgamma, dbeta, dy, mean, var = batch_norm_by_hand(y, gamma, beta, d_normed, eps)
     _, dk, dx = conv2d_by_hand(x, kernels, dy)
     return out, dx, {"kernels": dk, "gamma": dgamma, "beta": dbeta}, mean, var
@@ -599,12 +545,12 @@ class TestConvBlock:
     def check_against_oracles(self, rng, x, kernels=None, factor=5):
         block = make_block(rng, cin=x.shape[3], factor=factor)
         if kernels is not None:
-            block.conv.params["kernels"][...] = kernels
-        gamma, beta = block.bn.params["gamma"], block.bn.params["beta"]
+            block.params["kernels"][...] = kernels
+        gamma, beta = block.params["gamma"], block.params["beta"]
         out = block.forward(x, training=True)
         # pooling first, then scaling and shifting, gives the same bits as
         # the reverse: the affine map is monotone, and so is its rounding
-        x_hat = block.bn._cache[0].copy()
+        x_hat = block._cache[0].copy()
         assert np.array_equal(out, max_pool_by_hand(x_hat * gamma + beta, factor)[0])
         dout = rng.normal(size=out.shape)
         x_before, dout_before = x.copy(), dout.copy()
@@ -615,19 +561,18 @@ class TestConvBlock:
         assert out.shape == want_out.shape
         assert max_relative_error(out, want_out) < BLOCK_GRAD_TOL
         assert max_relative_error(dx, want_dx) < BLOCK_GRAD_TOL
-        for layer in (block.conv, block.bn):
-            for name in layer.params:
-                assert max_relative_error(layer.grads[name], want_grads[name]) < BLOCK_GRAD_TOL, name
+        for name in block.params:
+            assert max_relative_error(block.grads[name], want_grads[name]) < BLOCK_GRAD_TOL, name
         # one update from the initial running mean 0 and variance 1
-        m, bufs = block.bn.momentum, block.bn.buffers
+        m, bufs = layers.BN_MOMENTUM, block.buffers
         assert max_relative_error(bufs["running_mean"], (1 - m) * mean) < BLOCK_GRAD_TOL
         assert max_relative_error(bufs["running_var"], m + (1 - m) * var) < BLOCK_GRAD_TOL
         assert bufs["updates"][0] == 1
         y = block.conv.forward(x)
-        scale, shift = block.bn._inference_affine()
+        scale, shift = block._inference_affine()
         inference = block.forward(x)
         assert np.array_equal(inference, max_pool_by_hand(y * scale + shift, factor)[0])
-        normed = (y - bufs["running_mean"]) / np.sqrt(bufs["running_var"] + block.bn.eps) * gamma + beta
+        normed = (y - bufs["running_mean"]) / np.sqrt(bufs["running_var"] + layers.BN_EPS) * gamma + beta
         assert max_relative_error(inference, max_pool_by_hand(normed, factor)[0]) < BLOCK_GRAD_TOL
         assert np.array_equal(x, x_before)
 
@@ -666,8 +611,8 @@ class TestConvBlock:
             block = make_block(np.random.default_rng(12))
             out = block.forward(x, training=True)
             dx = block.backward(dout)
-            grads = [layer.grads[name] for layer in (block.conv, block.bn) for name in layer.params]
-            results[workers] = [out, dx, *grads, *block.bn.buffers.values(), block.forward(x)]
+            grads = [block.grads[name] for name in block.params]
+            results[workers] = [out, dx, *grads, *block.buffers.values(), block.forward(x)]
         for one, three in zip(results[1], results[3]):
             assert np.array_equal(one, three)
         self.check_against_oracles(np.random.default_rng(13), x)
@@ -684,10 +629,9 @@ class TestConvBlock:
         dx = block.backward(proj)
         (fd_x,) = finite_difference_gradients(loss, [x])
         assert max_relative_error(dx, fd_x) < 1e-5
-        for layer in (block.conv, block.bn):
-            for name, p in layer.params.items():
-                (fd,) = finite_difference_gradients(loss, [p])
-                assert max_relative_error(layer.grads[name], fd) < 1e-5, name
+        for name, p in block.params.items():
+            (fd,) = finite_difference_gradients(loss, [p])
+            assert max_relative_error(block.grads[name], fd) < 1e-5, name
 
     def test_backward_needs_a_training_forward(self, rng):
         block = make_block(rng)
@@ -700,18 +644,17 @@ class TestConvBlock:
         with pytest.raises(StateError):
             block.backward(np.ones_like(out))
 
-    def test_graph_runs_each_triple_as_a_block(self, rng):
+    def test_crnn_runs_each_stage_as_one_block(self, rng):
         model = build_crnn(tiny_arch(conv_layers=2, pool_factors=(5, 4)), rng)
-        blocks = [step for _, step in model._steps if isinstance(step, ConvBlock)]
-        assert [(b.conv, b.bn, b.pool) for b in blocks] == [tuple(model.layers[i : i + 3]) for i in (0, 4)]
+        blocks = [layer for layer in model.layers if isinstance(layer, ConvBlock)]
+        assert [model.layers.index(b) for b in blocks] == [0, 2]
+        assert [(b.in_channels, b.filters, b.factor) for b in blocks] == [(1, 2, 5), (2, 2, 4)]
+        # the block's kernels are its conv's, so an update reaches the conv
+        assert all(b.params["kernels"] is b.conv.params["kernels"] for b in blocks)
 
     def test_peak_memory_below_two_conv_outputs(self):
         model = ModelGraph.from_descriptor(
-            [
-                {"type": "conv2d", "in_channels": 1, "filters": 16},
-                {"type": "batch_norm", "n_features": 16},
-                {"type": "max_pool_freq", "factor": 5},
-            ]
+            [{"type": "conv_block", "in_channels": 1, "filters": 16, "factor": 5}]
         )
         data = np.random.default_rng(2)
         for _, p in model.parameters():

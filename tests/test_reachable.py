@@ -36,8 +36,6 @@ ALLOWED = {
 
 _BASELINE = "the acceptance gate's dense baseline sets it (test_baseline_structure_and_learning)"
 ALLOWED_OPTIONS = {
-    "BatchNorm.eps": "checkpoint descriptors rebuild it through layer_from_descriptor",
-    "BatchNorm.momentum": "checkpoint descriptors rebuild it through layer_from_descriptor",
     "build_baseline_mlp.n_mels": _BASELINE,
     "build_baseline_mlp.context": _BASELINE,
     "build_baseline_mlp.hidden": _BASELINE,
