@@ -424,6 +424,64 @@ def test_checkpoint_of_the_three_layer_conv_block_is_a_checkpoint_error_naming_t
         load_checkpoint(path)
 
 
+# graphs the three-layer conv stage could write down but not run; no layer
+# kind expresses them now, so each is refused as a descriptor
+REJECTED_GRAPHS = {
+    "conv_bn_dropout_last": [
+        {"type": "conv2d", "in_channels": 3, "filters": 2},
+        {"type": "batch_norm", "n_features": 2},
+        {"type": "dropout", "rate": 0.0},
+    ],
+    "batch_norm_first": [
+        {"type": "batch_norm", "n_features": 3},
+        {"type": "conv2d", "in_channels": 3, "filters": 2},
+    ],
+    "after_dropout_zero": [
+        {"type": "dropout", "rate": 0.0},
+        {"type": "batch_norm", "n_features": 3},
+        {"type": "conv2d", "in_channels": 3, "filters": 2},
+    ],
+    "after_flatten": [
+        {"type": "flatten_freq"},
+        {"type": "batch_norm", "n_features": 15},
+        {"type": "time_dense", "in_dim": 15, "units": 2, "activation": "linear"},
+    ],
+    "after_kept_output": [
+        {"type": "flatten_freq"},
+        {"type": "time_dense", "in_dim": 15, "units": 4, "activation": "sigmoid"},
+        {"type": "batch_norm", "n_features": 4},
+        {"type": "time_dense", "in_dim": 4, "units": 2, "activation": "linear"},
+    ],
+    "owned_view_after_flatten": [
+        {"type": "conv2d", "in_channels": 3, "filters": 2},
+        {"type": "flatten_freq"},
+        {"type": "batch_norm", "n_features": 10},
+    ],
+    "lone_pool": [
+        {"type": "conv2d", "in_channels": 3, "filters": 2},
+        {"type": "max_pool_freq", "factor": 5},
+    ],
+    "pool_before_batch_norm": [
+        {"type": "conv2d", "in_channels": 3, "filters": 2},
+        {"type": "max_pool_freq", "factor": 5},
+        {"type": "batch_norm", "n_features": 2},
+    ],
+    "block_of_mismatched_widths": [
+        {"type": "conv2d", "in_channels": 3, "filters": 2},
+        {"type": "batch_norm", "n_features": 3},
+        {"type": "max_pool_freq", "factor": 5},
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(REJECTED_GRAPHS))
+def test_unrunnable_graph_rejected(tmp_path, name):
+    path = tmp_path / "model.sedm"
+    audio_io.write_arrays(path, descriptor=json.dumps(REJECTED_GRAPHS[name]))
+    with pytest.raises(CheckpointError, match="model.sedm: .*'(batch_norm|max_pool_freq)'"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize(
     "layers",
     [
