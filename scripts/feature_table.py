@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """The paper's feature-class table through the protocol path: `sedpipe synth`
 writes one dataset into a fresh temporary directory (its path is printed
-first, and the feature archives go there too), then each feature class is
-cross-validated over the config's folds and runs. Without --config the desk
-recipe below is used (4 folds, validation monitoring, 1 run).
+first, and the feature archives go beside its manifest), then each feature
+class is cross-validated over the config's folds and runs. Without --config
+the desk recipe below is used (4 folds, validation monitoring, 1 run).
 
 Example:
     python3 scripts/feature_table.py --features mbe bin-mbe --seed 2
@@ -79,7 +79,7 @@ def main(argv=None) -> int:
     )
     print(f"{'feature':<12} {'ER':>14} {'F (%)':>14} {'pooled ER':>10} {'pooled F':>9}")
     for fc in args.features:
-        features = dataclasses.replace(cfg.features, feature_class=fc, archive_dir=str(workdir / "features"))
+        features = dataclasses.replace(cfg.features, feature_class=fc)
         started = time.perf_counter()
         s = cross_validate(dataclasses.replace(cfg, features=features))
         print(

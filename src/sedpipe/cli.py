@@ -30,7 +30,7 @@ from .audio_io import (
 )
 from .config import ExperimentConfig, dump_config, load_config, with_section
 from .errors import ConfigError, SedError
-from .experiment import archive_name, clip_features, cross_validate, random_search
+from .experiment import archive_path, clip_features, cross_validate, random_search
 from .nn import save_checkpoint
 
 log = logging.getLogger("sedpipe")
@@ -84,20 +84,16 @@ def cmd_synth(args) -> int:
 
 def cmd_extract(args) -> int:
     cfg = _load_cfg(args)
-    fc = args.feature or cfg.features.feature_class
-    features_cfg = dataclasses.replace(cfg.features, feature_class=fc)
+    cfg = with_section(cfg, "features", feature_class=args.feature or cfg.features.feature_class)
     manifest = cfg.data.manifest_path()
-    rows = read_manifest(manifest)
-    base = manifest.parent
-    out = Path(args.out or cfg.features.archive_dir or (base / "features"))
 
     print("feature\tclip\tframes\tbins\tchannels")
-    for audio in sorted({r.audio_path for r in rows}):
-        target = out / archive_name(audio, fc)
+    for audio in sorted({r.audio_path for r in read_manifest(manifest)}):
+        target = archive_path(cfg, audio, args.out)
         if args.force:
             target.unlink(missing_ok=True)
-        tensor = clip_features(base / audio, features_cfg, target)
-        print(f"{fc}\t{audio}\t{tensor.n_frames}\t{tensor.n_bins}\t{tensor.n_channels}")
+        tensor = clip_features(manifest.parent / audio, cfg.features, target)
+        print(f"{cfg.features.feature_class}\t{audio}\t{tensor.n_frames}\t{tensor.n_bins}\t{tensor.n_channels}")
     return 0
 
 

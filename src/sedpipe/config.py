@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import hashlib
+import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -45,9 +47,11 @@ class DataConfig:
     def __post_init__(self):
         """Raise RangeError for a bad value. The fold plan is checked by
         :class:`ExperimentConfig`, as a SynthSpec needs no folds."""
-        for key in ("class_count", "polyphony_max", "n_clips"):
+        for key in ("class_count", "polyphony_max", "n_clips", "sample_rate"):
             if getattr(self, key) < 1:
                 raise RangeError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.seed < 0:
+            raise RangeError(f"seed must be >= 0, got {self.seed}")
         if self.duration_s <= 0:
             raise RangeError(f"duration_s must be positive, got {self.duration_s}")
         if self.template_mode not in ("distinct", "shared"):
@@ -118,6 +122,8 @@ class TrainSection:
             raise RangeError(f"monitor must be 'validation' or 'test', got {self.monitor!r}")
         if not self.folds:
             raise RangeError("folds must name at least one fold")
+        if self.seed < 0:
+            raise RangeError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -238,6 +244,12 @@ def with_section(cfg: ExperimentConfig, name: str, **values) -> ExperimentConfig
     except (RangeError, ConfigError) as exc:
         raise ConfigError(f"[{name}] {exc}") from None
     return dataclasses.replace(cfg, **{name: section})
+
+
+def section_digest(section, omit=()) -> str:
+    """12 hex digits of the sha256 of the section's fields but ``omit``, as sorted-key JSON."""
+    values = {k: v for k, v in dataclasses.asdict(section).items() if k not in omit}
+    return hashlib.sha256(json.dumps(values, sort_keys=True).encode()).hexdigest()[:12]
 
 
 def dump_config(cfg: ExperimentConfig) -> str:

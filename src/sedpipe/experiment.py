@@ -13,7 +13,7 @@ import numpy as np
 from . import features as feats
 from . import metrics, synth
 from .audio_io import EventRoll, ManifestRow, events_to_roll, read_annotations, read_manifest, read_wav
-from .config import ExperimentConfig, FeatureConfig, ModelConfig, SearchSection
+from .config import ExperimentConfig, FeatureConfig, ModelConfig, SearchSection, section_digest
 from .errors import ConfigError, ManifestError
 from .features import FeatureTensor, Normalizer, SequenceBatch, apply_normalizer, chunk_sequences, fit_normalizer
 from .nn import CrnnArch, ModelGraph, TrainHistory, build_crnn, train, training
@@ -44,22 +44,23 @@ class CvSummary:
     pooled_f: float
 
 
-def archive_name(audio_path: str, feature_class: str) -> str:
-    return f"{Path(audio_path).stem}.{feature_class}.sedf"
+def archive_path(cfg: ExperimentConfig, audio_path: str, directory=None) -> Path:
+    """``<stem>.<digest>.<class>.sedf`` in ``directory``, else ``archive_dir``,
+    else ``features/`` beside the manifest. The digest covers every other
+    ``[features]`` setting, so changed settings never find an old archive."""
+    fc = cfg.features
+    directory = Path(directory or fc.archive_dir or cfg.data.manifest_path().parent / "features")
+    digest = section_digest(fc, omit=("archive_dir",))
+    return directory / f"{Path(audio_path).stem}.{digest}.{fc.feature_class}.sedf"
 
 
-def clip_features(audio_file: Path, features_cfg: FeatureConfig, archive: Path | None) -> FeatureTensor:
-    """One clip's features: loaded from ``archive`` when that file exists,
-    else extracted from the WAV and, given an archive path, saved there.
-
-    A fresh extraction that was archived is returned at the archive's
-    float32 precision, so a cold and a warm archive give the same tensor.
-    """
-    if archive is not None and archive.exists():
-        return feats.load_feature_archive(archive)
+def clip_features(audio_file: Path, features_cfg: FeatureConfig, archive: Path) -> FeatureTensor:
+    """One clip's features: loaded from ``archive`` when that file is no
+    older than the WAV, else extracted and saved there. Either way they come
+    at the archive's float32 precision, so a cold and a warm cache agree."""
+    if archive.exists() and archive.stat().st_mtime_ns >= audio_file.stat().st_mtime_ns:
+        return feats.load_feature_archive(archive, features_cfg)
     tensor = feats.extract(read_wav(audio_file), **dataclasses.asdict(features_cfg))
-    if archive is None:
-        return tensor
     archive.parent.mkdir(parents=True, exist_ok=True)
     # rounded in place to what was saved; replace() runs the FeatureTensor
     # checks again
@@ -75,12 +76,9 @@ def _load_split(
 ) -> list[tuple[FeatureTensor, EventRoll]]:
     # manifest rows hold paths relative to the manifest's own directory
     data_dir = cfg.data.manifest_path().parent
-    fc = cfg.features.feature_class
-    archive_dir = Path(cfg.features.archive_dir) if cfg.features.archive_dir else None
     for row in rows:
         if row.audio_path not in cache:
-            archive = archive_dir / archive_name(row.audio_path, fc) if archive_dir else None
-            tensor = clip_features(data_dir / row.audio_path, cfg.features, archive)
+            tensor = clip_features(data_dir / row.audio_path, cfg.features, archive_path(cfg, row.audio_path))
             events = read_annotations(data_dir / row.annotation_path, class_names)
             roll = events_to_roll(events, tensor.n_frames, tensor.hop_seconds, class_names)
             cache[row.audio_path] = (tensor, roll)

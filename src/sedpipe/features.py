@@ -261,7 +261,7 @@ class FeatureConfig:
     fft_size: int = 2048
     multires_windows: tuple[int, ...] = (1024, 4096, 16384)
     fft_log_magnitude: bool = False
-    archive_dir: str = ""  # feature cache: read when an archive exists, written on a miss
+    archive_dir: str = ""  # feature cache; empty: features/ beside the manifest
 
     def __post_init__(self):
         """Raise ConfigError for an unknown class or no multires window,
@@ -444,31 +444,26 @@ def chunk_sequences(tensor, roll: EventRoll, seq_len: int) -> SequenceBatch:
 
 
 def save_feature_archive(tensor: FeatureTensor, path) -> np.ndarray:
-    """Write the ``.npz`` archive: ``data`` at float32 (F, B, Ch), the
-    ``feature_class`` name and ``hop_seconds``, through
-    :func:`~sedpipe.audio_io.write_arrays`; returns the float32 data."""
+    """Write the ``.npz`` archive, ``data`` at float32 (F, B, Ch) alone,
+    through :func:`~sedpipe.audio_io.write_arrays`; returns that array."""
     data = tensor.data.astype(np.float32)
-    write_arrays(path, data=data, feature_class=tensor.feature_class, hop_seconds=tensor.hop_seconds)
+    write_arrays(path, data=data)
     return data
 
 
-def load_feature_archive(path) -> FeatureTensor:
-    """Any fault, an archive of the old binary format included, is a
-    :class:`StateError` naming the file and saying how to replace it."""
+def load_feature_archive(path, cfg: FeatureConfig) -> FeatureTensor:
+    """The archive's tensor at ``cfg``'s class and hop. Any fault, an older
+    format included, is a :class:`StateError` naming the file and the fix."""
     try:
         arrays = read_arrays(path, StateError)
-        if sorted(arrays) != ["data", "feature_class", "hop_seconds"]:
-            raise StateError(f"{path}: holds arrays {sorted(arrays)}, not data, feature_class and hop_seconds")
-        data, name, hop = arrays["data"], str(arrays["feature_class"]), arrays["hop_seconds"]
+        if list(arrays) != ["data"]:
+            raise StateError(f"{path}: holds arrays {sorted(arrays)}, not data alone")
+        data = arrays["data"]
         if data.dtype != np.float32:
             raise StateError(f"{path}: data is {data.dtype}, not float32")
-        if name not in FEATURE_CLASSES:
-            raise StateError(f"{path}: unknown feature class {name!r}")
-        if hop.shape != () or hop.dtype != np.float64:
-            raise StateError(f"{path}: hop_seconds is {hop.dtype} {hop.shape}, not a float64 scalar")
         try:
-            return FeatureTensor(data=data.astype(np.float64), feature_class=name, hop_seconds=float(hop))
-        except (ShapeError, RangeError) as exc:
+            return FeatureTensor(data.astype(np.float64), cfg.feature_class, cfg.hop_ms / 1000.0)
+        except ShapeError as exc:
             raise StateError(f"{path}: {exc}") from None
     except StateError as exc:
         raise StateError(f"{exc}; re-extract it with `sedpipe extract --force`") from None

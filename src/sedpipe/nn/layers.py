@@ -620,9 +620,11 @@ LAYER_TYPES = {cls.kind: cls for cls in Layer.__subclasses__()}
 
 def layer_from_descriptor(desc: dict) -> Layer:
     """The layer one descriptor entry rebuilds. An entry that is not an
-    object naming a layer ``type`` and only settings that type declares and
-    accepts is a :class:`CheckpointError`."""
+    object naming a known layer ``type`` and only settings that type
+    declares and accepts is a :class:`CheckpointError`."""
     cls = LAYER_TYPES.get(str(desc.get("type"))) if isinstance(desc, dict) else None
+    if cls is None and isinstance(desc, dict) and "type" in desc:
+        raise CheckpointError(f"unknown layer kind {desc['type']!r}; known kinds: {', '.join(sorted(LAYER_TYPES))}")
     if cls is None or not desc.keys() - {"type"} <= set(cls.settings):
         raise CheckpointError(f"malformed layer descriptor {desc!r}")
     try:

@@ -129,6 +129,8 @@ class TestSynth:
             ("duration_s = 0", "duration_s"),
             ("folds = 1", "folds"),  # every clip would test, none train
             ("n_clips = 3\nfolds = 4", "folds"),  # fold 4 would get no test clip
+            ("seed = -1", "seed"),
+            ("sample_rate = 0", "sample_rate"),
         ],
     )
     def test_bad_data_value_exits_two_before_any_work(self, tmp_path, capsys, line, key):
@@ -138,6 +140,13 @@ class TestSynth:
         code, _, stderr = run_cli(capsys, "synth", "--config", str(cfg), "--out", str(out))
         assert code == 2
         assert f"[data] {key}" in stderr
+        assert not out.exists()
+
+    def test_negative_seed_flag_exits_two_before_any_work(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        code, _, stderr = run_cli(capsys, "synth", "--seed", "-1", "--out", str(out))
+        assert code == 2
+        assert "[data] seed must be >= 0" in stderr
         assert not out.exists()
 
 
@@ -179,6 +188,35 @@ class TestExtract:
         assert code == 0
         rebuilt = {p.name: p.stat().st_mtime_ns for p in feat_dir.glob("*.sedf")}
         assert any(rebuilt[name] != stamps[name] for name in stamps)
+
+    def test_rewritten_wavs_are_re_extracted_by_extract_and_train(self, dataset, capsys, tmp_path):
+        cfg, data = dataset
+        text = cfg.read_text(encoding="utf-8").replace("[data]", f"[data]\nroot = {data}")
+        cfg.write_text(text, encoding="utf-8")
+
+        def archives():
+            return {p.name: p.read_bytes() for p in (data / "features").glob("*.sedf")}
+
+        assert run_cli(capsys, "extract", "--config", str(cfg))[0] == 0
+        first = archives()
+        assert run_cli(capsys, "synth", "--config", str(cfg), "--seed", "78")[0] == 0
+        assert run_cli(capsys, "extract", "--config", str(cfg))[0] == 0
+        second = archives()
+        assert second.keys() == first.keys()
+        assert all(second[name] != first[name] for name in first)
+        # the seed-77 audio again: train, not extract, brings the archives back
+        assert run_cli(capsys, "synth", "--config", str(cfg))[0] == 0
+        code, _, stderr = run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path / "runs"))
+        assert code == 0, stderr
+        assert archives() == first
+
+    def test_missing_wav_exits_one_naming_it_even_with_its_archive(self, dataset, capsys):
+        cfg, data = dataset
+        assert run_cli(capsys, "extract", "--config", str(cfg), "--data-dir", str(data))[0] == 0
+        (data / "clip002.wav").unlink()
+        code, _, stderr = run_cli(capsys, "extract", "--config", str(cfg), "--data-dir", str(data))
+        assert code == 1
+        assert stderr.startswith("error:") and "clip002.wav" in stderr
 
     def test_unknown_feature_class_is_usage_error(self, dataset, capsys):
         cfg, data = dataset
@@ -354,6 +392,24 @@ class TestTrainCommand:
         assert code == 0
         assert "mean" in report_out
 
+    def test_runs_with_and_without_archive_dir_write_equal_files(self, tmp_path, capsys):
+        # each run fills its own cache and trains on the archived float32
+        # features, so the cache setting changes no bit of the results
+        cfg = small_synth_config(tmp_path)
+        data = tmp_path / "data"
+        run_cli(capsys, "synth", "--config", str(cfg), "--out", str(data))
+        text = cfg.read_text(encoding="utf-8").replace("[data]", f"[data]\nroot = {data}")
+        cfg.write_text(text, encoding="utf-8")
+        cached = tmp_path / "cached.cfg"
+        cached.write_text(text.replace("[features]", f"[features]\narchive_dir = {tmp_path / 'cache'}"), encoding="utf-8")
+        for config, out in ((cfg, "plain"), (cached, "cached")):
+            code, _, stderr = run_cli(capsys, "train", "--config", str(config), "--out", str(tmp_path / out))
+            assert code == 0, stderr
+        assert len(list((data / "features").glob("*.sedf"))) == len(list((tmp_path / "cache").glob("*.sedf"))) == 4
+        for name in ("history.tsv", "metrics.tsv"):
+            plain = (tmp_path / "plain" / "fold1" / "run1" / name).read_bytes()
+            assert plain == (tmp_path / "cached" / "fold1" / "run1" / name).read_bytes()
+
     def test_data_dir_names_the_manifest_directory(self, tmp_path, capsys, monkeypatch):
         # as for extract, --data-dir D reads D/manifest.tsv, wherever the
         # command runs from and whatever the config's [data] root
@@ -382,7 +438,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("monitor", "bogus"), ("monitor", "train"), ("sequence_length", "0"), ("folds", "")],
+        [("monitor", "bogus"), ("monitor", "train"), ("sequence_length", "0"), ("folds", ""), ("seed", "-1")],
     )
     def test_bad_train_value_exits_two_before_any_work(self, tmp_path, capsys, key, value):
         cfg = small_synth_config(tmp_path)
@@ -578,14 +634,17 @@ print(json.dumps(tracer.counts))
 """
 
 
-def test_perfbench_tracer_sees_every_pipeline_boundary(tmp_path):
+@pytest.mark.parametrize("archive_dir", ["data/features", None])
+def test_perfbench_tracer_sees_every_pipeline_boundary(tmp_path, archive_dir):
     """perfbench/tracer.py wraps module attributes by name; a rename in cli
-    or experiment, or a call that bypasses the module attribute, shows here."""
+    or experiment, or a call that bypasses the module attribute, shows here.
+    Without ``archive_dir``, train still loads what extract wrote."""
     cfg = small_synth_config(tmp_path)
-    cfg.write_text(
-        cfg.read_text(encoding="utf-8").replace("[features]", "[features]\narchive_dir = data/features"),
-        encoding="utf-8",
-    )
+    if archive_dir:
+        cfg.write_text(
+            cfg.read_text(encoding="utf-8").replace("[features]", f"[features]\narchive_dir = {archive_dir}"),
+            encoding="utf-8",
+        )
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_PIPELINE, str(root / "perfbench"), str(root / "src")],

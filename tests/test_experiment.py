@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,8 @@ from sedpipe.config import (
 )
 from sedpipe.errors import ConfigError, ManifestError, UndefinedMetricError
 from sedpipe.experiment import (
+    archive_path,
+    clip_features,
     cross_validate,
     random_search,
     run_fold,
@@ -141,20 +146,19 @@ class TestRunFold:
     def test_archives_are_used_when_present(self, tmp_path, monkeypatch):
         from sedpipe import features as feats
         from sedpipe.audio_io import read_wav
-        from sedpipe.experiment import archive_name
 
         data = tmp_path / "data"
         manifest = write_dataset(data)
         archive_dir = tmp_path / "features"
         archive_dir.mkdir()
         cfg = desk_config(manifest, epochs=3)
-        for row in read_manifest(manifest):
-            clip = read_wav(data / row.audio_path)
-            tensor = feats.extract(clip, **dataclasses.asdict(cfg.features))
-            feats.save_feature_archive(tensor, archive_dir / archive_name(row.audio_path, "mbe"))
         cfg_arch = dataclasses.replace(
             cfg, features=dataclasses.replace(cfg.features, archive_dir=str(archive_dir))
         )
+        for row in read_manifest(manifest):
+            clip = read_wav(data / row.audio_path)
+            tensor = feats.extract(clip, **dataclasses.asdict(cfg.features))
+            feats.save_feature_archive(tensor, archive_path(cfg_arch, row.audio_path))
         _forbid_audio_reads(monkeypatch)
         result = fold_of(cfg_arch, 1)
         assert result.report.n_segments > 0
@@ -168,9 +172,7 @@ class TestRunFold:
         )
         cold = fold_of(cfg, 1)
         clips = {r.audio_path for r in read_manifest(manifest)}
-        assert sorted(p.name for p in archive_dir.iterdir()) == sorted(
-            experiment.archive_name(a, "mbe") for a in clips
-        )
+        assert sorted(archive_dir.iterdir()) == sorted(archive_path(cfg, a) for a in clips)
         _forbid_audio_reads(monkeypatch)
         warm = fold_of(cfg, 1)
         # the cold run trained on the archived float32 values, not on the
@@ -187,6 +189,109 @@ def _forbid_audio_reads(monkeypatch):
 
     monkeypatch.setattr(experiment, "read_wav", refuse)
     monkeypatch.setattr(feats, "extract", refuse)
+
+
+# a value other than the default for every [features] setting but archive_dir
+OTHER_SETTINGS = {
+    "feature_class": "bin-mbe",
+    "n_mels": 20,
+    "f_min": 50.0,
+    "f_max": 8000.0,
+    "window_ms": 30.0,
+    "hop_ms": 10.0,
+    "fft_size": 4096,
+    "multires_windows": (1024, 4096),
+    "fft_log_magnitude": True,
+}
+
+
+class TestArchivePath:
+    def test_covers_every_features_setting(self):
+        assert set(OTHER_SETTINGS) == {f.name for f in dataclasses.fields(FeatureConfig)} - {"archive_dir"}
+
+    @pytest.mark.parametrize("key", sorted(OTHER_SETTINGS))
+    def test_every_extraction_setting_changes_the_name(self, key):
+        base = ExperimentConfig()
+        other = dataclasses.replace(base, features=FeatureConfig(**{key: OTHER_SETTINGS[key]}))
+        before, after = archive_path(base, "clip000.wav"), archive_path(other, "clip000.wav")
+        assert after.parent == before.parent
+        assert after.name != before.name
+
+    def test_archive_dir_changes_only_the_directory(self, tmp_path):
+        base = ExperimentConfig()
+        moved = dataclasses.replace(base, features=FeatureConfig(archive_dir=str(tmp_path)))
+        assert archive_path(moved, "clip000.wav") == tmp_path / archive_path(base, "clip000.wav").name
+        # a directory argument (extract --out) wins over both
+        assert archive_path(moved, "clip000.wav", "out") == Path("out") / archive_path(base, "clip000.wav").name
+
+    def test_default_name_is_pinned(self):
+        # sha256 of the sorted-key JSON of the [features] defaults but
+        # archive_dir; a change here orphans every archive written before
+        settings = (
+            '{"f_max": 22050.0, "f_min": 0.0, "feature_class": "mbe", "fft_log_magnitude": false, '
+            '"fft_size": 2048, "hop_ms": 20.0, "multires_windows": [1024, 4096, 16384], "n_mels": 40, '
+            '"window_ms": 40.0}'
+        )
+        assert hashlib.sha256(settings.encode()).hexdigest()[:12] == "389f2a491685"
+        assert archive_path(ExperimentConfig(), "sub/clip000.wav") == Path("data/features/clip000.389f2a491685.mbe.sedf")
+
+
+class TestClipFeatures:
+    @pytest.fixture
+    def clip(self, tmp_path):
+        """A two-clip dataset's config (bin-mbe, 40 mels) and its first WAV."""
+        manifest = write_dataset(tmp_path / "data", n_clips=2, duration_s=1.0)
+        cfg = dataclasses.replace(desk_config(manifest), features=FeatureConfig("bin-mbe"))
+        return cfg, tmp_path / "data" / "clip000.wav"
+
+    @staticmethod
+    def features_of(cfg, wav):
+        return clip_features(wav, cfg.features, archive_path(cfg, wav.name))
+
+    def test_cold_and_warm_cache_give_equal_bits(self, clip, monkeypatch):
+        cfg, wav = clip
+        cold = self.features_of(cfg, wav)
+        _forbid_audio_reads(monkeypatch)
+        warm = self.features_of(cfg, wav)
+        assert warm.data.tobytes() == cold.data.tobytes()
+        assert (warm.feature_class, warm.hop_seconds) == (cold.feature_class, cold.hop_seconds)
+
+    def test_fewer_mels_re_extract(self, clip):
+        cfg, wav = clip
+        assert self.features_of(cfg, wav).data.shape == (50, 40, 2)
+        fewer = dataclasses.replace(cfg, features=dataclasses.replace(cfg.features, n_mels=20))
+        assert self.features_of(fewer, wav).data.shape == (50, 20, 2)
+        assert archive_path(cfg, wav.name).exists() and archive_path(fewer, wav.name).exists()
+
+    def test_archive_at_the_old_name_is_ignored(self, clip):
+        cfg, wav = clip
+        old = archive_path(cfg, wav.name).parent / "clip000.bin-mbe.sedf"
+        old.parent.mkdir(parents=True)
+        old.write_bytes(b"an archive of the format before names carried the settings")
+        assert self.features_of(cfg, wav).data.shape == (50, 40, 2)
+        assert archive_path(cfg, wav.name).exists()
+
+    def test_archive_older_than_its_wav_is_re_extracted(self, clip, monkeypatch):
+        cfg, wav = clip
+        first = self.features_of(cfg, wav)
+        archive = archive_path(cfg, wav.name)
+        shutil.copy(wav.parent / "clip001.wav", wav)  # other audio, same name
+        stamp = archive.stat().st_mtime_ns
+        os.utime(wav, ns=(stamp + 1, stamp + 1))
+        second = self.features_of(cfg, wav)
+        assert not np.array_equal(second.data, first.data)
+        assert archive.stat().st_mtime_ns >= wav.stat().st_mtime_ns
+        # an archive as new as its WAV is fresh and read without the WAV
+        os.utime(wav, ns=(archive.stat().st_mtime_ns,) * 2)
+        _forbid_audio_reads(monkeypatch)
+        assert np.array_equal(self.features_of(cfg, wav).data, second.data)
+
+    def test_missing_wav_is_an_error_naming_it_even_with_an_archive(self, clip):
+        cfg, wav = clip
+        self.features_of(cfg, wav)
+        wav.unlink()
+        with pytest.raises(FileNotFoundError, match="clip000.wav"):
+            self.features_of(cfg, wav)
 
 
 class TestCrossValidate:

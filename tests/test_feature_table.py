@@ -64,8 +64,9 @@ def test_one_row_per_class_in_order_and_a_fresh_workdir_per_call(feature_table, 
         rows = [line.split() for line in lines[header + 1:]]
         assert [row[0] for row in rows] == ["bin-mbe", "mbe"]
         assert "4 folds, monitor validation" in lines[header - 1]
-        assert sorted(p.name for p in (workdir / "features").iterdir()) == sorted(
-            f"clip{i:03d}.{fc}.sedf" for i in range(4) for fc in ("bin-mbe", "mbe")
+        names = [p.name.split(".") for p in (workdir / "data" / "features").iterdir()]
+        assert sorted((stem, fc) for stem, _, fc, _ in names) == sorted(
+            (f"clip{i:03d}", fc) for i in range(4) for fc in ("bin-mbe", "mbe")
         )
     assert workdirs[0] != workdirs[1]
 

@@ -491,9 +491,10 @@ class TestArchive:
         )
         path = tmp_path / "clip.bin-mbe.sedf"
         written = features.save_feature_archive(tensor, path)
-        back = features.load_feature_archive(path)
+        back = features.load_feature_archive(path, features.FeatureConfig("bin-mbe", hop_ms=20.0))
         assert back.feature_class == "bin-mbe"
         assert back.hop_seconds == 0.02
+        assert list(audio_io.read_arrays(path, StateError)) == ["data"]
         assert back.data.shape == (37, 40, 2)
         assert np.array_equal(back.data, tensor.data.astype(np.float32).astype(np.float64))
         # the function returns the float32 array it wrote
@@ -506,21 +507,13 @@ class TestArchive:
         header = struct.pack("<4sHHIIId", b"SEDF", 1, 3, 2, 3, 6, 0.02)
         path.write_bytes(header + np.arange(2 * 3 * 6, dtype="<f4").tobytes())
         with pytest.raises(StateError, match=r"clip.bin-mul-mbe.sedf: .*re-extract it with `sedpipe extract --force`"):
-            features.load_feature_archive(path)
+            features.load_feature_archive(path, features.FeatureConfig("bin-mul-mbe"))
 
     @staticmethod
     def _write(path, **arrays):
-        """An archive of a (2, 3, 1) mbe tensor at a 20 ms hop, with
-        ``arrays`` replacing or adding arrays."""
-        base = {"data": np.zeros((2, 3, 1), dtype=np.float32), "feature_class": "mbe", "hop_seconds": 0.02}
-        audio_io.write_arrays(path, **{**base, **arrays})
-
-    @pytest.mark.parametrize("hop", [float("nan"), float("inf"), 0.0, -0.02])
-    def test_bad_hop_is_state_error_naming_the_file(self, tmp_path, hop):
-        path = tmp_path / "hop.mbe.sedf"
-        self._write(path, hop_seconds=hop)
-        with pytest.raises(StateError, match="hop.mbe.sedf: hop_seconds must be positive and finite"):
-            features.load_feature_archive(path)
+        """An archive of a (2, 3, 1) tensor, with ``arrays`` replacing or
+        adding arrays."""
+        audio_io.write_arrays(path, **{"data": np.zeros((2, 3, 1), dtype=np.float32), **arrays})
 
     # (feature class, channels, payload value, message); bin-fft holds
     # exactly 4 channels
@@ -530,23 +523,23 @@ class TestArchive:
             ("mbe", 1, float("nan"), "feature data contains non-finite values"),
             ("mbe", 1, float("inf"), "feature data contains non-finite values"),
             ("bin-fft", 3, 0.0, "bin-fft cannot have 3 channel"),
-            ("fft", 1, 0.0, "unknown feature class 'fft'"),
-            ("bin-mfcc", 1, 0.0, "unknown feature class 'bin-mfcc'"),
         ],
     )
     def test_bad_archive_is_state_error_naming_the_file(self, tmp_path, feature_class, ch, value, message):
         path = tmp_path / "bad.sedf"
-        self._write(path, data=np.full((2, 3, ch), value, dtype=np.float32), feature_class=feature_class)
-        with pytest.raises(StateError, match=f"bad.sedf: {message}"):
-            features.load_feature_archive(path)
+        self._write(path, data=np.full((2, 3, ch), value, dtype=np.float32))
+        with pytest.raises(StateError, match=f"bad.sedf: {message}.*re-extract it"):
+            features.load_feature_archive(path, features.FeatureConfig(feature_class))
 
+    # the class and hop arrays an archive held before its name carried the
+    # settings make it an archive of an older format
     @pytest.mark.parametrize(
         "arrays, message",
         [
             ({"data": np.zeros((2, 3, 1))}, "data is float64, not float32"),
-            ({"hop_seconds": np.float32(0.02)}, "hop_seconds is float32"),
-            ({"hop_seconds": np.array([0.02])}, r"hop_seconds is float64 \(1,\)"),
-            ({"feature_class": np.array(["mbe"])}, "unknown feature class"),
+            ({"hop_seconds": np.float32(0.02)}, r"holds arrays \['data', 'hop_seconds'\], not data alone"),
+            ({"hop_seconds": np.array([0.02])}, r"holds arrays \['data', 'hop_seconds'\]"),
+            ({"feature_class": np.array(["mbe"])}, r"holds arrays \['data', 'feature_class'\]"),
             ({"normalizer": np.zeros(1)}, "holds arrays"),
         ],
         ids=["float64_data", "float32_hop", "hop_vector", "class_vector", "extra_array"],
@@ -554,14 +547,24 @@ class TestArchive:
     def test_mistyped_or_extra_array_is_state_error_naming_the_file(self, tmp_path, arrays, message):
         path = tmp_path / "odd.sedf"
         self._write(path, **arrays)
-        with pytest.raises(StateError, match=f"odd.sedf: {message}"):
-            features.load_feature_archive(path)
+        with pytest.raises(StateError, match=f"odd.sedf: {message}.*re-extract it"):
+            features.load_feature_archive(path, features.FeatureConfig())
+
+    def test_archive_of_the_class_and_hop_format_says_to_re_extract(self, tmp_path):
+        path = tmp_path / "clip.mbe.sedf"
+        self._write(path, feature_class="mbe", hop_seconds=0.02)
+        with pytest.raises(
+            StateError,
+            match=r"clip.mbe.sedf: holds arrays \['data', 'feature_class', 'hop_seconds'\], not data alone; "
+            r"re-extract it with `sedpipe extract --force`",
+        ):
+            features.load_feature_archive(path, features.FeatureConfig())
 
     def test_missing_array_is_state_error_naming_the_file(self, tmp_path):
         path = tmp_path / "short.sedf"
-        audio_io.write_arrays(path, data=np.zeros((2, 3, 1), dtype=np.float32), feature_class="mbe")
+        audio_io.write_arrays(path, frames=np.zeros((2, 3, 1), dtype=np.float32))
         with pytest.raises(StateError, match="short.sedf: holds arrays"):
-            features.load_feature_archive(path)
+            features.load_feature_archive(path, features.FeatureConfig())
 
     @pytest.mark.parametrize(
         "shape, entry_agrees, message",
@@ -577,7 +580,7 @@ class TestArchive:
 
         def load():
             with pytest.raises(StateError, match=f"huge.sedf: .*member data.npy {message}"):
-                features.load_feature_archive(path)
+                features.load_feature_archive(path, features.FeatureConfig())
 
         _, peak = traced_peak(load)
         assert peak < 2**20
@@ -600,7 +603,7 @@ class TestArchive:
         path = tmp_path / "bogus.sedf"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(StateError):
-            features.load_feature_archive(path)
+            features.load_feature_archive(path, features.FeatureConfig())
 
     def test_truncated_payload_rejected(self, tmp_path, rng):
         # every prefix is a StateError naming the file, including a cut of
@@ -611,12 +614,12 @@ class TestArchive:
         path = tmp_path / "clip.mbe.sedf"
         features.save_feature_archive(tensor, path)
         raw = path.read_bytes()
-        features.load_feature_archive(path)
+        features.load_feature_archive(path, features.FeatureConfig())
         cut = tmp_path / "cut.mbe.sedf"
         for n in range(len(raw)):
             cut.write_bytes(raw[:n])
             with pytest.raises(StateError, match="cut.mbe.sedf"):
-                features.load_feature_archive(cut)
+                features.load_feature_archive(cut, features.FeatureConfig())
 
     def test_failed_save_keeps_old_archive_and_no_temp_file(self, tmp_path, rng, monkeypatch):
         path = tmp_path / "clip.mbe.sedf"

@@ -482,6 +482,15 @@ def test_unrunnable_graph_rejected(tmp_path, name):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("kind", ["batch_norm", "max_pool_freq", "lstm"])
+def test_unknown_layer_kind_is_named_with_the_known_kinds(tmp_path, kind):
+    path = tmp_path / "model.sedm"
+    audio_io.write_arrays(path, descriptor=json.dumps([{"type": kind}]))
+    known = "bigru, conv2d, conv_block, dropout, flatten_freq, time_dense"
+    with pytest.raises(CheckpointError, match=f"model.sedm: unknown layer kind '{kind}'; known kinds: {known}$"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize(
     "layers",
     [
