@@ -247,8 +247,14 @@ def with_section(cfg: ExperimentConfig, name: str, **values) -> ExperimentConfig
 
 
 def section_digest(section, omit=()) -> str:
-    """12 hex digits of the sha256 of the section's fields but ``omit``, as sorted-key JSON."""
-    values = {k: v for k, v in dataclasses.asdict(section).items() if k not in omit}
+    """12 hex digits of the sha256 of the section's fields but ``omit``, as
+    sorted-key JSON. Float fields hash as floats, so an int given for one
+    names the same section as the equal float."""
+    values = {
+        f.name: float(getattr(section, f.name)) if f.type == "float" else getattr(section, f.name)
+        for f in fields(section)
+        if f.name not in omit
+    }
     return hashlib.sha256(json.dumps(values, sort_keys=True).encode()).hexdigest()[:12]
 
 

@@ -117,8 +117,8 @@ def run_fold(
     feature_cache: dict,
     manifest_rows: list[ManifestRow],
 ) -> FoldResult:
-    """Train on the fold's train split with the run seed ``seed`` and score
-    its test split.
+    """Train on the fold's train split with the generators of the run seed
+    ``seed`` (see :func:`run_generators`) and score its test split.
 
     The monitored split follows ``cfg.train.monitor`` (validation unless the
     config explicitly asks for the test split). Both are scored per clip by
@@ -145,14 +145,21 @@ def run_fold(
         n_classes=len(class_names),
         **dataclasses.asdict(cfg.model),
     )
-    init_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    init_rng, shuffle_rng, dropout_rng = run_generators(seed)
     model = build_crnn(arch, init_rng)
 
-    model, history = train(model, train_batch, monitor_batch, dataclasses.replace(cfg.train, seed=seed))
+    model, history = train(model, train_batch, monitor_batch, cfg.train, shuffle_rng, dropout_rng)
     test_batch = _split_sequences(test_clips, normalizer, seq_len)
     report = training.monitor_scores(model, test_batch, cfg.train.threshold)
     log.info("fold %d: test ER %.4f, F %.1f%%", fold, report.error_rate, 100 * report.f_score)
     return FoldResult(report=report, history=history, model=model, normalizer=normalizer)
+
+
+def run_generators(seed: int) -> tuple[np.random.Generator, np.random.Generator, np.random.Generator]:
+    """The run's weight-init, shuffle and dropout generators: three
+    distinct children of ``SeedSequence(seed)``, so no two draw the same
+    stream."""
+    return tuple(np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(3))
 
 
 def run_seed_for(master_seed: int, run: int, fold: int) -> int:

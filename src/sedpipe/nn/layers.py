@@ -1,4 +1,8 @@
-"""Network layers with exact forward/backward passes in double precision.
+"""Network layers with exact forward/backward passes.
+
+Every layer computes in the dtype of its own parameters, which
+:meth:`Layer.astype` sets: the builders train in float32, and the
+finite-difference and oracle checks use float64 copies.
 
 Array conventions: the convolutional block works on (S, T, B, F) volumes
 (batch, time, frequency bins, feature maps); the recurrent and dense block
@@ -34,7 +38,7 @@ from ..errors import CheckpointError, RangeError, ShapeError, StateError
 def sigmoid(x):
     """Logistic function as 0.5 * (1 + tanh(x / 2)), computed in place on one
     fresh array; finite for every finite input, with no branch on the sign."""
-    out = np.multiply(x, 0.5, dtype=np.float64)
+    out = np.multiply(x, 0.5)
     np.tanh(out, out=out)
     out += 1.0
     out *= 0.5
@@ -92,6 +96,13 @@ class Layer:
     def descriptor(self) -> dict:
         return {"type": self.kind, **{name: getattr(self, name) for name in self.settings}}
 
+    def astype(self, dtype) -> None:
+        """Hold every parameter and buffer as ``dtype``: each array of
+        another dtype is replaced by its cast copy."""
+        for store in (self.params, self.buffers):
+            for name, arr in store.items():
+                store[name] = arr.astype(dtype, copy=False)
+
 
 def _im2col(xp, out):
     """(T+2, B+2, C) padded sample -> (T*B, 9*C) rows of 3x3 patches in
@@ -111,12 +122,13 @@ def _im2col(xp, out):
 _PATCH_BYTES = 4 * 2**20
 
 
-def _time_blocks(t: int, b: int, c: int) -> list[slice]:
+def _time_blocks(t: int, b: int, c: int, itemsize: int) -> list[slice]:
     """Whole time rows of a (T, B, C) sample in near-equal blocks whose
-    patch matrices hold at most ``_PATCH_BYTES`` (or one time row). Equal
-    sizes keep every block's GEMM as large as the budget allows: OpenBLAS
-    rounds small products in another kernel."""
-    per_block = max(1, _PATCH_BYTES // (b * 9 * c * 8))
+    patch matrices of ``itemsize``-byte values hold at most
+    ``_PATCH_BYTES`` (or one time row). Equal sizes keep every block's GEMM
+    as large as the budget allows: OpenBLAS rounds small products in
+    another kernel."""
+    per_block = max(1, _PATCH_BYTES // (b * 9 * c * itemsize))
     return cores.split(t, -(-t // per_block))
 
 
@@ -160,10 +172,11 @@ class Conv2D(Layer):
                 f"conv2d expects (S, T, B, {self.in_channels}), got shape {x.shape}"
             )
         s, t, b, c = x.shape
-        blocks = _time_blocks(t, b, c)
-        kmat = self.params["kernels"].reshape(self.filters, -1).T
-        xp = np.zeros((s, t + 2, b + 2, c))
-        out = np.empty((s, t, b, self.filters))
+        k = self.params["kernels"]
+        blocks = _time_blocks(t, b, c, k.itemsize)
+        kmat = k.reshape(self.filters, -1).T
+        xp = np.zeros((s, t + 2, b + 2, c), dtype=k.dtype)
+        out = np.empty((s, t, b, self.filters), dtype=k.dtype)
         ranges = _sample_ranges(out)
 
         def run(job):
@@ -181,16 +194,17 @@ class Conv2D(Layer):
     def _patch_buffers(self, n, blocks, b):
         """One flat buffer per sample range for the largest time block's
         patch rows (and, in backward, its column gradient)."""
-        return np.empty((n, max(r.stop - r.start for r in blocks) * b * 9 * self.in_channels))
+        size = max(r.stop - r.start for r in blocks) * b * 9 * self.in_channels
+        return np.empty((n, size), dtype=self.params["kernels"].dtype)
 
     def backward(self, dout, input_grad=True):
         (xp,) = self._take()
         s, t, b, n = dout.shape
         c = self.in_channels
-        blocks = _time_blocks(t, b, c)
         k = self.params["kernels"]
+        blocks = _time_blocks(t, b, c, k.itemsize)
         kmat = k.reshape(n, -1)
-        partials = np.zeros((s,) + kmat.shape)
+        partials = np.zeros((s,) + kmat.shape, dtype=k.dtype)
         dxp = np.zeros_like(xp) if input_grad else None
         ranges = _sample_ranges(dout)
 
@@ -316,6 +330,10 @@ class ConvBlock(Layer):
             "updates": np.zeros(1),
         }
 
+    def astype(self, dtype) -> None:
+        super().astype(dtype)
+        self.conv.params["kernels"] = self.params["kernels"]  # still the conv's array
+
     def _standardize(self, x, ranges):
         """Overwrite the (S, T, B, F) batch ``x`` with x̂ = (x - batch mean)
         * inv_std, one sample range per thread, folding the batch statistics
@@ -353,8 +371,8 @@ class ConvBlock(Layer):
             self._keep(False)
             scale, shift = self._inference_affine()
         flip = scale < 0
-        out = np.empty(m.shape[:3] + m.shape[4:])
-        mins = np.empty(out.shape) if flip.any() else None
+        out = np.empty(m.shape[:3] + m.shape[4:], dtype=y.dtype)
+        mins = np.empty(out.shape, dtype=y.dtype) if flip.any() else None
         cores.run(lambda r: _select(m[r], flip, out[r], None if mins is None else mins[r]), ranges)
         out *= scale
         out += shift
@@ -370,7 +388,7 @@ class ConvBlock(Layer):
         # gamma is still the forward's, so x̂ pooled anew is the forward's
         # pooled x̂, and each window's first tap equal to it is its route
         flip = gamma < 0
-        pooled, scratch = np.empty(dout.shape), np.empty(dout.shape)
+        pooled, scratch = np.empty(dout.shape, dtype=gamma.dtype), np.empty(dout.shape, dtype=gamma.dtype)
         arg = np.empty(dout.shape, dtype=np.min_scalar_type(self.factor - 1))
         notyet, differs = np.empty(dout.shape, dtype=bool), np.empty(dout.shape, dtype=bool)
 
@@ -508,8 +526,8 @@ class BiGRU(Layer):
         gates = (x.reshape(s * t, dim) @ w + b[:, None]).reshape(2, s, t, 3 * u)
         gates[1] = gates[1, :, ::-1]
         u_zr, u_c = u_rec[:, :, : 2 * u], u_rec[:, :, 2 * u :]
-        hs = np.zeros((2, s, t + 1, u))  # hs[:, :, i] is the state entering step i
-        rh = np.empty((2, s, t, u))
+        hs = np.zeros((2, s, t + 1, u), dtype=w.dtype)  # hs[:, :, i] is the state entering step i
+        rh = np.empty((2, s, t, u), dtype=w.dtype)
         for i in range(t):
             h, g = hs[:, :, i], gates[:, :, i]
             zr = sigmoid(g[:, :, : 2 * u] + h @ u_zr)
@@ -538,7 +556,7 @@ class BiGRU(Layer):
         dhs = np.stack((dout[:, :, :u], dout[:, ::-1, u:]))
         u_zr_t = u_rec[:, :, : 2 * u].transpose(0, 2, 1)
         u_c_t = u_rec[:, :, 2 * u :].transpose(0, 2, 1)
-        dh = np.zeros((2, s, u))
+        dh = np.zeros((2, s, u), dtype=rh.dtype)
         for i in reversed(range(t)):
             dh_total = dhs[:, :, i] + dh
             np.multiply(da_z[:, :, i], dh_total, out=da_z[:, :, i])

@@ -15,8 +15,10 @@ def bce_loss(pred, target, mask):
     ``mask`` flags valid frames (one bool per frame, broadcast over classes).
     Masked cells contribute exactly zero loss and zero gradient.
 
-    Returns ``(loss, dpred)``.
+    The loss sums in float64; ``dpred`` comes in ``pred``'s dtype. Returns
+    ``(loss, dpred)``.
     """
+    dtype = np.asarray(pred).dtype
     p = np.clip(np.asarray(pred, dtype=np.float64), SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
     y = np.asarray(target, dtype=np.float64)
     if p.shape != y.shape:
@@ -24,8 +26,8 @@ def bce_loss(pred, target, mask):
     valid = np.broadcast_to(np.asarray(mask, dtype=np.float64)[..., None], p.shape)
     m = valid.sum()
     if m == 0:
-        return 0.0, np.zeros_like(p)
+        return 0.0, np.zeros_like(p, dtype=dtype)
     cell = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
     loss = float((cell * valid).sum() / m)
     dpred = valid * (p - y) / (p * (1.0 - p)) / m
-    return loss, dpred
+    return loss, dpred.astype(dtype, copy=False)

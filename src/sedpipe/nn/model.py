@@ -20,14 +20,28 @@ class ModelGraph:
 
     Parameters are addressed as ``"<layer index>.<name>"``; buffers (batch
     norm running statistics) ride along in snapshots and checkpoints so a
-    restored model reproduces inference bit for bit. No layer writes its
+    restored model reproduces inference bit for bit. ``forward`` casts its
+    input once to the parameters' :attr:`dtype`. No layer writes its
     argument, so the caller's input and output gradient are never written.
     """
 
     def __init__(self, layers: list[Layer]):
         self.layers = layers
 
+    @property
+    def dtype(self) -> np.dtype | None:
+        """The dtype of the parameters, which every layer computes in; None
+        for a graph without parameters."""
+        return next((p.dtype for _, p in self.parameters()), None)
+
+    def astype(self, dtype) -> "ModelGraph":
+        """Cast every parameter and buffer to ``dtype`` and return the graph."""
+        for layer in self.layers:
+            layer.astype(dtype)
+        return self
+
     def forward(self, x, training=False, rng=None):
+        x = np.asarray(x, dtype=self.dtype)
         for layer in self.layers:
             x = layer.forward(x, training=training, rng=rng)
         return x
@@ -137,7 +151,8 @@ def validate_pools(n_bins: int, pool_factors: tuple[int, ...]) -> None:
 
 def build_crnn(arch: CrnnArch, rng: np.random.Generator) -> ModelGraph:
     """conv block (+dropout) stack -> flatten -> bigru stack -> dense stack
-    -> sigmoid head of ``n_classes`` units."""
+    -> sigmoid head of ``n_classes`` units, in float32. The weights are
+    drawn in float64, so a seed gives the float64 draws of every dtype."""
     layers: list[Layer] = []
     in_ch = arch.n_channels
     for pool in arch.pools:
@@ -155,7 +170,7 @@ def build_crnn(arch: CrnnArch, rng: np.random.Generator) -> ModelGraph:
         layers.append(Dropout(arch.dropout))
         width = arch.dense_units
     layers.append(TimeDense(width, arch.n_classes, activation="sigmoid", rng=rng))
-    return ModelGraph(layers)
+    return ModelGraph(layers).astype(np.float32)
 
 
 def build_baseline_mlp(
@@ -169,7 +184,8 @@ def build_baseline_mlp(
     """Frame-wise dense baseline over stacked context windows.
 
     Input is (S, T, n_mels*context, 1); two hidden layers, one dropout, then
-    the sigmoid head. With the defaults the input width is 200 = 40*5.
+    the sigmoid head, in float32. With the defaults the input width is
+    200 = 40*5.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     width = n_mels * context
@@ -181,7 +197,7 @@ def build_baseline_mlp(
             Dropout(dropout_rate),
             TimeDense(hidden, n_classes, activation="sigmoid", rng=rng),
         ]
-    )
+    ).astype(np.float32)
 
 
 def mbe_context_windows(tensor, context: int = 5) -> np.ndarray:
@@ -205,8 +221,8 @@ def mbe_context_windows(tensor, context: int = 5) -> np.ndarray:
 
 def save_checkpoint(model: ModelGraph, path, normalizer: Normalizer | None = None) -> None:
     """Write the ``.npz`` checkpoint: the JSON architecture ``descriptor``,
-    each :meth:`ModelGraph.state_arrays` key and, given a normalizer,
-    ``normalizer.mean`` and ``normalizer.std``, through
+    each :meth:`ModelGraph.state_arrays` key in the model's dtype and, given
+    a normalizer, ``normalizer.mean`` and ``normalizer.std``, through
     :func:`~sedpipe.audio_io.write_arrays`."""
     arrays = dict(model.state_arrays())
     if normalizer is not None:
@@ -215,10 +231,11 @@ def save_checkpoint(model: ModelGraph, path, normalizer: Normalizer | None = Non
 
 
 def load_checkpoint(path):
-    """Rebuild (model, normalizer) from a checkpoint file. A bad descriptor,
-    an array that is missing, extra, misshapen, not float64 or not finite,
-    or a normalizer std that is not positive, is a :class:`CheckpointError`
-    naming the file."""
+    """Rebuild (model, normalizer) from a checkpoint file, in the dtype of
+    its first model array when that is float32 or float64. A bad
+    descriptor, an array that is missing, extra, misshapen, not finite or
+    not of that dtype (float64 for the normalizer), or a normalizer std
+    that is not positive, is a :class:`CheckpointError` naming the file."""
     arrays = read_arrays(path, CheckpointError)
     try:
         descriptors = json.loads(str(arrays.pop("descriptor")))
@@ -231,25 +248,27 @@ def load_checkpoint(path):
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
 
-    def take(key: str, shape: tuple[int, ...] | None) -> np.ndarray:
-        """The stored ``key`` array: float64, of ``shape`` unless it is None."""
+    def take(key: str, shape: tuple[int, ...] | None, dtype: np.dtype) -> np.ndarray:
+        """The stored ``key`` array: of ``dtype``, and of ``shape`` unless it is None."""
         arr = arrays.pop(key, None)
         if arr is None:
             raise CheckpointError(f"{path}: no {key} array")
         shape = arr.shape if shape is None else shape
-        if arr.dtype != np.float64 or arr.shape != shape:
-            raise CheckpointError(f"{path}: {key} is {arr.dtype} {arr.shape}, expected float64 {shape}")
+        if arr.dtype != dtype or arr.shape != shape:
+            raise CheckpointError(f"{path}: {key} is {arr.dtype} {arr.shape}, expected {dtype} {shape}")
         if not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: {key} holds non-finite values")
         return arr
 
+    first = next((arrays.get(key) for key, _ in model.state_arrays()), None)
+    model.astype(first.dtype if first is not None and first.dtype in (np.float32, np.float64) else np.float64)
     for key, arr in model.state_arrays():
-        np.copyto(arr, take(key, arr.shape))
+        np.copyto(arr, take(key, arr.shape, arr.dtype))
     normalizer = None
     if {"normalizer.mean", "normalizer.std"} & arrays.keys():
-        mean = take("normalizer.mean", None)
+        mean = take("normalizer.mean", None, np.dtype(np.float64))
         try:
-            normalizer = Normalizer(mean=mean, std=take("normalizer.std", mean.shape))
+            normalizer = Normalizer(mean=mean, std=take("normalizer.std", mean.shape, mean.dtype))
         except ShapeError as exc:  # shapes already match, so a std entry is not positive
             raise CheckpointError(f"{path}: normalizer.std: {exc}") from None
     if arrays:

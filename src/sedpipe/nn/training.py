@@ -83,16 +83,16 @@ def train(
     train_batch: SequenceBatch,
     monitor_batch: SequenceBatch,
     config: TrainSection,
+    shuffle_rng: np.random.Generator,
+    dropout_rng: np.random.Generator,
 ) -> tuple[ModelGraph, TrainHistory]:
-    """Train in place and return the model restored to its best snapshot."""
+    """Train in place and return the model restored to its best snapshot.
+    ``shuffle_rng`` orders each epoch's sequences and ``dropout_rng`` draws
+    the dropout masks."""
     if train_batch.n_sequences == 0:
         raise StateError("training stream is empty")
     if monitor_batch.n_sequences == 0:
         raise StateError("monitor split is empty")
-
-    master = np.random.SeedSequence(config.seed)
-    shuffle_rng = np.random.default_rng(master.spawn(1)[0])
-    dropout_rng = np.random.default_rng(master.spawn(1)[0])
 
     optimizer = Adam(model, lr=config.learning_rate)
     history = TrainHistory()

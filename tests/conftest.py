@@ -1,12 +1,9 @@
 from __future__ import annotations
 
-import os
-
-# set before numpy loads: README's byte-identical determinism holds only at
-# a fixed BLAS thread count, and the log-mel features round differently
-# when OpenBLAS runs more threads
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+# first, before numpy loads: importing the package pins BLAS to one thread
+# unless the environment chose a count, and README's byte-identical
+# determinism holds only at a fixed count
+import sedpipe  # noqa: F401
 
 import io
 import math

@@ -16,6 +16,7 @@ from sedpipe import dsp, features, metrics, synth
 from sedpipe.audio_io import EventRoll, events_to_roll, to_mono
 from sedpipe.cli import main as cli_main
 from sedpipe.config import TrainSection
+from sedpipe.experiment import run_generators
 from sedpipe.features import SequenceBatch, apply_normalizer, chunk_sequences, fit_normalizer
 from sedpipe.nn import (
     CrnnArch,
@@ -233,7 +234,7 @@ class TestGradientCriteria:
             pool_factors=(20,), gru_layers=1, gru_units=3, dense_layers=1,
             dense_units=4, dropout=0.0,
         )
-        model = build_crnn(arch, rng)
+        model = build_crnn(arch, rng).astype(np.float64)
         x = rng.normal(size=(1, 8, 40, 1))
         y = (rng.random((1, 8, 2)) < 0.5).astype(float)
         mask = np.ones((1, 8), dtype=bool)
@@ -291,8 +292,8 @@ class TestTrainingCriteria:
             dense_units=16, dropout=0.05,
         )
         model = build_crnn(arch, np.random.default_rng(1))
-        cfg = TrainSection(learning_rate=3e-3, max_epochs=200, patience=60, batch_size=4, seed=1, monitor="test")
-        model, history = train(model, batch, batch, cfg)
+        cfg = TrainSection(learning_rate=3e-3, max_epochs=200, patience=60, batch_size=4, monitor="test")
+        model, history = train(model, batch, batch, cfg, *run_generators(1)[1:])
         best = min(history.monitor_er)
         er_now = monitor_scores(model, batch, 0.5).error_rate
         elapsed = time.time() - start
@@ -326,11 +327,8 @@ class TestTrainingCriteria:
                 model = build_crnn(
                     CrnnArch(n_channels=n_ch, **arch_base), np.random.default_rng(seed)
                 )
-                cfg = TrainSection(
-                    learning_rate=3e-3, max_epochs=30, patience=29, batch_size=4,
-                    seed=seed, monitor="test",
-                )
-                model, _ = train(model, train_batch, test_batch, cfg)
+                cfg = TrainSection(learning_rate=3e-3, max_epochs=30, patience=29, batch_size=4, monitor="test")
+                model, _ = train(model, train_batch, test_batch, cfg, *run_generators(seed)[1:])
                 scores[fc].append(monitor_scores(model, test_batch, 0.5).error_rate)
         mean_mbe = float(np.mean(scores["mbe"]))
         mean_bin = float(np.mean(scores["bin-mbe"]))
@@ -372,8 +370,8 @@ class TestTrainingCriteria:
         )
         # monitored at a one-second hop, one frame per segment
         batch = dataclasses.replace(batch, hop_seconds=1.0)
-        cfg = TrainSection(learning_rate=3e-3, max_epochs=200, patience=199, batch_size=4, seed=4, monitor="test")
-        model, history = train(model, batch, batch, cfg)
+        cfg = TrainSection(learning_rate=3e-3, max_epochs=200, patience=199, batch_size=4, monitor="test")
+        model, history = train(model, batch, batch, cfg, *run_generators(4)[1:])
         decrease = 1.0 - history.train_loss[-1] / history.train_loss[0]
         report(
             "baseline: input width 200, 50-50-dropout(0.2)-sigmoid, loss halves",

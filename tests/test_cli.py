@@ -12,6 +12,7 @@ import pytest
 
 from conftest import traced_peak
 from sedpipe.cli import main
+from sedpipe.nn import load_checkpoint
 
 
 def run_cli(capsys, *argv):
@@ -409,6 +410,29 @@ class TestTrainCommand:
         for name in ("history.tsv", "metrics.tsv"):
             plain = (tmp_path / "plain" / "fold1" / "run1" / name).read_bytes()
             assert plain == (tmp_path / "cached" / "fold1" / "run1" / name).read_bytes()
+
+    def test_float32_protocol_trainings_are_byte_identical(self, tmp_path, capsys):
+        # the benchmark protocol's settings on fewer, shorter clips and a
+        # smaller epoch budget, trained twice with one seed
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("\n".join([
+            "[data]", f"root = {tmp_path / 'data'}", "n_clips = 8", "duration_s = 2.0",
+            "class_count = 3", "folds = 4", "seed = 5", "",
+            "[features]", "feature_class = bin-mbe", "",
+            "[model]", "conv_layers = 2", "filters = 16", "gru_layers = 1", "gru_units = 32",
+            "dense_layers = 1", "dense_units = 32", "dropout = 0.25", "",
+            "[train]", "learning_rate = 0.003", "max_epochs = 3", "patience = 2",
+            "sequence_length = 64", "n_runs = 1", "folds = 1", "",
+        ]), encoding="utf-8")
+        assert run_cli(capsys, "synth", "--config", str(cfg), "--out", str(tmp_path / "data"))[0] == 0
+        for out in ("a", "b"):
+            code, _, stderr = run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path / out))
+            assert code == 0, stderr
+        for name in ("checkpoint.sedm", "history.tsv"):
+            first = (tmp_path / "a" / "fold1" / "run1" / name).read_bytes()
+            assert first == (tmp_path / "b" / "fold1" / "run1" / name).read_bytes(), name
+        model, _ = load_checkpoint(tmp_path / "a" / "fold1" / "run1" / "checkpoint.sedm")
+        assert model.dtype == np.float32
 
     def test_data_dir_names_the_manifest_directory(self, tmp_path, capsys, monkeypatch):
         # as for extract, --data-dir D reads D/manifest.tsv, wherever the

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import os
 import shutil
 from pathlib import Path
@@ -27,6 +28,7 @@ from sedpipe.experiment import (
     cross_validate,
     random_search,
     run_fold,
+    run_generators,
     run_seed_for,
     sample_model_config,
     split_rows,
@@ -235,6 +237,12 @@ class TestArchivePath:
         assert hashlib.sha256(settings.encode()).hexdigest()[:12] == "389f2a491685"
         assert archive_path(ExperimentConfig(), "sub/clip000.wav") == Path("data/features/clip000.389f2a491685.mbe.sedf")
 
+    def test_an_int_for_a_float_setting_names_the_same_archive(self):
+        # a config file always parses floats; a library caller may pass ints
+        ints = dataclasses.replace(ExperimentConfig(), features=FeatureConfig(f_max=22050, hop_ms=20, f_min=0))
+        assert ints.features == FeatureConfig()
+        assert archive_path(ints, "clip000.wav") == Path("data/features/clip000.389f2a491685.mbe.sedf")
+
 
 class TestClipFeatures:
     @pytest.fixture
@@ -361,6 +369,15 @@ class TestCrossValidate:
         c = run_seed_for(7, run=2, fold=3)
         assert a == b
         assert a != c
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 9, 2**32 - 1])
+    def test_init_shuffle_and_dropout_draw_distinct_streams(self, seed):
+        draws = [g.random(4) for g in run_generators(seed)]
+        for a, b in itertools.combinations(draws, 2):
+            assert not np.array_equal(a, b)
+        # a second derivation from the seed repeats each stream
+        for a, g in zip(draws, run_generators(seed)):
+            assert np.array_equal(a, g.random(4))
 
     def test_aggregation_is_fold_order_invariant(self, tmp_path, monkeypatch):
         manifest = write_dataset(tmp_path / "data")

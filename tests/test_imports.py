@@ -1,5 +1,6 @@
-"""Every import in ``src/``, ``scripts/`` and ``tests/`` is used, and only
-``audio_io`` imports ``struct`` or ``zipfile``.
+"""Every import in ``src/``, ``scripts/`` and ``tests/`` is used, only
+``audio_io`` imports ``struct`` or ``zipfile``, and importing the package
+pins BLAS to one thread unless the caller chose a count.
 
 A name counts as used when the module reads it anywhere, in code or in an
 annotation; no annotation here is a string, so each one is a Name node.
@@ -10,6 +11,9 @@ modules, whose imports are re-exports, are skipped.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +61,17 @@ def test_only_audio_io_imports_struct_or_zipfile():
             if {m.split(".")[0] for m in modules} & {"struct", "zipfile"}:
                 importers.add(str(path.relative_to(ROOT)))
     assert importers <= {"src/sedpipe/audio_io.py"}
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("caller", [{}, {"OPENBLAS_NUM_THREADS": "3"}], ids=["unset", "caller_set"])
+def test_import_pins_blas_threads_unless_the_caller_set_them(caller):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    env.update(caller, PYTHONPATH=str(ROOT / "src"))
+    script = "import os, sys, sedpipe; print(*(os.environ.get(v) for v in sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *BLAS_VARIABLES], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.split() == [caller.get(v, "1") for v in BLAS_VARIABLES]

@@ -120,7 +120,7 @@ class TestConv2d:
         # one sample's patch matrix is 101 * 256 * 72 * 8 B = 14.2 MiB, over
         # 3x the block budget, so time splits into 25, 25, 25 and 26 rows
         s, t, b, c, filters = 1, 101, 256, 8, 8
-        sizes = [r.stop - r.start for r in L._time_blocks(t, b, c)]
+        sizes = [r.stop - r.start for r in L._time_blocks(t, b, c, 8)]
         assert len(sizes) > 1 and len(set(sizes)) > 1
         patch_bytes = t * b * 9 * c * 8
         assert patch_bytes >= 3 * L._PATCH_BYTES
@@ -142,7 +142,7 @@ class TestConv2d:
     def test_time_blocked_gradients_match_oracles(self, rng, monkeypatch):
         # a budget of two time rows splits T=7 into blocks of 1, 2, 2 and 2
         monkeypatch.setattr(L, "_PATCH_BYTES", 2 * 5 * 9 * 3 * 8)
-        assert [r.stop - r.start for r in L._time_blocks(7, 5, 3)] == [1, 2, 2, 2]
+        assert [r.stop - r.start for r in L._time_blocks(7, 5, 3, 8)] == [1, 2, 2, 2]
         conv = L.Conv2D(3, 4, rng=rng)
         x = rng.normal(size=(2, 7, 5, 3))
         out = conv.forward(x, training=True)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 import time
 import tracemalloc
@@ -135,7 +136,7 @@ class TestBuildCrnn:
             build_crnn(tiny_arch(dense_layers=-1), np.random.default_rng(0))
 
     def test_end_to_end_gradients(self, rng):
-        model = build_crnn(tiny_arch(), rng)
+        model = build_crnn(tiny_arch(), rng).astype(np.float64)
         x = rng.normal(size=(1, 8, 40, 1))
         y = (rng.random((1, 8, 2)) < 0.5).astype(float)
         mask = np.ones((1, 8), dtype=bool)
@@ -182,13 +183,19 @@ class TestForwardDeterminism:
 
 
 class TestCheckpoint:
-    def test_round_trip_reproduces_forward_bitwise(self, rng, tmp_path):
-        model = build_crnn(tiny_arch(conv_layers=2, pool_factors=(5, 4), filters=3), rng)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_round_trip_reproduces_forward_bitwise(self, rng, tmp_path, dtype):
+        model = build_crnn(tiny_arch(conv_layers=2, pool_factors=(5, 4), filters=3), rng).astype(dtype)
         model.forward(rng.normal(size=(2, 8, 40, 1)), training=True)
         norm = Normalizer(mean=rng.normal(size=(40, 1)), std=np.abs(rng.normal(size=(40, 1))) + 0.1)
         path = tmp_path / "model.sedm"
         save_checkpoint(model, path, norm)
+        stored = audio_io.read_arrays(path, CheckpointError)
+        assert {stored[key].dtype for key, _ in model.state_arrays()} == {np.dtype(dtype)}
         loaded, norm_back = load_checkpoint(path)
+        assert all(arr.dtype == dtype for _, arr in loaded.state_arrays())
+        assert all(b.params["kernels"] is b.conv.params["kernels"] for b in loaded.layers if isinstance(b, ConvBlock))
+        assert norm_back.mean.dtype == norm_back.std.dtype == np.float64
         assert np.array_equal(norm.mean, norm_back.mean)
         assert np.array_equal(norm.std, norm_back.std)
         for _ in range(10):
@@ -286,6 +293,20 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"odd.sedm: {message}"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("odd", ["0.kernels", "3.fwd_U", "7.b"])
+    def test_mixed_float_dtypes_are_a_checkpoint_error_naming_the_array(self, rng, tmp_path, odd):
+        # a float32 model with one array stored in float64; the first model
+        # array sets the dtype, so an odd first array names the second
+        model = build_crnn(tiny_arch(), rng)
+        path = tmp_path / "mixed.sedm"
+        save_checkpoint(model, path)
+        arrays = audio_io.read_arrays(path, CheckpointError)
+        arrays[odd] = arrays[odd].astype(np.float64)
+        audio_io.write_arrays(path, **arrays)
+        named, stored, wanted = ("0.gamma", "float32", "float64") if odd == "0.kernels" else (odd, "float64", "float32")
+        with pytest.raises(CheckpointError, match=rf"mixed.sedm: {named} is {stored} \(.*\), expected {wanted} \("):
+            load_checkpoint(path)
+
     def test_oversized_claim_is_a_checkpoint_error_naming_the_file(self, tmp_path):
         path = tmp_path / "huge.sedm"
         write_oversized_claim(path, "0.W.npy")
@@ -332,7 +353,7 @@ class TestBaseline:
         assert np.all((out > 0) & (out < 1))
 
     def test_gradients_match_finite_differences(self, rng):
-        model = build_baseline_mlp(2, n_mels=4, context=3, hidden=5, dropout_rate=0.0, rng=rng)
+        model = build_baseline_mlp(2, n_mels=4, context=3, hidden=5, dropout_rate=0.0, rng=rng).astype(np.float64)
         x = rng.normal(size=(1, 4, 12, 1))
         y = (rng.random((1, 4, 2)) < 0.5).astype(float)
         mask = np.ones((1, 4), dtype=bool)
@@ -536,7 +557,7 @@ class TestOwnedActivations:
         # the reference step runs each conv block through the oracles and
         # every other step as the graph does
         arch = tiny_arch(n_channels=2, conv_layers=2, pool_factors=(5, 4), filters=3, dropout=0.25)
-        graph, ref = build_crnn(arch, np.random.default_rng(5)), build_crnn(arch, np.random.default_rng(5))
+        graph, ref = (build_crnn(arch, np.random.default_rng(5)).astype(np.float64) for _ in range(2))
         x = rng.normal(size=(2, 8, 40, 2))
         x_before = x.copy()
         out = graph.forward(x, training=True, rng=np.random.default_rng(6))
@@ -582,7 +603,7 @@ class TestOwnedActivations:
             model.backward(dpred)
 
         _, peak = traced_peak(step)
-        assert peak < 4 * s * t * b * filters * 8
+        assert peak < 4 * s * t * b * filters * model.dtype.itemsize
 
 
 def make_block(rng, cin=2, filters=3, factor=5, gamma=(1.3, -0.7, 0.4)):
@@ -663,26 +684,30 @@ class TestConvBlock:
     def test_pool_of_one_bin_and_of_every_bin_match_oracles(self, rng, factor):
         self.check_against_oracles(rng, rng.normal(size=(1, 4, 20, 2)), factor=factor)
 
-    def test_results_do_not_depend_on_the_worker_count(self, monkeypatch):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_results_do_not_depend_on_the_worker_count(self, monkeypatch, dtype):
         # a budget of two time rows splits T=7 into blocks of 1, 2, 2 and 2
         # rows, and the conv map, over that budget, into one sample range
         # per worker: 5 samples into 1, 2 and 2 under three
-        monkeypatch.setattr(layers, "_PATCH_BYTES", 2 * 20 * 9 * 2 * 8)
-        assert [r.stop - r.start for r in layers._time_blocks(7, 20, 2)] == [1, 2, 2, 2]
+        itemsize = np.dtype(dtype).itemsize
+        monkeypatch.setattr(layers, "_PATCH_BYTES", 2 * 20 * 9 * 2 * itemsize)
+        assert [r.stop - r.start for r in layers._time_blocks(7, 20, 2, itemsize)] == [1, 2, 2, 2]
         data = np.random.default_rng(11)
-        x, dout = data.normal(size=(5, 7, 20, 2)), data.normal(size=(5, 7, 4, 3))
+        x, dout = data.normal(size=(5, 7, 20, 2)).astype(dtype), data.normal(size=(5, 7, 4, 3)).astype(dtype)
         results = {}
         for workers in (1, 3):
             monkeypatch.setattr(cores, "count", lambda: workers)
-            assert len(layers._sample_ranges(np.empty((5, 7, 20, 3)))) == workers
+            assert len(layers._sample_ranges(np.empty((5, 7, 20, 3), dtype=dtype))) == workers
             block = make_block(np.random.default_rng(12))
+            block.astype(dtype)
             out = block.forward(x, training=True)
             dx = block.backward(dout)
             grads = [block.grads[name] for name in block.params]
             results[workers] = [out, dx, *grads, *block.buffers.values(), block.forward(x)]
         for one, three in zip(results[1], results[3]):
+            assert one.dtype == dtype
             assert np.array_equal(one, three)
-        self.check_against_oracles(np.random.default_rng(13), x)
+        self.check_against_oracles(np.random.default_rng(13), x.astype(np.float64))
 
     def test_gradients_match_finite_differences(self, rng):
         block = make_block(rng, cin=2)
@@ -740,3 +765,26 @@ class TestConvBlock:
             tracemalloc.stop()
         assert forward_peak < 2 * conv_out
         assert max(forward_peak, step_peak) < 2.5 * conv_out
+
+
+def test_float32_paper_crnn_agrees_with_its_float64_copy():
+    # the paper CRNN at the mbe shape (T=256, batch 8, 40 bins x 1 channel),
+    # one training step with the same weights, batch and dropout masks
+    model = build_crnn(CrnnArch(n_bins=40, n_channels=1, n_classes=6), np.random.default_rng(5))
+    double = copy.deepcopy(model).astype(np.float64)
+    assert (model.dtype, double.dtype) == (np.float32, np.float64)
+    data = np.random.default_rng(6)
+    x = data.standard_normal((8, 256, 40, 1))
+    y = (data.random((8, 256, 6)) < 0.3).astype(np.float64)
+    mask = np.ones((8, 256), dtype=bool)
+    steps = []
+    for graph in (model, double):
+        out = graph.forward(x, training=True, rng=np.random.default_rng(7))
+        graph.backward(bce_loss(out, y, mask)[1])
+        steps.append((out, {key: graph.gradient(key) for key, _ in graph.parameters()}))
+    (out32, grads32), (out64, grads64) = steps
+    assert out32.dtype == np.float32
+    assert np.max(np.abs(out32 - out64)) < 1e-4
+    for key, g in grads64.items():
+        assert grads32[key].dtype == np.float32, key
+        assert np.max(np.abs(grads32[key] - g)) < 1e-4 * np.max(np.abs(g)), key

@@ -9,6 +9,7 @@ from sedpipe import metrics
 from sedpipe.audio_io import EventRoll
 from sedpipe.config import TrainSection
 from sedpipe.errors import RangeError, StateError
+from sedpipe.experiment import run_generators
 from sedpipe.features import FeatureTensor, SequenceBatch, chunk_sequences
 from sedpipe.nn import CrnnArch, build_crnn, monitor_scores, train
 from sedpipe.nn.loss import bce_loss
@@ -34,6 +35,12 @@ def toy_batch(rng, n_seq=6, t=16, n_bins=8):
         inputs=inputs, targets=targets, mask=np.ones((n_seq, t), dtype=bool),
         clip_sequences=(n_seq,), hop_seconds=HOP, class_names=NAMES,
     )
+
+
+def generators(seed=1):
+    """A run's (shuffle, dropout) generators."""
+    _, shuffle_rng, dropout_rng = run_generators(seed)
+    return shuffle_rng, dropout_rng
 
 
 def toy_model(seed=0, classes=2):
@@ -109,7 +116,7 @@ class TestTrainLoop:
             class_names=NAMES,
         )
         with pytest.raises(StateError):
-            train(toy_model(), empty, batch, TrainSection(max_epochs=5, patience=1))
+            train(toy_model(), empty, batch, TrainSection(max_epochs=5, patience=1), *generators())
 
     def test_patience_one_with_worsening_er_stops_after_two_epochs(self, rng, monkeypatch):
         batch = toy_batch(rng)
@@ -121,7 +128,7 @@ class TestTrainLoop:
         import sedpipe.nn.training as train_mod
 
         monkeypatch.setattr(train_mod, "monitor_scores", fake_scores)
-        _, history = train_mod.train(toy_model(), batch, batch, TrainSection(max_epochs=10, patience=1))
+        _, history = train_mod.train(toy_model(), batch, batch, TrainSection(max_epochs=10, patience=1), *generators())
         assert history.n_epochs == 2
         assert history.best_epoch == 1
 
@@ -131,7 +138,7 @@ class TestTrainLoop:
         batch.inputs[2, 5, 3, 0] = np.nan
         cfg = TrainSection(max_epochs=5, patience=1, batch_size=3)
         with pytest.raises(StateError, match=r"epoch 1: loss nan, first non-finite gradient 0\.kernels"):
-            train(toy_model(), batch, batch, cfg)
+            train(toy_model(), batch, batch, cfg, *generators())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_inf_gradient_names_epoch_and_parameter(self, rng, monkeypatch):
@@ -151,15 +158,15 @@ class TestTrainLoop:
         cfg = TrainSection(max_epochs=5, patience=4, batch_size=3)
         # two batches per epoch, so the third batch is the first of epoch 2
         with pytest.raises(StateError, match=r"epoch 2: loss 0\.\d+, first non-finite gradient 0\.kernels"):
-            train_mod.train(model, batch, batch, cfg)
+            train_mod.train(model, batch, batch, cfg, *generators())
         # the check runs before the optimizer step, so no weight took the inf
         assert all(np.isfinite(p).all() for _, p in model.parameters())
 
     def test_fixed_seed_reproduces_history_bitwise(self, rng):
         batch = toy_batch(rng)
-        cfg = TrainSection(learning_rate=3e-3, max_epochs=6, patience=5, batch_size=3, seed=42)
-        _, h1 = train(toy_model(seed=1), batch, batch, cfg)
-        _, h2 = train(toy_model(seed=1), batch, batch, cfg)
+        cfg = TrainSection(learning_rate=3e-3, max_epochs=6, patience=5, batch_size=3)
+        _, h1 = train(toy_model(seed=1), batch, batch, cfg, *generators(42))
+        _, h2 = train(toy_model(seed=1), batch, batch, cfg, *generators(42))
         assert h1.train_loss == h2.train_loss
         assert h1.monitor_er == h2.monitor_er
         assert h1.monitor_f == h2.monitor_f
@@ -167,14 +174,14 @@ class TestTrainLoop:
 
     def test_loss_decreases_on_learnable_toy(self, rng):
         batch = toy_batch(rng)
-        cfg = TrainSection(learning_rate=3e-3, max_epochs=50, patience=49, batch_size=3, seed=7)
-        _, history = train(toy_model(seed=3), batch, batch, cfg)
+        cfg = TrainSection(learning_rate=3e-3, max_epochs=50, patience=49, batch_size=3)
+        _, history = train(toy_model(seed=3), batch, batch, cfg, *generators(7))
         assert history.train_loss[-1] < 0.5 * history.train_loss[0]
 
     def test_returned_model_matches_best_epoch_score(self, rng):
         batch = toy_batch(rng)
-        cfg = TrainSection(learning_rate=3e-3, max_epochs=15, patience=14, batch_size=3, seed=7)
-        model, history = train(toy_model(seed=3), batch, batch, cfg)
+        cfg = TrainSection(learning_rate=3e-3, max_epochs=15, patience=14, batch_size=3)
+        model, history = train(toy_model(seed=3), batch, batch, cfg, *generators(7))
         er = monitor_scores(model, batch, 0.5).error_rate
         assert er == min(history.monitor_er)
         assert history.monitor_er[history.best_epoch - 1] == min(history.monitor_er)
@@ -188,8 +195,8 @@ class TestTrainLoop:
         poisoned_targets = base.targets.copy()
         poisoned_targets[:, -4:] = 1 - poisoned_targets[:, -4:]
         poisoned = dataclasses.replace(base, inputs=poisoned_inputs, targets=poisoned_targets, mask=mask)
-        cfg = TrainSection(learning_rate=3e-3, max_epochs=3, patience=2, batch_size=2, seed=5)
-        _, h1 = train(toy_model(seed=2), masked, masked, cfg)
-        _, h2 = train(toy_model(seed=2), poisoned, poisoned, cfg)
+        cfg = TrainSection(learning_rate=3e-3, max_epochs=3, patience=2, batch_size=2)
+        _, h1 = train(toy_model(seed=2), masked, masked, cfg, *generators(5))
+        _, h2 = train(toy_model(seed=2), poisoned, poisoned, cfg, *generators(5))
         # masked target cells may hold anything without touching the loss
         assert h1.train_loss == h2.train_loss
