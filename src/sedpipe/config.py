@@ -118,6 +118,8 @@ class TrainSection:
         for key in ("batch_size", "sequence_length", "n_runs"):
             if getattr(self, key) < 1:
                 raise RangeError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if not 0.0 < self.threshold < 1.0:
+            raise RangeError(f"threshold must be in (0, 1), got {self.threshold}")
         if self.monitor not in ("validation", "test"):
             raise RangeError(f"monitor must be 'validation' or 'test', got {self.monitor!r}")
         if not self.folds:

@@ -62,10 +62,7 @@ def clip_features(audio_file: Path, features_cfg: FeatureConfig, archive: Path) 
         return feats.load_feature_archive(archive, features_cfg)
     tensor = feats.extract(read_wav(audio_file), **dataclasses.asdict(features_cfg))
     archive.parent.mkdir(parents=True, exist_ok=True)
-    # rounded in place to what was saved; replace() runs the FeatureTensor
-    # checks again
-    np.copyto(tensor.data, feats.save_feature_archive(tensor, archive))
-    return dataclasses.replace(tensor)
+    return feats.save_feature_archive(tensor, archive)
 
 
 def _load_split(

@@ -340,7 +340,8 @@ class Normalizer:
 def fit_normalizer(tensors: Sequence[FeatureTensor]) -> Normalizer:
     if not tensors:
         raise StateError("cannot fit a normalizer on an empty training set")
-    stacked = np.concatenate([t.data for t in tensors], axis=0)
+    # float64 statistics whatever the tensors' dtype (a float32 mean sums in float32)
+    stacked = np.concatenate([t.data for t in tensors], axis=0, dtype=np.float64)
     if stacked.shape[0] == 0:
         raise StateError("cannot fit a normalizer on zero frames")
     mean = stacked.mean(axis=0)
@@ -355,7 +356,7 @@ def apply_normalizer(norm: Normalizer, tensor: FeatureTensor) -> FeatureTensor:
             f"{tensor.data.shape[1:]}"
         )
     return FeatureTensor(
-        data=(tensor.data - norm.mean) / norm.std,
+        data=((tensor.data - norm.mean) / norm.std).astype(tensor.data.dtype, copy=False),
         feature_class=tensor.feature_class,
         hop_seconds=tensor.hop_seconds,
     )
@@ -429,7 +430,7 @@ def chunk_sequences(tensor, roll: EventRoll, seq_len: int) -> SequenceBatch:
         )
     f, b, ch = data.shape
     n_seq = -(-f // seq_len)
-    inputs = np.zeros((n_seq * seq_len, b, ch))
+    inputs = np.zeros((n_seq * seq_len, b, ch), dtype=data.dtype)
     inputs[:f] = data
     targets = np.zeros((n_seq * seq_len, roll.n_classes))
     targets[:f] = roll.activity
@@ -443,12 +444,13 @@ def chunk_sequences(tensor, roll: EventRoll, seq_len: int) -> SequenceBatch:
     )
 
 
-def save_feature_archive(tensor: FeatureTensor, path) -> np.ndarray:
+def save_feature_archive(tensor: FeatureTensor, path) -> FeatureTensor:
     """Write the ``.npz`` archive, ``data`` at float32 (F, B, Ch) alone,
-    through :func:`~sedpipe.audio_io.write_arrays`; returns that array."""
-    data = tensor.data.astype(np.float32)
-    write_arrays(path, data=data)
-    return data
+    through :func:`~sedpipe.audio_io.write_arrays`; returns the float32
+    tensor it wrote. A value beyond float32's range writes nothing."""
+    stored = FeatureTensor(tensor.data.astype(np.float32), tensor.feature_class, tensor.hop_seconds)
+    write_arrays(path, data=stored.data)
+    return stored
 
 
 def load_feature_archive(path, cfg: FeatureConfig) -> FeatureTensor:
@@ -462,7 +464,7 @@ def load_feature_archive(path, cfg: FeatureConfig) -> FeatureTensor:
         if data.dtype != np.float32:
             raise StateError(f"{path}: data is {data.dtype}, not float32")
         try:
-            return FeatureTensor(data.astype(np.float64), cfg.feature_class, cfg.hop_ms / 1000.0)
+            return FeatureTensor(data, cfg.feature_class, cfg.hop_ms / 1000.0)
         except ShapeError as exc:
             raise StateError(f"{path}: {exc}") from None
     except StateError as exc:

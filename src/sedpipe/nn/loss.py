@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ShapeError
 from .layers import SIGMOID_CLAMP
 
 
@@ -22,7 +23,7 @@ def bce_loss(pred, target, mask):
     p = np.clip(np.asarray(pred, dtype=np.float64), SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
     y = np.asarray(target, dtype=np.float64)
     if p.shape != y.shape:
-        raise ValueError(f"pred shape {p.shape} != target shape {y.shape}")
+        raise ShapeError(f"pred shape {p.shape} != target shape {y.shape}")
     valid = np.broadcast_to(np.asarray(mask, dtype=np.float64)[..., None], p.shape)
     m = valid.sum()
     if m == 0:

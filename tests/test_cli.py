@@ -462,14 +462,17 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("monitor", "bogus"), ("monitor", "train"), ("sequence_length", "0"), ("folds", ""), ("seed", "-1")],
+        [
+            ("monitor", "bogus"), ("monitor", "train"), ("sequence_length", "0"), ("folds", ""), ("seed", "-1"),
+            ("threshold", "2"), ("threshold", "0"),
+        ],
     )
     def test_bad_train_value_exits_two_before_any_work(self, tmp_path, capsys, key, value):
         cfg = small_synth_config(tmp_path)
         data_part, train_part = cfg.read_text(encoding="utf-8").split("[train]")
+        # the key is set to the bad value, whether the config set it or not
         train_part = "\n".join(
-            f"{key} = {value}" if line.startswith(f"{key} =") else line
-            for line in train_part.splitlines()
+            [line for line in train_part.splitlines() if not line.startswith(f"{key} =")] + [f"{key} = {value}"]
         )
         # a data root that does not exist: the config must fail before it is read
         data_part = data_part.replace("[data]", f"[data]\nroot = {tmp_path / 'absent'}")

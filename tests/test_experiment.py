@@ -12,7 +12,7 @@ import pytest
 
 from conftest import write_dataset
 from sedpipe import experiment
-from sedpipe.audio_io import ManifestRow, read_manifest, write_manifest
+from sedpipe.audio_io import ManifestRow, events_to_roll, read_manifest, write_manifest
 from sedpipe.config import (
     DataConfig,
     ExperimentConfig,
@@ -33,6 +33,7 @@ from sedpipe.experiment import (
     sample_model_config,
     split_rows,
 )
+from sedpipe.features import fit_normalizer
 
 
 def desk_config(manifest, epochs=8, **train_kwargs) -> ExperimentConfig:
@@ -263,6 +264,37 @@ class TestClipFeatures:
         warm = self.features_of(cfg, wav)
         assert warm.data.tobytes() == cold.data.tobytes()
         assert (warm.feature_class, warm.hop_seconds) == (cold.feature_class, cold.hop_seconds)
+        # both at the archive's float32, and so are their normalized sequences
+        assert cold.data.dtype == warm.data.dtype == np.float32
+        roll = events_to_roll([], cold.n_frames, cold.hop_seconds, ("a", "b"))
+        normalizer = fit_normalizer([cold])
+        cold_seq, warm_seq = (experiment._split_sequences([(t, roll)], normalizer, 16) for t in (cold, warm))
+        assert cold_seq.inputs.dtype == warm_seq.inputs.dtype == np.float32
+        assert cold_seq.inputs.tobytes() == warm_seq.inputs.tobytes()
+
+    def test_run_fold_caches_and_trains_on_float32(self, tmp_path, monkeypatch):
+        manifest = write_dataset(tmp_path / "data")
+        cfg = desk_config(manifest, epochs=2)
+        batches = []
+        train, monitor_scores = experiment.train, experiment.training.monitor_scores
+
+        def spy(model, train_batch, monitor_batch, *args):
+            batches.extend([train_batch, monitor_batch])
+            return train(model, train_batch, monitor_batch, *args)
+
+        def scores_spy(model, batch, threshold):
+            batches.append(batch)
+            return monitor_scores(model, batch, threshold)
+
+        monkeypatch.setattr(experiment, "train", spy)
+        monkeypatch.setattr(experiment.training, "monitor_scores", scores_spy)
+        for _ in ("cold", "warm"):
+            cache = {}
+            run_fold(cfg, 1, cfg.train.seed, cache, read_manifest(manifest))
+            assert {tensor.data.dtype for tensor, _ in cache.values()} == {np.dtype(np.float32)}
+        # the train, monitor and test batches of both runs, each once or more
+        assert len(batches) >= 6
+        assert {batch.inputs.dtype for batch in batches} == {np.dtype(np.float32)}
 
     def test_fewer_mels_re_extract(self, clip):
         cfg, wav = clip

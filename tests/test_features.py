@@ -385,6 +385,31 @@ class TestNormalizer:
         rhs = (a * tensor.data + b - norm.mean) / norm.std
         assert np.allclose(lhs, rhs, atol=1e-12)
 
+    def test_float32_fit_equals_the_fit_of_its_float64_widening(self, rng):
+        tensors = [
+            features.FeatureTensor(
+                data=rng.normal(3.0, 2.5, size=(n, 8, 2)).astype(np.float32), feature_class="bin-mbe",
+                hop_seconds=0.02,
+            )
+            for n in (40, 57)
+        ]
+        wide = [dataclasses.replace(t, data=t.data.astype(np.float64)) for t in tensors]
+        narrow, reference = features.fit_normalizer(tensors), features.fit_normalizer(wide)
+        assert narrow.mean.dtype == narrow.std.dtype == np.float64
+        assert narrow.mean.tobytes() == reference.mean.tobytes()
+        assert narrow.std.tobytes() == reference.std.tobytes()
+
+    def test_apply_keeps_float32_rounding_the_float64_result_once(self, rng):
+        tensor = features.FeatureTensor(
+            data=rng.normal(3.0, 2.5, size=(40, 8, 2)).astype(np.float32), feature_class="bin-mbe",
+            hop_seconds=0.02,
+        )
+        norm = features.fit_normalizer([tensor])
+        out = features.apply_normalizer(norm, tensor).data
+        assert out.dtype == np.float32
+        expected = ((tensor.data.astype(np.float64) - norm.mean) / norm.std).astype(np.float32)
+        assert out.tobytes() == expected.tobytes()
+
     def test_empty_fit_rejected(self):
         with pytest.raises(StateError):
             features.fit_normalizer([])
@@ -497,9 +522,18 @@ class TestArchive:
         assert list(audio_io.read_arrays(path, StateError)) == ["data"]
         assert back.data.shape == (37, 40, 2)
         assert np.array_equal(back.data, tensor.data.astype(np.float32).astype(np.float64))
-        # the function returns the float32 array it wrote
-        assert written.dtype == np.float32
-        assert np.array_equal(written, back.data)
+        # the function returns the float32 tensor it wrote, and the load
+        # returns that float32 array as read
+        assert written.data.dtype == back.data.dtype == np.float32
+        assert np.array_equal(written.data, back.data)
+        assert (written.feature_class, written.hop_seconds) == (tensor.feature_class, tensor.hop_seconds)
+
+    def test_value_beyond_float32_writes_nothing(self, tmp_path):
+        tensor = features.FeatureTensor(data=np.full((2, 3, 1), 1e39), feature_class="mbe", hop_seconds=0.02)
+        path = tmp_path / "clip.mbe.sedf"
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ShapeError, match="non-finite"):
+            features.save_feature_archive(tensor, path)
+        assert not path.exists()
 
     def test_v1_archive_says_to_re_extract(self, tmp_path):
         # the binary layout archives had before they became .npz files

@@ -75,3 +75,19 @@ def test_import_pins_blas_threads_unless_the_caller_set_them(caller):
         [sys.executable, "-c", script, *BLAS_VARIABLES], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.split() == [caller.get(v, "1") for v in BLAS_VARIABLES]
+
+
+@pytest.mark.parametrize(
+    "imports, warned", [("numpy, sedpipe", True), ("sedpipe", False)], ids=["numpy_first", "alone"]
+)
+def test_numpy_imported_first_with_blas_unset_warns_once(imports, warned):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    env.update(PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import {imports}"], env=env, capture_output=True, text=True, check=True
+    )
+    if warned:
+        assert proc.stderr.count("numpy was imported before sedpipe") == 1
+        assert all(v in proc.stderr for v in BLAS_VARIABLES)
+    else:
+        assert proc.stderr == ""

@@ -655,6 +655,11 @@ class TestBceLoss:
         assert loss == 0.0
         assert np.all(dp == 0.0)
 
+    def test_shape_mismatch_is_a_shape_error(self):
+        # a SedError, which the CLI reports as an error line
+        with pytest.raises(ShapeError, match=r"pred shape \(1, 2, 2\) != target shape \(1, 2, 3\)"):
+            bce_loss(np.full((1, 2, 2), 0.3), np.zeros((1, 2, 3)), np.ones((1, 2), dtype=bool))
+
 
 @pytest.mark.parametrize(
     "make_layer, shape",
