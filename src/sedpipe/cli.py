@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: synth, extract, train, eval, search, report. Every command is
+Subcommands: synth, extract, train, eval, report. Every command is
 non-interactive; exit codes are 0 (success), 1 (runtime error), 2 (usage or
 config error). ``SEDPIPE_LOG`` in {error, info, debug} sets verbosity.
 """
@@ -28,9 +28,9 @@ from .audio_io import (
     write_manifest,
     write_wav,
 )
-from .config import ExperimentConfig, dump_config, load_config, with_section
+from .config import ExperimentConfig, load_config, with_section
 from .errors import ConfigError, SedError
-from .experiment import archive_path, clip_features, cross_validate, random_search
+from .experiment import archive_path, clip_features, cross_validate
 from .nn import save_checkpoint
 
 log = logging.getLogger("sedpipe")
@@ -179,36 +179,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_search(args) -> int:
-    cfg = _load_cfg(args)
-    if args.trials is not None:
-        cfg = with_section(cfg, "search", trials=args.trials)
-    out = Path(args.out or "runs/search")
-    out.mkdir(parents=True, exist_ok=True)
-
-    def on_trial(trial) -> None:
-        trial_dir = out / f"trial{trial.index}"
-        trial_dir.mkdir(parents=True, exist_ok=True)
-        trial_cfg = dataclasses.replace(cfg, model=trial.model)
-        write_lines(trial_dir / "config.txt", dump_config(trial_cfg).splitlines())
-        write_lines(
-            trial_dir / "metrics.tsv",
-            (f"{key}\t{_fmt(getattr(trial.summary, key))}" for key in ("mean_er", "std_er", "mean_f", "std_f")),
-        )
-
-    ranked = random_search(cfg, on_trial=on_trial)
-    lines = ["rank\ttrial\tmean_er\tmean_f"]
-    lines += [
-        f"{rank}\t{trial.index}\t{_fmt(trial.summary.mean_er)}\t{_fmt(trial.summary.mean_f)}"
-        for rank, trial in enumerate(ranked, start=1)
-    ]
-    write_lines(out / "ranking.tsv", lines)
-    best = ranked[0]
-    print(f"best trial {best.index}: ER {best.summary.mean_er:.2f}, F {100 * best.summary.mean_f:.1f}")
-    print(out)
-    return 0
-
-
 def cmd_report(args) -> int:
     root = Path(args.runs)
     if not root.exists():
@@ -280,11 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write metric TSV here")
     p.add_argument("--segments-out", help="write the per-segment count TSV here")
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("search", help="random hyper-parameter search")
-    common(p, data_dir=True)
-    p.add_argument("--trials", type=int, help="number of sampled configurations")
-    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("report", help="summarize a results directory")
     p.add_argument("--runs", required=True, help="results directory (runs/<name>)")

@@ -129,37 +129,11 @@ class TrainSection:
 
 
 @dataclass(frozen=True)
-class SearchSection:
-    trials: int = 5
-    epochs: int = 30
-    n_runs: int = 1
-    conv_layers: tuple[int, ...] = (1, 2, 3)
-    filters: tuple[int, ...] = (8, 16, 32)
-    gru_layers: tuple[int, ...] = (1, 2)
-    gru_units: tuple[int, ...] = (16, 32, 64)
-    dense_layers: tuple[int, ...] = (0, 1)
-    dense_units: tuple[int, ...] = (16, 32, 64)
-    dropout: tuple[float, ...] = (0.05, 0.25, 0.5, 0.75)
-
-    def __post_init__(self):
-        for key in ("trials", "n_runs"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
-        # a trial trains with patience below its epoch budget
-        if self.epochs < 2:
-            raise ConfigError(f"epochs must be >= 2, got {self.epochs}")
-        for f in fields(self):
-            if getattr(self, f.name) == ():
-                raise ConfigError(f"{f.name} must name at least one candidate")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     data: DataConfig = field(default_factory=DataConfig)
     features: FeatureConfig = field(default_factory=FeatureConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainSection = field(default_factory=TrainSection)
-    search: SearchSection = field(default_factory=SearchSection)
 
     def __post_init__(self):
         """Reject a fold plan that cannot train: round-robin folds need a
@@ -174,7 +148,6 @@ _SECTIONS = {
     "features": FeatureConfig,
     "model": ModelConfig,
     "train": TrainSection,
-    "search": SearchSection,
 }
 
 
@@ -199,11 +172,11 @@ def _parse_value(raw: str, kind, key: str):
     raise ConfigError(f"key {key!r}: unsupported value type")
 
 
-def _parse_tuple(raw: str, elem_kind, key: str) -> tuple:
+def _parse_tuple(raw: str, key: str) -> tuple[int, ...]:
     raw = raw.strip()
     if not raw:
         return ()
-    return tuple(_parse_value(part, elem_kind, key) for part in raw.split(","))
+    return tuple(_parse_value(part, int, key) for part in raw.split(","))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -228,8 +201,7 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigError(f"{path}: unknown key {key!r} in section [{section}]")
             f = known[key]
             if f.type.startswith("tuple"):
-                elem = float if "float" in f.type else int
-                values[key] = _parse_tuple(raw, elem, key)
+                values[key] = _parse_tuple(raw, key)
             else:
                 kind = {"int": int, "float": float, "bool": bool, "str": str}[f.type]
                 values[key] = _parse_value(raw, kind, key)
@@ -261,7 +233,7 @@ def section_digest(section, omit=()) -> str:
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
-    """Render a config back to the file format (used for trial records)."""
+    """Render a config back to the file format."""
     lines = []
     for section in _SECTIONS:
         value = getattr(cfg, section)

@@ -1,5 +1,5 @@
-"""Experiment orchestration: per-fold train/test runs, multi-run averaging
-and random hyper-parameter search."""
+"""Experiment orchestration: per-fold train/test runs and multi-run
+averaging."""
 
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ import numpy as np
 from . import features as feats
 from . import metrics, synth
 from .audio_io import EventRoll, ManifestRow, events_to_roll, read_annotations, read_manifest, read_wav
-from .config import ExperimentConfig, FeatureConfig, ModelConfig, SearchSection, section_digest
-from .errors import ConfigError, ManifestError
+from .config import ExperimentConfig, FeatureConfig, section_digest
+from .errors import ManifestError
 from .features import FeatureTensor, Normalizer, SequenceBatch, apply_normalizer, chunk_sequences, fit_normalizer
 from .nn import CrnnArch, ModelGraph, TrainHistory, build_crnn, train, training
 
@@ -165,12 +165,12 @@ def run_seed_for(master_seed: int, run: int, fold: int) -> int:
     return int(child.generate_state(1, dtype=np.uint32)[0])
 
 
-def cross_validate(cfg: ExperimentConfig, feature_cache: dict | None = None, on_fold=None) -> CvSummary:
+def cross_validate(cfg: ExperimentConfig, on_fold=None) -> CvSummary:
     """Train and score every (run, fold) of the config; see :class:`CvSummary`."""
     manifest_rows = read_manifest(cfg.data.manifest_path())
     for fold in cfg.train.folds:  # every fold, before the first one trains
         split_rows(manifest_rows, fold, cfg.train.monitor)
-    cache = feature_cache if feature_cache is not None else {}
+    cache: dict = {}
     rows: list[tuple[int, int, float, float]] = []
     pooled: list[metrics.MetricReport] = []
     for run in range(1, cfg.train.n_runs + 1):
@@ -198,64 +198,3 @@ def cross_validate(cfg: ExperimentConfig, feature_cache: dict | None = None, on_
         pooled_er=float(np.mean([r.error_rate for r in pooled])),
         pooled_f=float(np.mean([r.f_score for r in pooled])),
     )
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    index: int
-    model: ModelConfig
-    summary: CvSummary
-
-
-def sample_model_config(space: SearchSection, rng: np.random.Generator, n_bins: int) -> ModelConfig:
-    """Uniform draw from the space; configurations that :class:`CrnnArch`
-    rejects are redrawn, so every returned config builds."""
-    for _ in range(200):
-        try:
-            candidate = ModelConfig(
-                conv_layers=int(rng.choice(space.conv_layers)),
-                filters=int(rng.choice(space.filters)),
-                pool_factors=(),
-                gru_layers=int(rng.choice(space.gru_layers)),
-                gru_units=int(rng.choice(space.gru_units)),
-                dense_layers=int(rng.choice(space.dense_layers)),
-                dense_units=int(rng.choice(space.dense_units)),
-                dropout=float(rng.choice(space.dropout)),
-            )
-            CrnnArch(n_bins=n_bins, n_channels=1, n_classes=1, **dataclasses.asdict(candidate))
-        except ConfigError:
-            continue
-        return candidate
-    raise ConfigError("search space contains no valid configuration")
-
-
-def random_search(cfg: ExperimentConfig, on_trial) -> list[TrialResult]:
-    """Evaluate ``cfg.search.trials`` architectures sampled with
-    ``cfg.train.seed`` under a truncated epoch budget and rank them by mean
-    ER, best first."""
-    space = cfg.search
-    n_trials = space.trials
-    rng = np.random.default_rng(cfg.train.seed)
-    n_bins = feats.feature_spec(cfg.features.feature_class).bins(cfg.features)
-
-    cache: dict = {}
-    trials = []
-    for index in range(1, n_trials + 1):
-        model_cfg = sample_model_config(space, rng, n_bins)
-        trial_cfg = dataclasses.replace(
-            cfg,
-            model=model_cfg,
-            train=dataclasses.replace(
-                cfg.train,
-                max_epochs=space.epochs,
-                patience=min(cfg.train.patience, space.epochs - 1),
-                n_runs=space.n_runs,
-            ),
-        )
-        summary = cross_validate(trial_cfg, feature_cache=cache)
-        trial = TrialResult(index, model_cfg, summary)
-        on_trial(trial)
-        trials.append(trial)
-        log.info("trial %d/%d: mean ER %.4f", index, n_trials, trial.summary.mean_er)
-
-    return sorted(trials, key=lambda t: (t.summary.mean_er, t.index))

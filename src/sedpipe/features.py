@@ -25,7 +25,6 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -243,7 +242,6 @@ class FeatureClass(NamedTuple):
     input_channels: int  # audio channels analyzed; a mono class downmixes stereo
     channels: int  # output channels at the FeatureConfig defaults
     extractor: Callable[[AudioClip, int, FeatureConfig], np.ndarray]  # hop in samples -> (F, B, Ch)
-    bins: Callable[[FeatureConfig], int]  # bin count for a FeatureConfig
     channel_step: int = 0  # nonzero: any positive multiple is a valid channel count
 
 
@@ -285,12 +283,10 @@ class FeatureConfig:
 
 
 FEATURE_TABLE = {
-    "mbe": FeatureClass(1, 1, _mel, attrgetter("n_mels")),
-    "bin-mbe": FeatureClass(2, 2, _mel, attrgetter("n_mels")),
-    "bin-mul-mbe": FeatureClass(
-        2, 2 * len(FeatureConfig.multires_windows), _multires_mel, attrgetter("n_mels"), channel_step=2
-    ),
-    "bin-fft": FeatureClass(2, 4, _magnitude_phase, lambda cfg: cfg.fft_size // 2),
+    "mbe": FeatureClass(1, 1, _mel),
+    "bin-mbe": FeatureClass(2, 2, _mel),
+    "bin-mul-mbe": FeatureClass(2, 2 * len(FeatureConfig.multires_windows), _multires_mel, channel_step=2),
+    "bin-fft": FeatureClass(2, 4, _magnitude_phase),
 }
 FEATURE_CLASSES = tuple(FEATURE_TABLE)
 
@@ -345,7 +341,10 @@ def fit_normalizer(tensors: Sequence[FeatureTensor]) -> Normalizer:
     if stacked.shape[0] == 0:
         raise StateError("cannot fit a normalizer on zero frames")
     mean = stacked.mean(axis=0)
-    std = np.maximum(stacked.std(axis=0), _STD_FLOOR)
+    # np.std's own steps, run in place on the concatenation instead of a copy
+    stacked -= mean
+    np.square(stacked, out=stacked)
+    std = np.maximum(np.sqrt(stacked.sum(axis=0) / stacked.shape[0]), _STD_FLOOR)
     return Normalizer(mean=mean, std=std)
 
 
@@ -355,8 +354,10 @@ def apply_normalizer(norm: Normalizer, tensor: FeatureTensor) -> FeatureTensor:
             f"normalizer shape {norm.mean.shape} does not match tensor bins/channels "
             f"{tensor.data.shape[1:]}"
         )
+    out = np.subtract(tensor.data, norm.mean)  # float64, as the statistics
+    out /= norm.std
     return FeatureTensor(
-        data=((tensor.data - norm.mean) / norm.std).astype(tensor.data.dtype, copy=False),
+        data=out.astype(tensor.data.dtype, copy=False),
         feature_class=tensor.feature_class,
         hop_seconds=tensor.hop_seconds,
     )

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
-from sedpipe.cli import main
+from sedpipe.cli import build_parser, main
 from sedpipe.nn import load_checkpoint
 
 
@@ -61,6 +62,23 @@ def small_synth_config(tmp_path: Path, **extra) -> Path:
     path = tmp_path / "exp.cfg"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def test_readme_command_lines_parse():
+    # every `sedpipe ...` line of README's fenced blocks, its comment dropped
+    lines, fenced = [], False
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("sedpipe "):
+            lines.append(line)
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 class TestSynth:
@@ -521,6 +539,14 @@ class TestTrainCommand:
         assert f"[features] {key}" in stderr
         assert not out.exists()
 
+    def test_search_section_of_older_configs_exits_two_naming_it(self, tmp_path, capsys):
+        cfg = small_synth_config(tmp_path, extra_lines=["", "[search]", "trials = 3"])
+        out = tmp_path / "runs" / "bad"
+        code, _, stderr = run_cli(capsys, "train", "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert "unknown section [search]" in stderr
+        assert not out.exists()
+
     def test_missing_fold_exits_one_before_any_fold_trains(self, tmp_path, capsys):
         cfg = small_synth_config(tmp_path)
         data = tmp_path / "data"
@@ -589,63 +615,6 @@ class TestLogging:
         )
         assert quiet.returncode == 0
         assert "wrote" not in quiet.stderr
-
-
-class TestSearchCommand:
-    def test_three_trials_write_ranking_and_dirs(self, tmp_path, capsys):
-        cfg = small_synth_config(
-            tmp_path,
-            extra_lines=[
-                "",
-                "[search]",
-                "trials = 3",
-                "epochs = 2",
-                "conv_layers = 1",
-                "filters = 2,4",
-                "gru_layers = 1",
-                "gru_units = 4,8",
-                "dense_layers = 0",
-                "dense_units = 4",
-                "dropout = 0.05,0.25",
-            ],
-        )
-        data = tmp_path / "data"
-        run_cli(capsys, "synth", "--config", str(cfg), "--out", str(data))
-        cfg2 = tmp_path / "exp2.cfg"
-        cfg2.write_text(
-            cfg.read_text(encoding="utf-8").replace("[data]", f"[data]\nroot = {data}"),
-            encoding="utf-8",
-        )
-        out = tmp_path / "runs" / "search"
-        code, stdout, _ = run_cli(capsys, "search", "--config", str(cfg2), "--out", str(out))
-        assert code == 0
-        for i in (1, 2, 3):
-            assert (out / f"trial{i}" / "metrics.tsv").exists()
-            assert (out / f"trial{i}" / "config.txt").exists()
-        ranking = (out / "ranking.tsv").read_text(encoding="utf-8").splitlines()
-        assert ranking[0] == "rank\ttrial\tmean_er\tmean_f"
-        assert len(ranking) == 4
-        ers = [float(line.split("\t")[2]) for line in ranking[1:]]
-        assert ers == sorted(ers)
-
-    @pytest.mark.parametrize(
-        "line, flags, key",
-        [
-            ("n_runs = 0", [], "n_runs"),
-            ("trials = 0", [], "trials"),
-            ("epochs = 1", [], "epochs"),
-            ("filters =", [], "filters"),
-            ("dropout =", [], "dropout"),
-            ("", ["--trials", "0"], "trials"),
-        ],
-    )
-    def test_bad_search_value_exits_two_before_any_work(self, tmp_path, capsys, line, flags, key):
-        cfg = small_synth_config(tmp_path, extra_lines=["", "[search]", line])
-        out = tmp_path / "runs" / "search"
-        code, _, stderr = run_cli(capsys, "search", "--config", str(cfg), "--out", str(out), *flags)
-        assert code == 2
-        assert f"[search] {key}" in stderr
-        assert not out.exists()
 
 
 TRACED_PIPELINE = """

@@ -26,7 +26,6 @@ def test_defaults_mirror_the_reference_recipe():
     assert cfg.train.patience == 100
     assert cfg.train.sequence_length == 256
     assert cfg.train.n_runs == 5
-    assert cfg.search.dropout == (0.05, 0.25, 0.5, 0.75)
 
 
 def test_load_valid_file(tmp_path):
@@ -87,7 +86,6 @@ def test_bad_value_type_is_hard_error(tmp_path):
         ("[features]\nhop_ms = nan\n", "hop_ms"),
         ("[data]\nduration_s = inf\n", "duration_s"),
         ("[train]\nthreshold = nan\n", "threshold"),
-        ("[search]\ndropout = 0.25,-inf\n", "dropout"),
     ],
 )
 def test_non_finite_float_is_hard_error(tmp_path, text, key):

@@ -18,19 +18,16 @@ from sedpipe.config import (
     ExperimentConfig,
     FeatureConfig,
     ModelConfig,
-    SearchSection,
     TrainSection,
 )
-from sedpipe.errors import ConfigError, ManifestError, UndefinedMetricError
+from sedpipe.errors import ManifestError, UndefinedMetricError
 from sedpipe.experiment import (
     archive_path,
     clip_features,
     cross_validate,
-    random_search,
     run_fold,
     run_generators,
     run_seed_for,
-    sample_model_config,
     split_rows,
 )
 from sedpipe.features import fit_normalizer
@@ -438,73 +435,6 @@ class TestCrossValidate:
         assert forward.mean_er == reversed_.mean_er
         assert forward.std_er == reversed_.std_er
         assert forward.mean_f == reversed_.mean_f
-
-
-class TestRandomSearch:
-    def test_sampler_never_emits_invalid_configs(self):
-        space = SearchSection(
-            conv_layers=(1, 2, 3),
-            filters=(2, 4),
-            gru_layers=(1,),
-            gru_units=(0, 4),  # zero-width GRU must never survive
-            dense_layers=(0, 1),
-            dense_units=(4,),
-            dropout=(0.05, 0.25, 0.5, 0.75),
-        )
-        rng = np.random.default_rng(0)
-        from sedpipe.nn import CrnnArch
-
-        for _ in range(100):
-            mc = sample_model_config(space, rng, n_bins=40)
-            assert mc.gru_units >= 1
-            CrnnArch(n_bins=40, n_channels=1, n_classes=1, **dataclasses.asdict(mc))
-
-    def test_sampler_redraws_zero_width_gru_units(self):
-        space = SearchSection(gru_units=(0, 8))
-        rng = np.random.default_rng(1)
-        assert {sample_model_config(space, rng, n_bins=40).gru_units for _ in range(20)} == {8}
-
-    def test_empty_space_raises(self):
-        space = SearchSection(gru_units=(0,))
-        with pytest.raises(ConfigError):
-            sample_model_config(space, np.random.default_rng(0), n_bins=40)
-
-    def test_fixed_seed_samples_identical_sequences(self):
-        space = SearchSection()
-        a = [sample_model_config(space, np.random.default_rng(3), 40) for _ in range(5)]
-        b = [sample_model_config(space, np.random.default_rng(3), 40) for _ in range(5)]
-        assert a == b
-
-    def test_single_trial_search_returns_it_ranked(self, tmp_path):
-        manifest = write_dataset(tmp_path / "data")
-        cfg = desk_config(manifest, epochs=2, seed=5)
-        cfg = dataclasses.replace(
-            cfg,
-            search=SearchSection(
-                trials=1, epochs=2, conv_layers=(1,), filters=(2,), gru_layers=(1,),
-                gru_units=(4,), dense_layers=(0,), dense_units=(4,), dropout=(0.05,),
-            ),
-        )
-        trials = random_search(cfg, on_trial=lambda trial: None)
-        assert len(trials) == 1
-        assert trials[0].index == 1
-
-    def test_ranking_is_ascending_in_mean_er(self, tmp_path, monkeypatch):
-        manifest = write_dataset(tmp_path / "data")
-        cfg = desk_config(manifest, epochs=2, seed=5)
-        cfg = dataclasses.replace(cfg, search=SearchSection(trials=4, epochs=2))
-        fake = iter([0.9, 0.2, 0.5, 0.7])
-
-        def fake_cv(*args, **kwargs):
-            er = next(fake)
-            return experiment.CvSummary(
-                mean_er=er, std_er=0.0, mean_f=1 - er, std_f=0.0, pooled_er=er, pooled_f=1 - er
-            )
-
-        monkeypatch.setattr(experiment, "cross_validate", fake_cv)
-        trials = random_search(cfg, on_trial=lambda trial: None)
-        assert [t.summary.mean_er for t in trials] == sorted([0.9, 0.2, 0.5, 0.7])
-        assert trials[0].summary.mean_er == 0.2
 
 
 class TestPooledAggregation:

@@ -252,8 +252,8 @@ class TestDispatcher:
         cfg = FeatureConfig(feature_class=fc)
         tensor = features.extract(stereo_clip, **asdict(cfg))
         spec = features.FEATURE_TABLE[fc]
-        # random_search plans pool factors for spec.bins(cfg)
-        assert tensor.n_bins == spec.bins(cfg)
+        # n_mels mel bands, or fft_size / 2 FFT bins once DC is dropped
+        assert tensor.n_bins == (cfg.fft_size // 2 if fc == "bin-fft" else cfg.n_mels)
         assert tensor.n_channels == spec.channels
 
     @pytest.mark.parametrize("fc", features.FEATURE_CLASSES)
@@ -409,6 +409,39 @@ class TestNormalizer:
         assert out.dtype == np.float32
         expected = ((tensor.data.astype(np.float64) - norm.mean) / norm.std).astype(np.float32)
         assert out.tobytes() == expected.tobytes()
+
+    @staticmethod
+    def uneven_fft_clips(rng, bins: int, frames=(501, 257, 333)) -> list[features.FeatureTensor]:
+        """float32 ``bin-fft`` tensors of uneven lengths."""
+        return [
+            features.FeatureTensor(
+                data=rng.normal(3.0, 2.5, size=(n, bins, 4)).astype(np.float32), feature_class="bin-fft",
+                hop_seconds=0.02,
+            )
+            for n in frames
+        ]
+
+    def test_fit_bits_equal_the_concatenated_fit_on_uneven_float32_clips(self, rng):
+        tensors = self.uneven_fft_clips(rng, bins=64)
+        stacked = np.concatenate([t.data for t in tensors], axis=0, dtype=np.float64)
+        norm = features.fit_normalizer(tensors)
+        assert norm.mean.tobytes() == stacked.mean(axis=0).tobytes()
+        assert norm.std.tobytes() == np.maximum(stacked.std(axis=0), features._STD_FLOOR).tobytes()
+
+    def test_fit_peak_traced_memory_is_below_three_times_the_input(self, rng):
+        # the float64 concatenation is twice the float32 input; a second
+        # copy for the deviations would make it four times
+        tensors = self.uneven_fft_clips(rng, bins=1024)
+        _, peak = traced_peak(lambda: features.fit_normalizer(tensors))
+        assert peak < 3 * sum(t.data.nbytes for t in tensors)
+
+    def test_apply_peak_traced_memory_is_below_three_and_a_half_times_the_tensor(self, rng):
+        # one float64 buffer (twice the tensor) and the float32 result
+        (tensor,) = self.uneven_fft_clips(rng, bins=1024, frames=(501,))
+        norm = features.fit_normalizer([tensor])
+        out, peak = traced_peak(lambda: features.apply_normalizer(norm, tensor))
+        assert out.data.dtype == np.float32
+        assert peak < 3.5 * tensor.data.nbytes
 
     def test_empty_fit_rejected(self):
         with pytest.raises(StateError):

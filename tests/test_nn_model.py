@@ -131,7 +131,7 @@ class TestBuildCrnn:
             build_crnn(tiny_arch(pool_factors=(10,)), np.random.default_rng(0))
 
     def test_negative_dense_layers_rejected(self):
-        # the search sampler rejects this config, so the builder must too
+        # a config file with this value fails to load, so the builder must reject it too
         with pytest.raises(ConfigError):
             build_crnn(tiny_arch(dense_layers=-1), np.random.default_rng(0))
 
