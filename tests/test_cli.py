@@ -482,7 +482,8 @@ class TestTrainCommand:
         "key, value",
         [
             ("monitor", "bogus"), ("monitor", "train"), ("sequence_length", "0"), ("folds", ""), ("seed", "-1"),
-            ("threshold", "2"), ("threshold", "0"),
+            ("threshold", "2"), ("threshold", "0"), ("n_runs", "0"), ("learning_rate", "0"), ("batch_size", "0"),
+            ("patience", "4"),  # not below max_epochs = 4
         ],
     )
     def test_bad_train_value_exits_two_before_any_work(self, tmp_path, capsys, key, value):
@@ -502,7 +503,11 @@ class TestTrainCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "key, value", [("dropout", "1.5"), ("dense_layers", "-1"), ("gru_layers", "0"), ("filters", "0")]
+        "key, value",
+        [
+            ("dropout", "1.5"), ("dropout", "-0.1"), ("dense_layers", "-1"), ("gru_layers", "0"), ("gru_units", "0"),
+            ("filters", "0"), ("conv_layers", "0"), ("pool_factors", "20,2"),  # one factor per conv layer
+        ],
     )
     def test_bad_model_value_exits_two_before_any_work(self, tmp_path, capsys, key, value):
         cfg = small_synth_config(tmp_path)

@@ -86,6 +86,8 @@ def test_bad_value_type_is_hard_error(tmp_path):
         ("[features]\nhop_ms = nan\n", "hop_ms"),
         ("[data]\nduration_s = inf\n", "duration_s"),
         ("[train]\nthreshold = nan\n", "threshold"),
+        ("[train]\nlearning_rate = inf\n", "learning_rate"),
+        ("[model]\ndropout = -inf\n", "dropout"),
     ],
 )
 def test_non_finite_float_is_hard_error(tmp_path, text, key):
