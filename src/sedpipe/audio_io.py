@@ -353,6 +353,9 @@ def read_manifest(path) -> list[ManifestRow]:
             raise ManifestError(f"{path}: line {lineno}: fold {fold_s!r} is not an integer") from None
         if role not in SPLIT_ROLES:
             raise ManifestError(f"{path}: line {lineno}: role must be one of {SPLIT_ROLES}, got {role!r}")
+        for name in (audio, annot):
+            if Path(name).is_absolute() or ".." in Path(name).parts:
+                raise ManifestError(f"{path}: line {lineno}: {name!r} is not a path inside the manifest's directory")
         rows.append(ManifestRow(audio, annot, fold, role))
 
     folds = sorted({r.fold for r in rows})

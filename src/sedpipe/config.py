@@ -124,6 +124,8 @@ class TrainSection:
             raise RangeError(f"monitor must be 'validation' or 'test', got {self.monitor!r}")
         if not self.folds:
             raise RangeError("folds must name at least one fold")
+        if min(self.folds) < 1 or len(set(self.folds)) != len(self.folds):
+            raise RangeError(f"folds must be distinct ids >= 1, got {self.folds}")
         if self.seed < 0:
             raise RangeError(f"seed must be >= 0, got {self.seed}")
 

@@ -15,7 +15,7 @@ from . import metrics, synth
 from .audio_io import EventRoll, ManifestRow, events_to_roll, read_annotations, read_manifest, read_wav
 from .config import ExperimentConfig, FeatureConfig, section_digest
 from .errors import ManifestError
-from .features import FeatureTensor, Normalizer, SequenceBatch, apply_normalizer, chunk_sequences, fit_normalizer
+from .features import FeatureTensor, Normalizer, chunk_sequences, fit_normalizer
 from .nn import CrnnArch, ModelGraph, TrainHistory, build_crnn, train, training
 
 log = logging.getLogger(__name__)
@@ -46,12 +46,15 @@ class CvSummary:
 
 def archive_path(cfg: ExperimentConfig, audio_path: str, directory=None) -> Path:
     """``<stem>.<digest>.<class>.sedf`` in ``directory``, else ``archive_dir``,
-    else ``features/`` beside the manifest. The digest covers every other
-    ``[features]`` setting, so changed settings never find an old archive."""
+    else ``features/`` beside the manifest, below the clip's own directory
+    in the manifest, so clips that share a stem never share an archive. The
+    digest covers every other ``[features]`` setting, so changed settings
+    never find an old archive."""
     fc = cfg.features
     directory = Path(directory or fc.archive_dir or cfg.data.manifest_path().parent / "features")
     digest = section_digest(fc, omit=("archive_dir",))
-    return directory / f"{Path(audio_path).stem}.{digest}.{fc.feature_class}.sedf"
+    audio = Path(audio_path)
+    return directory / audio.with_name(f"{audio.stem}.{digest}.{fc.feature_class}.sedf")
 
 
 def clip_features(audio_file: Path, features_cfg: FeatureConfig, archive: Path) -> FeatureTensor:
@@ -70,7 +73,7 @@ def _load_split(
     cfg: ExperimentConfig,
     class_names: tuple[str, ...],
     cache: dict,
-) -> list[tuple[FeatureTensor, EventRoll]]:
+) -> list[tuple[np.ndarray, EventRoll]]:
     # manifest rows hold paths relative to the manifest's own directory
     data_dir = cfg.data.manifest_path().parent
     for row in rows:
@@ -78,7 +81,7 @@ def _load_split(
             tensor = clip_features(data_dir / row.audio_path, cfg.features, archive_path(cfg, row.audio_path))
             events = read_annotations(data_dir / row.annotation_path, class_names)
             roll = events_to_roll(events, tensor.n_frames, tensor.hop_seconds, class_names)
-            cache[row.audio_path] = (tensor, roll)
+            cache[row.audio_path] = (tensor.data, roll)
     return [cache[row.audio_path] for row in rows]
 
 
@@ -100,13 +103,6 @@ def split_rows(rows: list[ManifestRow], fold: int, monitor: str) -> dict[str, li
     return by_role
 
 
-def _split_sequences(clips: list[tuple[FeatureTensor, EventRoll]], normalizer, seq_len: int) -> SequenceBatch:
-    """A split's normalized sequences, clip after clip."""
-    return SequenceBatch.concat(
-        [chunk_sequences(apply_normalizer(normalizer, tensor), roll, seq_len) for tensor, roll in clips]
-    )
-
-
 def run_fold(
     cfg: ExperimentConfig,
     fold: int,
@@ -121,7 +117,7 @@ def run_fold(
     config explicitly asks for the test split). Both are scored per clip by
     :func:`sedpipe.nn.training.monitor_scores`. ``manifest_rows`` are the
     config's manifest, already read; ``feature_cache`` maps each clip's
-    audio path to its features and roll, and fills as clips load.
+    audio path to its (F, B, Ch) features and roll, and fills as clips load.
     """
     class_names = synth.class_names(cfg.data)
     roles = split_rows(manifest_rows, fold, cfg.train.monitor)
@@ -130,15 +126,15 @@ def run_fold(
     monitor_clips = _load_split(roles[cfg.train.monitor], cfg, class_names, feature_cache)
     test_clips = _load_split(roles["test"], cfg, class_names, feature_cache)
 
-    normalizer = fit_normalizer([tensor for tensor, _ in train_clips])
+    normalizer = fit_normalizer([data for data, _ in train_clips])
     seq_len = cfg.train.sequence_length
-    train_batch = _split_sequences(train_clips, normalizer, seq_len)
-    monitor_batch = _split_sequences(monitor_clips, normalizer, seq_len)
+    train_batch = chunk_sequences(train_clips, seq_len, normalizer)
+    monitor_batch = chunk_sequences(monitor_clips, seq_len, normalizer)
 
-    sample = train_clips[0][0]
+    n_bins, n_channels = normalizer.mean.shape
     arch = CrnnArch(
-        n_bins=sample.n_bins,
-        n_channels=sample.n_channels,
+        n_bins=n_bins,
+        n_channels=n_channels,
         n_classes=len(class_names),
         **dataclasses.asdict(cfg.model),
     )
@@ -146,7 +142,7 @@ def run_fold(
     model = build_crnn(arch, init_rng)
 
     model, history = train(model, train_batch, monitor_batch, cfg.train, shuffle_rng, dropout_rng)
-    test_batch = _split_sequences(test_clips, normalizer, seq_len)
+    test_batch = chunk_sequences(test_clips, seq_len, normalizer)
     report = training.monitor_scores(model, test_batch, cfg.train.threshold)
     log.info("fold %d: test ER %.4f, F %.1f%%", fold, report.error_rate, 100 * report.f_score)
     return FoldResult(report=report, history=history, model=model, normalizer=normalizer)

@@ -62,7 +62,9 @@ class FeatureTensor:
         d = self.data
         if d.ndim != 3:
             raise ShapeError(f"feature data must be 3-D (F, B, Ch), got shape {d.shape}")
-        if d.size and not np.all(np.isfinite(d)):
+        # a NaN or an infinity shows up in the minimum or the maximum, so no
+        # full-size temporary is needed to find one
+        if d.size and not (np.isfinite(d.min()) and np.isfinite(d.max())):
             raise ShapeError("feature data contains non-finite values")
         if not 0 < self.hop_seconds < np.inf:
             raise RangeError(f"hop_seconds must be positive and finite, got {self.hop_seconds}")
@@ -333,11 +335,12 @@ class Normalizer:
             raise ShapeError("std entries must be strictly positive")
 
 
-def fit_normalizer(tensors: Sequence[FeatureTensor]) -> Normalizer:
-    if not tensors:
+def fit_normalizer(arrays: Sequence[np.ndarray]) -> Normalizer:
+    """Statistics of the (F, B, Ch) ``arrays`` of a train split."""
+    if not arrays:
         raise StateError("cannot fit a normalizer on an empty training set")
-    # float64 statistics whatever the tensors' dtype (a float32 mean sums in float32)
-    stacked = np.concatenate([t.data for t in tensors], axis=0, dtype=np.float64)
+    # float64 statistics whatever the arrays' dtype (a float32 mean sums in float32)
+    stacked = np.concatenate(arrays, axis=0, dtype=np.float64)
     if stacked.shape[0] == 0:
         raise StateError("cannot fit a normalizer on zero frames")
     mean = stacked.mean(axis=0)
@@ -346,21 +349,6 @@ def fit_normalizer(tensors: Sequence[FeatureTensor]) -> Normalizer:
     np.square(stacked, out=stacked)
     std = np.maximum(np.sqrt(stacked.sum(axis=0) / stacked.shape[0]), _STD_FLOOR)
     return Normalizer(mean=mean, std=std)
-
-
-def apply_normalizer(norm: Normalizer, tensor: FeatureTensor) -> FeatureTensor:
-    if norm.mean.shape != tensor.data.shape[1:]:
-        raise ShapeError(
-            f"normalizer shape {norm.mean.shape} does not match tensor bins/channels "
-            f"{tensor.data.shape[1:]}"
-        )
-    out = np.subtract(tensor.data, norm.mean)  # float64, as the statistics
-    out /= norm.std
-    return FeatureTensor(
-        data=out.astype(tensor.data.dtype, copy=False),
-        feature_class=tensor.feature_class,
-        hop_seconds=tensor.hop_seconds,
-    )
 
 
 @dataclass(frozen=True)
@@ -395,53 +383,54 @@ class SequenceBatch:
     def n_sequences(self) -> int:
         return self.inputs.shape[0]
 
-    @staticmethod
-    def concat(batches: Sequence["SequenceBatch"]) -> "SequenceBatch":
-        if not any(b.n_sequences for b in batches):
-            raise StateError("no sequences to concatenate")
-        first = batches[0]
-        if any((b.hop_seconds, b.class_names) != (first.hop_seconds, first.class_names) for b in batches):
-            raise ShapeError("batches to concatenate differ in frame hop or class names")
-        return SequenceBatch(
-            inputs=np.concatenate([b.inputs for b in batches], axis=0),
-            targets=np.concatenate([b.targets for b in batches], axis=0),
-            mask=np.concatenate([b.mask for b in batches], axis=0),
-            clip_sequences=sum((b.clip_sequences for b in batches), ()),
-            hop_seconds=first.hop_seconds,
-            class_names=first.class_names,
-        )
 
+def chunk_sequences(
+    clips: Sequence[tuple[np.ndarray, EventRoll]], seq_len: int, normalizer: Normalizer
+) -> SequenceBatch:
+    """A split's (F, B, Ch) arrays, each with its roll, normalized into one
+    batch of non-overlapping length-``seq_len`` sequences, clip after clip.
 
-def chunk_sequences(tensor, roll: EventRoll, seq_len: int) -> SequenceBatch:
-    """Split a clip into non-overlapping length-``seq_len`` sequences.
-
-    The final partial window is zero padded on both features and targets
-    and flagged invalid in the mask. ``tensor`` may be a FeatureTensor or a
-    plain (F, B, Ch) array (the baseline's context windows use the latter);
-    the hop and class names come from ``roll``.
+    Each clip is normalized in one reused float64 buffer against the
+    float64 statistics and rounded once into the batch, which takes the
+    arrays' dtype. A clip's final partial window is zero padded on features
+    and targets and flagged invalid in the mask. Targets are uint8, as the
+    rolls, whose hop and class names every clip must share.
     """
-    data = tensor.data if isinstance(tensor, FeatureTensor) else np.asarray(tensor)
     if seq_len < 1:
         raise RangeError(f"sequence length must be >= 1, got {seq_len}")
-    if data.ndim != 3:
-        raise ShapeError(f"expected (F, B, Ch) features, got shape {data.shape}")
-    if data.shape[0] != roll.n_frames:
-        raise ShapeError(
-            f"features have {data.shape[0]} frames but the roll has {roll.n_frames}"
-        )
-    f, b, ch = data.shape
-    n_seq = -(-f // seq_len)
-    inputs = np.zeros((n_seq * seq_len, b, ch), dtype=data.dtype)
-    inputs[:f] = data
-    targets = np.zeros((n_seq * seq_len, roll.n_classes))
-    targets[:f] = roll.activity
+    if not clips:
+        raise StateError("no clips to chunk")
+    shape, first = normalizer.mean.shape, clips[0][1]
+    for data, roll in clips:
+        if data.shape[1:] != shape or data.shape[0] != roll.n_frames:
+            raise ShapeError(
+                f"features of shape {data.shape} do not fit the roll's {roll.n_frames} frames "
+                f"and the normalizer's bins/channels {shape}"
+            )
+        if (roll.hop_seconds, roll.class_names) != (first.hop_seconds, first.class_names):
+            raise ShapeError("clips differ in frame hop or class names")
+    frames = [data.shape[0] for data, _ in clips]
+    counts = tuple(-(-f // seq_len) for f in frames)
+    n_seq = sum(counts)
+    inputs = np.zeros((n_seq * seq_len, *shape), dtype=np.result_type(*{data.dtype for data, _ in clips}))
+    targets = np.zeros((n_seq * seq_len, first.n_classes), dtype=np.uint8)
+    mask = np.zeros(n_seq * seq_len, dtype=bool)
+    buffer = np.empty((max(frames), *shape))
+    start = 0
+    for (data, roll), f, count in zip(clips, frames, counts):
+        normalized = np.subtract(data, normalizer.mean, out=buffer[:f])
+        normalized /= normalizer.std
+        inputs[start : start + f] = normalized
+        targets[start : start + f] = roll.activity
+        mask[start : start + f] = True
+        start += count * seq_len
     return SequenceBatch(
-        inputs=inputs.reshape(n_seq, seq_len, b, ch),
-        targets=targets.reshape(n_seq, seq_len, roll.n_classes),
-        mask=(np.arange(n_seq * seq_len) < f).reshape(n_seq, seq_len),
-        clip_sequences=(n_seq,),
-        hop_seconds=roll.hop_seconds,
-        class_names=roll.class_names,
+        inputs=inputs.reshape(n_seq, seq_len, *shape),
+        targets=targets.reshape(n_seq, seq_len, first.n_classes),
+        mask=mask.reshape(n_seq, seq_len),
+        clip_sequences=counts,
+        hop_seconds=first.hop_seconds,
+        class_names=first.class_names,
     )
 
 

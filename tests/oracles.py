@@ -65,7 +65,7 @@ def chunks_by_hand(data, activity, seq_len):
     n_frames = data.shape[0]
     n_seq = -(-n_frames // seq_len)
     inputs = np.zeros((n_seq, seq_len) + data.shape[1:])
-    targets = np.zeros((n_seq, seq_len, activity.shape[1]))
+    targets = np.zeros((n_seq, seq_len, activity.shape[1]), dtype=np.uint8)
     mask = np.zeros((n_seq, seq_len), dtype=bool)
     for f in range(n_frames):
         s, t = divmod(f, seq_len)

@@ -17,7 +17,7 @@ from sedpipe.audio_io import EventRoll, events_to_roll, to_mono
 from sedpipe.cli import main as cli_main
 from sedpipe.config import TrainSection
 from sedpipe.experiment import run_generators
-from sedpipe.features import SequenceBatch, apply_normalizer, chunk_sequences, fit_normalizer
+from sedpipe.features import chunk_sequences, fit_normalizer
 from sedpipe.nn import (
     CrnnArch,
     bce_loss,
@@ -269,12 +269,10 @@ def _prepare_batches(clips, names, feature_class, seq_len=64, split=None):
         train_idx = test_idx = range(len(clips))
     else:
         train_idx, test_idx = split
-    norm = fit_normalizer([tensors[i] for i in train_idx])
+    norm = fit_normalizer([tensors[i].data for i in train_idx])
 
     def make(idx):
-        return SequenceBatch.concat(
-            [chunk_sequences(apply_normalizer(norm, tensors[i]), rolls[i], seq_len) for i in idx]
-        )
+        return chunk_sequences([(tensors[i].data, rolls[i]) for i in idx], seq_len, norm)
 
     return make(train_idx), make(test_idx), tensors[0].n_channels
 
@@ -362,12 +360,8 @@ class TestTrainingCriteria:
             tensors.append(tensor)
             rolls.append(events_to_roll(events, tensor.n_frames, tensor.hop_seconds, names))
         contexts = [mbe_context_windows(t) for t in tensors]
-        norm = fit_normalizer(
-            [features.FeatureTensor(data=c, feature_class="mbe", hop_seconds=0.02) for c in contexts]
-        )
-        batch = SequenceBatch.concat(
-            [chunk_sequences((c - norm.mean) / norm.std, r, 64) for c, r in zip(contexts, rolls)]
-        )
+        norm = fit_normalizer(contexts)
+        batch = chunk_sequences(list(zip(contexts, rolls)), 64, norm)
         # monitored at a one-second hop, one frame per segment
         batch = dataclasses.replace(batch, hop_seconds=1.0)
         cfg = TrainSection(learning_rate=3e-3, max_epochs=200, patience=199, batch_size=4, monitor="test")

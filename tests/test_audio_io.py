@@ -358,6 +358,15 @@ class TestManifest:
         with pytest.raises(ManifestError, match="fold ids"):
             read_manifest(path)
 
+    @pytest.mark.parametrize(
+        "audio, annotation", [("/data/a.wav", "a.tsv"), ("a.wav", "../a.tsv"), ("x/../../a.wav", "a.tsv")]
+    )
+    def test_path_outside_the_manifest_directory_rejected(self, tmp_path, audio, annotation):
+        path = tmp_path / "manifest.tsv"
+        path.write_text(f"b.wav\tb.tsv\t1\ttrain\n{audio}\t{annotation}\t1\ttest\n", encoding="utf-8")
+        with pytest.raises(ManifestError, match="line 2: .* is not a path inside the manifest's directory"):
+            read_manifest(path)
+
     def test_bad_role_rejected(self, tmp_path):
         path = tmp_path / "manifest.tsv"
         path.write_text("a.wav\ta.tsv\t1\teval\n", encoding="utf-8")

@@ -482,6 +482,7 @@ class TestTrainCommand:
         "key, value",
         [
             ("monitor", "bogus"), ("monitor", "train"), ("sequence_length", "0"), ("folds", ""), ("seed", "-1"),
+            ("folds", "1,1"), ("folds", "0,1"), ("folds", "-1"),
             ("threshold", "2"), ("threshold", "0"), ("n_runs", "0"), ("learning_rate", "0"), ("batch_size", "0"),
             ("patience", "4"),  # not below max_epochs = 4
         ],

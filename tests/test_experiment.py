@@ -233,7 +233,12 @@ class TestArchivePath:
             '"window_ms": 40.0}'
         )
         assert hashlib.sha256(settings.encode()).hexdigest()[:12] == "389f2a491685"
-        assert archive_path(ExperimentConfig(), "sub/clip000.wav") == Path("data/features/clip000.389f2a491685.mbe.sedf")
+        assert archive_path(ExperimentConfig(), "clip000.wav") == Path("data/features/clip000.389f2a491685.mbe.sedf")
+
+    def test_clip_directory_is_kept_below_the_cache(self):
+        base = ExperimentConfig()
+        assert archive_path(base, "sub/clip000.wav") == Path("data/features/sub/clip000.389f2a491685.mbe.sedf")
+        assert archive_path(base, "a/clip.wav", "out") == Path("out/a") / archive_path(base, "clip.wav").name
 
     def test_an_int_for_a_float_setting_names_the_same_archive(self):
         # a config file always parses floats; a library caller may pass ints
@@ -264,8 +269,8 @@ class TestClipFeatures:
         # both at the archive's float32, and so are their normalized sequences
         assert cold.data.dtype == warm.data.dtype == np.float32
         roll = events_to_roll([], cold.n_frames, cold.hop_seconds, ("a", "b"))
-        normalizer = fit_normalizer([cold])
-        cold_seq, warm_seq = (experiment._split_sequences([(t, roll)], normalizer, 16) for t in (cold, warm))
+        normalizer = fit_normalizer([cold.data])
+        cold_seq, warm_seq = (experiment.chunk_sequences([(t.data, roll)], 16, normalizer) for t in (cold, warm))
         assert cold_seq.inputs.dtype == warm_seq.inputs.dtype == np.float32
         assert cold_seq.inputs.tobytes() == warm_seq.inputs.tobytes()
 
@@ -288,10 +293,23 @@ class TestClipFeatures:
         for _ in ("cold", "warm"):
             cache = {}
             run_fold(cfg, 1, cfg.train.seed, cache, read_manifest(manifest))
-            assert {tensor.data.dtype for tensor, _ in cache.values()} == {np.dtype(np.float32)}
+            assert {data.dtype for data, _ in cache.values()} == {np.dtype(np.float32)}
         # the train, monitor and test batches of both runs, each once or more
         assert len(batches) >= 6
         assert {batch.inputs.dtype for batch in batches} == {np.dtype(np.float32)}
+
+    def test_clips_that_share_a_stem_keep_their_own_archives(self, clip):
+        cfg, wav = clip
+        for sub, source in (("a", wav), ("b", wav.parent / "clip001.wav")):
+            (wav.parent / sub).mkdir()
+            shutil.copy(source, wav.parent / sub / "clip.wav")
+        first, second = (
+            clip_features(wav.parent / audio, cfg.features, archive_path(cfg, audio))
+            for audio in ("a/clip.wav", "b/clip.wav")
+        )
+        assert first.data.tobytes() == self.features_of(cfg, wav).data.tobytes()
+        assert second.data.tobytes() == self.features_of(cfg, wav.parent / "clip001.wav").data.tobytes()
+        assert archive_path(cfg, "a/clip.wav") != archive_path(cfg, "b/clip.wav")
 
     def test_fewer_mels_re_extract(self, clip):
         cfg, wav = clip

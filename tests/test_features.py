@@ -348,100 +348,89 @@ class TestExtractMemory:
         assert peak < bound_mib * 2**20
 
 
+def uneven_fft_clips(rng, bins: int, frames=(501, 257, 333)) -> list[np.ndarray]:
+    """float32 ``bin-fft`` arrays of uneven lengths."""
+    return [rng.normal(3.0, 2.5, size=(n, bins, 4)).astype(np.float32) for n in frames]
+
+
+def silent_roll(n_frames, hop=0.02, names=("a", "b")) -> EventRoll:
+    return EventRoll(
+        activity=np.zeros((n_frames, len(names)), dtype=np.uint8), hop_seconds=hop, class_names=names
+    )
+
+
+def identity(shape) -> features.Normalizer:
+    """A normalizer that leaves every value as it is."""
+    return features.Normalizer(mean=np.zeros(shape), std=np.ones(shape))
+
+
+def normalized(norm, *arrays, seq_len=16) -> np.ndarray:
+    """``arrays`` normalized through one split's batch, clip after clip,
+    the padding dropped."""
+    batch = features.chunk_sequences([(a, silent_roll(len(a))) for a in arrays], seq_len, norm)
+    return batch.inputs[batch.mask]
+
+
 class TestNormalizer:
     def test_fit_apply_standardizes(self, rng):
-        tensors = [
-            features.FeatureTensor(
-                data=rng.normal(3.0, 2.5, size=(40, 8, 2)), feature_class="bin-mbe",
-                hop_seconds=0.02,
-            )
-            for _ in range(3)
-        ]
-        norm = features.fit_normalizer(tensors)
-        stacked = np.concatenate(
-            [features.apply_normalizer(norm, t).data for t in tensors], axis=0
-        )
+        arrays = [rng.normal(3.0, 2.5, size=(40, 8, 2)) for _ in range(3)]
+        norm = features.fit_normalizer(arrays)
+        stacked = normalized(norm, *arrays)
         assert np.max(np.abs(stacked.mean(axis=0))) < 1e-9
         assert np.max(np.abs(stacked.var(axis=0) - 1.0)) < 1e-6
 
     def test_constant_bin_maps_to_zero(self):
         data = np.full((20, 4, 1), 2.5)
-        tensor = features.FeatureTensor(data=data, feature_class="mbe", hop_seconds=0.02)
-        norm = features.fit_normalizer([tensor])
-        out = features.apply_normalizer(norm, tensor)
-        assert np.all(out.data == 0.0)
+        norm = features.fit_normalizer([data])
+        assert np.all(normalized(norm, data) == 0.0)
         assert np.all(norm.std >= 1e-8)
 
     def test_apply_is_affine(self, rng):
-        tensor = features.FeatureTensor(
-            data=rng.normal(size=(30, 5, 1)), feature_class="mbe", hop_seconds=0.02
-        )
-        norm = features.fit_normalizer([tensor])
+        data = rng.normal(size=(30, 5, 1))
+        norm = features.fit_normalizer([data])
         a, b = 1.7, -0.4
-        scaled = features.FeatureTensor(
-            data=a * tensor.data + b, feature_class="mbe", hop_seconds=0.02
-        )
-        lhs = features.apply_normalizer(norm, scaled).data
-        rhs = (a * tensor.data + b - norm.mean) / norm.std
+        lhs = normalized(norm, a * data + b)
+        rhs = (a * data + b - norm.mean) / norm.std
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_float32_fit_equals_the_fit_of_its_float64_widening(self, rng):
-        tensors = [
-            features.FeatureTensor(
-                data=rng.normal(3.0, 2.5, size=(n, 8, 2)).astype(np.float32), feature_class="bin-mbe",
-                hop_seconds=0.02,
-            )
-            for n in (40, 57)
-        ]
-        wide = [dataclasses.replace(t, data=t.data.astype(np.float64)) for t in tensors]
-        narrow, reference = features.fit_normalizer(tensors), features.fit_normalizer(wide)
+        arrays = [rng.normal(3.0, 2.5, size=(n, 8, 2)).astype(np.float32) for n in (40, 57)]
+        wide = [a.astype(np.float64) for a in arrays]
+        narrow, reference = features.fit_normalizer(arrays), features.fit_normalizer(wide)
         assert narrow.mean.dtype == narrow.std.dtype == np.float64
         assert narrow.mean.tobytes() == reference.mean.tobytes()
         assert narrow.std.tobytes() == reference.std.tobytes()
 
     def test_apply_keeps_float32_rounding_the_float64_result_once(self, rng):
-        tensor = features.FeatureTensor(
-            data=rng.normal(3.0, 2.5, size=(40, 8, 2)).astype(np.float32), feature_class="bin-mbe",
-            hop_seconds=0.02,
-        )
-        norm = features.fit_normalizer([tensor])
-        out = features.apply_normalizer(norm, tensor).data
+        data = rng.normal(3.0, 2.5, size=(40, 8, 2)).astype(np.float32)
+        norm = features.fit_normalizer([data])
+        out = normalized(norm, data)
         assert out.dtype == np.float32
-        expected = ((tensor.data.astype(np.float64) - norm.mean) / norm.std).astype(np.float32)
+        expected = ((data.astype(np.float64) - norm.mean) / norm.std).astype(np.float32)
         assert out.tobytes() == expected.tobytes()
 
-    @staticmethod
-    def uneven_fft_clips(rng, bins: int, frames=(501, 257, 333)) -> list[features.FeatureTensor]:
-        """float32 ``bin-fft`` tensors of uneven lengths."""
-        return [
-            features.FeatureTensor(
-                data=rng.normal(3.0, 2.5, size=(n, bins, 4)).astype(np.float32), feature_class="bin-fft",
-                hop_seconds=0.02,
-            )
-            for n in frames
-        ]
-
     def test_fit_bits_equal_the_concatenated_fit_on_uneven_float32_clips(self, rng):
-        tensors = self.uneven_fft_clips(rng, bins=64)
-        stacked = np.concatenate([t.data for t in tensors], axis=0, dtype=np.float64)
-        norm = features.fit_normalizer(tensors)
+        arrays = uneven_fft_clips(rng, bins=64)
+        stacked = np.concatenate(arrays, axis=0, dtype=np.float64)
+        norm = features.fit_normalizer(arrays)
         assert norm.mean.tobytes() == stacked.mean(axis=0).tobytes()
         assert norm.std.tobytes() == np.maximum(stacked.std(axis=0), features._STD_FLOOR).tobytes()
 
     def test_fit_peak_traced_memory_is_below_three_times_the_input(self, rng):
         # the float64 concatenation is twice the float32 input; a second
         # copy for the deviations would make it four times
-        tensors = self.uneven_fft_clips(rng, bins=1024)
-        _, peak = traced_peak(lambda: features.fit_normalizer(tensors))
-        assert peak < 3 * sum(t.data.nbytes for t in tensors)
+        arrays = uneven_fft_clips(rng, bins=1024)
+        _, peak = traced_peak(lambda: features.fit_normalizer(arrays))
+        assert peak < 3 * sum(a.nbytes for a in arrays)
 
     def test_apply_peak_traced_memory_is_below_three_and_a_half_times_the_tensor(self, rng):
-        # one float64 buffer (twice the tensor) and the float32 result
-        (tensor,) = self.uneven_fft_clips(rng, bins=1024, frames=(501,))
-        norm = features.fit_normalizer([tensor])
-        out, peak = traced_peak(lambda: features.apply_normalizer(norm, tensor))
-        assert out.data.dtype == np.float32
-        assert peak < 3.5 * tensor.data.nbytes
+        # one float64 buffer (twice the clip) and the float32 batch, which a
+        # sequence of the clip's length does not pad
+        (data,) = uneven_fft_clips(rng, bins=1024, frames=(501,))
+        norm = features.fit_normalizer([data])
+        out, peak = traced_peak(lambda: features.chunk_sequences([(data, silent_roll(501))], 501, norm))
+        assert out.inputs.dtype == np.float32
+        assert peak < 3.5 * data.nbytes
 
     def test_empty_fit_rejected(self):
         with pytest.raises(StateError):
@@ -450,19 +439,21 @@ class TestNormalizer:
 
 class TestChunkSequences:
     def _tensor_roll(self, rng, n_frames, names=("a", "b")):
-        tensor = features.FeatureTensor(
-            data=rng.normal(size=(n_frames, 6, 1)), feature_class="mbe", hop_seconds=0.02
-        )
+        data = rng.normal(size=(n_frames, 6, 1))
         roll = EventRoll(
             activity=(rng.random((n_frames, len(names))) < 0.3).astype(np.uint8),
             hop_seconds=0.02,
             class_names=names,
         )
-        return tensor, roll
+        return data, roll
+
+    @staticmethod
+    def chunk(data, roll, seq_len):
+        """One clip's sequences, unnormalized."""
+        return features.chunk_sequences([(data, roll)], seq_len, identity(data.shape[1:]))
 
     def test_five_hundred_frames_at_t256(self, rng):
-        tensor, roll = self._tensor_roll(rng, 500)
-        batch = features.chunk_sequences(tensor, roll, 256)
+        batch = self.chunk(*self._tensor_roll(rng, 500), 256)
         assert batch.inputs.shape == (2, 256, 6, 1)
         assert batch.mask[0].all()
         assert batch.mask[1, :244].all()
@@ -470,76 +461,103 @@ class TestChunkSequences:
         assert np.all(batch.inputs[1, 244:] == 0)
 
     def test_exact_fit_no_padding(self, rng):
-        tensor, roll = self._tensor_roll(rng, 256)
-        batch = features.chunk_sequences(tensor, roll, 256)
+        batch = self.chunk(*self._tensor_roll(rng, 256), 256)
         assert batch.inputs.shape[0] == 1
         assert batch.mask.all()
 
     def test_reassembly_is_lossless(self, rng):
-        tensor, roll = self._tensor_roll(rng, 333)
-        batch = features.chunk_sequences(tensor, roll, 64)
-        assert np.array_equal(batch.inputs[batch.mask], tensor.data)
+        data, roll = self._tensor_roll(rng, 333)
+        batch = self.chunk(data, roll, 64)
+        assert np.array_equal(batch.inputs[batch.mask], data)
         assert np.array_equal(batch.targets[batch.mask], roll.activity.astype(float))
+        assert batch.targets.dtype == np.uint8
 
-    def test_empty_tensor_gives_empty_batch(self, rng):
-        tensor = features.FeatureTensor(
-            data=np.zeros((0, 6, 1)), feature_class="mbe", hop_seconds=0.02
-        )
-        roll = EventRoll(
-            activity=np.zeros((0, 2), dtype=np.uint8), hop_seconds=0.02, class_names=("a", "b")
-        )
-        batch = features.chunk_sequences(tensor, roll, 16)
+    def test_empty_tensor_gives_empty_batch(self):
+        batch = self.chunk(np.zeros((0, 6, 1)), silent_roll(0), 16)
         assert batch.n_sequences == 0
 
     @pytest.mark.parametrize("n_frames", [0, 1, 63, 64, 65, 250])
     def test_matches_frame_by_frame_oracle(self, rng, n_frames):
-        tensor, roll = self._tensor_roll(rng, n_frames)
-        batch = features.chunk_sequences(tensor, roll, 64)
+        data, roll = self._tensor_roll(rng, n_frames)
+        batch = self.chunk(data, roll, 64)
         for got, want in zip(
             (batch.inputs, batch.targets, batch.mask),
-            chunks_by_hand(tensor.data, roll.activity, 64),
+            chunks_by_hand(data, roll.activity, 64),
         ):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
     def test_frame_mismatch_rejected(self, rng):
-        tensor, roll = self._tensor_roll(rng, 100)
+        data, roll = self._tensor_roll(rng, 100)
         short = EventRoll(
             activity=roll.activity[:99], hop_seconds=0.02, class_names=roll.class_names
         )
         with pytest.raises(ShapeError):
-            features.chunk_sequences(tensor, short, 16)
+            self.chunk(data, short, 16)
 
     def test_batch_describes_its_clip(self, rng):
-        tensor, roll = self._tensor_roll(rng, 150, names=("x", "y", "z"))
-        batch = features.chunk_sequences(tensor, roll, 64)
+        batch = self.chunk(*self._tensor_roll(rng, 150, names=("x", "y", "z")), 64)
         assert batch.clip_sequences == (3,)
         assert batch.hop_seconds == 0.02
         assert batch.class_names == ("x", "y", "z")
 
+    def test_split_bits_equal_each_clip_normalized_in_float64_rounded_once_and_padded(self, rng):
+        arrays = uneven_fft_clips(rng, bins=16, frames=(70, 64, 1, 129))
+        norm = features.fit_normalizer(arrays[:2])
+        batch = features.chunk_sequences([(a, silent_roll(len(a))) for a in arrays], 64, norm)
+        padded = []
+        for a in arrays:
+            clip = np.zeros((-(-len(a) // 64) * 64, 16, 4), dtype=np.float32)
+            clip[: len(a)] = ((a.astype(np.float64) - norm.mean) / norm.std).astype(np.float32)
+            padded.append(clip)
+        assert batch.inputs.dtype == np.float32
+        assert batch.inputs.tobytes() == np.concatenate(padded).tobytes()
+        assert batch.clip_sequences == (2, 1, 1, 3)
+
+    def test_split_peak_traced_memory_is_the_batch_and_one_float64_clip(self, rng):
+        # the batch, written in place, and one float64 buffer sized for the
+        # largest clip; one padded batch per clip, joined, would hold the
+        # batch twice
+        arrays = uneven_fft_clips(rng, bins=1024)
+        norm = features.fit_normalizer(arrays)
+        clips = [(a, silent_roll(len(a))) for a in arrays]
+        batch, peak = traced_peak(lambda: features.chunk_sequences(clips, 256, norm))
+        held = batch.inputs.nbytes + batch.targets.nbytes + batch.mask.nbytes
+        assert batch.clip_sequences == (2, 2, 2)
+        assert peak < held + 2 * arrays[0].nbytes + 2**20
+
 
 class TestSequenceBatch:
     def _clip(self, rng, n_frames, hop=0.02, names=("a", "b")):
-        roll = EventRoll(
-            activity=np.zeros((n_frames, len(names)), dtype=np.uint8), hop_seconds=hop, class_names=names
-        )
-        return features.chunk_sequences(rng.normal(size=(n_frames, 6, 1)), roll, 16)
+        return rng.normal(size=(n_frames, 6, 1)), silent_roll(n_frames, hop, names)
+
+    def _split(self, clips):
+        return features.chunk_sequences(clips, 16, identity((6, 1)))
 
     def test_counts_must_cover_the_batch(self, rng):
-        batch = self._clip(rng, 80)
+        batch = self._split([self._clip(rng, 80)])
         with pytest.raises(ShapeError):
             dataclasses.replace(batch, clip_sequences=(2, 2))
 
-    def test_concat_joins_the_clip_counts(self, rng):
-        batch = features.SequenceBatch.concat([self._clip(rng, 40), self._clip(rng, 0), self._clip(rng, 17)])
+    def test_split_holds_each_clips_count(self, rng):
+        batch = self._split([self._clip(rng, 40), self._clip(rng, 0), self._clip(rng, 17)])
         assert batch.clip_sequences == (3, 0, 2)
         assert batch.n_sequences == 5
         assert (batch.hop_seconds, batch.class_names) == (0.02, ("a", "b"))
 
     @pytest.mark.parametrize("other", [{"hop": 0.01}, {"names": ("a", "c")}])
-    def test_concat_rejects_parts_of_another_hop_or_vocabulary(self, rng, other):
-        with pytest.raises(ShapeError):
-            features.SequenceBatch.concat([self._clip(rng, 40), self._clip(rng, 40, **other)])
+    def test_clips_of_another_hop_or_vocabulary_rejected(self, rng, other):
+        with pytest.raises(ShapeError, match="frame hop or class names"):
+            self._split([self._clip(rng, 40), self._clip(rng, 0), self._clip(rng, 40, **other)])
+
+    def test_clip_of_other_bins_or_channels_rejected(self, rng):
+        data, roll = self._clip(rng, 40)
+        with pytest.raises(ShapeError, match=r"normalizer's bins/channels \(6, 1\)"):
+            self._split([(data, roll), (data[:, :5], roll)])
+
+    def test_no_clips_rejected(self):
+        with pytest.raises(StateError):
+            self._split([])
 
 
 class TestArchive:
@@ -665,6 +683,15 @@ class TestArchive:
     def test_tensor_rejects_a_bad_hop(self, hop):
         with pytest.raises(RangeError, match="hop_seconds"):
             features.FeatureTensor(data=np.zeros((2, 3, 1)), feature_class="mbe", hop_seconds=hop)
+
+    def test_tensor_finds_a_non_finite_value_without_a_full_size_temporary(self, rng):
+        # np.isfinite over a (501, 1024, 4) float32 tensor made a 1.96 MiB mask
+        data = rng.normal(size=(501, 1024, 4)).astype(np.float32)
+        _, peak = traced_peak(lambda: features.FeatureTensor(data, "bin-fft", 0.02))
+        assert peak < 64 * 2**10
+        data[250, 512, 3] = np.nan
+        with pytest.raises(ShapeError, match="non-finite"):
+            features.FeatureTensor(data, "bin-fft", 0.02)
 
     def test_magic_enforced(self, tmp_path):
         path = tmp_path / "bogus.sedf"

@@ -10,7 +10,7 @@ from sedpipe.audio_io import EventRoll
 from sedpipe.config import TrainSection
 from sedpipe.errors import RangeError, StateError
 from sedpipe.experiment import run_generators
-from sedpipe.features import FeatureTensor, SequenceBatch, chunk_sequences
+from sedpipe.features import Normalizer, SequenceBatch, chunk_sequences
 from sedpipe.nn import CrnnArch, build_crnn, monitor_scores, train
 from sedpipe.nn.loss import bce_loss
 
@@ -73,12 +73,10 @@ class Echo:
         return x[..., 0]
 
 
-def echo_clip(pred, ref, seq_len=64):
-    """One clip's sequences: input ``pred`` (which :class:`Echo` predicts)
-    and target ``ref``, both (frames, classes)."""
-    tensor = FeatureTensor(data=pred[:, :, None].astype(float), feature_class="mbe", hop_seconds=0.02)
-    roll = EventRoll(activity=ref, hop_seconds=0.02, class_names=("a",))
-    return chunk_sequences(tensor, roll, seq_len)
+def echo_clip(pred, ref):
+    """One clip: input ``pred`` (which :class:`Echo` predicts) and target
+    ``ref``, both (frames, classes)."""
+    return pred[:, :, None].astype(float), EventRoll(activity=ref, hop_seconds=0.02, class_names=("a",))
 
 
 class TestMonitorScores:
@@ -89,7 +87,7 @@ class TestMonitorScores:
         ref1[50:] = 1
         pred2[:10] = 1
         clips = [echo_clip(pred1, ref1), echo_clip(pred2, ref2)]
-        batch = SequenceBatch.concat(clips)
+        batch = chunk_sequences(clips, 64, Normalizer(mean=np.zeros((1, 1)), std=np.ones((1, 1))))
         report = monitor_scores(Echo(), batch, 0.5)
         # per clip: a deletion in clip 1's second segment, an insertion in
         # clip 2's first
