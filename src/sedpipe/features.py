@@ -336,66 +336,85 @@ class Normalizer:
 
 
 def fit_normalizer(arrays: Sequence[np.ndarray]) -> Normalizer:
-    """Statistics of the (F, B, Ch) ``arrays`` of a train split."""
+    """Float64 statistics of the (F, B, Ch) ``arrays`` of a train split, fit
+    clip by clip: row 0 of one float64 block of ``1 + max(F)`` rows is the
+    running total and the rows below it a clip (then its squared deviations
+    from the mean), so the sums add rows in the concatenated split's order."""
     if not arrays:
         raise StateError("cannot fit a normalizer on an empty training set")
-    # float64 statistics whatever the arrays' dtype (a float32 mean sums in float32)
-    stacked = np.concatenate(arrays, axis=0, dtype=np.float64)
-    if stacked.shape[0] == 0:
+    n_frames = sum(len(a) for a in arrays)
+    if n_frames == 0:
         raise StateError("cannot fit a normalizer on zero frames")
-    mean = stacked.mean(axis=0)
-    # np.std's own steps, run in place on the concatenation instead of a copy
-    stacked -= mean
-    np.square(stacked, out=stacked)
-    std = np.maximum(np.sqrt(stacked.sum(axis=0) / stacked.shape[0]), _STD_FLOOR)
+    block = np.empty((1 + max(len(a) for a in arrays), *arrays[0].shape[1:]))
+    block[0] = 0.0
+    for a in arrays:
+        block[1 : 1 + len(a)] = a
+        block[0] = block[: 1 + len(a)].sum(axis=0)
+    mean = block[0] / n_frames
+    block[0] = 0.0
+    for a in arrays:
+        rows = np.subtract(a, mean, out=block[1 : 1 + len(a)])
+        np.square(rows, out=rows)
+        block[0] = block[: 1 + len(a)].sum(axis=0)
+    std = np.maximum(np.sqrt(block[0] / n_frames), _STD_FLOOR)
     return Normalizer(mean=mean, std=std)
 
 
 @dataclass(frozen=True)
 class SequenceBatch:
-    """Fixed-length sequences of one or more clips, with frame-validity masks.
+    """A split's fixed-length sequences as an index into its clips, each an
+    uncopied (F, B, Ch) array with its roll: ``starts`` is (n, 2), each
+    sequence's (clip, first frame), clip after clip."""
 
-    ``inputs`` is (n, T, B, Ch), ``targets`` (n, T, C) and ``mask`` (n, T);
-    masked-off frames are zero padding excluded from loss and metrics. The
-    sequences run clip after clip, ``clip_sequences`` holding each clip's
-    count, and every clip shares the frame hop and class names of its roll.
-    """
-
-    inputs: np.ndarray
-    targets: np.ndarray
-    mask: np.ndarray
-    clip_sequences: tuple[int, ...]
+    clips: tuple[tuple[np.ndarray, EventRoll], ...]
+    seq_len: int
+    normalizer: Normalizer
+    starts: np.ndarray
     hop_seconds: float
     class_names: tuple[str, ...]
 
-    def __post_init__(self):
-        if self.inputs.ndim != 4 or self.targets.ndim != 3 or self.mask.ndim != 2:
-            raise ShapeError("SequenceBatch arrays have wrong ranks")
-        if not (
-            self.inputs.shape[0] == self.targets.shape[0] == self.mask.shape[0]
-            and self.inputs.shape[1] == self.targets.shape[1] == self.mask.shape[1]
-        ):
-            raise ShapeError("SequenceBatch arrays disagree on (n, T)")
-        if sum(self.clip_sequences) != self.n_sequences:
-            raise ShapeError(f"clips hold {sum(self.clip_sequences)} sequences, the batch {self.n_sequences}")
-
     @property
     def n_sequences(self) -> int:
-        return self.inputs.shape[0]
+        return len(self.starts)
+
+    def gather(self, idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(inputs, targets, mask)`` of the sequences ``idx`` indexes:
+        (n, T, B, Ch) in the arrays' dtype, each frame normalized in one
+        float64 buffer and rounded once, (n, T, C) uint8 and (n, T) bool. A
+        clip's last sequence is zero padded and masked past its end."""
+        starts = self.starts[idx]
+        mean, std = self.normalizer.mean, self.normalizer.std
+        shape = (len(starts), self.seq_len)
+        inputs = np.zeros((*shape, *mean.shape), dtype=np.result_type(*{data.dtype for data, _ in self.clips}))
+        targets = np.zeros((*shape, len(self.class_names)), dtype=np.uint8)
+        mask = np.zeros(shape, dtype=bool)
+        buffer = np.empty((self.seq_len, *mean.shape))
+        for k, (clip, lo) in enumerate(starts):
+            data, roll = self.clips[clip]
+            frames = data[lo : lo + self.seq_len]
+            n = len(frames)
+            normalized = np.subtract(frames, mean, out=buffer[:n])
+            normalized /= std
+            inputs[k, :n] = normalized
+            targets[k, :n] = roll.activity[lo : lo + n]
+            mask[k, :n] = True
+        return inputs, targets, mask
+
+    def clip_frames(self, values: np.ndarray) -> list[np.ndarray]:
+        """Each clip's frames of ``values``, given per sequence as
+        (n, T, ...), the padding dropped, in clip order."""
+        flat = values.reshape(-1, *values.shape[2:])
+        firsts = np.searchsorted(self.starts[:, 0], np.arange(len(self.clips))) * self.seq_len
+        return [flat[lo : lo + len(data)] for lo, (data, _) in zip(firsts, self.clips)]
 
 
 def chunk_sequences(
     clips: Sequence[tuple[np.ndarray, EventRoll]], seq_len: int, normalizer: Normalizer
 ) -> SequenceBatch:
-    """A split's (F, B, Ch) arrays, each with its roll, normalized into one
-    batch of non-overlapping length-``seq_len`` sequences, clip after clip.
-
-    Each clip is normalized in one reused float64 buffer against the
-    float64 statistics and rounded once into the batch, which takes the
-    arrays' dtype. A clip's final partial window is zero padded on features
-    and targets and flagged invalid in the mask. Targets are uint8, as the
-    rolls, whose hop and class names every clip must share.
-    """
+    """A split's (F, B, Ch) arrays, each with its roll of as many frames, as
+    non-overlapping length-``seq_len`` sequences that
+    :meth:`SequenceBatch.gather` normalizes. Every roll shares the first's
+    hop and class names."""
     if seq_len < 1:
         raise RangeError(f"sequence length must be >= 1, got {seq_len}")
     if not clips:
@@ -409,26 +428,12 @@ def chunk_sequences(
             )
         if (roll.hop_seconds, roll.class_names) != (first.hop_seconds, first.class_names):
             raise ShapeError("clips differ in frame hop or class names")
-    frames = [data.shape[0] for data, _ in clips]
-    counts = tuple(-(-f // seq_len) for f in frames)
-    n_seq = sum(counts)
-    inputs = np.zeros((n_seq * seq_len, *shape), dtype=np.result_type(*{data.dtype for data, _ in clips}))
-    targets = np.zeros((n_seq * seq_len, first.n_classes), dtype=np.uint8)
-    mask = np.zeros(n_seq * seq_len, dtype=bool)
-    buffer = np.empty((max(frames), *shape))
-    start = 0
-    for (data, roll), f, count in zip(clips, frames, counts):
-        normalized = np.subtract(data, normalizer.mean, out=buffer[:f])
-        normalized /= normalizer.std
-        inputs[start : start + f] = normalized
-        targets[start : start + f] = roll.activity
-        mask[start : start + f] = True
-        start += count * seq_len
+    starts = [(c, lo) for c, (data, _) in enumerate(clips) for lo in range(0, len(data), seq_len)]
     return SequenceBatch(
-        inputs=inputs.reshape(n_seq, seq_len, *shape),
-        targets=targets.reshape(n_seq, seq_len, first.n_classes),
-        mask=mask.reshape(n_seq, seq_len),
-        clip_sequences=counts,
+        clips=tuple(clips),
+        seq_len=seq_len,
+        normalizer=normalizer,
+        starts=np.array(starts, dtype=np.intp).reshape(-1, 2),
         hop_seconds=first.hop_seconds,
         class_names=first.class_names,
     )

@@ -11,7 +11,7 @@ import numpy as np
 from ..audio_io import read_arrays, write_arrays
 from ..config import ModelConfig
 from ..errors import CheckpointError, ConfigError, ShapeError
-from ..features import FeatureTensor, Normalizer
+from ..features import Normalizer
 from .layers import BiGRU, ConvBlock, Dropout, FlattenFreq, Layer, TimeDense, layer_from_descriptor
 
 
@@ -200,17 +200,11 @@ def build_baseline_mlp(
     ).astype(np.float32)
 
 
-def mbe_context_windows(tensor, context: int = 5) -> np.ndarray:
+def mbe_context_windows(data: np.ndarray, context: int = 5) -> np.ndarray:
     """Stack ``context`` neighbouring mbe frames per step, edges replicated.
 
     (F, n_mels, 1) -> (F, n_mels*context, 1), centered windows.
     """
-    if isinstance(tensor, FeatureTensor):
-        if tensor.feature_class != "mbe":
-            raise ConfigError(f"the baseline takes mbe features, got {tensor.feature_class!r}")
-        data = tensor.data
-    else:
-        data = np.asarray(tensor)
     if data.ndim != 3 or data.shape[2] != 1:
         raise ShapeError(f"expected (F, B, 1) features, got shape {data.shape}")
     f, b, _ = data.shape

@@ -46,24 +46,20 @@ def monitor_scores(model: ModelGraph, batch: SequenceBatch, threshold: float) ->
     after training.
 
     The model predicts ``batch`` in inference mode, 32 sequences at a time;
-    each clip's valid frames become one (reference, prediction) roll pair,
-    and the pairs are pooled through :func:`metrics.evaluate_pooled`, so no
-    segment spans two clips.
+    each clip's predicted frames and its own roll, both at the batch's hop,
+    become one (reference, prediction) roll pair, and the pairs are pooled
+    through :func:`metrics.evaluate_pooled`, so no segment spans two clips.
     """
-    bounds = np.cumsum([0, *batch.clip_sequences])
     probs = np.concatenate(
-        [model.forward(batch.inputs[lo : lo + 32], training=False) for lo in range(0, batch.n_sequences, 32)]
+        [model.forward(batch.gather(slice(lo, lo + 32))[0], training=False) for lo in range(0, batch.n_sequences, 32)]
     )
-    ref = batch.targets.astype(np.uint8)
     pred = (probs >= threshold).astype(np.uint8)
-    valid = batch.mask.astype(bool)
 
-    def roll(activity: np.ndarray, lo: int, hi: int) -> EventRoll:
-        frames = activity[lo:hi][valid[lo:hi]]
-        return EventRoll(activity=frames, hop_seconds=batch.hop_seconds, class_names=batch.class_names)
+    def roll(activity: np.ndarray) -> EventRoll:
+        return EventRoll(activity=activity, hop_seconds=batch.hop_seconds, class_names=batch.class_names)
 
     return metrics.evaluate_pooled(
-        [(roll(ref, lo, hi), roll(pred, lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        [(roll(ref.activity), roll(frames)) for (_, ref), frames in zip(batch.clips, batch.clip_frames(pred))]
     )
 
 
@@ -104,9 +100,9 @@ def train(
         order = shuffle_rng.permutation(train_batch.n_sequences)
         losses = []
         for lo in range(0, order.size, config.batch_size):
-            idx = order[lo : lo + config.batch_size]
-            out = model.forward(train_batch.inputs[idx], training=True, rng=dropout_rng)
-            loss, dpred = bce_loss(out, train_batch.targets[idx], train_batch.mask[idx])
+            inputs, targets, mask = train_batch.gather(order[lo : lo + config.batch_size])
+            out = model.forward(inputs, training=True, rng=dropout_rng)
+            loss, dpred = bce_loss(out, targets, mask)
             model.backward(dpred)
             _check_finite(model, loss, epoch)
             optimizer.step()

@@ -359,7 +359,7 @@ class TestTrainingCriteria:
             tensor = features.extract(to_mono(clip), "mbe", f_max=22050.0)
             tensors.append(tensor)
             rolls.append(events_to_roll(events, tensor.n_frames, tensor.hop_seconds, names))
-        contexts = [mbe_context_windows(t) for t in tensors]
+        contexts = [mbe_context_windows(t.data) for t in tensors]
         norm = fit_normalizer(contexts)
         batch = chunk_sequences(list(zip(contexts, rolls)), 64, norm)
         # monitored at a one-second hop, one frame per segment

@@ -270,9 +270,11 @@ class TestClipFeatures:
         assert cold.data.dtype == warm.data.dtype == np.float32
         roll = events_to_roll([], cold.n_frames, cold.hop_seconds, ("a", "b"))
         normalizer = fit_normalizer([cold.data])
-        cold_seq, warm_seq = (experiment.chunk_sequences([(t.data, roll)], 16, normalizer) for t in (cold, warm))
-        assert cold_seq.inputs.dtype == warm_seq.inputs.dtype == np.float32
-        assert cold_seq.inputs.tobytes() == warm_seq.inputs.tobytes()
+        cold_seq, warm_seq = (
+            experiment.chunk_sequences([(t.data, roll)], 16, normalizer).gather(slice(None)) for t in (cold, warm)
+        )
+        assert cold_seq[0].dtype == warm_seq[0].dtype == np.float32
+        assert cold_seq[0].tobytes() == warm_seq[0].tobytes()
 
     def test_run_fold_caches_and_trains_on_float32(self, tmp_path, monkeypatch):
         manifest = write_dataset(tmp_path / "data")
@@ -296,7 +298,7 @@ class TestClipFeatures:
             assert {data.dtype for data, _ in cache.values()} == {np.dtype(np.float32)}
         # the train, monitor and test batches of both runs, each once or more
         assert len(batches) >= 6
-        assert {batch.inputs.dtype for batch in batches} == {np.dtype(np.float32)}
+        assert {batch.gather(slice(None))[0].dtype for batch in batches} == {np.dtype(np.float32)}
 
     def test_clips_that_share_a_stem_keep_their_own_archives(self, clip):
         cfg, wav = clip

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import struct
 import threading
 import time
@@ -364,11 +363,16 @@ def identity(shape) -> features.Normalizer:
     return features.Normalizer(mean=np.zeros(shape), std=np.ones(shape))
 
 
+def whole(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(inputs, targets, mask)`` of every sequence of ``batch``."""
+    return batch.gather(range(batch.n_sequences))
+
+
 def normalized(norm, *arrays, seq_len=16) -> np.ndarray:
     """``arrays`` normalized through one split's batch, clip after clip,
     the padding dropped."""
-    batch = features.chunk_sequences([(a, silent_roll(len(a))) for a in arrays], seq_len, norm)
-    return batch.inputs[batch.mask]
+    inputs, _, mask = whole(features.chunk_sequences([(a, silent_roll(len(a))) for a in arrays], seq_len, norm))
+    return inputs[mask]
 
 
 class TestNormalizer:
@@ -416,20 +420,20 @@ class TestNormalizer:
         assert norm.mean.tobytes() == stacked.mean(axis=0).tobytes()
         assert norm.std.tobytes() == np.maximum(stacked.std(axis=0), features._STD_FLOOR).tobytes()
 
-    def test_fit_peak_traced_memory_is_below_three_times_the_input(self, rng):
-        # the float64 concatenation is twice the float32 input; a second
-        # copy for the deviations would make it four times
+    def test_fit_peak_traced_memory_is_one_float64_clip(self, rng):
+        # one float64 block: the longest clip's rows and the running total
         arrays = uneven_fft_clips(rng, bins=1024)
         _, peak = traced_peak(lambda: features.fit_normalizer(arrays))
-        assert peak < 3 * sum(a.nbytes for a in arrays)
+        assert peak < 2 * max(a.nbytes for a in arrays) + 2**20
 
     def test_apply_peak_traced_memory_is_below_three_and_a_half_times_the_tensor(self, rng):
-        # one float64 buffer (twice the clip) and the float32 batch, which a
-        # sequence of the clip's length does not pad
+        # one float64 buffer (twice the clip) and the float32 sequence,
+        # which the clip's length does not pad
         (data,) = uneven_fft_clips(rng, bins=1024, frames=(501,))
         norm = features.fit_normalizer([data])
-        out, peak = traced_peak(lambda: features.chunk_sequences([(data, silent_roll(501))], 501, norm))
-        assert out.inputs.dtype == np.float32
+        batch = features.chunk_sequences([(data, silent_roll(501))], 501, norm)
+        (out, _, _), peak = traced_peak(lambda: whole(batch))
+        assert out.dtype == np.float32
         assert peak < 3.5 * data.nbytes
 
     def test_empty_fit_rejected(self):
@@ -453,24 +457,24 @@ class TestChunkSequences:
         return features.chunk_sequences([(data, roll)], seq_len, identity(data.shape[1:]))
 
     def test_five_hundred_frames_at_t256(self, rng):
-        batch = self.chunk(*self._tensor_roll(rng, 500), 256)
-        assert batch.inputs.shape == (2, 256, 6, 1)
-        assert batch.mask[0].all()
-        assert batch.mask[1, :244].all()
-        assert not batch.mask[1, 244:].any()
-        assert np.all(batch.inputs[1, 244:] == 0)
+        inputs, _, mask = whole(self.chunk(*self._tensor_roll(rng, 500), 256))
+        assert inputs.shape == (2, 256, 6, 1)
+        assert mask[0].all()
+        assert mask[1, :244].all()
+        assert not mask[1, 244:].any()
+        assert np.all(inputs[1, 244:] == 0)
 
     def test_exact_fit_no_padding(self, rng):
-        batch = self.chunk(*self._tensor_roll(rng, 256), 256)
-        assert batch.inputs.shape[0] == 1
-        assert batch.mask.all()
+        inputs, _, mask = whole(self.chunk(*self._tensor_roll(rng, 256), 256))
+        assert inputs.shape[0] == 1
+        assert mask.all()
 
     def test_reassembly_is_lossless(self, rng):
         data, roll = self._tensor_roll(rng, 333)
-        batch = self.chunk(data, roll, 64)
-        assert np.array_equal(batch.inputs[batch.mask], data)
-        assert np.array_equal(batch.targets[batch.mask], roll.activity.astype(float))
-        assert batch.targets.dtype == np.uint8
+        inputs, targets, mask = whole(self.chunk(data, roll, 64))
+        assert np.array_equal(inputs[mask], data)
+        assert np.array_equal(targets[mask], roll.activity.astype(float))
+        assert targets.dtype == np.uint8
 
     def test_empty_tensor_gives_empty_batch(self):
         batch = self.chunk(np.zeros((0, 6, 1)), silent_roll(0), 16)
@@ -480,10 +484,7 @@ class TestChunkSequences:
     def test_matches_frame_by_frame_oracle(self, rng, n_frames):
         data, roll = self._tensor_roll(rng, n_frames)
         batch = self.chunk(data, roll, 64)
-        for got, want in zip(
-            (batch.inputs, batch.targets, batch.mask),
-            chunks_by_hand(data, roll.activity, 64),
-        ):
+        for got, want in zip(whole(batch), chunks_by_hand(data, roll.activity, 64)):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
@@ -497,34 +498,49 @@ class TestChunkSequences:
 
     def test_batch_describes_its_clip(self, rng):
         batch = self.chunk(*self._tensor_roll(rng, 150, names=("x", "y", "z")), 64)
-        assert batch.clip_sequences == (3,)
+        assert batch.starts.tolist() == [[0, 0], [0, 64], [0, 128]]
         assert batch.hop_seconds == 0.02
         assert batch.class_names == ("x", "y", "z")
 
     def test_split_bits_equal_each_clip_normalized_in_float64_rounded_once_and_padded(self, rng):
         arrays = uneven_fft_clips(rng, bins=16, frames=(70, 64, 1, 129))
+        rolls = [self._tensor_roll(rng, len(a))[1] for a in arrays]
         norm = features.fit_normalizer(arrays[:2])
-        batch = features.chunk_sequences([(a, silent_roll(len(a))) for a in arrays], 64, norm)
-        padded = []
-        for a in arrays:
-            clip = np.zeros((-(-len(a) // 64) * 64, 16, 4), dtype=np.float32)
-            clip[: len(a)] = ((a.astype(np.float64) - norm.mean) / norm.std).astype(np.float32)
-            padded.append(clip)
-        assert batch.inputs.dtype == np.float32
-        assert batch.inputs.tobytes() == np.concatenate(padded).tobytes()
-        assert batch.clip_sequences == (2, 1, 1, 3)
+        batch = features.chunk_sequences(list(zip(arrays, rolls)), 64, norm)
+        by_hand = [
+            chunks_by_hand(((a.astype(np.float64) - norm.mean) / norm.std).astype(np.float32), r.activity, 64)
+            for a, r in zip(arrays, rolls)
+        ]
+        inputs, targets, mask = whole(batch)
+        assert inputs.dtype == np.float32
+        assert inputs.tobytes() == np.concatenate([i for i, _, _ in by_hand]).astype(np.float32).tobytes()
+        assert np.array_equal(targets, np.concatenate([t for _, t, _ in by_hand]))
+        assert np.array_equal(mask, np.concatenate([m for _, _, m in by_hand]))
+        assert batch.starts.tolist() == [[0, 0], [0, 64], [1, 0], [2, 0], [3, 0], [3, 64], [3, 128]]
 
-    def test_split_peak_traced_memory_is_the_batch_and_one_float64_clip(self, rng):
-        # the batch, written in place, and one float64 buffer sized for the
-        # largest clip; one padded batch per clip, joined, would hold the
-        # batch twice
+    def test_gather_in_any_order_equals_those_rows_of_the_whole_split(self, rng):
+        clips = [self._tensor_roll(rng, n) for n in (70, 1, 129)]
+        batch = features.chunk_sequences(clips, 64, features.fit_normalizer([d for d, _ in clips]))
+        idx = np.array([4, 0, 2, 2, 3])
+        for got, want in zip(batch.gather(idx), whole(batch)):
+            assert np.array_equal(got, want[idx])
+
+    def test_chunking_traces_under_one_mib(self, rng):
+        # the batch indexes the split's arrays and copies none of them
         arrays = uneven_fft_clips(rng, bins=1024)
         norm = features.fit_normalizer(arrays)
         clips = [(a, silent_roll(len(a))) for a in arrays]
         batch, peak = traced_peak(lambda: features.chunk_sequences(clips, 256, norm))
-        held = batch.inputs.nbytes + batch.targets.nbytes + batch.mask.nbytes
-        assert batch.clip_sequences == (2, 2, 2)
-        assert peak < held + 2 * arrays[0].nbytes + 2**20
+        assert batch.starts.tolist() == [[0, 0], [0, 256], [1, 0], [1, 256], [2, 0], [2, 256]]
+        assert peak < 2**20
+
+    def test_gather_peak_traced_memory_is_its_output_and_one_float64_sequence(self, rng):
+        arrays = uneven_fft_clips(rng, bins=1024)
+        norm = features.fit_normalizer(arrays)
+        batch = features.chunk_sequences([(a, silent_roll(len(a))) for a in arrays], 256, norm)
+        out, peak = traced_peak(lambda: whole(batch))
+        buffer = 256 * 1024 * 4 * 8
+        assert peak < sum(a.nbytes for a in out) + buffer + 2**20
 
 
 class TestSequenceBatch:
@@ -534,15 +550,14 @@ class TestSequenceBatch:
     def _split(self, clips):
         return features.chunk_sequences(clips, 16, identity((6, 1)))
 
-    def test_counts_must_cover_the_batch(self, rng):
-        batch = self._split([self._clip(rng, 80)])
-        with pytest.raises(ShapeError):
-            dataclasses.replace(batch, clip_sequences=(2, 2))
-
     def test_split_holds_each_clips_count(self, rng):
-        batch = self._split([self._clip(rng, 40), self._clip(rng, 0), self._clip(rng, 17)])
-        assert batch.clip_sequences == (3, 0, 2)
+        clips = [self._clip(rng, 40), self._clip(rng, 0), self._clip(rng, 17)]
+        batch = self._split(clips)
+        assert batch.starts.tolist() == [[0, 0], [0, 16], [0, 32], [2, 0], [2, 16]]
         assert batch.n_sequences == 5
+        frames = batch.clip_frames(whole(batch)[0])
+        assert [len(f) for f in frames] == [40, 0, 17]
+        assert all(np.array_equal(f, data) for f, (data, _) in zip(frames, clips))
         assert (batch.hop_seconds, batch.class_names) == (0.02, ("a", "b"))
 
     @pytest.mark.parametrize("other", [{"hop": 0.01}, {"names": ("a", "c")}])

@@ -17,7 +17,7 @@ from oracles import (
     max_relative_error,
 )
 from sedpipe import audio_io, cores
-from sedpipe.errors import CheckpointError, ConfigError, StateError
+from sedpipe.errors import CheckpointError, ConfigError, ShapeError, StateError
 from sedpipe.features import Normalizer
 from sedpipe.nn import (
     Adam,
@@ -381,14 +381,9 @@ class TestBaseline:
         expected_mid = np.concatenate([data[1], data[2], data[3], data[4], data[5]])
         assert np.array_equal(windows[3], expected_mid)
 
-    def test_non_mbe_tensor_rejected(self, rng):
-        from sedpipe.features import FeatureTensor
-
-        tensor = FeatureTensor(
-            data=rng.normal(size=(4, 40, 2)), feature_class="bin-mbe", hop_seconds=0.02
-        )
-        with pytest.raises(ConfigError):
-            mbe_context_windows(tensor)
+    def test_non_mono_features_rejected(self, rng):
+        with pytest.raises(ShapeError):
+            mbe_context_windows(rng.normal(size=(4, 40, 2)))
 
 
 def test_model_graph_from_descriptor_rebuilds_same_topology(rng):

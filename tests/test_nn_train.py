@@ -20,21 +20,30 @@ HOP = 1.0
 NAMES = ("a", "b")
 
 
-def toy_batch(rng, n_seq=6, t=16, n_bins=8):
-    """One clip's learnable toy problem: class c is active while bin c
+def toy_clip(rng, n_seq=6, t=16, n_bins=8):
+    """One clip of ``n_seq`` length-``t`` sequences of a learnable toy
+    problem, (frames, bins, 1) with its roll: class c is active while bin c
     carries energy."""
     classes = len(NAMES)
     inputs = rng.normal(scale=0.1, size=(n_seq, t, n_bins, 1))
-    targets = np.zeros((n_seq, t, classes))
+    targets = np.zeros((n_seq, t, classes), dtype=np.uint8)
     for s in range(n_seq):
         for c in range(classes):
             active = rng.random(t) < 0.3
             targets[s, :, c] = active
             inputs[s, active, c, 0] += 2.0
-    return SequenceBatch(
-        inputs=inputs, targets=targets, mask=np.ones((n_seq, t), dtype=bool),
-        clip_sequences=(n_seq,), hop_seconds=HOP, class_names=NAMES,
-    )
+    roll = EventRoll(activity=targets.reshape(n_seq * t, classes), hop_seconds=HOP, class_names=NAMES)
+    return inputs.reshape(n_seq * t, n_bins, 1), roll
+
+
+def unnormalized(clips, t=16) -> SequenceBatch:
+    """``clips`` chunked into length-``t`` sequences as they are."""
+    n_bins = clips[0][0].shape[1]
+    return chunk_sequences(clips, t, Normalizer(mean=np.zeros((n_bins, 1)), std=np.ones((n_bins, 1))))
+
+
+def toy_batch(rng, n_seq=6):
+    return unnormalized([toy_clip(rng, n_seq)])
 
 
 def generators(seed=1):
@@ -105,14 +114,8 @@ class TestMonitorScores:
 class TestTrainLoop:
     def test_empty_training_stream_rejected(self, rng):
         batch = toy_batch(rng)
-        empty = SequenceBatch(
-            inputs=np.zeros((0, 16, 8, 1)),
-            targets=np.zeros((0, 16, 2)),
-            mask=np.zeros((0, 16), dtype=bool),
-            clip_sequences=(),
-            hop_seconds=HOP,
-            class_names=NAMES,
-        )
+        silent = EventRoll(activity=np.zeros((0, 2), dtype=np.uint8), hop_seconds=HOP, class_names=NAMES)
+        empty = unnormalized([(np.zeros((0, 8, 1)), silent)])
         with pytest.raises(StateError):
             train(toy_model(), empty, batch, TrainSection(max_epochs=5, patience=1), *generators())
 
@@ -132,8 +135,9 @@ class TestTrainLoop:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_input_raises_at_first_epoch(self, rng):
-        batch = toy_batch(rng)
-        batch.inputs[2, 5, 3, 0] = np.nan
+        data, roll = toy_clip(rng)
+        data[2 * 16 + 5, 3, 0] = np.nan
+        batch = unnormalized([(data, roll)])
         cfg = TrainSection(max_epochs=5, patience=1, batch_size=3)
         with pytest.raises(StateError, match=r"epoch 1: loss nan, first non-finite gradient 0\.kernels"):
             train(toy_model(), batch, batch, cfg, *generators())
@@ -185,14 +189,22 @@ class TestTrainLoop:
         assert history.monitor_er[history.best_epoch - 1] == min(history.monitor_er)
 
     def test_masked_frames_do_not_change_training(self, rng):
-        base = toy_batch(rng, n_seq=4)
-        mask = base.mask.copy()
-        mask[:, -4:] = False
-        masked = dataclasses.replace(base, mask=mask)
-        poisoned_inputs = base.inputs.copy()
-        poisoned_targets = base.targets.copy()
-        poisoned_targets[:, -4:] = 1 - poisoned_targets[:, -4:]
-        poisoned = dataclasses.replace(base, inputs=poisoned_inputs, targets=poisoned_targets, mask=mask)
+        # four 12-frame clips: each sequence's last 4 frames are masked padding
+        data, roll = toy_clip(rng, n_seq=4)
+        clips = [
+            (data[lo : lo + 12], dataclasses.replace(roll, activity=roll.activity[lo : lo + 12]))
+            for lo in range(0, 64, 16)
+        ]
+        masked = unnormalized(clips)
+
+        class Poisoned(SequenceBatch):
+            def gather(self, idx):
+                inputs, targets, mask = super().gather(idx)
+                targets[~mask] = 1 - targets[~mask]
+                return inputs, targets, mask
+
+        poisoned = Poisoned(**vars(masked))
+        assert not np.array_equal(poisoned.gather([0])[1], masked.gather([0])[1])
         cfg = TrainSection(learning_rate=3e-3, max_epochs=3, patience=2, batch_size=2)
         _, h1 = train(toy_model(seed=2), masked, masked, cfg, *generators(5))
         _, h2 = train(toy_model(seed=2), poisoned, poisoned, cfg, *generators(5))
